@@ -37,9 +37,6 @@ void validate_flow_options(const FlowOptions& opt) {
     if (m.max_cells_per_axis < 1)
         raise("FlowOptions.substrate.mesh.max_cells_per_axis must be >= 1 (got %d)",
               m.max_cells_per_axis);
-    if (opt.substrate.drop_tol < 0.0)
-        raise("FlowOptions.substrate.drop_tol must be >= 0 (got %g)",
-              opt.substrate.drop_tol);
     if (!(opt.interconnect.touch_resistance > 0.0))
         raise("FlowOptions.interconnect.touch_resistance must be > 0 (got %g)",
               opt.interconnect.touch_resistance);
@@ -75,7 +72,6 @@ void digest_options(obs::ConfigDigest& d, const FlowOptions& opt) {
     d.add("flow.substrate.mesh.z_steps", m.z_steps);
     d.add("flow.substrate.mesh.margin", m.margin);
     d.add("flow.substrate.mesh.max_cells_per_axis", m.max_cells_per_axis);
-    d.add("flow.substrate.drop_tol", opt.substrate.drop_tol);
     d.add("flow.substrate.unreduced_fallback", opt.substrate.unreduced_fallback);
     d.add("flow.interconnect.extract_resistance", opt.interconnect.extract_resistance);
     d.add("flow.interconnect.extract_capacitance", opt.interconnect.extract_capacitance);

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -13,11 +14,21 @@ namespace snim::mor {
 
 namespace {
 
-/// Compressed sparse row matrix for the internal-internal conductance block.
+/// CG stopping rule: relative residual ||r||_2 <= kCgTol ||b||_2.  At 1e-11
+/// the port matrix of both figure meshes sits within ~1e-8 of a direct
+/// solve (1e-9 moved fig3 by 0.001 dB).
+constexpr double kCgTol = 1e-11;
+constexpr int kCgMaxIter = 20000;
+
+/// The internal-internal conductance block G_ii: diagonal in `diag`,
+/// off-diagonal entries in compressed sparse rows, each row sorted by
+/// column with parallel edges merged.
 struct Csr {
     std::vector<int> ptr, idx;
     std::vector<double> val;
     std::vector<double> diag;
+    /// Reciprocal pivots of the zero-fill incomplete Cholesky factor.
+    std::vector<double> inv_pivot;
     size_t n = 0;
 
     void multiply(const std::vector<double>& x, std::vector<double>& y) const {
@@ -29,11 +40,59 @@ struct Csr {
             y[i] = s;
         }
     }
+
+    /// IC(0): M = (D + L) D^-1 (D + L)^T with L the strict lower triangle
+    /// of G_ii.  On a graph without triangles (the 7-point mesh) zero-fill
+    /// incomplete Cholesky keeps L equal to G_ii's own entries, so only the
+    /// pivots d_i = g_ii - sum_{j<i} g_ij^2 / d_j are computed.  A pivot
+    /// <= 0 falls back to g_ii: it arises on a floating island (its last
+    /// pivot cancels to zero), and any positive D keeps M SPD.
+    void factor_ic0() {
+        inv_pivot.resize(n);
+        for (size_t i = 0; i < n; ++i) {
+            double d = diag[i];
+            const int mid = lower_end(i);
+            for (int p = ptr[i]; p < mid; ++p) {
+                const double g = val[static_cast<size_t>(p)];
+                d -= g * g * inv_pivot[static_cast<size_t>(idx[static_cast<size_t>(p)])];
+            }
+            if (!(d > 0.0)) d = diag[i];
+            inv_pivot[i] = 1.0 / d;
+        }
+    }
+
+    /// z = M^-1 r: a forward sweep over the lower entries of each row, then
+    /// a backward sweep over the upper entries of the same rows.
+    void precondition(const std::vector<double>& r, std::vector<double>& z) const {
+        for (size_t i = 0; i < n; ++i) {
+            double s = r[i];
+            const int mid = lower_end(i);
+            for (int p = ptr[i]; p < mid; ++p)
+                s -= val[static_cast<size_t>(p)] *
+                     z[static_cast<size_t>(idx[static_cast<size_t>(p)])];
+            z[i] = s * inv_pivot[i];
+        }
+        for (size_t i = n; i-- > 0;) {
+            double s = 0.0;
+            const int mid = lower_end(i);
+            for (int p = mid; p < ptr[i + 1]; ++p)
+                s += val[static_cast<size_t>(p)] *
+                     z[static_cast<size_t>(idx[static_cast<size_t>(p)])];
+            z[i] -= s * inv_pivot[i];
+        }
+    }
+
+    /// One past the last entry of row i with a column below i (rows are
+    /// sorted, so the upper entries start here).
+    int lower_end(size_t i) const {
+        int p = ptr[i];
+        while (p < ptr[i + 1] && idx[static_cast<size_t>(p)] < static_cast<int>(i)) ++p;
+        return p;
+    }
 };
 
-/// Jacobi-preconditioned CG for the SPD conductance Laplacian.
-bool pcg(const Csr& a, const std::vector<double>& b, std::vector<double>& x,
-         double tol, int max_iter) {
+/// IC(0)-preconditioned CG for the SPD conductance Laplacian.
+bool pcg(const Csr& a, const std::vector<double>& b, std::vector<double>& x) {
     const size_t n = a.n;
     x.assign(n, 0.0);
     std::vector<double> r = b, z(n), p(n), ap(n);
@@ -42,12 +101,12 @@ bool pcg(const Csr& a, const std::vector<double>& b, std::vector<double>& x,
     bnorm = std::sqrt(bnorm);
     if (bnorm == 0.0) return true;
 
-    for (size_t i = 0; i < n; ++i) z[i] = r[i] / a.diag[i];
+    a.precondition(r, z);
     p = z;
     double rz = 0.0;
     for (size_t i = 0; i < n; ++i) rz += r[i] * z[i];
 
-    for (int it = 0; it < max_iter; ++it) {
+    for (int it = 0; it < kCgMaxIter; ++it) {
         a.multiply(p, ap);
         double pap = 0.0;
         for (size_t i = 0; i < n; ++i) pap += p[i] * ap[i];
@@ -59,15 +118,13 @@ bool pcg(const Csr& a, const std::vector<double>& b, std::vector<double>& x,
             r[i] -= alpha * ap[i];
             rnorm += r[i] * r[i];
         }
-        if (std::sqrt(rnorm) <= tol * bnorm) {
+        if (std::sqrt(rnorm) <= kCgTol * bnorm) {
             if (obs::enabled()) obs::record_value("mor/cg_iters", it + 1);
             return true;
         }
+        a.precondition(r, z);
         double rz_new = 0.0;
-        for (size_t i = 0; i < n; ++i) {
-            z[i] = r[i] / a.diag[i];
-            rz_new += r[i] * z[i];
-        }
+        for (size_t i = 0; i < n; ++i) rz_new += r[i] * z[i];
         const double beta = rz_new / rz;
         rz = rz_new;
         for (size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
@@ -83,7 +140,7 @@ bool pcg(const Csr& a, const std::vector<double>& b, std::vector<double>& x,
 struct PartitionedG {
     size_t np = 0, ni = 0;
     std::vector<int> port_of, internal_of; // global node -> block index or -1
-    Csr a;                                 // Gii, Jacobi-ready
+    Csr a;                                 // Gii, IC(0)-factored
     std::vector<std::vector<std::pair<int, double>>> gip; // port -> (internal, g)
     std::vector<std::vector<double>> gpp;
     std::vector<double> gnd_int, gnd_port;
@@ -111,15 +168,19 @@ PartitionedG partition_conductance(const RcNetwork& net,
         if (out.port_of[i] < 0) out.internal_of[i] = static_cast<int>(ni++);
     out.ni = ni;
 
-    // Assemble Gii (CSR), Gip (per-port sparse rhs), Gpp, ground terms.
-    std::vector<std::vector<std::pair<int, double>>> rows(ni);
-    std::vector<double> diag(ni, 0.0);
+    // Assemble Gip (per-port sparse rhs), Gpp, ground terms, the diagonal of
+    // Gii and its per-row off-diagonal counts (CSR row pointers).
+    Csr& a = out.a;
+    a.n = ni;
+    a.diag.assign(ni, 0.0);
+    a.ptr.assign(ni + 1, 0);
     out.gip.assign(np, {});
     out.gpp.assign(np, std::vector<double>(np, 0.0));
     out.gnd_int.assign(ni, 0.0);
     out.gnd_port.assign(np, 0.0);
     auto& gip = out.gip;
     auto& gpp = out.gpp;
+    auto& diag = a.diag;
 
     for (const auto& e : net.conductances) {
         const int pa = out.port_of[static_cast<size_t>(e.a)];
@@ -147,8 +208,8 @@ PartitionedG partition_conductance(const RcNetwork& net,
             diag[static_cast<size_t>(ia)] += e.value;
             gpp[static_cast<size_t>(pb)][static_cast<size_t>(pb)] += e.value;
         } else {
-            rows[static_cast<size_t>(ia)].emplace_back(ib, -e.value);
-            rows[static_cast<size_t>(ib)].emplace_back(ia, -e.value);
+            ++a.ptr[static_cast<size_t>(ia) + 1];
+            ++a.ptr[static_cast<size_t>(ib) + 1];
             diag[static_cast<size_t>(ia)] += e.value;
             diag[static_cast<size_t>(ib)] += e.value;
         }
@@ -159,29 +220,56 @@ PartitionedG partition_conductance(const RcNetwork& net,
         if (diag[i] <= 0.0) diag[i] = 1e-15;
     }
 
-    Csr& a = out.a;
-    a.n = ni;
-    a.diag = std::move(diag);
-    a.ptr.resize(ni + 1, 0);
-    for (size_t i = 0; i < ni; ++i)
-        a.ptr[i + 1] = a.ptr[i] + static_cast<int>(rows[i].size());
+    // Fill the internal-internal entries, then sort each row by column and
+    // merge parallel edges, compacting the rows in place.
+    for (size_t i = 0; i < ni; ++i) a.ptr[i + 1] += a.ptr[i];
     a.idx.resize(static_cast<size_t>(a.ptr[ni]));
     a.val.resize(static_cast<size_t>(a.ptr[ni]));
-    for (size_t i = 0; i < ni; ++i) {
-        int p = a.ptr[i];
-        for (const auto& [j, v] : rows[i]) {
-            a.idx[static_cast<size_t>(p)] = j;
-            a.val[static_cast<size_t>(p)] = v;
-            ++p;
+    {
+        std::vector<int> next(a.ptr.begin(), a.ptr.end() - 1);
+        auto put = [&](int row, int col, double g) {
+            const size_t p = static_cast<size_t>(next[static_cast<size_t>(row)]++);
+            a.idx[p] = col;
+            a.val[p] = -g;
+        };
+        for (const auto& e : net.conductances) {
+            if (e.b < 0) continue;
+            const int ia = out.internal_of[static_cast<size_t>(e.a)];
+            const int ib = out.internal_of[static_cast<size_t>(e.b)];
+            if (ia < 0 || ib < 0) continue;
+            put(ia, ib, e.value);
+            put(ib, ia, e.value);
         }
     }
+    std::vector<std::pair<int, double>> row;
+    int nnz = 0;
+    for (size_t i = 0; i < ni; ++i) {
+        row.clear();
+        for (int p = a.ptr[i]; p < a.ptr[i + 1]; ++p)
+            row.emplace_back(a.idx[static_cast<size_t>(p)], a.val[static_cast<size_t>(p)]);
+        std::sort(row.begin(), row.end(),
+                  [](const auto& x, const auto& y) { return x.first < y.first; });
+        a.ptr[i] = nnz;
+        for (const auto& [j, v] : row) {
+            if (nnz > a.ptr[i] && a.idx[static_cast<size_t>(nnz) - 1] == j) {
+                a.val[static_cast<size_t>(nnz) - 1] += v;
+            } else {
+                a.idx[static_cast<size_t>(nnz)] = j;
+                a.val[static_cast<size_t>(nnz)] = v;
+                ++nnz;
+            }
+        }
+    }
+    a.ptr[ni] = nnz;
+    a.idx.resize(static_cast<size_t>(nnz));
+    a.val.resize(static_cast<size_t>(nnz));
+    a.factor_ic0();
     return out;
 }
 
 } // namespace
 
-RcNetwork reduce_by_solve(const RcNetwork& net, const std::vector<int>& ports,
-                          double cg_tol, int max_iter) {
+RcNetwork reduce_by_solve(const RcNetwork& net, const std::vector<int>& ports) {
     obs::ScopedTimer obs_timer("mor/reduce_by_solve");
     if (fault::fires("mor.cg.fail"))
         raise("substrate reduction: CG failed to converge for port 0 "
@@ -206,7 +294,7 @@ RcNetwork reduce_by_solve(const RcNetwork& net, const std::vector<int>& ports,
             continue;
         }
         obs::count("mor/cg_solves");
-        if (!pcg(a, rhs, w[j], cg_tol, max_iter))
+        if (!pcg(a, rhs, w[j]))
             raise("substrate reduction: CG failed to converge for port %zu", j);
     }
 
@@ -305,8 +393,7 @@ RcNetwork reduce_by_solve(const RcNetwork& net, const std::vector<int>& ports,
 }
 
 double probe_reduction_error(const RcNetwork& full, const RcNetwork& reduced,
-                             const std::vector<int>& ports, int probes,
-                             double cg_tol, int max_iter) {
+                             const std::vector<int>& ports, int probes) {
     obs::ScopedTimer obs_timer("mor/probe_reduction_error");
     const size_t np = ports.size();
     SNIM_ASSERT(reduced.node_count == np,
@@ -353,7 +440,7 @@ double probe_reduction_error(const RcNetwork& full, const RcNetwork& reduced,
                 rhs[static_cast<size_t>(k)] += g * v[j];
         if (part.ni > 0) {
             obs::count("mor/probe_cg_solves");
-            if (!pcg(part.a, rhs, u, cg_tol, max_iter))
+            if (!pcg(part.a, rhs, u))
                 raise("substrate reduction probe: CG failed to converge");
         } else {
             u.clear();

@@ -101,8 +101,9 @@ SubstrateModel extract_substrate(const geom::Rect& area,
         }
     }
 
-    // Schur reduction via CG solves: exact to solver tolerance and immune
-    // to the fill-in explosion of node elimination on 3-D meshes.
+    // Schur reduction via IC(0)-preconditioned CG solves, one per port:
+    // exact to solver tolerance, with no fill-in beyond the mesh itself
+    // (node elimination or a direct factor fills 3-D meshes heavily).
     try {
         out.reduced = mor::reduce_by_solve(mesh.network(), port_nodes);
     } catch (const Error& e) {

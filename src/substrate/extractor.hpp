@@ -35,8 +35,6 @@ struct PortSpec {
 
 struct ExtractOptions {
     MeshOptions mesh;
-    /// Drop tolerance handed to the reducer (0 keeps the model exact).
-    double drop_tol = 0.0;
     /// When the CG-based reduction fails, degrade to the unreduced mesh
     /// network (ports renumbered first) instead of aborting the flow: the
     /// stitched model is larger and slower but exact.  OFF propagates the

@@ -251,9 +251,11 @@ TEST(VecOpsTest, Logspace) {
     EXPECT_THROW(logspace(-1.0, 1.0, 3), Error);
 }
 
+// Both fields are size_t so the struct has no padding: gtest prints an
+// unprintable param as its raw bytes, and that text names the test case.
 struct SparseLuSizeCase {
     size_t n;
-    int extra_per_row;
+    size_t extra_per_row;
 };
 
 class SparseLuSweep : public ::testing::TestWithParam<SparseLuSizeCase> {};
@@ -264,7 +266,7 @@ TEST_P(SparseLuSweep, ResidualSmall) {
     Triplets<double> t(param.n);
     for (size_t i = 0; i < param.n; ++i) t.add(i, i, 5.0 + rng.uniform(0, 1));
     for (size_t i = 0; i < param.n; ++i)
-        for (int k = 0; k < param.extra_per_row; ++k)
+        for (size_t k = 0; k < param.extra_per_row; ++k)
             t.add(i,
                   static_cast<size_t>(
                       rng.uniform_int(0, static_cast<int>(param.n) - 1)),

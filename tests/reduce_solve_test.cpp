@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "mor/elimination.hpp"
 #include "mor/macromodel.hpp"
+#include "substrate/mesh.hpp"
+#include "tech/generic180.hpp"
+#include "testcases/vco.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -132,6 +136,94 @@ TEST(ReduceBySolveTest, LargeMeshIsFast) {
     // Sanity: adjacent corners see less resistance than opposite corners.
     auto g = dense_port_conductance(red, {0, 1, 2, 3, 4, 5});
     EXPECT_GT(-g[0][1], 0.0);
+}
+
+TEST(ReduceBySolveTest, FloatingIslandMatchesNetworkWithoutIt) {
+    // Two internal nodes tied only to each other -- no port, no ground --
+    // make G_ii singular, and the second island node's incomplete-Cholesky
+    // pivot cancels to exactly zero.  The island carries no current, so the
+    // port matrix must equal that of the network without it.
+    const RcNetwork base = random_grounded_network(40, 60, 5);
+    const std::vector<int> ports{0, 11, 23, 35};
+    const auto gref = dense_port_conductance(base, ports);
+    RcNetwork net = base;
+    net.node_count += 2;
+    net.add_g(40, 41, 1.0);
+    const auto g = port_matrix(reduce_by_solve(net, ports), ports.size());
+    for (size_t i = 0; i < ports.size(); ++i)
+        for (size_t j = 0; j < ports.size(); ++j)
+            EXPECT_NEAR(g[i][j], gref[i][j],
+                        1e-9 * std::sqrt(gref[i][i] * gref[j][j]))
+                << "(" << i << "," << j << ")";
+}
+
+/// Port matrix of a reduced network's capacitances: ground caps on the
+/// diagonal, port-pair caps off it (symmetric).
+std::vector<std::vector<double>> cap_matrix(const RcNetwork& reduced, size_t np) {
+    std::vector<std::vector<double>> c(np, std::vector<double>(np, 0.0));
+    for (const auto& e : reduced.capacitances) {
+        const auto a = static_cast<size_t>(e.a);
+        if (e.b < 0) {
+            c[a][a] += e.value;
+        } else {
+            c[a][static_cast<size_t>(e.b)] += e.value;
+            c[static_cast<size_t>(e.b)][a] += e.value;
+        }
+    }
+    return c;
+}
+
+TEST(ReduceBySolveTest, MatchesDirectOraclesOnCoarseSubstrateMesh) {
+    // A coarse mesh of the VCO's slab stack (10 x 8 x 7 = 560 nodes) with
+    // three resistive contacts and one capacitive well, attached the way the
+    // substrate extractor attaches ports.  Small enough for the dense and
+    // elimination oracles; the 0.8-120 um slabs and stiff contacts make G_ii
+    // ill-conditioned enough that a 1e-9 CG residual misses both bounds.
+    substrate::MeshOptions mo;
+    mo.z_steps = testcases::vco_flow_options().substrate.mesh.z_steps;
+    mo.focus = geom::Rect(0, 0, 100, 80);
+    mo.fine_pitch = 10.0;
+    mo.margin = 0.0;
+    substrate::Mesh mesh(mo.focus, tech::generic180().substrate(), mo);
+    ASSERT_EQ(mesh.node_count(), 560u);
+
+    RcNetwork& net = mesh.network();
+    std::vector<int> ports;
+    auto attach = [&](const geom::Rect& r, double g_total, double c_per_area) {
+        const int pnode = mesh.add_aux_node();
+        ports.push_back(pnode);
+        double area = 0.0;
+        for (const auto& [node, a] : mesh.surface_overlap(r)) area += a;
+        for (const auto& [node, a] : mesh.surface_overlap(r)) {
+            if (g_total > 0.0) net.add_g(pnode, node, g_total * a / area);
+            if (c_per_area > 0.0) net.add_c(pnode, node, c_per_area * a);
+        }
+    };
+    attach(geom::Rect(5, 5, 25, 15), 0.5, 0.0);        // 2 ohm taps
+    attach(geom::Rect(70, 60, 95, 75), 0.5, 0.0);
+    attach(geom::Rect(40, 30, 50, 40), 0.5, 0.0);
+    attach(geom::Rect(10, 50, 40, 75), 0.0, 0.08e-15); // n-well
+    const size_t np = ports.size();
+
+    const RcNetwork red = reduce_by_solve(net, ports);
+    const auto gref = dense_port_conductance(net, ports);
+    const auto g = port_matrix(red, np);
+    for (size_t i = 0; i < np; ++i)
+        for (size_t j = 0; j < np; ++j)
+            EXPECT_NEAR(g[i][j], gref[i][j],
+                        1e-8 * std::sqrt(gref[i][i] * gref[j][j]))
+                << "G(" << i << "," << j << ")";
+
+    const auto cref = cap_matrix(eliminate_internal(net, ports), np);
+    const auto c = cap_matrix(red, np);
+    double cmax = 0.0;
+    for (const auto& row : cref)
+        for (double v : row) cmax = std::max(cmax, v);
+    ASSERT_GT(cmax, 0.0);
+    for (size_t i = 0; i < np; ++i)
+        for (size_t j = 0; j < np; ++j)
+            EXPECT_NEAR(c[i][j], cref[i][j], 1e-9 * cmax)
+                << "C(" << i << "," << j << ")";
 }
 
 struct SolveCase {
