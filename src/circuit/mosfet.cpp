@@ -30,18 +30,6 @@ Mosfet::Mosfet(std::string name, NodeId d, NodeId g, NodeId s, NodeId b,
     if (geom_.ps <= 0) geom_.ps = 2.0 * (geom_.w + ext);
 }
 
-double Mosfet::junction_cap(double cj0_area, double cj0_perim, double v) const {
-    // v is the junction forward voltage (bulk-to-diffusion for NMOS).
-    const double cj0 = cj0_area + cj0_perim;
-    const double pb = model_.pb, mj = model_.mj;
-    if (v < kFc * pb) {
-        return cj0 * std::pow(1.0 - v / pb, -mj);
-    }
-    // Linear extension beyond fc*pb (standard SPICE treatment).
-    const double f = std::pow(1.0 - kFc, -mj);
-    return cj0 * f * (1.0 + mj * (v - kFc * pb) / (pb * (1.0 - kFc)));
-}
-
 Mosfet::SmallSignal Mosfet::small_signal(const std::vector<double>& x) const {
     const double sgn = model_.is_nmos ? 1.0 : -1.0;
     const double vd = sgn * volt(x, term(kD));
@@ -144,8 +132,8 @@ Mosfet::SmallSignal Mosfet::small_signal(const std::vector<double>& x) const {
     const double m = static_cast<double>(geom_.m);
     const double vbd = sgn * (volt(x, term(kB)) - volt(x, term(kD)));
     const double vbs_j = sgn * (volt(x, term(kB)) - volt(x, term(kS)));
-    out.cdb = junction_cap(model_.cj * geom_.ad * m, model_.cjsw * geom_.pd * m, vbd);
-    out.csb = junction_cap(model_.cj * geom_.as * m, model_.cjsw * geom_.ps * m, vbs_j);
+    out.cdb = junction_cap0(vbd, model_.cj * geom_.ad * m + model_.cjsw * geom_.pd * m);
+    out.csb = junction_cap0(vbs_j, model_.cj * geom_.as * m + model_.cjsw * geom_.ps * m);
 
     // Swap channel caps back to terminal frame.
     if (swapped) std::swap(cgs_i, cgd_i);
@@ -155,33 +143,55 @@ Mosfet::SmallSignal Mosfet::small_signal(const std::vector<double>& x) const {
     return out;
 }
 
-void Mosfet::stamp_channel(RealStamper& s, const std::vector<double>& x) const {
-    const SmallSignal ss = small_signal(x);
+Mosfet::ChannelStamp Mosfet::channel_stamp(const SmallSignal& ss,
+                                            const std::vector<double>& x) const {
+    // Effective drain/source orientation, the same rule small_signal uses.
     const double sgn = model_.is_nmos ? 1.0 : -1.0;
-
-    // Determine effective drain/source terminals in actual node space.
-    const double vd = sgn * volt(x, term(kD));
-    const double vs = sgn * volt(x, term(kS));
-    const bool swapped = vd < vs;
+    const bool swapped = sgn * volt(x, term(kD)) < sgn * volt(x, term(kS));
     const NodeId nD = swapped ? term(kS) : term(kD);
     const NodeId nS = swapped ? term(kD) : term(kS);
-    const NodeId nG = term(kG);
-    const NodeId nB = term(kB);
 
-    // Channel current into effective drain (actual polarity):
-    //   i = gm (vG - vS') + gds (vD' - vS') + gmb (vB - vS') + Ieq
+    // Channel current into the effective drain (actual polarity):
+    //   i = gm (vG - vS') + gds (vD' - vS') + gmb (vB - vS') + ieq
     // with all conductances positive regardless of polarity.
-    s.transconductance(nD, nS, nG, nS, ss.gm);
-    s.admittance(nD, nS, ss.gds);
-    s.transconductance(nD, nS, nB, nS, ss.gmb);
-
-    const double vgs_a = volt(x, nG) - volt(x, nS);
+    const double vgs_a = volt(x, term(kG)) - volt(x, nS);
     const double vds_a = volt(x, nD) - volt(x, nS);
-    const double vbs_a = volt(x, nB) - volt(x, nS);
+    const double vbs_a = volt(x, term(kB)) - volt(x, nS);
     const double i_d = swapped ? -ss.ids : ss.ids; // into effective drain
     const double ieq = i_d - ss.gm * vgs_a - ss.gds * vds_a - ss.gmb * vbs_a;
-    s.rhs_current(nD, -ieq);
-    s.rhs_current(nS, ieq);
+
+    // Drain row of that Jacobian in the fixed kD/kG/kS/kB column order.
+    // Reversed, the actual drain is the effective source, whose row is the
+    // negated effective-drain row with the D and S columns exchanged.
+    const double gsum = ss.gm + ss.gds + ss.gmb;
+    ChannelStamp c;
+    if (swapped) {
+        c.row = {gsum, -ss.gm, -ss.gds, -ss.gmb};
+        c.rhs = ieq;
+    } else {
+        c.row = {ss.gds, ss.gm, -gsum, ss.gmb};
+        c.rhs = -ieq;
+    }
+    return c;
+}
+
+namespace {
+// Writes the channel block in its fixed order, (d,d) (d,g) (d,s) (d,b) then
+// (s,d) (s,g) (s,s) (s,b), so the call sequence never depends on the bias;
+// ground terminals drop out the same way on every pass.
+template <class T>
+void stamp_channel_block(Stamper<T>& s, const std::vector<NodeId>& t,
+                         const std::array<double, 4>& row) {
+    for (size_t j = 0; j < 4; ++j) s.entry(t[kD], t[j], T(row[j]));
+    for (size_t j = 0; j < 4; ++j) s.entry(t[kS], t[j], T(-row[j]));
+}
+} // namespace
+
+void Mosfet::stamp_channel(RealStamper& s, const std::vector<double>& x) const {
+    const ChannelStamp c = channel_stamp(small_signal(x), x);
+    stamp_channel_block(s, nodes(), c.row);
+    s.rhs_current(term(kD), c.rhs);
+    s.rhs_current(term(kS), -c.rhs);
 }
 
 void Mosfet::stamp_dc(RealStamper& s, const std::vector<double>& x) const {
@@ -189,8 +199,11 @@ void Mosfet::stamp_dc(RealStamper& s, const std::vector<double>& x) const {
 }
 
 double Mosfet::junction_cap0(double v, double cj0) const {
+    // v is the junction forward voltage (bulk-to-diffusion for NMOS); cj0
+    // the zero-bias area plus perimeter capacitance.
     const double pb = model_.pb, mj = model_.mj;
     if (v < kFc * pb) return cj0 * std::pow(1.0 - v / pb, -mj);
+    // Linear extension beyond fc*pb (standard SPICE treatment).
     const double f = std::pow(1.0 - kFc, -mj);
     return cj0 * f * (1.0 + mj * (v - kFc * pb) / (pb * (1.0 - kFc)));
 }
@@ -303,18 +316,7 @@ void Mosfet::load_tran_state(const std::vector<double>& in, size_t& pos) {
 void Mosfet::stamp_ac(ComplexStamper& s, const std::vector<double>& xop,
                       double omega) const {
     const SmallSignal ss = small_signal(xop);
-    const double sgn = model_.is_nmos ? 1.0 : -1.0;
-    const double vd = sgn * volt(xop, term(kD));
-    const double vs = sgn * volt(xop, term(kS));
-    const bool swapped = vd < vs;
-    const NodeId nD = swapped ? term(kS) : term(kD);
-    const NodeId nS = swapped ? term(kD) : term(kS);
-    const NodeId nG = term(kG);
-    const NodeId nB = term(kB);
-
-    s.transconductance(nD, nS, nG, nS, {ss.gm, 0.0});
-    s.admittance(nD, nS, {ss.gds, 0.0});
-    s.transconductance(nD, nS, nB, nS, {ss.gmb, 0.0});
+    stamp_channel_block(s, nodes(), channel_stamp(ss, xop).row);
 
     s.admittance(term(kG), term(kS), {0.0, omega * ss.cgs});
     s.admittance(term(kG), term(kD), {0.0, omega * ss.cgd});
@@ -324,13 +326,13 @@ void Mosfet::stamp_ac(ComplexStamper& s, const std::vector<double>& xop,
 }
 
 double Mosfet::cdb_zero_bias() const {
-    return junction_cap(model_.cj * geom_.ad * geom_.m, model_.cjsw * geom_.pd * geom_.m,
-                        0.0);
+    return junction_cap0(0.0,
+                         model_.cj * geom_.ad * geom_.m + model_.cjsw * geom_.pd * geom_.m);
 }
 
 double Mosfet::csb_zero_bias() const {
-    return junction_cap(model_.cj * geom_.as * geom_.m, model_.cjsw * geom_.ps * geom_.m,
-                        0.0);
+    return junction_cap0(0.0,
+                         model_.cj * geom_.as * geom_.m + model_.cjsw * geom_.ps * geom_.m);
 }
 
 std::string Mosfet::card(const NodeNamer& nn) const {

@@ -7,6 +7,8 @@
 // current with gain gmb and read out over the output impedance 1/gds.
 #pragma once
 
+#include <array>
+
 #include "circuit/device.hpp"
 #include "tech/technology.hpp"
 
@@ -75,8 +77,17 @@ private:
         double cj0 = 0.0; // zero-bias junction capacitance (area+perimeter)
     };
 
+    /// Linearised channel at a bias, in the fixed D/G/S/B stamp layout: the
+    /// drain row's entries in column order kD, kG, kS, kB; the source row is
+    /// its exact negation.  The drain/source orientation is carried in these
+    /// values, never in the stamp positions, so a vds sign change keeps the
+    /// stamp sequence (DESIGN.md §14).
+    struct ChannelStamp {
+        std::array<double, 4> row{};
+        double rhs = 0.0; // RHS current into the drain node; the source node gets -rhs
+    };
+    ChannelStamp channel_stamp(const SmallSignal& ss, const std::vector<double>& x) const;
     void stamp_channel(RealStamper& s, const std::vector<double>& x) const;
-    double junction_cap(double cj0_area, double cj0_perim, double vbx) const;
     double junction_cap0(double v, double cj0) const;
     double junction_charge(double v, double cj0) const;
     double cap_charge(const CapState& st, double v) const;

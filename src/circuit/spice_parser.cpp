@@ -1,6 +1,8 @@
 #include "circuit/spice_parser.hpp"
 
 #include <cctype>
+#include <cmath>
+#include <limits>
 #include <map>
 
 #include "circuit/controlled.hpp"
@@ -415,7 +417,14 @@ ParseResult parse_spice(const std::string& text, const tech::Technology* tech) {
                 MosGeometry g;
                 g.w = kv.num("w", g.w * 1e-6) * 1e6; // values carry SI suffixes
                 g.l = kv.num("l", g.l * 1e-6) * 1e6;
-                g.m = static_cast<int>(kv.num("m", 1));
+                // A whole number of parallel devices; checked before the cast,
+                // which is undefined for NaN, inf and values out of int range.
+                const double mult = kv.num("m", 1);
+                if (!(mult >= 1.0 && mult <= std::numeric_limits<int>::max() &&
+                      mult == std::floor(mult)))
+                    fail(lineno, "MOS multiplier m must be an integer from 1 to 2147483647",
+                         kv.kv.at("m"));
+                g.m = static_cast<int>(mult);
                 g.ad = kv.num("ad", 0.0) * 1e12;
                 g.as = kv.num("as", 0.0) * 1e12;
                 g.pd = kv.num("pd", 0.0) * 1e6;

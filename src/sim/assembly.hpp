@@ -26,10 +26,12 @@
 // baseline-then-overlay.  Slots and RHS nodes where a linear call follows
 // a nonlinear one ("mixed" — e.g. the trailing gmin diagonal stamp on a
 // MOSFET node) are recomputed from the tape call-by-call after the
-// overlay.  Devices whose stamp sequence turns out to be value-dependent
-// (a MOSFET crossing its drain/source swap) break the overlay mid-pass;
-// the assembler then discards the compiled state and relearns with a full
-// pass, counted in sim/assemble_relearn.
+// overlay.  A device whose stamp sequence turns out to be value-dependent
+// breaks the overlay mid-pass; the assembler then discards the compiled
+// state and relearns with a full pass, counted in sim/assemble_relearn.
+// That is a safety net, not a path the figures take: every device in the
+// tree makes the same stamp calls on every pass (the MOSFET channel carries
+// its drain/source orientation in its values, not its stamp positions).
 //
 // Registry counters: sim/assemble_full, sim/assemble_incremental,
 // sim/assemble_relearn, sim/assemble_cache_hits, sim/assemble_cache_misses.

@@ -123,8 +123,7 @@ TEST_F(AssemblyTest, IncrementalMatchesFullAssemblyAcrossRandomNetlists) {
         tp.order = 2;
         std::vector<double> x(n, 0.2);
         // Attempts cycle the retry-ladder dt set (cache keys) and commit
-        // between them; iterations random-walk the nonlinear iterate (kept
-        // positive so MOSFET orientations hold and no relearn triggers).
+        // between them; iterations random-walk the nonlinear iterate.
         const double dts[] = {10e-12, 5e-12, 10e-12, 2.5e-12, 10e-12};
         for (int a = 0; a < 5; ++a) {
             tp.dt = dts[a];
@@ -146,7 +145,75 @@ TEST_F(AssemblyTest, IncrementalMatchesFullAssemblyAcrossRandomNetlists) {
 }
 
 #if SNIM_OBS_ENABLED
+/// Test-local nonlinear device whose stamp *layout* depends on the sign of
+/// its branch voltage: a square-law rectifier that stamps its companion
+/// only while forward biased.  Real devices keep their stamp sequence
+/// value-independent, so this keeps TranAssembler's overlay-failure ->
+/// relearn fallback under test.
+class SignSwitchedConductance final : public circuit::Device {
+public:
+    SignSwitchedConductance(std::string name, circuit::NodeId a, circuit::NodeId b,
+                            double k)
+        : Device(std::move(name), {a, b}), k_(k) {}
+
+    void stamp_dc(circuit::RealStamper& s, const std::vector<double>& x) const override {
+        const circuit::NodeId a = nodes()[0], b = nodes()[1];
+        const double v = circuit::volt(x, a) - circuit::volt(x, b);
+        if (v < 0.0) return; // blocking: no stamp at all
+        // i = k v^2 linearised at v: g = 2 k v, ieq = i - g v.
+        const double g = 2.0 * k_ * v;
+        const double ieq = k_ * v * v - g * v;
+        s.admittance(a, b, g);
+        s.rhs_current(a, -ieq);
+        s.rhs_current(b, ieq);
+    }
+    void stamp_ac(circuit::ComplexStamper&, const std::vector<double>&,
+                  double) const override {}
+    circuit::Partition partition() const override {
+        return circuit::Partition::Nonlinear;
+    }
+    std::string card(const circuit::NodeNamer&) const override { return name(); }
+
+private:
+    double k_;
+};
+
 TEST_F(AssemblyTest, OrientationFlipForcesRelearnAndStaysBitIdentical) {
+    obs::set_enabled(true);
+    Rng rng(7);
+    auto nl = mixed_netlist(12, 2, rng);
+    nl.add<SignSwitchedConductance>("xsw", nl.node("n5"), circuit::kGround, 1e-3);
+    nl.finalize();
+    const size_t n = nl.unknown_count();
+    const double gmin = 1e-12;
+
+    circuit::RealStamper inc(n), ref(n);
+    inc.enable_compiled_assembly();
+    ref.enable_compiled_assembly();
+    sim::TranAssembler asmb(nl, inc, gmin);
+
+    circuit::TranParams tp;
+    tp.dt = 10e-12;
+    tp.order = 2;
+    std::vector<double> x(n, 0.5);
+    asmb.begin_attempt(x, tp);
+    asmb.assemble(x, tp);
+    const std::uint64_t epoch0 = asmb.epoch();
+
+    // Pull every node negative: the switched device's branch voltage flips
+    // sign, its recorded stamp sequence deviates mid-overlay and the
+    // assembler must relearn — and still hand back exactly what the full
+    // pass would.
+    for (size_t i = 0; i < n; ++i) x[i] = -0.5;
+    asmb.assemble(x, tp);
+    ref.clear();
+    sim::assemble_tran(nl, ref, x, tp, gmin);
+    expect_bitwise_equal(inc, ref, "after orientation flip");
+    EXPECT_GT(asmb.epoch(), epoch0);
+    EXPECT_GE(obs::counter_value("sim/assemble_relearn"), 1u);
+}
+
+TEST_F(AssemblyTest, MosfetOrientationFlipKeepsTapeAndStaysBitIdentical) {
     obs::set_enabled(true);
     Rng rng(7);
     auto nl = mixed_netlist(12, 2, rng);
@@ -166,16 +233,16 @@ TEST_F(AssemblyTest, OrientationFlipForcesRelearnAndStaysBitIdentical) {
     asmb.assemble(x, tp);
     const std::uint64_t epoch0 = asmb.epoch();
 
-    // Pull every node negative: MOSFET vds flips sign, the recorded stamp
-    // sequence deviates mid-overlay and the assembler must relearn — and
-    // still hand back exactly what the full pass would.
+    // Pull every node negative: every MOSFET's vds flips sign.  The channel
+    // stamp carries the orientation in its values, not its positions, so
+    // the overlay must go through on the learned tape.
     for (size_t i = 0; i < n; ++i) x[i] = -0.5;
     asmb.assemble(x, tp);
     ref.clear();
     sim::assemble_tran(nl, ref, x, tp, gmin);
-    expect_bitwise_equal(inc, ref, "after orientation flip");
-    EXPECT_GT(asmb.epoch(), epoch0);
-    EXPECT_GE(obs::counter_value("sim/assemble_relearn"), 1u);
+    expect_bitwise_equal(inc, ref, "after MOSFET orientation flip");
+    EXPECT_EQ(asmb.epoch(), epoch0);
+    EXPECT_EQ(obs::counter_value("sim/assemble_relearn"), 0u);
 }
 #endif
 

@@ -13,6 +13,7 @@
 #include "circuit/varactor.hpp"
 #include "tech/generic180.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace snim::circuit {
 namespace {
@@ -254,6 +255,82 @@ TEST(MosfetTest, JunctionCapsShrinkUnderReverseBias) {
     EXPECT_NEAR(cdb0, m.cdb_zero_bias(), 1e-18);
 }
 
+TEST(MosfetTest, ChannelStampIsOrientationStableAndMatchesFiniteDifferences) {
+    // Independent oracle for the channel stamp, NMOS and PMOS in saturation
+    // and triode, each forward and with the D/S voltages exchanged:
+    //   * the stamp call sequence (matrix and RHS) does not depend on the
+    //     orientation, so the incremental assembler's tape survives a vds
+    //     sign change;
+    //   * the drain row is the finite-difference Jacobian of small_signal's
+    //     drain current and the source row its exact negation;
+    //   * the companion reproduces the current: (A x - b) is ids at the
+    //     drain row and -ids at the source row.
+    const auto t = tech::generic180();
+    struct Case {
+        const char* model;
+        double vd, vg, vs, vb;
+        bool saturated;
+    };
+    const Case cases[] = {
+        {"nch", 1.5, 1.0, 0.0, -0.3, true},
+        {"nch", 0.1, 1.5, 0.0, -0.3, false},
+        {"pch", 0.3, 0.8, 1.8, 2.0, true},
+        {"pch", 1.6, 0.3, 1.8, 2.0, false},
+    };
+    for (const Case& c : cases) {
+        Netlist nl;
+        const NodeId nodes[4] = {nl.node("d"), nl.node("g"), nl.node("s"), nl.node("b")};
+        auto& m = nl.add<Mosfet>("m1", nodes[0], nodes[1], nodes[2], nodes[3],
+                                 t.mos_model(c.model), MosGeometry{});
+        nl.finalize();
+        std::vector<int> rows[2], cols[2], rhs_nodes[2];
+        for (int swapped = 0; swapped < 2; ++swapped) {
+            const std::string when =
+                format("%s %s %s", c.model, c.saturated ? "saturation" : "triode",
+                       swapped ? "swapped" : "forward");
+            std::vector<double> x(nl.unknown_count(), 0.0);
+            const auto at = [&](int k) { return static_cast<size_t>(nodes[k]); };
+            x[at(0)] = swapped ? c.vs : c.vd;
+            x[at(1)] = c.vg;
+            x[at(2)] = swapped ? c.vd : c.vs;
+            x[at(3)] = c.vb;
+            const auto ss = m.small_signal(x);
+            ASSERT_TRUE(ss.on) << when;
+            ASSERT_EQ(ss.saturated, c.saturated) << when;
+
+            RealStamper st(nl.unknown_count());
+            st.matrix().set_keep_zeros(true);
+            st.enable_rhs_tape();
+            m.stamp_dc(st, x);
+            rows[swapped] = st.matrix().rows();
+            cols[swapped] = st.matrix().cols();
+            rhs_nodes[swapped] = st.rhs_tape_nodes();
+            const auto a = st.matrix().to_dense();
+
+            const double h = 1e-6;
+            for (int j = 0; j < 4; ++j) {
+                std::vector<double> xp = x, xm = x;
+                xp[at(j)] += h;
+                xm[at(j)] -= h;
+                const double fd = (m.small_signal(xp).ids - m.small_signal(xm).ids) / (2 * h);
+                EXPECT_NEAR(a(at(0), at(j)), fd, 1e-6 * std::abs(fd)) << when << " col " << j;
+                EXPECT_EQ(a(at(2), at(j)), -a(at(0), at(j))) << when << " col " << j;
+            }
+            for (const int row : {0, 2}) {
+                double r = -st.rhs()[at(row)];
+                for (int j = 0; j < 4; ++j) r += a(at(row), at(j)) * x[at(j)];
+                const double want = row == 0 ? ss.ids : -ss.ids;
+                EXPECT_NEAR(r, want, 1e-9 * std::abs(want)) << when << " row " << row;
+            }
+        }
+        EXPECT_EQ(rows[0], rows[1]) << c.model;
+        EXPECT_EQ(cols[0], cols[1]) << c.model;
+        EXPECT_EQ(rhs_nodes[0], rhs_nodes[1]) << c.model;
+        EXPECT_EQ(rows[0].size(), 8u) << c.model;
+        EXPECT_EQ(rhs_nodes[0].size(), 2u) << c.model;
+    }
+}
+
 TEST(SpiceParserTest, BasicRlcAndSources) {
     const std::string text = R"(test circuit
 V1 in 0 dc 1.8 ac 1
@@ -315,6 +392,24 @@ TEST(SpiceParserTest, ErrorsCarryLineNumbers) {
     }
     EXPECT_THROW(parse_spice("t\nZx a b 1\n"), Error);
     EXPECT_THROW(parse_spice("t\nM1 d g 0 0 nosuchmodel\n"), Error);
+
+    // The MOS multiplier must be a whole number in int range: a fraction is
+    // not truncated, and zero, out-of-range and non-finite values never
+    // reach the int cast or the device constructor.
+    const auto t = tech::generic180();
+    for (const char* m : {"2.5", "0", "3e9", "nan", "inf"}) {
+        try {
+            parse_spice(format("t\nR1 d 0 1k\nM1 d d 0 0 nch m=%s\n", m), &t);
+            ADD_FAILURE() << "expected parse error for m=" << m;
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+                << "m=" << m << ": " << e.what();
+        }
+    }
+    auto ok = parse_spice("t\nR1 d 0 1k\nM1 d d 0 0 nch m=4\n", &t);
+    const auto* m4 = ok.netlist.find_as<Mosfet>("m1");
+    ASSERT_NE(m4, nullptr);
+    EXPECT_EQ(m4->geometry().m, 4);
 }
 
 TEST(SpiceWriterTest, RoundTrip) {
