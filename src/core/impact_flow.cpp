@@ -29,14 +29,31 @@ void validate_flow_options(const FlowOptions& opt) {
     if (!(m.fine_pitch > 0.0))
         raise("FlowOptions.substrate.mesh.fine_pitch must be > 0 (got %g)",
               m.fine_pitch);
-    if (!(m.growth >= 1.0))
-        raise("FlowOptions.substrate.mesh.growth must be >= 1 (got %g)", m.growth);
+    if (!(std::isfinite(m.growth) && m.growth > 1.0))
+        raise("FlowOptions.substrate.mesh.growth must be finite and > 1 (got %g)",
+              m.growth);
     if (!(m.max_pitch >= m.fine_pitch))
         raise("FlowOptions.substrate.mesh.max_pitch (%g) must be >= fine_pitch (%g)",
               m.max_pitch, m.fine_pitch);
     if (m.max_cells_per_axis < 1)
         raise("FlowOptions.substrate.mesh.max_cells_per_axis must be >= 1 (got %d)",
               m.max_cells_per_axis);
+    if (!(std::isfinite(m.margin) && m.margin >= 0.0))
+        raise("FlowOptions.substrate.mesh.margin must be finite and >= 0 (got %g)",
+              m.margin);
+    if (m.z_steps.empty())
+        raise("FlowOptions.substrate.mesh.z_steps must not be empty");
+    for (size_t i = 0; i < m.z_steps.size(); ++i)
+        if (!(std::isfinite(m.z_steps[i]) && m.z_steps[i] > 0.0))
+            raise("FlowOptions.substrate.mesh.z_steps[%zu] must be finite and > 0 "
+                  "(got %g)", i, m.z_steps[i]);
+    if (opt.substrate.mor_probes < 0)
+        raise("FlowOptions.substrate.mor_probes must be >= 0 (got %d)",
+              opt.substrate.mor_probes);
+    const double err_max = opt.substrate.mor_error_max;
+    if (!(std::isfinite(err_max) && err_max > 0.0))
+        raise("FlowOptions.substrate.mor_error_max must be finite and > 0 (got %g)",
+              err_max);
     if (!(opt.interconnect.touch_resistance > 0.0))
         raise("FlowOptions.interconnect.touch_resistance must be > 0 (got %g)",
               opt.interconnect.touch_resistance);

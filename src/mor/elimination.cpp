@@ -12,7 +12,8 @@
 namespace snim::mor {
 
 void RcNetwork::add_g(int a, int b, double g) {
-    SNIM_ASSERT(g >= 0, "negative conductance %g", g);
+    SNIM_ASSERT(std::isfinite(g) && g >= 0,
+                "conductance must be finite and >= 0 (got %g)", g);
     SNIM_ASSERT(a >= 0 && static_cast<size_t>(a) < node_count, "bad node %d", a);
     SNIM_ASSERT(b >= -1 && b < static_cast<int>(node_count), "bad node %d", b);
     SNIM_ASSERT(a != b, "self-loop on node %d", a);
@@ -20,7 +21,8 @@ void RcNetwork::add_g(int a, int b, double g) {
 }
 
 void RcNetwork::add_c(int a, int b, double c) {
-    SNIM_ASSERT(c >= 0, "negative capacitance %g", c);
+    SNIM_ASSERT(std::isfinite(c) && c >= 0,
+                "capacitance must be finite and >= 0 (got %g)", c);
     SNIM_ASSERT(a >= 0 && static_cast<size_t>(a) < node_count, "bad node %d", a);
     SNIM_ASSERT(b >= -1 && b < static_cast<int>(node_count), "bad node %d", b);
     SNIM_ASSERT(a != b, "self-loop on node %d", a);

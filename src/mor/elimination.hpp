@@ -27,6 +27,8 @@ struct RcNetwork {
     std::vector<Elem> conductances;
     std::vector<Elem> capacitances;
 
+    /// Append one element; the value must be finite and >= 0 (snim::Error
+    /// otherwise), and a zero value adds nothing.
     void add_g(int a, int b, double g);
     void add_c(int a, int b, double c);
 };
@@ -52,15 +54,19 @@ RcNetwork ports_first(const RcNetwork& net, const std::vector<int>& ports);
 std::vector<std::vector<double>> dense_port_conductance(const RcNetwork& net,
                                                         const std::vector<int>& ports);
 
-/// Schur-complement reduction computed by conjugate-gradient solves (one
-/// per port) on the internal block G_ii, preconditioned by its zero-fill
-/// incomplete Cholesky factor (one vector of pivots; the factor's off-
-/// diagonal entries are G_ii's own on the triangle-free mesh graph).  Exact
-/// up to a 1e-11 relative residual -- the production path for substrate
-/// extraction.  A direct factor of G_ii is slower here: min-degree or
-/// nested-dissection SparseLU fills the 13.8k-node NMOS mesh to 2.6-3.0 M
-/// L+U nonzeros.  Capacitances are projected with the same DC influence
-/// weights as eliminate_internal.
+/// Schur-complement reduction computed by conjugate-gradient solves on the
+/// internal block G_ii, preconditioned by its zero-fill incomplete Cholesky
+/// factor (one vector of pivots; the factor's off-diagonal entries are
+/// G_ii's own on the triangle-free mesh graph).  The ports' right-hand
+/// sides run four at a time in lockstep, each bitwise a solo solve, and
+/// each block is folded into the result before the next.  Exact up to a
+/// 1e-11 relative residual -- the production path for substrate
+/// extraction.  Raises snim::Error naming the port block when G_ii is not
+/// finite or not positive definite, or when CG does not converge.  A
+/// direct factor of G_ii is slower here: min-degree or nested-dissection
+/// SparseLU fills the 13.8k-node NMOS mesh to 2.6-3.0 M L+U nonzeros.
+/// Capacitances are projected with the same DC influence weights as
+/// eliminate_internal.
 RcNetwork reduce_by_solve(const RcNetwork& net, const std::vector<int>& ports);
 
 /// Reduction-error probe for the accuracy budget: drives both networks with
@@ -70,8 +76,9 @@ RcNetwork reduce_by_solve(const RcNetwork& net, const std::vector<int>& ports);
 ///     max over probes of ||i_reduced - i_full||_2 / ||i_full||_2
 ///
 /// where the full-side response comes from one CG solve per probe on the
-/// internal block (same IC(0)-preconditioned solver, tolerance and assembly
-/// as reduce_by_solve, so the comparison isolates the reduction itself).
+/// internal block (the same lockstep IC(0)-preconditioned solver, tolerance
+/// and assembly as reduce_by_solve, so the comparison isolates the
+/// reduction itself).
 /// `reduced` must follow the ports-first convention (node i == ports[i]);
 /// conductances only — the capacitance lumping is a modelling choice, not a
 /// solve, and is validated by the tier-1 MOR tests instead.  Deterministic:

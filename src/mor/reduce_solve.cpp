@@ -2,6 +2,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <unordered_map>
 
 #include "mor/elimination.hpp"
@@ -20,24 +21,43 @@ namespace {
 constexpr double kCgTol = 1e-11;
 constexpr int kCgMaxIter = 20000;
 
+/// Right-hand sides the CG advances in lockstep.  The IC(0) sweeps are
+/// latency-bound (row i waits on row i-1); four independent recurrences
+/// through the same rows hide that latency.  Every lane widens each work
+/// vector by one n_internal column, so more lanes cost memory.
+constexpr size_t kLanes = 4;
+
 /// The internal-internal conductance block G_ii: diagonal in `diag`,
 /// off-diagonal entries in compressed sparse rows, each row sorted by
-/// column with parallel edges merged.
+/// column with parallel edges merged.  The lane kernels take kLanes
+/// vectors interleaved: entry i of lane l at i * kLanes + l.
 struct Csr {
     std::vector<int> ptr, idx;
     std::vector<double> val;
     std::vector<double> diag;
     /// Reciprocal pivots of the zero-fill incomplete Cholesky factor.
     std::vector<double> inv_pivot;
+    /// First entry of each row with a column above the row (rows are
+    /// sorted, so [ptr[i], upper[i]) is the strict lower triangle).
+    std::vector<int> upper;
     size_t n = 0;
 
-    void multiply(const std::vector<double>& x, std::vector<double>& y) const {
+    /// y = G_ii x per lane; xy[l] = x·y, summed in row order.
+    void multiply(const double* x, double* y, double* xy) const {
+        std::fill(xy, xy + kLanes, 0.0);
         for (size_t i = 0; i < n; ++i) {
-            double s = diag[i] * x[i];
-            for (int p = ptr[i]; p < ptr[i + 1]; ++p)
-                s += val[static_cast<size_t>(p)] *
-                     x[static_cast<size_t>(idx[static_cast<size_t>(p)])];
-            y[i] = s;
+            const double* xi = x + i * kLanes;
+            double s[kLanes];
+            for (size_t l = 0; l < kLanes; ++l) s[l] = diag[i] * xi[l];
+            for (int p = ptr[i]; p < ptr[i + 1]; ++p) {
+                const double v = val[static_cast<size_t>(p)];
+                const double* xj = x + static_cast<size_t>(idx[static_cast<size_t>(p)]) * kLanes;
+                for (size_t l = 0; l < kLanes; ++l) s[l] += v * xj[l];
+            }
+            for (size_t l = 0; l < kLanes; ++l) {
+                y[i * kLanes + l] = s[l];
+                xy[l] += xi[l] * s[l];
+            }
         }
     }
 
@@ -49,9 +69,12 @@ struct Csr {
     /// pivot cancels to zero), and any positive D keeps M SPD.
     void factor_ic0() {
         inv_pivot.resize(n);
+        upper.resize(n);
         for (size_t i = 0; i < n; ++i) {
+            int mid = ptr[i];
+            while (mid < ptr[i + 1] && idx[static_cast<size_t>(mid)] < static_cast<int>(i)) ++mid;
+            upper[i] = mid;
             double d = diag[i];
-            const int mid = lower_end(i);
             for (int p = ptr[i]; p < mid; ++p) {
                 const double g = val[static_cast<size_t>(p)];
                 d -= g * g * inv_pivot[static_cast<size_t>(idx[static_cast<size_t>(p)])];
@@ -61,76 +84,146 @@ struct Csr {
         }
     }
 
-    /// z = M^-1 r: a forward sweep over the lower entries of each row, then
-    /// a backward sweep over the upper entries of the same rows.
-    void precondition(const std::vector<double>& r, std::vector<double>& z) const {
+    /// z = M^-1 r per lane: a forward sweep over the lower entries of each
+    /// row, then a backward sweep over the upper entries of the same rows.
+    void precondition(const double* r, double* z) const {
         for (size_t i = 0; i < n; ++i) {
-            double s = r[i];
-            const int mid = lower_end(i);
-            for (int p = ptr[i]; p < mid; ++p)
-                s -= val[static_cast<size_t>(p)] *
-                     z[static_cast<size_t>(idx[static_cast<size_t>(p)])];
-            z[i] = s * inv_pivot[i];
+            double s[kLanes];
+            for (size_t l = 0; l < kLanes; ++l) s[l] = r[i * kLanes + l];
+            for (int p = ptr[i]; p < upper[i]; ++p) {
+                const double v = val[static_cast<size_t>(p)];
+                const double* zj = z + static_cast<size_t>(idx[static_cast<size_t>(p)]) * kLanes;
+                for (size_t l = 0; l < kLanes; ++l) s[l] -= v * zj[l];
+            }
+            for (size_t l = 0; l < kLanes; ++l) z[i * kLanes + l] = s[l] * inv_pivot[i];
         }
         for (size_t i = n; i-- > 0;) {
-            double s = 0.0;
-            const int mid = lower_end(i);
-            for (int p = mid; p < ptr[i + 1]; ++p)
-                s += val[static_cast<size_t>(p)] *
-                     z[static_cast<size_t>(idx[static_cast<size_t>(p)])];
-            z[i] -= s * inv_pivot[i];
+            double s[kLanes] = {};
+            for (int p = upper[i]; p < ptr[i + 1]; ++p) {
+                const double v = val[static_cast<size_t>(p)];
+                const double* zj = z + static_cast<size_t>(idx[static_cast<size_t>(p)]) * kLanes;
+                for (size_t l = 0; l < kLanes; ++l) s[l] += v * zj[l];
+            }
+            for (size_t l = 0; l < kLanes; ++l) z[i * kLanes + l] -= s[l] * inv_pivot[i];
         }
-    }
-
-    /// One past the last entry of row i with a column below i (rows are
-    /// sorted, so the upper entries start here).
-    int lower_end(size_t i) const {
-        int p = ptr[i];
-        while (p < ptr[i + 1] && idx[static_cast<size_t>(p)] < static_cast<int>(i)) ++p;
-        return p;
     }
 };
 
-/// IC(0)-preconditioned CG for the SPD conductance Laplacian.
-bool pcg(const Csr& a, const std::vector<double>& b, std::vector<double>& x) {
-    const size_t n = a.n;
-    x.assign(n, 0.0);
-    std::vector<double> r = b, z(n), p(n), ap(n);
-    double bnorm = 0.0;
-    for (double v : b) bnorm += v * v;
-    bnorm = std::sqrt(bnorm);
-    if (bnorm == 0.0) return true;
+/// IC(0)-preconditioned CG on G_ii for up to kLanes right-hand sides at
+/// once, their vectors interleaved.  Every lane performs the operations of
+/// a solo CG solve in the same order, so its solution is bitwise the one a
+/// single-vector solve returns.  A lane whose right-hand side is zero is
+/// done at once with x = 0; a converged lane takes a zero step from then on,
+/// which leaves its x and r bitwise unchanged.  The buffers are sized once
+/// and reused for every block of a reduction.
+class LaneCg {
+public:
+    explicit LaneCg(const Csr& a)
+        : a_(a), r_(a.n * kLanes), x_(a.n * kLanes), p_(a.n * kLanes),
+          zap_(a.n * kLanes) {}
 
-    a.precondition(r, z);
-    p = z;
-    double rz = 0.0;
-    for (size_t i = 0; i < n; ++i) rz += r[i] * z[i];
+    /// Zeroes every lane's right-hand side; lanes a block leaves unset stay
+    /// idle.
+    void clear() { std::fill(r_.begin(), r_.end(), 0.0); }
+    /// Entry k of lane l's right-hand side (consumed by solve()).
+    double& rhs(size_t k, size_t l) { return r_[k * kLanes + l]; }
+    /// Entry k of lane l's solution after solve().
+    double x(size_t k, size_t l) const { return x_[k * kLanes + l]; }
 
-    for (int it = 0; it < kCgMaxIter; ++it) {
-        a.multiply(p, ap);
-        double pap = 0.0;
-        for (size_t i = 0; i < n; ++i) pap += p[i] * ap[i];
-        if (pap <= 0.0) return false; // lost positive definiteness
-        const double alpha = rz / pap;
-        double rnorm = 0.0;
-        for (size_t i = 0; i < n; ++i) {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-            rnorm += r[i] * r[i];
+    /// Solves all lanes.  `what` prefixes errors, which name the block by
+    /// `unit` (port or probe), `first` (the item in lane 0) and `count`
+    /// (the lanes in use).  Raises at once when some lane's ||b|| or p·Ap
+    /// is not finite or p·Ap <= 0, and when a lane has not converged after
+    /// kCgMaxIter iterations.
+    void solve(const char* what, const char* unit, size_t first, size_t count) {
+        const size_t len = r_.size();
+        double bnorm[kLanes] = {}, rz[kLanes] = {}, rz_new[kLanes] = {};
+        double rr[kLanes] = {}, pap[kLanes] = {}, alpha[kLanes] = {}, beta[kLanes] = {};
+        bool done[kLanes] = {};
+        for (size_t i = 0; i < len; i += kLanes)
+            for (size_t l = 0; l < kLanes; ++l) bnorm[l] += r_[i + l] * r_[i + l];
+        std::fill(x_.begin(), x_.end(), 0.0);
+        size_t active = 0;
+        for (size_t l = 0; l < kLanes; ++l) {
+            bnorm[l] = std::sqrt(bnorm[l]);
+            if (!std::isfinite(bnorm[l]))
+                breakdown(what, unit, first, count, l, "||b||", bnorm[l]);
+            done[l] = bnorm[l] == 0.0;
+            if (!done[l]) ++active;
         }
-        if (std::sqrt(rnorm) <= kCgTol * bnorm) {
-            if (obs::enabled()) obs::record_value("mor/cg_iters", it + 1);
-            return true;
+        if (active > 0) {
+            a_.precondition(r_.data(), zap_.data());
+            p_ = zap_;
+            dot(r_, zap_, rz);
         }
-        a.precondition(r, z);
-        double rz_new = 0.0;
-        for (size_t i = 0; i < n; ++i) rz_new += r[i] * z[i];
-        const double beta = rz_new / rz;
-        rz = rz_new;
-        for (size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
+        int sweeps = 0;
+        while (active > 0) {
+            if (sweeps == kCgMaxIter)
+                raise("%s: CG failed to converge for %s in %d iterations", what,
+                      block_name(unit, first, count).c_str(), kCgMaxIter);
+            ++sweeps;
+            a_.multiply(p_.data(), zap_.data(), pap);
+            for (size_t l = 0; l < kLanes; ++l) {
+                if (done[l]) {
+                    alpha[l] = 0.0;
+                    continue;
+                }
+                if (!(std::isfinite(pap[l]) && pap[l] > 0.0))
+                    breakdown(what, unit, first, count, l, "p.Ap", pap[l]);
+                alpha[l] = rz[l] / pap[l];
+            }
+            std::fill(rr, rr + kLanes, 0.0);
+            for (size_t i = 0; i < len; i += kLanes)
+                for (size_t l = 0; l < kLanes; ++l) {
+                    x_[i + l] += alpha[l] * p_[i + l];
+                    r_[i + l] -= alpha[l] * zap_[i + l];
+                    rr[l] += r_[i + l] * r_[i + l];
+                }
+            for (size_t l = 0; l < kLanes; ++l) {
+                if (done[l] || !(std::sqrt(rr[l]) <= kCgTol * bnorm[l])) continue;
+                done[l] = true;
+                --active;
+                if (obs::enabled()) obs::record_value("mor/cg_iters", sweeps);
+            }
+            if (active == 0) break;
+            a_.precondition(r_.data(), zap_.data());
+            dot(r_, zap_, rz_new);
+            for (size_t l = 0; l < kLanes; ++l) {
+                beta[l] = done[l] ? 0.0 : rz_new[l] / rz[l];
+                rz[l] = rz_new[l];
+            }
+            for (size_t i = 0; i < len; i += kLanes)
+                for (size_t l = 0; l < kLanes; ++l)
+                    p_[i + l] = zap_[i + l] + beta[l] * p_[i + l];
+        }
+        obs::count("mor/cg_sweeps", static_cast<uint64_t>(sweeps));
     }
-    return false;
-}
+
+private:
+    static void dot(const std::vector<double>& a, const std::vector<double>& b,
+                    double* out) {
+        std::fill(out, out + kLanes, 0.0);
+        for (size_t i = 0; i < a.size(); i += kLanes)
+            for (size_t l = 0; l < kLanes; ++l) out[l] += a[i + l] * b[i + l];
+    }
+
+    static std::string block_name(const char* unit, size_t first, size_t count) {
+        return count == 1 ? format("%s %zu", unit, first)
+                          : format("%ss %zu-%zu", unit, first, first + count - 1);
+    }
+
+    [[noreturn]] static void breakdown(const char* what, const char* unit,
+                                       size_t first, size_t count, size_t lane,
+                                       const char* quantity, double value) {
+        raise("%s: CG breakdown for %s (%s = %g in lane %zu): the system is not "
+              "finite or not positive definite",
+              what, block_name(unit, first, count).c_str(), quantity, value, lane);
+    }
+
+    const Csr& a_;
+    std::vector<double> r_, x_, p_;
+    std::vector<double> zap_; // z = M^-1 r and Ap, never live together
+};
 
 /// The conductance network partitioned into port/internal blocks:
 /// Gii (CSR), Gip (per-port sparse columns), dense Gpp, ground legs.
@@ -276,36 +369,92 @@ RcNetwork reduce_by_solve(const RcNetwork& net, const std::vector<int>& ports) {
               "(fault injected)");
     const size_t np = ports.size();
     PartitionedG part = partition_conductance(net, ports);
+    // Allocated before the capacitance tables so that its four
+    // 4 x n_internal buffers can take the heap holes a previous extraction
+    // left; allocated after the tables they did not fit, and the peak RSS
+    // of a fig10 run (two extractions) measured 1.5% higher.
+    LaneCg cg(part.a);
     const size_t ni = part.ni;
-    const Csr& a = part.a;
     const auto& gip = part.gip;
-    const auto& gpp = part.gpp;
     const auto& gnd_port = part.gnd_port;
     const auto& port_of = part.port_of;
     const auto& internal_of = part.internal_of;
 
-    // Influence solves: Gii w_j = Gip(:,j); M[k][j] = w_j[k] in [0,1].
-    std::vector<std::vector<double>> w(np);
-    for (size_t j = 0; j < np; ++j) {
-        std::vector<double> rhs(ni, 0.0);
-        for (const auto& [k, g] : gip[j]) rhs[static_cast<size_t>(k)] += g;
-        if (ni == 0) {
-            w[j] = {};
-            continue;
-        }
-        obs::count("mor/cg_solves");
-        if (!pcg(a, rhs, w[j]))
-            raise("substrate reduction: CG failed to converge for port %zu", j);
-    }
+    // --- capacitance classification ---------------------------------------
+    // Ground caps at internal nodes lump onto ports with influence weights;
+    // port-attached caps redistribute their internal plate exactly.
+    std::vector<double> cgnd_int(ni, 0.0);
+    std::vector<double> cgnd_port(np, 0.0);
+    std::unordered_map<long long, double> cpair; // (i<j) port pair caps
+    auto pair_key = [](int i, int j) {
+        return (static_cast<long long>(std::min(i, j)) << 32) ^
+               static_cast<unsigned>(std::max(i, j));
+    };
+    struct CapAdj {
+        size_t k; // internal plate
+        int port;
+        double c;
+    };
+    std::vector<CapAdj> capadj;
 
-    // Port conductance matrix: Gpp - Gip^T Gii^-1 Gip.
-    std::vector<std::vector<double>> gport = gpp;
-    for (size_t i = 0; i < np; ++i) {
-        for (size_t j = i; j < np; ++j) {
-            double s = 0.0;
-            for (const auto& [k, g] : gip[i]) s += g * w[j][static_cast<size_t>(k)];
-            gport[i][j] -= s;
-            if (j != i) gport[j][i] = gport[i][j];
+    for (const auto& e : net.capacitances) {
+        const int pa = port_of[static_cast<size_t>(e.a)];
+        const int pb = e.b < 0 ? -2 : port_of[static_cast<size_t>(e.b)];
+        const int ia = internal_of[static_cast<size_t>(e.a)];
+        const int ib = e.b < 0 ? -2 : internal_of[static_cast<size_t>(e.b)];
+        if (e.b < 0) {
+            if (pa >= 0)
+                cgnd_port[static_cast<size_t>(pa)] += e.value;
+            else
+                cgnd_int[static_cast<size_t>(ia)] += e.value;
+        } else if (pa >= 0 && pb >= 0) {
+            cpair[pair_key(pa, pb)] += e.value;
+        } else if (pa >= 0) {
+            capadj.push_back({static_cast<size_t>(ib), pa, e.value});
+        } else if (pb >= 0) {
+            capadj.push_back({static_cast<size_t>(ia), pb, e.value});
+        } else {
+            cgnd_int[static_cast<size_t>(ia)] += 0.5 * e.value;
+            cgnd_int[static_cast<size_t>(ib)] += 0.5 * e.value;
+        }
+    }
+    std::stable_sort(capadj.begin(), capadj.end(),
+                     [](const CapAdj& x, const CapAdj& y) { return x.k < y.k; });
+    // The plates of the port-attached caps, and their influence weights
+    // m[s * np + j], kept after each block's solutions are dropped.
+    std::vector<size_t> plates;
+    for (const auto& ca : capadj)
+        if (plates.empty() || plates.back() != ca.k) plates.push_back(ca.k);
+    std::vector<double> plate_m(plates.size() * np, 0.0);
+
+    // --- influence solves, folded block by block ---------------------------
+    // Gii w_j = Gip(:,j) for kLanes ports at a time; M[k][j] = w_j[k] in
+    // [0,1].  Each block's columns enter the port conductance matrix
+    // Gpp - Gip^T Gii^-1 Gip and the ground-cap lumping, then are dropped.
+    std::vector<std::vector<double>> gport = part.gpp;
+    for (size_t j0 = 0; j0 < np; j0 += kLanes) {
+        const size_t lanes = std::min(kLanes, np - j0);
+        if (ni > 0) {
+            cg.clear();
+            for (size_t l = 0; l < lanes; ++l)
+                for (const auto& [k, g] : gip[j0 + l]) cg.rhs(static_cast<size_t>(k), l) += g;
+            obs::count("mor/cg_solves", lanes);
+            cg.solve("substrate reduction", "port", j0, lanes);
+        }
+        for (size_t l = 0; l < lanes; ++l) {
+            const size_t j = j0 + l;
+            for (size_t i = 0; i <= j; ++i) {
+                double s = 0.0;
+                for (const auto& [k, g] : gip[i]) s += g * cg.x(static_cast<size_t>(k), l);
+                gport[i][j] -= s;
+                if (j != i) gport[j][i] = gport[i][j];
+            }
+            for (size_t k = 0; k < ni; ++k) {
+                if (!(cgnd_int[k] > 0.0)) continue;
+                const double m = cg.x(k, l);
+                if (m > 1e-12) cgnd_port[j] += cgnd_int[k] * m;
+            }
+            for (size_t s = 0; s < plates.size(); ++s) plate_m[s * np + j] = cg.x(plates[s], l);
         }
     }
 
@@ -325,60 +474,26 @@ RcNetwork reduce_by_solve(const RcNetwork& net, const std::vector<int>& ports) {
         }
     }
 
-    // --- capacitance projection -----------------------------------------
-    // Ground caps at internal nodes lump onto ports with influence weights;
-    // port-attached caps redistribute their internal plate exactly.
-    std::vector<double> cgnd_int(ni, 0.0);
-    std::vector<double> cgnd_port(np, 0.0);
-    std::unordered_map<long long, double> cpair; // (i<j) port pair caps
-    auto pair_key = [](int i, int j) {
-        return (static_cast<long long>(std::min(i, j)) << 32) ^
-               static_cast<unsigned>(std::max(i, j));
-    };
-    std::vector<std::vector<std::pair<int, double>>> capadj(ni); // internal->port
-
-    for (const auto& e : net.capacitances) {
-        const int pa = port_of[static_cast<size_t>(e.a)];
-        const int pb = e.b < 0 ? -2 : port_of[static_cast<size_t>(e.b)];
-        const int ia = internal_of[static_cast<size_t>(e.a)];
-        const int ib = e.b < 0 ? -2 : internal_of[static_cast<size_t>(e.b)];
-        if (e.b < 0) {
-            if (pa >= 0)
-                cgnd_port[static_cast<size_t>(pa)] += e.value;
-            else
-                cgnd_int[static_cast<size_t>(ia)] += e.value;
-        } else if (pa >= 0 && pb >= 0) {
-            cpair[pair_key(pa, pb)] += e.value;
-        } else if (pa >= 0) {
-            capadj[static_cast<size_t>(ib)].emplace_back(pa, e.value);
-        } else if (pb >= 0) {
-            capadj[static_cast<size_t>(ia)].emplace_back(pb, e.value);
-        } else {
-            cgnd_int[static_cast<size_t>(ia)] += 0.5 * e.value;
-            cgnd_int[static_cast<size_t>(ib)] += 0.5 * e.value;
+    // --- port-attached caps -------------------------------------------------
+    // After every ground-cap term: for a port with both a conductance and a
+    // capacitance into internal nodes, cgnd_port sums in a different order
+    // than a plate-by-plate pass would (last-bit differences only).
+    for (size_t e = 0, s = 0; e < capadj.size(); ++e) {
+        if (plates[s] != capadj[e].k) ++s;
+        const double* m_row = &plate_m[s * np];
+        const int port = capadj[e].port;
+        const double c = capadj[e].c;
+        double covered = 0.0;
+        for (size_t j = 0; j < np; ++j) {
+            const double m = m_row[j];
+            if (m <= 1e-12) continue;
+            covered += m;
+            if (static_cast<int>(j) == port) continue; // shorted plate
+            cpair[pair_key(port, static_cast<int>(j))] += c * m;
         }
-    }
-
-    for (size_t k = 0; k < ni; ++k) {
-        if (cgnd_int[k] > 0.0) {
-            for (size_t j = 0; j < np; ++j) {
-                const double m = w[j].empty() ? 0.0 : w[j][k];
-                if (m > 1e-12) cgnd_port[j] += cgnd_int[k] * m;
-            }
-        }
-        for (const auto& [port, c] : capadj[k]) {
-            double covered = 0.0;
-            for (size_t j = 0; j < np; ++j) {
-                const double m = w[j].empty() ? 0.0 : w[j][k];
-                if (m <= 1e-12) continue;
-                covered += m;
-                if (static_cast<int>(j) == port) continue; // shorted plate
-                cpair[pair_key(port, static_cast<int>(j))] += c * m;
-            }
-            // Remainder flows to ground (grounded networks only).
-            const double rest = c * std::max(0.0, 1.0 - covered);
-            if (rest > 1e-21) cgnd_port[static_cast<size_t>(port)] += rest;
-        }
+        // Remainder flows to ground (grounded networks only).
+        const double rest = c * std::max(0.0, 1.0 - covered);
+        if (rest > 1e-21) cgnd_port[static_cast<size_t>(port)] += rest;
     }
 
     for (size_t i = 0; i < np; ++i)
@@ -413,70 +528,76 @@ double probe_reduction_error(const RcNetwork& full, const RcNetwork& reduced,
     };
 
     double worst = 0.0;
-    std::vector<double> u; // internal response, reused across probes
-    for (int t = 0; t < probes; ++t) {
-        std::vector<double> v(np);
-        for (double& vi : v) vi = next_sign();
-        // Remove the common mode (np > 1): an equal-potential excitation of
-        // a weakly grounded substrate drives almost no current, so both
-        // sides of the comparison would be CG-tolerance noise and the ratio
-        // meaningless.  The differential response is what the reduction must
-        // preserve; for a single port the ground admittance IS the model.
-        if (np > 1) {
-            double mean = 0.0;
-            for (double vi : v) mean += vi;
-            mean /= static_cast<double>(np);
-            if (mean == 1.0 || mean == -1.0) {
-                v[0] = -v[0]; // all-equal pattern: flip one to keep a signal
-                mean += 2.0 * v[0] / static_cast<double>(np);
+    LaneCg cg(part.a);
+    std::vector<std::vector<double>> vs(kLanes, std::vector<double>(np));
+    for (size_t t0 = 0; t0 < static_cast<size_t>(probes); t0 += kLanes) {
+        const size_t lanes = std::min(kLanes, static_cast<size_t>(probes) - t0);
+        for (size_t l = 0; l < lanes; ++l) {
+            std::vector<double>& v = vs[l];
+            for (double& vi : v) vi = next_sign();
+            // Remove the common mode (np > 1): an equal-potential excitation
+            // of a weakly grounded substrate drives almost no current, so
+            // both sides of the comparison would be CG-tolerance noise and
+            // the ratio meaningless.  The differential response is what the
+            // reduction must preserve; for a single port the ground
+            // admittance IS the model.
+            if (np > 1) {
+                double mean = 0.0;
+                for (double vi : v) mean += vi;
+                mean /= static_cast<double>(np);
+                if (mean == 1.0 || mean == -1.0) {
+                    v[0] = -v[0]; // all-equal pattern: flip one to keep a signal
+                    mean += 2.0 * v[0] / static_cast<double>(np);
+                }
+                for (double& vi : v) vi -= mean;
             }
-            for (double& vi : v) vi -= mean;
         }
 
         // Full-side port currents: i = (Gpp + diag(gnd)) v - Gip^T Gii^-1 Gip v.
-        std::vector<double> rhs(part.ni, 0.0);
-        for (size_t j = 0; j < np; ++j)
-            for (const auto& [k, g] : part.gip[j])
-                rhs[static_cast<size_t>(k)] += g * v[j];
         if (part.ni > 0) {
-            obs::count("mor/probe_cg_solves");
-            if (!pcg(part.a, rhs, u))
-                raise("substrate reduction probe: CG failed to converge");
-        } else {
-            u.clear();
+            cg.clear();
+            for (size_t l = 0; l < lanes; ++l)
+                for (size_t j = 0; j < np; ++j)
+                    for (const auto& [k, g] : part.gip[j])
+                        cg.rhs(static_cast<size_t>(k), l) += g * vs[l][j];
+            obs::count("mor/probe_cg_solves", lanes);
+            cg.solve("substrate reduction probe", "probe", t0, lanes);
         }
-        std::vector<double> ifull(np, 0.0);
-        for (size_t j = 0; j < np; ++j) {
-            double s = part.gnd_port[j] * v[j];
-            for (size_t q = 0; q < np; ++q) s += part.gpp[j][q] * v[q];
-            for (const auto& [k, g] : part.gip[j])
-                s -= g * u[static_cast<size_t>(k)];
-            ifull[j] = s;
-        }
+        for (size_t l = 0; l < lanes; ++l) {
+            const std::vector<double>& v = vs[l];
+            std::vector<double> ifull(np, 0.0);
+            for (size_t j = 0; j < np; ++j) {
+                double s = part.gnd_port[j] * v[j];
+                for (size_t q = 0; q < np; ++q) s += part.gpp[j][q] * v[q];
+                for (const auto& [k, g] : part.gip[j])
+                    s -= g * cg.x(static_cast<size_t>(k), l);
+                ifull[j] = s;
+            }
 
-        // Reduced-side currents straight from the macromodel's elements
-        // (every reduced node IS a port by the ports-first convention).
-        std::vector<double> ired(np, 0.0);
-        for (const auto& e : reduced.conductances) {
-            const double va = v[static_cast<size_t>(e.a)];
-            const double vb = e.b < 0 ? 0.0 : v[static_cast<size_t>(e.b)];
-            ired[static_cast<size_t>(e.a)] += e.value * (va - vb);
-            if (e.b >= 0) ired[static_cast<size_t>(e.b)] += e.value * (vb - va);
-        }
+            // Reduced-side currents straight from the macromodel's elements
+            // (every reduced node IS a port by the ports-first convention).
+            std::vector<double> ired(np, 0.0);
+            for (const auto& e : reduced.conductances) {
+                const double va = v[static_cast<size_t>(e.a)];
+                const double vb = e.b < 0 ? 0.0 : v[static_cast<size_t>(e.b)];
+                ired[static_cast<size_t>(e.a)] += e.value * (va - vb);
+                if (e.b >= 0) ired[static_cast<size_t>(e.b)] += e.value * (vb - va);
+            }
 
-        double dn = 0.0, fn = 0.0;
-        for (size_t j = 0; j < np; ++j) {
-            dn += (ired[j] - ifull[j]) * (ired[j] - ifull[j]);
-            fn += ifull[j] * ifull[j];
+            double dn = 0.0, fn = 0.0;
+            for (size_t j = 0; j < np; ++j) {
+                dn += (ired[j] - ifull[j]) * (ired[j] - ifull[j]);
+                fn += ifull[j] * ifull[j];
+            }
+            double rel;
+            if (fn > 0.0)
+                rel = std::sqrt(dn / fn);
+            else
+                rel = dn > 0.0 ? std::numeric_limits<double>::infinity() : 0.0;
+            if (!(rel <= worst)) // NaN ranks worst instead of vanishing
+                worst = std::isfinite(rel) ? rel
+                                           : std::numeric_limits<double>::infinity();
         }
-        double rel;
-        if (fn > 0.0)
-            rel = std::sqrt(dn / fn);
-        else
-            rel = dn > 0.0 ? std::numeric_limits<double>::infinity() : 0.0;
-        if (!(rel <= worst)) // NaN ranks worst instead of vanishing
-            worst = std::isfinite(rel) ? rel
-                                       : std::numeric_limits<double>::infinity();
     }
     return worst;
 }

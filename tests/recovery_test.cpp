@@ -6,12 +6,14 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "circuit/diode.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/passives.hpp"
 #include "circuit/sources.hpp"
+#include "core/impact_flow.hpp"
 #include "mor/elimination.hpp"
 #include "obs/bench.hpp"
 #include "obs/registry.hpp"
@@ -659,9 +661,92 @@ TEST_F(RecoveryTest, GuardCornerConvertsErrorsToNotes) {
 }
 
 TEST_F(RecoveryTest, ValidateFlowOptionsIsCoveredByImpactFlow) {
-    // validate_flow_options lives in snim_core; exercised via core_test's
-    // flows too, but assert the named-field contract directly here.
-    SUCCEED();
+    // build_impact_model() runs validate_flow_options first; every check
+    // must raise a snim::Error naming its field, before any extraction.
+    using core::FlowOptions;
+    auto expect_raises_naming = [](const FlowOptions& opt, const char* field) {
+        try {
+            core::validate_flow_options(opt);
+            FAIL() << "expected a validation error naming " << field;
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+                << e.what();
+        }
+    };
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const FlowOptions ok;
+    EXPECT_NO_THROW(core::validate_flow_options(ok));
+
+    auto bad = ok;
+    bad.surface_patches = 0;
+    expect_raises_naming(bad, "FlowOptions.surface_patches");
+    bad = ok;
+    bad.substrate.mesh.fine_pitch = 0.0;
+    expect_raises_naming(bad, "FlowOptions.substrate.mesh.fine_pitch");
+    for (double g : {1.0, 0.5, inf, nan}) {
+        bad = ok;
+        bad.substrate.mesh.growth = g;
+        expect_raises_naming(bad, "FlowOptions.substrate.mesh.growth");
+    }
+    bad = ok;
+    bad.substrate.mesh.max_pitch = 0.5 * ok.substrate.mesh.fine_pitch;
+    expect_raises_naming(bad, "FlowOptions.substrate.mesh.max_pitch");
+    bad = ok;
+    bad.substrate.mesh.max_cells_per_axis = 0;
+    expect_raises_naming(bad, "FlowOptions.substrate.mesh.max_cells_per_axis");
+    for (double m : {-1.0, inf, nan}) {
+        bad = ok;
+        bad.substrate.mesh.margin = m;
+        expect_raises_naming(bad, "FlowOptions.substrate.mesh.margin");
+    }
+    bad = ok;
+    bad.substrate.mesh.z_steps.clear();
+    expect_raises_naming(bad, "FlowOptions.substrate.mesh.z_steps");
+    for (double t : {0.0, -2.0, inf, nan}) {
+        bad = ok;
+        bad.substrate.mesh.z_steps[3] = t;
+        expect_raises_naming(bad, "FlowOptions.substrate.mesh.z_steps[3]");
+    }
+    bad = ok;
+    bad.substrate.mor_probes = -1;
+    expect_raises_naming(bad, "FlowOptions.substrate.mor_probes");
+    for (double e : {0.0, -1e-6, inf, nan}) {
+        bad = ok;
+        bad.substrate.mor_error_max = e;
+        expect_raises_naming(bad, "FlowOptions.substrate.mor_error_max");
+    }
+    bad = ok;
+    bad.interconnect.touch_resistance = 0.0;
+    expect_raises_naming(bad, "FlowOptions.interconnect.touch_resistance");
+    bad = ok;
+    bad.interconnect.cap_floor = -1e-18;
+    expect_raises_naming(bad, "FlowOptions.interconnect.cap_floor");
+    bad = ok;
+    bad.interconnect.cut_pitch = 0.0;
+    expect_raises_naming(bad, "FlowOptions.interconnect.cut_pitch");
+    bad = ok;
+    bad.threads = -1;
+    expect_raises_naming(bad, "FlowOptions.threads");
+    bad = ok;
+    bad.resume_from_checkpoint = true;
+    expect_raises_naming(bad, "FlowOptions.resume_from_checkpoint");
+    bad = ok;
+    bad.checkpoint_every_steps = -1;
+    expect_raises_naming(bad, "FlowOptions.checkpoint_every_steps");
+    for (double s : {-1.0, inf, nan}) {
+        bad = ok;
+        bad.checkpoint_every_s = s;
+        expect_raises_naming(bad, "FlowOptions.checkpoint_every_s");
+    }
+    bad = ok;
+    bad.checkpoint_dir = bad.diag_dir = "snim_run_dir";
+    expect_raises_naming(bad, "FlowOptions.checkpoint_dir");
+
+    // The zero-probe setting stays valid: it turns the reduction probe off.
+    auto off = ok;
+    off.substrate.mor_probes = 0;
+    EXPECT_NO_THROW(core::validate_flow_options(off));
 }
 
 } // namespace

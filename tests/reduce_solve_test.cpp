@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 
 #include "mor/elimination.hpp"
 #include "mor/macromodel.hpp"
+#include "substrate/extractor.hpp"
 #include "substrate/mesh.hpp"
 #include "tech/generic180.hpp"
+#include "testcases/nmos_structure.hpp"
 #include "testcases/vco.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -173,6 +178,31 @@ std::vector<std::vector<double>> cap_matrix(const RcNetwork& reduced, size_t np)
     return c;
 }
 
+/// reduce_by_solve against both oracles: port conductances against the
+/// dense Schur complement, capacitances against eliminate_internal.
+void expect_matches_oracles(const RcNetwork& net, const std::vector<int>& ports) {
+    const size_t np = ports.size();
+    const RcNetwork red = reduce_by_solve(net, ports);
+    ASSERT_EQ(red.node_count, np);
+    const auto gref = dense_port_conductance(net, ports);
+    const auto g = port_matrix(red, np);
+    for (size_t i = 0; i < np; ++i)
+        for (size_t j = 0; j < np; ++j)
+            EXPECT_NEAR(g[i][j], gref[i][j],
+                        1e-8 * std::sqrt(gref[i][i] * gref[j][j]))
+                << "G(" << i << "," << j << ")";
+
+    const auto cref = cap_matrix(eliminate_internal(net, ports), np);
+    const auto c = cap_matrix(red, np);
+    double cmax = 0.0;
+    for (const auto& row : cref)
+        for (double v : row) cmax = std::max(cmax, v);
+    ASSERT_GT(cmax, 0.0);
+    for (size_t i = 0; i < np; ++i)
+        for (size_t j = 0; j < np; ++j)
+            EXPECT_NEAR(c[i][j], cref[i][j], 1e-9 * cmax) << "C(" << i << "," << j << ")";
+}
+
 TEST(ReduceBySolveTest, MatchesDirectOraclesOnCoarseSubstrateMesh) {
     // A coarse mesh of the VCO's slab stack (10 x 8 x 7 = 560 nodes) with
     // three resistive contacts and one capacitive well, attached the way the
@@ -203,27 +233,146 @@ TEST(ReduceBySolveTest, MatchesDirectOraclesOnCoarseSubstrateMesh) {
     attach(geom::Rect(70, 60, 95, 75), 0.5, 0.0);
     attach(geom::Rect(40, 30, 50, 40), 0.5, 0.0);
     attach(geom::Rect(10, 50, 40, 75), 0.0, 0.08e-15); // n-well
-    const size_t np = ports.size();
+    expect_matches_oracles(net, ports);
+}
 
+/// random_grounded_network with a ground cap at every node.
+RcNetwork random_rc_network(size_t n, int chords, uint64_t seed) {
+    RcNetwork net = random_grounded_network(n, chords, seed);
+    Rng rng(seed + 1000);
+    for (size_t i = 0; i < n; ++i)
+        net.add_c(static_cast<int>(i), -1, rng.uniform(0.5e-15, 3e-15));
+    return net;
+}
+
+int add_node(RcNetwork& net) { return static_cast<int>(net.node_count++); }
+
+TEST(ReduceBySolveTest, LaneBlocksMatchOraclesAtEveryPortCount) {
+    // Ports are solved four at a time: 1, 5, 6 and 7 ports leave 3, 3, 2
+    // and 1 idle lanes in the last block.
+    const RcNetwork net = random_rc_network(60, 90, 11);
+    for (size_t np : {1u, 5u, 6u, 7u}) {
+        SCOPED_TRACE(np);
+        std::vector<int> ports;
+        for (size_t i = 0; i < np; ++i) ports.push_back(static_cast<int>(1 + i * 60 / np));
+        expect_matches_oracles(net, ports);
+    }
+}
+
+TEST(ReduceBySolveTest, CapacitiveOnlyPortNextToResistivePorts) {
+    // A well port touches the mesh through capacitance only: its right-hand
+    // side is zero, so its lane is done before the first sweep while the
+    // resistive ports of its block iterate.
+    RcNetwork net = random_rc_network(60, 90, 13);
+    const int well = add_node(net);
+    for (int k : {20, 21, 22, 33}) net.add_c(well, k, 2e-15);
+    expect_matches_oracles(net, {0, 15, well, 45});
+}
+
+TEST(ReduceBySolveTest, MixedPortCapsMatchEliminationOracle) {
+    // A port with both a conductance and a capacitance into internal nodes:
+    // the one case where the ground cap of a port sums its terms in another
+    // order than a node-by-node pass (last-bit differences), hence the
+    // 1e-9-of-max cap tolerance.
+    RcNetwork net = random_rc_network(60, 90, 17);
+    const int mixed = add_node(net);
+    net.add_g(mixed, 30, 0.7);
+    net.add_g(mixed, 31, 0.4);
+    net.add_c(mixed, 31, 3e-15);
+    net.add_c(mixed, 40, 1e-15);
+    expect_matches_oracles(net, {0, 10, mixed, 50, 55});
+}
+
+TEST(ReduceBySolveTest, EveryNodeAPortKeepsTheNetwork) {
+    // n_internal = 0: no CG block runs and the port matrix is Gpp itself.
+    RcNetwork net = random_rc_network(6, 4, 19);
+    net.add_c(1, 4, 5e-15);
+    expect_matches_oracles(net, {3, 0, 5, 1, 4, 2});
+}
+
+TEST(ReduceBySolveTest, ProbeSpansTwoLaneBlocks) {
+    // Five probes run as a block of four and a block of one.  The
+    // excitations are a fixed xorshift sequence, so four probes solve the
+    // first four of the same five and their worst error cannot be larger.
+    const RcNetwork net = random_grounded_network(120, 200, 23);
+    const std::vector<int> ports{0, 17, 33, 52, 71, 90, 104};
     const RcNetwork red = reduce_by_solve(net, ports);
-    const auto gref = dense_port_conductance(net, ports);
-    const auto g = port_matrix(red, np);
-    for (size_t i = 0; i < np; ++i)
-        for (size_t j = 0; j < np; ++j)
-            EXPECT_NEAR(g[i][j], gref[i][j],
-                        1e-8 * std::sqrt(gref[i][i] * gref[j][j]))
-                << "G(" << i << "," << j << ")";
+    const double e4 = probe_reduction_error(net, red, ports, 4);
+    const double e5 = probe_reduction_error(net, red, ports, 5);
+    EXPECT_TRUE(std::isfinite(e5));
+    EXPECT_LT(e5, substrate::ExtractOptions{}.mor_error_max);
+    EXPECT_GE(e5, e4);
+}
 
-    const auto cref = cap_matrix(eliminate_internal(net, ports), np);
-    const auto c = cap_matrix(red, np);
-    double cmax = 0.0;
-    for (const auto& row : cref)
-        for (double v : row) cmax = std::max(cmax, v);
-    ASSERT_GT(cmax, 0.0);
-    for (size_t i = 0; i < np; ++i)
-        for (size_t j = 0; j < np; ++j)
-            EXPECT_NEAR(c[i][j], cref[i][j], 1e-9 * cmax)
-                << "C(" << i << "," << j << ")";
+/// FNV-1a 64 over each element's a (4 bytes), b (4 bytes) and value
+/// (8 bytes), conductances first, then capacitances.
+uint64_t network_digest(const RcNetwork& net) {
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto feed = [&h](const void* data, size_t size) {
+        const auto* bytes = static_cast<const unsigned char*>(data);
+        for (size_t i = 0; i < size; ++i) {
+            h ^= bytes[i];
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const auto* elems : {&net.conductances, &net.capacitances})
+        for (const auto& e : *elems) {
+            static_assert(sizeof e.a == 4 && sizeof e.b == 4 && sizeof e.value == 8);
+            feed(&e.a, 4);
+            feed(&e.b, 4);
+            feed(&e.value, 8);
+        }
+    return h;
+}
+
+TEST(ReduceBySolveTest, FigureMeshReductionsMatchFrozenDigest) {
+    // The reduced substrate networks of the fig3 NMOS structure (the mesh
+    // options of bench/fig3_nmos_transfer.cpp) and the nominal VCO, element
+    // order and bits included.  The mesh uses only + - * / and the CG adds
+    // only sqrt, so the digests hold on every IEEE-754 x86-64 build at any
+    // optimisation level.
+    core::FlowOptions nmos;
+    nmos.substrate.mesh.focus = geom::Rect(-20, -20, 50, 30);
+    nmos.substrate.mesh.fine_pitch = 3.0;
+    nmos.substrate.mesh.margin = 40.0;
+    const auto fig3 = testcases::build_model(testcases::build_nmos_structure(), nmos);
+    ASSERT_FALSE(fig3.substrate.mor_fallback);
+    EXPECT_EQ(network_digest(fig3.substrate.reduced), 0xa9a113c8c581d7b4ull);
+
+    const auto vco =
+        testcases::build_model(testcases::build_vco(), testcases::vco_flow_options());
+    ASSERT_FALSE(vco.substrate.mor_fallback);
+    EXPECT_EQ(network_digest(vco.substrate.reduced), 0x98ae0207fadc4329ull);
+}
+
+TEST(ReduceBySolveTest, NonFiniteElementIsRejected) {
+    RcNetwork two;
+    two.node_count = 2;
+    EXPECT_THROW(two.add_g(0, 1, std::numeric_limits<double>::infinity()), Error);
+    EXPECT_THROW(two.add_c(0, 1, std::numeric_limits<double>::quiet_NaN()), Error);
+
+    // Finite elements whose solve is not: at 1e300 the right-hand side's
+    // norm overflows; with 1e308 inside the chain its diagonal sums to
+    // 2e308 = inf and p·Ap is not finite in the first sweep.  Either way
+    // CG must stop at once instead of running out its iteration budget.
+    for (const double inner : {1e300, 1e308}) {
+        SCOPED_TRACE(inner);
+        const double outer = inner == 1e300 ? 1e300 : 1.0;
+        RcNetwork chain;
+        chain.node_count = 400;
+        for (int i = 0; i + 1 < 400; ++i)
+            chain.add_g(i, i + 1, i == 0 || i == 398 ? outer : inner);
+        try {
+            reduce_by_solve(chain, {0, 399});
+            ADD_FAILURE() << "expected a CG breakdown";
+        } catch (const Error& e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("not finite or not positive definite"), std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find("ports 0-1"), std::string::npos) << msg;
+            EXPECT_EQ(msg.find("failed to converge"), std::string::npos) << msg;
+        }
+    }
 }
 
 struct SolveCase {
