@@ -2,17 +2,145 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <unordered_map>
+#include <utility>
 
 #include "circuit/passives.hpp"
 #include "circuit/sources.hpp"
+#include "obs/certify.hpp"
+#include "obs/registry.hpp"
 #include "sim/op.hpp"
 #include "sim/transfer.hpp"
 #include "util/error.hpp"
+#include "util/fault.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
 #include "util/units.hpp"
 
 namespace snim::core {
+
+namespace {
+
+/// Split-window certificate tolerances: the halves of a calibration pair
+/// must agree on K within 1% of its scale, the halves of the baseline on
+/// the carrier amplitude within 0.1%.
+constexpr double kPairTol = 0.01;
+constexpr double kAmplitudeTol = 1e-3;
+
+/// Runs `undo` when the scope ends, by return or by exception, so a capture
+/// that throws cannot leave the model perturbed.
+template <class F>
+class Restore {
+public:
+    explicit Restore(F undo) : undo_(std::move(undo)) {}
+    ~Restore() { undo_(); }
+    Restore(const Restore&) = delete;
+    Restore& operator=(const Restore&) = delete;
+
+private:
+    F undo_;
+};
+
+/// One calibration capture with the carrier measured on the whole wave and
+/// on each of its two equal halves.
+struct SplitCapture {
+    rf::OscCapture whole;
+    double half_fc[2] = {0.0, 0.0};
+    double half_amplitude[2] = {0.0, 0.0};
+    bool measured = false; // the estimator accepted the whole wave and both halves
+};
+
+/// Records one capture on `osc`.  A transient failure propagates.  An
+/// estimator error leaves the capture unmeasured, except on the whole wave
+/// of a full-window capture, where it propagates as capture_oscillator's.
+SplitCapture record_split(circuit::Netlist& netlist, const rf::OscOptions& osc,
+                          bool full_window) {
+    SplitCapture s;
+    s.whole = rf::record_oscillator(netlist, osc);
+    try {
+        rf::measure_carrier(s.whole, osc);
+    } catch (const Error&) {
+        if (full_window) throw;
+        return s;
+    }
+    const size_t n = s.whole.wave.size() / 2;
+    for (size_t k = 0; k < 2; ++k) {
+        rf::OscCapture half;
+        half.fs = s.whole.fs;
+        const auto first = s.whole.wave.begin() + static_cast<std::ptrdiff_t>(k * n);
+        half.wave.assign(first, first + static_cast<std::ptrdiff_t>(n));
+        try {
+            rf::measure_carrier(half, osc);
+        } catch (const Error&) {
+            return s;
+        }
+        s.half_fc[k] = half.fc;
+        s.half_amplitude[k] = half.amplitude;
+    }
+    s.measured = true;
+    return s;
+}
+
+/// Baseline certificate ratio: the halves' amplitude disagreement relative
+/// to the amplitude, rescaled so that its 0.1% tolerance reads as the
+/// pairs' 1%.
+double baseline_ratio(const SplitCapture& s) {
+    if (!s.measured) return std::numeric_limits<double>::infinity();
+    const double rel =
+        std::fabs(s.half_amplitude[0] - s.half_amplitude[1]) / s.whole.amplitude;
+    return rel * (kPairTol / kAmplitudeTol);
+}
+
+/// Pair certificate ratio: |K_first - K_second| / max(|K|, k_floor), where
+/// K_first and K_second are the pair's K from the first and second halves.
+/// Halves that agree exactly certify even a pair with K = 0.
+double pair_ratio(const SplitCapture& plus, const SplitCapture& minus, double dv,
+                  double k_floor) {
+    if (!plus.measured || !minus.measured) return std::numeric_limits<double>::infinity();
+    const double k = (plus.whole.fc - minus.whole.fc) / (2.0 * dv);
+    const double k_first = (plus.half_fc[0] - minus.half_fc[0]) / (2.0 * dv);
+    const double k_second = (plus.half_fc[1] - minus.half_fc[1]) / (2.0 * dv);
+    const double disagreement = std::fabs(k_first - k_second);
+    return disagreement == 0.0 ? 0.0 : disagreement / std::max(std::fabs(k), k_floor);
+}
+
+/// The calibration window rule: `measure(false)` runs on the quarter
+/// window and `ratio` certifies it; when the certificate fails (or the
+/// fault point `core.calibrate.uncertified` fires), `measure(true)` runs
+/// once on the caller's full window, and its result is kept even if it
+/// fails too.  The accepted ratio feeds the `core/calibration` budget stage.
+template <class Measure, class Ratio>
+auto certified(const std::string& what, Measure measure, Ratio ratio) {
+    auto certify = [&](const auto& result) {
+        return fault::fires("core.calibrate.uncertified")
+                   ? std::numeric_limits<double>::infinity()
+                   : ratio(result);
+    };
+    obs::count("core/calibration_pairs");
+    auto result = measure(false);
+    double r = certify(result);
+    if (!(r <= kPairTol)) {
+        obs::count("core/calibration_fallbacks");
+        log_info("impact: %s uncertified on the quarter window (ratio %.3g); "
+                 "re-running on the full window",
+                 what.c_str(), r);
+        result = measure(true);
+        r = certify(result);
+        if (!(r <= kPairTol))
+            log_warn("impact: %s uncertified on the full window too (ratio %.3g > %g); "
+                     "keeping the full-window result",
+                     what.c_str(), r, kPairTol);
+    }
+    log_debug("impact: %s certificate ratio %.3g", what.c_str(), r);
+    // JSON has no infinity: an unmeasured certificate enters the ledger as
+    // the largest double, still a breach.
+    obs::budget_update("core/calibration", std::min(r, std::numeric_limits<double>::max()),
+                       kPairTol, "1", /*higher_is_worse=*/true, what);
+    return result;
+}
+
+} // namespace
 
 double ImpactPrediction::Part::spur_dbc(double carrier) const {
     const double amp = std::max(fm_spur_amp, am_spur_amp);
@@ -96,12 +224,42 @@ rf::OscOptions ImpactAnalyzer::osc_tagged(const std::string& suffix) const {
     return osc;
 }
 
-std::pair<double, double> ImpactAnalyzer::dc_path_sensitivity(const std::string& tag) {
-    set_noise_dc(opt_.dv_dc);
-    const auto plus = rf::capture_oscillator(model_.netlist, osc_tagged(tag + ".p"));
-    set_noise_dc(-opt_.dv_dc);
-    const auto minus = rf::capture_oscillator(model_.netlist, osc_tagged(tag + ".m"));
-    set_noise_dc(0.0);
+rf::OscOptions ImpactAnalyzer::osc_window(const std::string& suffix,
+                                          bool full_window) const {
+    if (full_window) return osc_tagged(suffix);
+    rf::OscOptions osc = osc_tagged(suffix + ".q");
+    osc.settle /= 4.0;
+    osc.capture /= 4.0;
+    return osc;
+}
+
+std::pair<rf::OscCapture, rf::OscCapture> ImpactAnalyzer::sensitivity_pair(
+    const std::string& tag, const std::string& what, circuit::VSource& source,
+    double center, double dv, double k_floor) {
+    const circuit::Waveform saved = source.waveform();
+    Restore restore_source([&] { source.set_waveform(saved); });
+    auto measure = [&](bool full_window) {
+        source.set_waveform(circuit::Waveform::dc(center + dv));
+        auto plus = record_split(model_.netlist, osc_window(tag + ".p", full_window),
+                                 full_window);
+        source.set_waveform(circuit::Waveform::dc(center - dv));
+        auto minus = record_split(model_.netlist, osc_window(tag + ".m", full_window),
+                                  full_window);
+        return std::pair{std::move(plus), std::move(minus)};
+    };
+    auto ratio = [&](const auto& pm) {
+        return pair_ratio(pm.first, pm.second, dv, k_floor);
+    };
+    auto pm = certified(what, measure, ratio);
+    return {std::move(pm.first.whole), std::move(pm.second.whole)};
+}
+
+std::pair<double, double> ImpactAnalyzer::dc_path_sensitivity(const std::string& tag,
+                                                              const std::string& what,
+                                                              double k_floor) {
+    auto* noise = model_.netlist.find_as<circuit::VSource>(source_);
+    const auto [plus, minus] =
+        sensitivity_pair(tag, what, *noise, 0.0, opt_.dv_dc, k_floor);
     const double k = (plus.fc - minus.fc) / (2.0 * opt_.dv_dc);
     const double g =
         (plus.amplitude - minus.amplitude) / (2.0 * opt_.dv_dc * baseline_.amplitude);
@@ -109,13 +267,17 @@ std::pair<double, double> ImpactAnalyzer::dc_path_sensitivity(const std::string&
 }
 
 void ImpactAnalyzer::calibrate() {
+    calibrated_ = false; // a capture that throws must not leave half an update
     set_noise_dc(0.0);
     log_info("impact: baseline oscillator run");
-    baseline_ = rf::capture_oscillator(model_.netlist, osc_tagged("cal0"));
+    auto measure = [&](bool full_window) {
+        return record_split(model_.netlist, osc_window("cal0", full_window), full_window);
+    };
+    baseline_ = certified("baseline amplitude", measure, baseline_ratio).whole;
     log_info("impact: fc = %.6g Hz, amplitude = %.4g V", baseline_.fc,
              baseline_.amplitude);
 
-    auto [k, g] = dc_path_sensitivity("cal");
+    auto [k, g] = dc_path_sensitivity("cal", "K_src", 0.0);
     k_src_ = k;
     g_src_ = g;
     log_info("impact: K_src = %.5g Hz/V, G_src = %.4g 1/V", k_src_, g_src_);
@@ -135,6 +297,7 @@ rf::OscCapture ImpactAnalyzer::capture_noisy(double fnoise, double min_periods) 
 void ImpactAnalyzer::calibrate_paths() {
     SNIM_ASSERT(calibrated_, "call calibrate() first");
     paths_.clear();
+    std::vector<PathSensitivity> paths; // published only once every capture ran
 
     // Leave-one-out DC sensitivities.  A path with short_prefixes is
     // ablated by shorting those wire resistances ONLY (the ground path:
@@ -145,6 +308,12 @@ void ImpactAnalyzer::calibrate_paths() {
         std::vector<circuit::Device*> devices;
         if (e.short_prefixes.empty()) devices = coupling_devices(e);
         std::vector<std::pair<circuit::Resistor*, double>> shorted;
+        const double rcond_floor = opt_.osc.certify.rcond_min;
+        Restore restore_model([&] {
+            opt_.osc.certify.rcond_min = rcond_floor;
+            for (auto* d : devices) d->set_disabled(false);
+            for (auto& [r, value] : shorted) r->set_resistance(value);
+        });
         for (const auto& prefix : e.short_prefixes) {
             for (const auto& d : model_.netlist.devices()) {
                 if (!starts_with_nocase(d->name(), prefix)) continue;
@@ -162,18 +331,19 @@ void ImpactAnalyzer::calibrate_paths() {
         // condition estimate collapses by construction.  Suspend the rcond
         // certificate floor for the leave-one-out runs; the backward-error
         // gate still certifies every solve.
-        const double rcond_floor = opt_.osc.certify.rcond_min;
         opt_.osc.certify.rcond_min = 0.0;
-        const auto [k_wo, g_wo] = dc_path_sensitivity(format("wo%zu", ei));
-        opt_.osc.certify.rcond_min = rcond_floor;
-        for (auto* d : devices) d->set_disabled(false);
-        for (auto& [r, value] : shorted) r->set_resistance(value);
+        // K_wo enters only through k_res = K_src - K_wo, so its certificate
+        // is scaled by |K_src| when the ablation leaves K_wo small.
+        const auto [k_wo, g_wo] =
+            dc_path_sensitivity(format("wo%zu", ei),
+                                format("leave-one-out '%s'", e.label.c_str()),
+                                std::fabs(k_src_));
 
         PathSensitivity p;
         p.label = e.label;
         p.k_res = k_src_ - k_wo;
         p.g_res = g_src_ - g_wo;
-        paths_.push_back(p);
+        paths.push_back(p);
         log_info("impact: K(%s) = %.5g Hz/V (leave-one-out)", e.label.c_str(), p.k_res);
     }
 
@@ -181,29 +351,25 @@ void ImpactAnalyzer::calibrate_paths() {
     // d f / d(entry variable) by perturbing the path's lever source at DC.
     const double kref = std::fabs(k_src_);
     std::unordered_map<std::string, double> lever_cache;
-    for (size_t i = 0; i < paths_.size(); ++i) {
-        if (std::fabs(paths_[i].k_res) >= opt_.resistive_threshold * kref) continue;
-        paths_[i].capacitive = true;
+    for (size_t i = 0; i < paths.size(); ++i) {
+        if (std::fabs(paths[i].k_res) >= opt_.resistive_threshold * kref) continue;
+        paths[i].capacitive = true;
         const std::string& src = entries_[i].lever_source;
         if (src.empty()) continue;
         auto it = lever_cache.find(src);
         if (it == lever_cache.end()) {
             auto* v = model_.netlist.find_as<circuit::VSource>(src);
             SNIM_ASSERT(v != nullptr, "lever source '%s' is not a V source", src.c_str());
-            const double v0 = v->waveform().dc_value();
-            v->set_waveform(circuit::Waveform::dc(v0 + opt_.lever_dv));
-            const auto plus = rf::capture_oscillator(
-                model_.netlist, osc_tagged(format("lever%zu.p", i)));
-            v->set_waveform(circuit::Waveform::dc(v0 - opt_.lever_dv));
-            const auto minus = rf::capture_oscillator(
-                model_.netlist, osc_tagged(format("lever%zu.m", i)));
-            v->set_waveform(circuit::Waveform::dc(v0));
+            const auto [plus, minus] = sensitivity_pair(
+                format("lever%zu", i), format("lever '%s'", src.c_str()), *v,
+                v->waveform().dc_value(), opt_.lever_dv, 0.0);
             const double lever = (plus.fc - minus.fc) / (2.0 * opt_.lever_dv);
             it = lever_cache.emplace(src, lever).first;
             log_info("impact: lever(%s) = %.5g Hz/V", src.c_str(), lever);
         }
-        paths_[i].lever = it->second;
+        paths[i].lever = it->second;
     }
+    paths_ = std::move(paths);
 }
 
 std::complex<double> ImpactAnalyzer::entry_transfer(

@@ -14,12 +14,23 @@
 // Per-entry contributions (Figure 9) come from leave-one-out ablation: the
 // entry's coupling devices are disabled and the drop in K_src (or in the
 // demodulated sidebands at the reference frequency) is its contribution.
+//
+// Calibration window rule: every calibration capture (the baseline, the
+// +-dv_dc pair, the leave-one-out and lever pairs) first runs on a quarter
+// of opt.osc's settle and capture.  A split-window certificate -- the
+// carrier measured on each half of the recorded waves -- decides whether
+// that short result holds; if not, the measurement is re-run once on
+// opt.osc itself, whose values are then exactly the single-window ones.
 #pragma once
 
 #include <complex>
 
 #include "core/impact_flow.hpp"
 #include "rf/spur.hpp"
+
+namespace snim::circuit {
+class VSource;
+} // namespace snim::circuit
 
 namespace snim::core {
 
@@ -114,13 +125,16 @@ public:
                    std::vector<NoiseEntry> entries, AnalyzerOptions opt);
 
     /// Baseline oscillator + total DC path sensitivity.  Required before
-    /// predict()/simulate().
+    /// predict()/simulate().  Leaves the noise source at 0 V DC; a capture
+    /// that throws also leaves the analyzer uncalibrated.
     void calibrate();
     bool calibrated() const { return calibrated_; }
 
     /// Per-path leave-one-out calibration (needed for prediction Parts and
     /// the Figure-9 style contribution analysis): two DC oscillator runs
-    /// per path plus two per distinct lever source.
+    /// per path plus two per distinct lever source.  A capture that throws
+    /// restores every disabled device, shorted resistance, source value and
+    /// the rcond floor before the error leaves.
     void calibrate_paths();
     bool paths_calibrated() const { return !paths_.empty(); }
 
@@ -157,10 +171,21 @@ private:
     /// Copy of opt_.osc with `suffix` appended to the checkpoint tag, so
     /// every capture in a calibration sequence snapshots to its own file.
     rf::OscOptions osc_tagged(const std::string& suffix) const;
-    /// K_src/G_src measurement with the current enable/disable state.  `tag`
-    /// distinguishes the checkpoint files of the +dv/-dv pair from other
-    /// sensitivity pairs run in the same process.
-    std::pair<double, double> dc_path_sensitivity(const std::string& tag);
+    /// Options of one calibration capture: opt_.osc tagged `suffix`, or on
+    /// the quarter window (settle/4 + capture/4) tagged `suffix.q`.
+    rf::OscOptions osc_window(const std::string& suffix, bool full_window) const;
+    /// Captures at center +- dv on `source` under the calibration window
+    /// rule, with the current enable/disable state.  `tag` names the
+    /// checkpoint files of the pair and `what` its log lines and budget
+    /// detail; the certificate scales the halves' K disagreement by
+    /// max(|K|, k_floor).  `source` is restored on exit.
+    std::pair<rf::OscCapture, rf::OscCapture> sensitivity_pair(
+        const std::string& tag, const std::string& what, circuit::VSource& source,
+        double center, double dv, double k_floor);
+    /// K_src/G_src measurement with the current enable/disable state.
+    std::pair<double, double> dc_path_sensitivity(const std::string& tag,
+                                                  const std::string& what,
+                                                  double k_floor);
     rf::OscCapture capture_noisy(double fnoise, double min_periods);
 
     ImpactModel& model_;

@@ -11,6 +11,12 @@
 namespace snim::rf {
 
 OscCapture capture_oscillator(circuit::Netlist& netlist, const OscOptions& opt) {
+    OscCapture cap = record_oscillator(netlist, opt);
+    measure_carrier(cap, opt);
+    return cap;
+}
+
+OscCapture record_oscillator(circuit::Netlist& netlist, const OscOptions& opt) {
     SNIM_ASSERT(!opt.probe_p.empty(), "oscillator capture needs a probe");
     sim::TranOptions to;
     to.tstop = opt.settle + opt.capture;
@@ -36,7 +42,10 @@ OscCapture capture_oscillator(circuit::Netlist& netlist, const OscOptions& opt) 
         cap.wave.resize(wp.size());
         for (size_t i = 0; i < wp.size(); ++i) cap.wave[i] = wp[i] - res.waves[1][i];
     }
+    return cap;
+}
 
+void measure_carrier(OscCapture& cap, const OscOptions& opt) {
     double mean = 0.0;
     for (double v : cap.wave) mean += v;
     mean /= static_cast<double>(cap.wave.size());
@@ -67,7 +76,6 @@ OscCapture capture_oscillator(circuit::Netlist& netlist, const OscOptions& opt) 
     cap.amplitude = dsp::tone_amplitude(ac, cap.fs, cap.fc, w);
     if (cap.amplitude < 1e-6)
         raise("oscillator capture: negligible amplitude %.3g V", cap.amplitude);
-    return cap;
 }
 
 std::vector<std::pair<double, double>> instantaneous_frequency(

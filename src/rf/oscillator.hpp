@@ -48,9 +48,22 @@ struct OscCapture {
     std::vector<double> node_avg;
 };
 
-/// Runs the transient and measures the oscillator.  Throws if no
-/// oscillation is detected within [f_min, f_max] or amplitude is tiny.
+/// Runs the transient and measures the oscillator: record_oscillator()
+/// followed by measure_carrier().  Throws if no oscillation is detected
+/// within [f_min, f_max] or amplitude is tiny.
 OscCapture capture_oscillator(circuit::Netlist& netlist, const OscOptions& opt);
+
+/// The transient half of capture_oscillator(): fills `wave`, `fs` and
+/// `node_avg`, leaving the carrier estimate to measure_carrier().
+OscCapture record_oscillator(circuit::Netlist& netlist, const OscOptions& opt);
+
+/// Carrier estimate of a recorded wave (`wave` and `fs` set): the mean, a
+/// coarse fc from zero crossings, a Blackman-Harris-windowed Goertzel
+/// refine of fc, and the amplitude at it.  Fills `mean`, `fc` and
+/// `amplitude`; raises on too few periods, an fc outside [f_min, f_max] or
+/// a negligible amplitude.  Any stretch of a capture can be measured on its
+/// own, which is how the analyzer certifies a short calibration window.
+void measure_carrier(OscCapture& cap, const OscOptions& opt);
 
 /// Instantaneous frequency samples from interpolated zero crossings of the
 /// (DC-removed) waveform: returns pairs (t, f) at each full period.

@@ -77,6 +77,31 @@ TEST(OscillatorToolsTest, ToneFitRecoversTrend) {
     EXPECT_NEAR(fit.offset, 2.0 + 5e4 * 200e-9, 0.01); // centred time origin
 }
 
+TEST(OscillatorToolsTest, MeasureCarrierRecoversSyntheticTone) {
+    // Closed-form oracle: a cosine on a DC offset with two odd harmonics,
+    // on windows that hold no whole number of periods.
+    const double fs = 100e9, fc = 2.9137e9, ac = 0.8, dc = 0.3;
+    OscOptions opt;
+    opt.f_min = 1e9;
+    opt.f_max = 6e9;
+    for (double window : {15e-9, 37.5e-9, 150e-9}) {
+        SCOPED_TRACE(window);
+        OscCapture cap;
+        cap.fs = fs;
+        const auto n = static_cast<size_t>(std::lround(window * fs));
+        for (size_t i = 0; i < n; ++i) {
+            const double ph = kTwoPi * fc * static_cast<double>(i) / fs + 0.4;
+            cap.wave.push_back(dc + ac * std::cos(ph) +
+                               0.05 * ac * std::cos(3.0 * ph + 1.0) +
+                               0.01 * ac * std::cos(5.0 * ph - 0.5));
+        }
+        measure_carrier(cap, opt);
+        EXPECT_NEAR(cap.fc, fc, 1e-6 * fc);
+        EXPECT_NEAR(cap.amplitude, ac, 1e-5 * ac);
+        EXPECT_NEAR(cap.mean, dc, 0.01 * ac);
+    }
+}
+
 TEST(SpurTest, PureFmDemodulation) {
     const double fs = 200e9, fc = 3e9, fn = 10e6;
     const double beta = 2e-3;
