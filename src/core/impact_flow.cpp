@@ -1,6 +1,7 @@
 #include "core/impact_flow.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "layout/connectivity.hpp"
 #include "mor/macromodel.hpp"
@@ -26,8 +27,8 @@ void validate_flow_options(const FlowOptions& opt) {
         raise("FlowOptions.surface_patches must be >= 1 (got %d)",
               opt.surface_patches);
     const auto& m = opt.substrate.mesh;
-    if (!(m.fine_pitch > 0.0))
-        raise("FlowOptions.substrate.mesh.fine_pitch must be > 0 (got %g)",
+    if (!(std::isfinite(m.fine_pitch) && m.fine_pitch > 0.0))
+        raise("FlowOptions.substrate.mesh.fine_pitch must be finite and > 0 (got %g)",
               m.fine_pitch);
     if (!(std::isfinite(m.growth) && m.growth > 1.0))
         raise("FlowOptions.substrate.mesh.growth must be finite and > 1 (got %g)",
@@ -38,6 +39,11 @@ void validate_flow_options(const FlowOptions& opt) {
     if (m.max_cells_per_axis < 1)
         raise("FlowOptions.substrate.mesh.max_cells_per_axis must be >= 1 (got %d)",
               m.max_cells_per_axis);
+    const std::pair<const char*, double> focus[] = {
+        {"x0", m.focus.x0}, {"y0", m.focus.y0}, {"x1", m.focus.x1}, {"y1", m.focus.y1}};
+    for (const auto& [name, v] : focus)
+        if (!std::isfinite(v))
+            raise("FlowOptions.substrate.mesh.focus.%s must be finite (got %g)", name, v);
     if (!(std::isfinite(m.margin) && m.margin >= 0.0))
         raise("FlowOptions.substrate.mesh.margin must be finite and >= 0 (got %g)",
               m.margin);

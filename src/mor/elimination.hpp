@@ -48,15 +48,10 @@ RcNetwork eliminate_internal(const RcNetwork& net, const std::vector<int>& ports
 /// fallback for a failed reduction (the full mesh is stitched in instead).
 RcNetwork ports_first(const RcNetwork& net, const std::vector<int>& ports);
 
-/// Dense port conductance matrix (Schur complement) for validation; row/col
-/// i corresponds to ports[i].  Entry (i,j) is dI_i/dV_j with every other
-/// port grounded.  Ground row eliminated (standard grounded nodal matrix).
-std::vector<std::vector<double>> dense_port_conductance(const RcNetwork& net,
-                                                        const std::vector<int>& ports);
-
 /// Schur-complement reduction computed by conjugate-gradient solves on the
-/// internal block G_ii, preconditioned by its zero-fill incomplete Cholesky
-/// factor (one vector of pivots; the factor's off-diagonal entries are
+/// internal block G_ii, preconditioned by its relaxed modified incomplete
+/// Cholesky factor, RIC(0) (one vector of pivots that move 0.99 of the
+/// dropped fill onto the diagonal; the factor's off-diagonal entries are
 /// G_ii's own on the triangle-free mesh graph).  The ports' right-hand
 /// sides run four at a time in lockstep, each bitwise a solo solve, and
 /// each block is folded into the result before the next.  Exact up to a
@@ -76,7 +71,7 @@ RcNetwork reduce_by_solve(const RcNetwork& net, const std::vector<int>& ports);
 ///     max over probes of ||i_reduced - i_full||_2 / ||i_full||_2
 ///
 /// where the full-side response comes from one CG solve per probe on the
-/// internal block (the same lockstep IC(0)-preconditioned solver, tolerance
+/// internal block (the same lockstep RIC(0)-preconditioned solver, tolerance
 /// and assembly as reduce_by_solve, so the comparison isolates the
 /// reduction itself).
 /// `reduced` must follow the ports-first convention (node i == ports[i]);

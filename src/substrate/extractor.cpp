@@ -101,7 +101,7 @@ SubstrateModel extract_substrate(const geom::Rect& area,
         }
     }
 
-    // Schur reduction via IC(0)-preconditioned CG solves, one right-hand
+    // Schur reduction via RIC(0)-preconditioned CG solves, one right-hand
     // side per port, four ports in lockstep: exact to solver tolerance,
     // with no fill-in beyond the mesh itself (node elimination or a direct
     // factor fills 3-D meshes heavily).

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "circuit/passives.hpp"
+#include "dense_schur.hpp"
 #include "mor/elimination.hpp"
 #include "mor/macromodel.hpp"
 #include "util/error.hpp"

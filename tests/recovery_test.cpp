@@ -14,6 +14,7 @@
 #include "circuit/passives.hpp"
 #include "circuit/sources.hpp"
 #include "core/impact_flow.hpp"
+#include "dense_schur.hpp"
 #include "mor/elimination.hpp"
 #include "obs/bench.hpp"
 #include "obs/registry.hpp"
@@ -681,9 +682,12 @@ TEST_F(RecoveryTest, ValidateFlowOptionsIsCoveredByImpactFlow) {
     auto bad = ok;
     bad.surface_patches = 0;
     expect_raises_naming(bad, "FlowOptions.surface_patches");
-    bad = ok;
-    bad.substrate.mesh.fine_pitch = 0.0;
-    expect_raises_naming(bad, "FlowOptions.substrate.mesh.fine_pitch");
+    for (double p : {0.0, inf, nan}) {
+        bad = ok;
+        bad.substrate.mesh.fine_pitch = p;
+        bad.substrate.mesh.max_pitch = inf; // keeps max_pitch >= fine_pitch
+        expect_raises_naming(bad, "FlowOptions.substrate.mesh.fine_pitch");
+    }
     for (double g : {1.0, 0.5, inf, nan}) {
         bad = ok;
         bad.substrate.mesh.growth = g;
@@ -695,6 +699,18 @@ TEST_F(RecoveryTest, ValidateFlowOptionsIsCoveredByImpactFlow) {
     bad = ok;
     bad.substrate.mesh.max_cells_per_axis = 0;
     expect_raises_naming(bad, "FlowOptions.substrate.mesh.max_cells_per_axis");
+    const char* const corner_names[] = {"x0", "y0", "x1", "y1"};
+    for (int corner = 0; corner < 4; ++corner)
+        for (double v : {inf, -inf, nan}) {
+            bad = ok;
+            geom::Rect& f = bad.substrate.mesh.focus;
+            f = geom::Rect(-20, -20, 50, 30);
+            double* const c[] = {&f.x0, &f.y0, &f.x1, &f.y1};
+            *c[corner] = v;
+            const std::string field =
+                std::string("FlowOptions.substrate.mesh.focus.") + corner_names[corner];
+            expect_raises_naming(bad, field.c_str());
+        }
     for (double m : {-1.0, inf, nan}) {
         bad = ok;
         bad.substrate.mesh.margin = m;
@@ -747,6 +763,11 @@ TEST_F(RecoveryTest, ValidateFlowOptionsIsCoveredByImpactFlow) {
     auto off = ok;
     off.substrate.mor_probes = 0;
     EXPECT_NO_THROW(core::validate_flow_options(off));
+    // An unbounded max_pitch is legal: the outer cells then only grow by
+    // `growth`.
+    auto unbounded = ok;
+    unbounded.substrate.mesh.max_pitch = inf;
+    EXPECT_NO_THROW(core::validate_flow_options(unbounded));
 }
 
 } // namespace

@@ -5,9 +5,12 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 
+#include "dense_schur.hpp"
 #include "mor/elimination.hpp"
 #include "mor/macromodel.hpp"
+#include "obs/registry.hpp"
 #include "substrate/extractor.hpp"
 #include "substrate/mesh.hpp"
 #include "tech/generic180.hpp"
@@ -328,21 +331,77 @@ uint64_t network_digest(const RcNetwork& net) {
 TEST(ReduceBySolveTest, FigureMeshReductionsMatchFrozenDigest) {
     // The reduced substrate networks of the fig3 NMOS structure (the mesh
     // options of bench/fig3_nmos_transfer.cpp) and the nominal VCO, element
-    // order and bits included.  The mesh uses only + - * / and the CG adds
-    // only sqrt, so the digests hold on every IEEE-754 x86-64 build at any
-    // optimisation level.
+    // order and bits included.  The mesh and the RIC(0) pivots use only
+    // + - * / and the CG adds only sqrt, so the digests hold on every
+    // IEEE-754 x86-64 build at any optimisation level.
     core::FlowOptions nmos;
     nmos.substrate.mesh.focus = geom::Rect(-20, -20, 50, 30);
     nmos.substrate.mesh.fine_pitch = 3.0;
     nmos.substrate.mesh.margin = 40.0;
     const auto fig3 = testcases::build_model(testcases::build_nmos_structure(), nmos);
     ASSERT_FALSE(fig3.substrate.mor_fallback);
-    EXPECT_EQ(network_digest(fig3.substrate.reduced), 0xa9a113c8c581d7b4ull);
+    EXPECT_EQ(network_digest(fig3.substrate.reduced), 0x4cb0cbeeb8b1f33cull);
 
     const auto vco =
         testcases::build_model(testcases::build_vco(), testcases::vco_flow_options());
     ASSERT_FALSE(vco.substrate.mor_fallback);
-    EXPECT_EQ(network_digest(vco.substrate.reduced), 0x98ae0207fadc4329ull);
+    EXPECT_EQ(network_digest(vco.substrate.reduced), 0xb60b06da1615c87eull);
+}
+
+TEST(ReduceBySolveTest, RelaxedPreconditionerBoundsIterationsOnLayeredMesh) {
+#if !SNIM_OBS_ENABLED
+    GTEST_SKIP() << "reads the mor/cg_iters histogram of the obs registry";
+#else
+    // A 24 x 24 x 8 box mesh shaped like the figure substrates: 2 um
+    // lateral cells, slabs 0.5 um thick at the surface and growing x1.8
+    // with depth, a conductive surface layer over a resistive bulk, a
+    // grounded backside and six contacts tied stiffly to 2 x 2 surface
+    // patches.  The worst solve takes 45 iterations with the relaxed
+    // modified pivots and 87 with zero-fill IC(0); the bound sits between.
+    constexpr int nx = 24, ny = 24, nz = 8;
+    constexpr double area = 2.0 * 2.0; // of a cell's top face [um^2]
+    const double sigma[nz] = {20, 20, 5, 1, 1, 1, 1, 1};
+    double t[nz];
+    t[0] = 0.5;
+    for (int k = 1; k < nz; ++k) t[k] = 1.8 * t[k - 1];
+    auto id = [](int x, int y, int z) { return (z * ny + y) * nx + x; };
+
+    RcNetwork net;
+    net.node_count = static_cast<size_t>(nx * ny * nz);
+    for (int z = 0; z < nz; ++z)
+        for (int y = 0; y < ny; ++y)
+            for (int x = 0; x < nx; ++x) {
+                const double g_lat = sigma[z] * t[z]; // square cells: the pitch cancels
+                if (x + 1 < nx) net.add_g(id(x, y, z), id(x + 1, y, z), g_lat);
+                if (y + 1 < ny) net.add_g(id(x, y, z), id(x, y + 1, z), g_lat);
+                if (z + 1 < nz)
+                    net.add_g(id(x, y, z), id(x, y, z + 1),
+                              area / (0.5 * t[z] / sigma[z] + 0.5 * t[z + 1] / sigma[z + 1]));
+                else
+                    net.add_g(id(x, y, z), -1, area * sigma[z] / (0.5 * t[z]));
+            }
+    std::vector<int> ports;
+    for (const auto& [cx, cy] : {std::pair{3, 3}, std::pair{19, 3}, std::pair{11, 9},
+                                 std::pair{3, 19}, std::pair{19, 19}, std::pair{11, 15}}) {
+        const int port = add_node(net);
+        ports.push_back(port);
+        for (int y = cy; y < cy + 2; ++y)
+            for (int x = cx; x < cx + 2; ++x) net.add_g(port, id(x, y, 0), 10.0);
+    }
+
+    const bool was_enabled = obs::enabled();
+    obs::reset();
+    obs::set_enabled(true);
+    const RcNetwork red = reduce_by_solve(net, ports);
+    const auto iters = obs::value_stats("mor/cg_iters");
+    obs::reset();
+    obs::set_enabled(was_enabled);
+
+    EXPECT_EQ(red.node_count, ports.size());
+    ASSERT_TRUE(iters.has_value());
+    EXPECT_EQ(iters->count, ports.size());
+    EXPECT_LE(iters->max, 65.0);
+#endif
 }
 
 TEST(ReduceBySolveTest, NonFiniteElementIsRejected) {
