@@ -28,6 +28,33 @@ namespace {
 constexpr double kPairTol = 0.01;
 constexpr double kAmplitudeTol = 1e-3;
 
+/// Rejects analyzer options no capture could run with, naming the field.
+void validate_analyzer_options(const AnalyzerOptions& opt) {
+    const std::pair<const char*, double> positive[] = {
+        {"dv_dc", opt.dv_dc},
+        {"lever_dv", opt.lever_dv},
+        {"noise_amplitude", opt.noise_amplitude},
+        {"capture_periods", opt.capture_periods},
+        {"osc.dt", opt.osc.dt},
+        {"osc.capture", opt.osc.capture}};
+    for (const auto& [name, v] : positive)
+        if (!(std::isfinite(v) && v > 0.0))
+            raise("AnalyzerOptions.%s must be finite and > 0 (got %g)", name, v);
+    if (!(std::isfinite(opt.osc.settle) && opt.osc.settle >= 0.0))
+        raise("AnalyzerOptions.osc.settle must be finite and >= 0 (got %g)",
+              opt.osc.settle);
+    if (!(std::isfinite(opt.resistive_threshold) && opt.resistive_threshold >= 0.0 &&
+          opt.resistive_threshold <= 1.0))
+        raise("AnalyzerOptions.resistive_threshold must be finite and in [0, 1] "
+              "(got %g)",
+              opt.resistive_threshold);
+    if (!(opt.osc.f_min > 0.0))
+        raise("AnalyzerOptions.osc.f_min must be > 0 (got %g)", opt.osc.f_min);
+    if (!(opt.osc.f_min < opt.osc.f_max))
+        raise("AnalyzerOptions.osc.f_max (%g) must be above osc.f_min (%g)",
+              opt.osc.f_max, opt.osc.f_min);
+}
+
 /// Runs `undo` when the scope ends, by return or by exception, so a capture
 /// that throws cannot leave the model perturbed.
 template <class F>
@@ -166,6 +193,7 @@ ImpactAnalyzer::ImpactAnalyzer(ImpactModel& model, std::string noise_source,
       source_(std::move(noise_source)),
       entries_(std::move(entries)),
       opt_(std::move(opt)) {
+    validate_analyzer_options(opt_);
     SNIM_ASSERT(!entries_.empty(), "impact analysis needs at least one entry");
     SNIM_ASSERT(model_.netlist.find_as<circuit::VSource>(source_) != nullptr,
                 "noise source '%s' must be a V source", source_.c_str());

@@ -52,11 +52,14 @@ RcNetwork ports_first(const RcNetwork& net, const std::vector<int>& ports);
 /// internal block G_ii, preconditioned by its relaxed modified incomplete
 /// Cholesky factor, RIC(0) (one vector of pivots that move 0.99 of the
 /// dropped fill onto the diagonal; the factor's off-diagonal entries are
-/// G_ii's own on the triangle-free mesh graph).  The ports' right-hand
-/// sides run four at a time in lockstep, each bitwise a solo solve, and
-/// each block is folded into the result before the next.  Exact up to a
-/// 1e-11 relative residual -- the production path for substrate
-/// extraction.  Raises snim::Error naming the port block when G_ii is not
+/// G_ii's own on the triangle-free mesh graph).  CG runs in Eisenstat's
+/// split form on G_ii rescaled to unit pivots: the iterates of the
+/// preconditioned CG, each iteration one backward and one forward
+/// triangular sweep with no matrix-vector product.  The ports'
+/// right-hand sides run four at a time in lockstep, each bitwise a solo
+/// solve, and each block is folded into the result before the next.
+/// Exact up to a 1e-11 relative residual of the original system -- the
+/// production path for substrate extraction.  Raises snim::Error naming the port block when G_ii is not
 /// finite or not positive definite, or when CG does not converge.  A
 /// direct factor of G_ii is slower here: min-degree or nested-dissection
 /// SparseLU fills the 13.8k-node NMOS mesh to 2.6-3.0 M L+U nonzeros.
@@ -71,9 +74,9 @@ RcNetwork reduce_by_solve(const RcNetwork& net, const std::vector<int>& ports);
 ///     max over probes of ||i_reduced - i_full||_2 / ||i_full||_2
 ///
 /// where the full-side response comes from one CG solve per probe on the
-/// internal block (the same lockstep RIC(0)-preconditioned solver, tolerance
-/// and assembly as reduce_by_solve, so the comparison isolates the
-/// reduction itself).
+/// internal block (the same lockstep split-form RIC(0) solver, tolerance and
+/// assembly as reduce_by_solve, so the comparison isolates the reduction
+/// itself).
 /// `reduced` must follow the ports-first convention (node i == ports[i]);
 /// conductances only — the capacitance lumping is a modelling choice, not a
 /// solve, and is validated by the tier-1 MOR tests instead.  Deterministic:

@@ -15,11 +15,28 @@ namespace snim::mor {
 
 namespace {
 
-/// CG stopping rule: relative residual ||r||_2 <= kCgTol ||b||_2.  At 1e-11
-/// the port conductances of both figure meshes sit within
-/// 5e-8 sqrt(g_ii g_jj) of a solve to 1e-15 (1e-9 moved fig3 by 0.001 dB).
+/// CG stopping rule: relative residual ||r||_2 <= kCgTol ||b||_2 in the
+/// original variables.  At 1e-11 the port conductances of both figure
+/// meshes sit within 5e-8 sqrt(g_ii g_jj) of a solve to 1e-15 (1e-9 moved
+/// fig3 by 0.001 dB).
 constexpr double kCgTol = 1e-11;
 constexpr int kCgMaxIter = 20000;
+
+/// A lane's original-space residual is evaluated on every sweep from the
+/// first on which its split residual, which CG keeps anyway, has fallen to
+/// ||r^||_2 <= kCheckFrom * kCgTol ||b^||_2.  At the stop the relative
+/// split residual can read 1e2-1e3 times the relative original one, so a
+/// lower trigger stops lanes late.  Trigger factor against the iterations
+/// (sum / max per reduction) and the evaluations, fig3 NMOS then VCO
+/// (probe solves included):
+///   1:           929 / 60 and 822 / 55,   12 /  12
+///   10:          848 / 55 and 738 / 49,   11 /  10
+///   100:         792 / 53 and 661 / 46,   18 /  17
+///   1e3:         792 / 53 and 641 / 46,   47 /  49
+///   every sweep: 792 / 53 and 641 / 46,  250 / 213
+/// 1e3 is the smallest decade that keeps the iterations of an evaluation
+/// on every sweep.
+constexpr double kCheckFrom = 1e3;
 
 /// Relaxation of the modified incomplete Cholesky pivots: the share of each
 /// dropped fill entry moved onto the diagonal.  Iterations over omega on
@@ -28,7 +45,7 @@ constexpr int kCgMaxIter = 20000;
 /// 0.99, 771 / 646 at 0.995 and 1,018 / 800 at 1 (plain MIC(0)).
 constexpr double kRicOmega = 0.99;
 
-/// Right-hand sides the CG advances in lockstep.  The RIC(0) sweeps are
+/// Right-hand sides the CG advances in lockstep.  The triangular sweeps are
 /// latency-bound (row i waits on row i-1); four independent recurrences
 /// through the same rows hide that latency.  Every lane widens each work
 /// vector by one n_internal column, so more lanes cost memory.
@@ -36,37 +53,26 @@ constexpr size_t kLanes = 4;
 
 /// The internal-internal conductance block G_ii: diagonal in `diag`,
 /// off-diagonal entries in compressed sparse rows, each row sorted by
-/// column with parallel edges merged.  The lane kernels take kLanes
-/// vectors interleaved: entry i of lane l at i * kLanes + l.
+/// column with parallel edges merged.  factor_ric0() rescales it in place
+/// to unit pivots.  The lane kernels take kLanes vectors interleaved:
+/// entry i of lane l at i * kLanes + l.
 struct Csr {
     std::vector<int> ptr, idx;
+    /// Off-diagonal entries: g_ij as assembled, a'_ij = s_i g_ij s_j once
+    /// factored.
     std::vector<double> val;
+    /// g_ii as assembled; factor_ric0() turns it into `scale`.
     std::vector<double> diag;
-    /// Reciprocal pivots of the relaxed modified incomplete Cholesky factor.
-    std::vector<double> inv_pivot;
+    /// s_i = 1 / sqrt(d_i) and k_i = 2 - g_ii / d_i of the pivots d_i, set
+    /// by factor_ric0().
+    std::vector<double> scale, shift;
     /// First entry of each row with a column above the row (rows are
     /// sorted, so [ptr[i], upper[i]) is the strict lower triangle).
     std::vector<int> upper;
     size_t n = 0;
-
-    /// y = G_ii x per lane; xy[l] = x·y, summed in row order.
-    void multiply(const double* x, double* y, double* xy) const {
-        std::fill(xy, xy + kLanes, 0.0);
-        for (size_t i = 0; i < n; ++i) {
-            const double* xi = x + i * kLanes;
-            double s[kLanes];
-            for (size_t l = 0; l < kLanes; ++l) s[l] = diag[i] * xi[l];
-            for (int p = ptr[i]; p < ptr[i + 1]; ++p) {
-                const double v = val[static_cast<size_t>(p)];
-                const double* xj = x + static_cast<size_t>(idx[static_cast<size_t>(p)]) * kLanes;
-                for (size_t l = 0; l < kLanes; ++l) s[l] += v * xj[l];
-            }
-            for (size_t l = 0; l < kLanes; ++l) {
-                y[i * kLanes + l] = s[l];
-                xy[l] += xi[l] * s[l];
-            }
-        }
-    }
+    /// Rows of the ring that holds u in apply(): the smallest power of two
+    /// above the lower bandwidth (the largest i - j of a lower entry).
+    size_t window = 1;
 
     /// RIC(0): M = (D + L) D^-1 (D + L)^T with L the strict lower triangle
     /// of G_ii.  On a graph without triangles (the 7-point mesh) zero-fill
@@ -80,13 +86,23 @@ struct Csr {
     /// runs over row j's upper entries, at most three on the mesh.  A pivot
     /// <= 0 falls back to g_ii: it arises on a floating island (its last
     /// pivot cancels to zero), and any positive D keeps M SPD.
+    ///
+    /// The system is then rescaled to unit pivots, S = diag(s_i):
+    /// A' = S G_ii S has the factor F = I + S L S, M' = S M S = F F^T and
+    /// A' = F + F^T - K with K = diag(k_i).  This overwrites the entries,
+    /// the diagonal and the pivots and allocates nothing.
     void factor_ric0() {
-        inv_pivot.resize(n);
+        std::vector<double>& pivot = shift; // d_i, then k_i in place
+        pivot.resize(n);
         upper.resize(n);
+        size_t bandwidth = 0;
         for (size_t i = 0; i < n; ++i) {
             int mid = ptr[i];
             while (mid < ptr[i + 1] && idx[static_cast<size_t>(mid)] < static_cast<int>(i)) ++mid;
             upper[i] = mid;
+            if (mid > ptr[i])
+                bandwidth = std::max(bandwidth,
+                                     i - static_cast<size_t>(idx[static_cast<size_t>(ptr[i])]));
             double d = diag[i];
             for (int p = ptr[i]; p < mid; ++p) {
                 const double g = val[static_cast<size_t>(p)];
@@ -95,50 +111,135 @@ struct Csr {
                 for (int q = upper[j]; q < ptr[j + 1]; ++q)
                     if (idx[static_cast<size_t>(q)] != static_cast<int>(i))
                         fill += val[static_cast<size_t>(q)];
-                d -= g * inv_pivot[j] * (g + kRicOmega * fill);
+                d -= g * (1.0 / pivot[j]) * (g + kRicOmega * fill);
             }
             if (!(d > 0.0)) d = diag[i];
-            inv_pivot[i] = 1.0 / d;
+            pivot[i] = d;
+        }
+        for (size_t i = 0; i < n; ++i) {
+            const double d = pivot[i];
+            pivot[i] = 2.0 - diag[i] / d;
+            diag[i] = 1.0 / std::sqrt(d);
+        }
+        scale.swap(diag); // the s_i, in diag's storage; diag is left empty
+        for (size_t i = 0; i < n; ++i)
+            for (int p = ptr[i]; p < ptr[i + 1]; ++p) {
+                const size_t e = static_cast<size_t>(p);
+                val[e] = scale[i] * val[e] * scale[static_cast<size_t>(idx[e])];
+            }
+        window = 1;
+        while (window <= bandwidth) window *= 2;
+    }
+
+    /// r = F^-1 S r per lane, in place: a forward sweep over the lower
+    /// entries.
+    void forward_scaled(double* r) const {
+        for (size_t i = 0; i < n; ++i) {
+            double s[kLanes];
+            for (size_t l = 0; l < kLanes; ++l) s[l] = scale[i] * r[i * kLanes + l];
+            for (int p = ptr[i]; p < upper[i]; ++p) {
+                const double v = val[static_cast<size_t>(p)];
+                const double* rj = r + static_cast<size_t>(idx[static_cast<size_t>(p)]) * kLanes;
+                for (size_t l = 0; l < kLanes; ++l) s[l] -= v * rj[l];
+            }
+            for (size_t l = 0; l < kLanes; ++l) r[i * kLanes + l] = s[l];
         }
     }
 
-    /// z = M^-1 r per lane: a forward sweep over the lower entries of each
-    /// row, then a backward sweep over the upper entries of the same rows.
-    void precondition(const double* r, double* z) const {
+    /// x = S F^-T x per lane, in place: a backward sweep over the upper
+    /// entries, then the scaling.
+    void backward_scaled(double* x) const {
+        for (size_t i = n; i-- > 0;) {
+            double s[kLanes];
+            for (size_t l = 0; l < kLanes; ++l) s[l] = x[i * kLanes + l];
+            for (int p = upper[i]; p < ptr[i + 1]; ++p) {
+                const double v = val[static_cast<size_t>(p)];
+                const double* xj = x + static_cast<size_t>(idx[static_cast<size_t>(p)]) * kLanes;
+                for (size_t l = 0; l < kLanes; ++l) s[l] -= v * xj[l];
+            }
+            for (size_t l = 0; l < kLanes; ++l) x[i * kLanes + l] = s[l];
+        }
+        for (size_t i = 0; i < n; ++i)
+            for (size_t l = 0; l < kLanes; ++l) x[i * kLanes + l] *= scale[i];
+    }
+
+    /// q = F^-1 A' F^-T p per lane without forming A' p (Eisenstat 1981):
+    /// with A' = F + F^T - K and t = F^-T p,
+    ///   q = t + F^-1 (p - K t).
+    /// A backward sweep writes t into q; a forward sweep computes
+    /// u = F^-1 (p - K t) row by row and adds it onto q.  pq[l] = p·q,
+    /// summed in row order.  Row i reads u only at its lower entries, all
+    /// within the lower bandwidth, so u lives in `ring`: `window` rows,
+    /// row j at j & (window - 1).
+    void apply(const double* p, double* q, double* ring, double* pq) const {
+        for (size_t i = n; i-- > 0;) {
+            double s[kLanes];
+            for (size_t l = 0; l < kLanes; ++l) s[l] = p[i * kLanes + l];
+            for (int e = upper[i]; e < ptr[i + 1]; ++e) {
+                const double v = val[static_cast<size_t>(e)];
+                const double* tj = q + static_cast<size_t>(idx[static_cast<size_t>(e)]) * kLanes;
+                for (size_t l = 0; l < kLanes; ++l) s[l] -= v * tj[l];
+            }
+            for (size_t l = 0; l < kLanes; ++l) q[i * kLanes + l] = s[l];
+        }
+        std::fill(pq, pq + kLanes, 0.0);
+        const size_t mask = window - 1;
+        for (size_t i = 0; i < n; ++i) {
+            const double* pi = p + i * kLanes;
+            double* qi = q + i * kLanes;
+            double s[kLanes];
+            for (size_t l = 0; l < kLanes; ++l) s[l] = pi[l] - shift[i] * qi[l];
+            for (int e = ptr[i]; e < upper[i]; ++e) {
+                const double v = val[static_cast<size_t>(e)];
+                const double* uj =
+                    ring + (static_cast<size_t>(idx[static_cast<size_t>(e)]) & mask) * kLanes;
+                for (size_t l = 0; l < kLanes; ++l) s[l] -= v * uj[l];
+            }
+            double* ui = ring + (i & mask) * kLanes;
+            for (size_t l = 0; l < kLanes; ++l) {
+                ui[l] = s[l];
+                qi[l] += s[l];
+                pq[l] += pi[l] * qi[l];
+            }
+        }
+    }
+
+    /// rr[l] = ||S^-1 F r||_2^2 per lane: the residual of the original
+    /// system that the split residual r stands for.
+    void unsplit_norms(const double* r, double* rr) const {
+        std::fill(rr, rr + kLanes, 0.0);
         for (size_t i = 0; i < n; ++i) {
             double s[kLanes];
             for (size_t l = 0; l < kLanes; ++l) s[l] = r[i * kLanes + l];
             for (int p = ptr[i]; p < upper[i]; ++p) {
                 const double v = val[static_cast<size_t>(p)];
-                const double* zj = z + static_cast<size_t>(idx[static_cast<size_t>(p)]) * kLanes;
-                for (size_t l = 0; l < kLanes; ++l) s[l] -= v * zj[l];
+                const double* rj = r + static_cast<size_t>(idx[static_cast<size_t>(p)]) * kLanes;
+                for (size_t l = 0; l < kLanes; ++l) s[l] += v * rj[l];
             }
-            for (size_t l = 0; l < kLanes; ++l) z[i * kLanes + l] = s[l] * inv_pivot[i];
-        }
-        for (size_t i = n; i-- > 0;) {
-            double s[kLanes] = {};
-            for (int p = upper[i]; p < ptr[i + 1]; ++p) {
-                const double v = val[static_cast<size_t>(p)];
-                const double* zj = z + static_cast<size_t>(idx[static_cast<size_t>(p)]) * kLanes;
-                for (size_t l = 0; l < kLanes; ++l) s[l] += v * zj[l];
+            for (size_t l = 0; l < kLanes; ++l) {
+                const double ri = s[l] / scale[i];
+                rr[l] += ri * ri;
             }
-            for (size_t l = 0; l < kLanes; ++l) z[i * kLanes + l] -= s[l] * inv_pivot[i];
         }
     }
 };
 
 /// RIC(0)-preconditioned CG on G_ii for up to kLanes right-hand sides at
-/// once, their vectors interleaved.  Every lane performs the operations of
-/// a solo CG solve in the same order, so its solution is bitwise the one a
-/// single-vector solve returns.  A lane whose right-hand side is zero is
-/// done at once with x = 0; a converged lane takes a zero step from then on,
-/// which leaves its x and r bitwise unchanged.  The buffers are sized once
-/// and reused for every block of a reduction.
+/// once, their vectors interleaved, in Eisenstat's split form: plain CG on
+/// A^ = F^-1 A' F^-T for b^ = F^-1 S b, then x = S F^-T x^.  Its iterates
+/// are those of CG on G_ii preconditioned by M (r^ = F^-1 S r, r^·r^ = r·z,
+/// p^·A^p^ = p·Ap), so it takes the same iterations without an SpMV.
+/// Every lane performs the operations of a solo CG solve in the same
+/// order, so its solution is bitwise the one a single-vector solve
+/// returns.  A lane whose right-hand side is zero is done at once with
+/// x = 0; a converged lane takes a zero step from then on, which leaves
+/// its x and r bitwise unchanged.  The buffers are sized once and reused
+/// for every block of a reduction.
 class LaneCg {
 public:
     explicit LaneCg(const Csr& a)
         : a_(a), r_(a.n * kLanes), x_(a.n * kLanes), p_(a.n * kLanes),
-          zap_(a.n * kLanes) {}
+          q_(a.n * kLanes), ring_(a.window * kLanes) {}
 
     /// Zeroes every lane's right-hand side; lanes a block leaves unset stay
     /// idle.
@@ -152,12 +253,16 @@ public:
     /// `unit` (port or probe), `first` (the item in lane 0) and `count`
     /// (the lanes in use).  Raises at once when some lane's ||b|| or p·Ap
     /// is not finite or p·Ap <= 0, and when a lane has not converged after
-    /// kCgMaxIter iterations.
+    /// kCgMaxIter iterations.  A lane stops once its original-space
+    /// residual ||S^-1 F r^||_2 <= kCgTol ||b||_2; it is evaluated (and
+    /// counted in mor/cg_residual_checks, once per sweep) only after the
+    /// lane's ||r^|| has reached the kCheckFrom trigger.
     void solve(const char* what, const char* unit, size_t first, size_t count) {
         const size_t len = r_.size();
-        double bnorm[kLanes] = {}, rz[kLanes] = {}, rz_new[kLanes] = {};
-        double rr[kLanes] = {}, pap[kLanes] = {}, alpha[kLanes] = {}, beta[kLanes] = {};
-        bool done[kLanes] = {};
+        double bnorm[kLanes] = {}, check_from[kLanes] = {}, res[kLanes] = {};
+        double rr[kLanes] = {}, rr_new[kLanes] = {}, pq[kLanes] = {};
+        double alpha[kLanes] = {}, beta[kLanes] = {};
+        bool done[kLanes] = {}, checking[kLanes] = {};
         for (size_t i = 0; i < len; i += kLanes)
             for (size_t l = 0; l < kLanes; ++l) bnorm[l] += r_[i + l] * r_[i + l];
         std::fill(x_.begin(), x_.end(), 0.0);
@@ -170,9 +275,11 @@ public:
             if (!done[l]) ++active;
         }
         if (active > 0) {
-            a_.precondition(r_.data(), zap_.data());
-            p_ = zap_;
-            dot(r_, zap_, rz);
+            a_.forward_scaled(r_.data());
+            dot(r_, r_, rr);
+            for (size_t l = 0; l < kLanes; ++l)
+                check_from[l] = kCheckFrom * kCgTol * std::sqrt(rr[l]);
+            p_ = r_;
         }
         int sweeps = 0;
         while (active > 0) {
@@ -180,40 +287,50 @@ public:
                 raise("%s: CG failed to converge for %s in %d iterations", what,
                       block_name(unit, first, count).c_str(), kCgMaxIter);
             ++sweeps;
-            a_.multiply(p_.data(), zap_.data(), pap);
+            a_.apply(p_.data(), q_.data(), ring_.data(), pq);
             for (size_t l = 0; l < kLanes; ++l) {
                 if (done[l]) {
                     alpha[l] = 0.0;
                     continue;
                 }
-                if (!(std::isfinite(pap[l]) && pap[l] > 0.0))
-                    breakdown(what, unit, first, count, l, "p.Ap", pap[l]);
-                alpha[l] = rz[l] / pap[l];
+                if (!(std::isfinite(pq[l]) && pq[l] > 0.0))
+                    breakdown(what, unit, first, count, l, "p.Ap", pq[l]);
+                alpha[l] = rr[l] / pq[l];
             }
-            std::fill(rr, rr + kLanes, 0.0);
+            std::fill(rr_new, rr_new + kLanes, 0.0);
             for (size_t i = 0; i < len; i += kLanes)
                 for (size_t l = 0; l < kLanes; ++l) {
                     x_[i + l] += alpha[l] * p_[i + l];
-                    r_[i + l] -= alpha[l] * zap_[i + l];
-                    rr[l] += r_[i + l] * r_[i + l];
+                    r_[i + l] -= alpha[l] * q_[i + l];
+                    rr_new[l] += r_[i + l] * r_[i + l];
                 }
+            bool evaluate = false;
             for (size_t l = 0; l < kLanes; ++l) {
-                if (done[l] || !(std::sqrt(rr[l]) <= kCgTol * bnorm[l])) continue;
-                done[l] = true;
-                --active;
-                if (obs::enabled()) obs::record_value("mor/cg_iters", sweeps);
+                if (done[l]) continue;
+                if (std::sqrt(rr_new[l]) <= check_from[l]) checking[l] = true;
+                evaluate = evaluate || checking[l];
+            }
+            if (evaluate) {
+                obs::count("mor/cg_residual_checks");
+                a_.unsplit_norms(r_.data(), res);
+                for (size_t l = 0; l < kLanes; ++l) {
+                    if (done[l] || !checking[l] || !(std::sqrt(res[l]) <= kCgTol * bnorm[l]))
+                        continue;
+                    done[l] = true;
+                    --active;
+                    if (obs::enabled()) obs::record_value("mor/cg_iters", sweeps);
+                }
             }
             if (active == 0) break;
-            a_.precondition(r_.data(), zap_.data());
-            dot(r_, zap_, rz_new);
             for (size_t l = 0; l < kLanes; ++l) {
-                beta[l] = done[l] ? 0.0 : rz_new[l] / rz[l];
-                rz[l] = rz_new[l];
+                beta[l] = done[l] ? 0.0 : rr_new[l] / rr[l];
+                rr[l] = rr_new[l];
             }
             for (size_t i = 0; i < len; i += kLanes)
                 for (size_t l = 0; l < kLanes; ++l)
-                    p_[i + l] = zap_[i + l] + beta[l] * p_[i + l];
+                    p_[i + l] = r_[i + l] + beta[l] * p_[i + l];
         }
+        a_.backward_scaled(x_.data());
         obs::count("mor/cg_sweeps", static_cast<uint64_t>(sweeps));
     }
 
@@ -240,7 +357,8 @@ private:
 
     const Csr& a_;
     std::vector<double> r_, x_, p_;
-    std::vector<double> zap_; // z = M^-1 r and Ap, never live together
+    std::vector<double> q_;    // A^p, with t = F^-T p inside apply()
+    std::vector<double> ring_; // u = F^-1 (p - K t), window rows
 };
 
 /// The conductance network partitioned into port/internal blocks:
@@ -388,9 +506,10 @@ RcNetwork reduce_by_solve(const RcNetwork& net, const std::vector<int>& ports) {
     const size_t np = ports.size();
     PartitionedG part = partition_conductance(net, ports);
     // Allocated before the capacitance tables so that its four
-    // 4 x n_internal buffers can take the heap holes a previous extraction
-    // left; allocated after the tables they did not fit, and the peak RSS
-    // of a fig10 run (two extractions) measured 1.5% higher.
+    // 4 x n_internal buffers and its u ring can take the heap holes a
+    // previous extraction left; allocated after the tables they did not
+    // fit, and the peak RSS of a fig10 run (two extractions) measured 1.5%
+    // higher.
     LaneCg cg(part.a);
     const size_t ni = part.ni;
     const auto& gip = part.gip;
@@ -481,11 +600,18 @@ RcNetwork reduce_by_solve(const RcNetwork& net, const std::vector<int>& ports) {
     // Ground conductance per port: row sum (includes direct ground legs and
     // the current lost to grounded internal nodes).
     for (size_t i = 0; i < np; ++i) {
-        double row = gnd_port[i];
-        for (size_t j = 0; j < np; ++j) row += gport[i][j];
+        double row = gnd_port[i], terms = std::fabs(gnd_port[i]);
+        for (size_t j = 0; j < np; ++j) {
+            row += gport[i][j];
+            terms += std::fabs(gport[i][j]);
+        }
         // Account for internal ground legs: current into ground via Gii^-1
         // is already part of the Schur row sum when the network is grounded.
-        if (row > 1e-18) out.add_g(static_cast<int>(i), -1, row);
+        // The row of a port without a path to ground cancels to a few ulps
+        // of its terms, of either sign; the relative floor reads that as 0.
+        constexpr double kLegFloor = 64.0 * std::numeric_limits<double>::epsilon();
+        if (row > 1e-18 && row > kLegFloor * terms)
+            out.add_g(static_cast<int>(i), -1, row);
         for (size_t j = i + 1; j < np; ++j) {
             const double g = -gport[i][j];
             if (g > 1e-18) out.add_g(static_cast<int>(i), static_cast<int>(j), g);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <utility>
 
 #include "obs/certify.hpp"
 #include "obs/events.hpp"
@@ -278,9 +279,16 @@ std::vector<std::pair<std::string, double>> worst_unknowns(
 }
 
 void validate_tran_options(const TranOptions& opt) {
-    if (!(opt.tstop > 0.0))
-        raise("TranOptions.tstop must be > 0 (got %g)", opt.tstop);
-    if (!(opt.dt > 0.0)) raise("TranOptions.dt must be > 0 (got %g)", opt.dt);
+    if (!(std::isfinite(opt.tstop) && opt.tstop > 0.0))
+        raise("TranOptions.tstop must be finite and > 0 (got %g)", opt.tstop);
+    if (!(std::isfinite(opt.dt) && opt.dt > 0.0))
+        raise("TranOptions.dt must be finite and > 0 (got %g)", opt.dt);
+    // The step count is held in integers (and cast from this double).
+    const double steps = std::ceil(opt.tstop / opt.dt);
+    if (!(steps <= 0x1p53))
+        raise("TranOptions.tstop / TranOptions.dt must give at most 2^53 steps "
+              "(got %g / %g = %g)",
+              opt.tstop, opt.dt, steps);
     if (opt.order != 1 && opt.order != 2)
         raise("TranOptions.order must be 1 (BE) or 2 (trapezoidal), got %d", opt.order);
     if (opt.max_newton <= 0)
@@ -293,9 +301,14 @@ void validate_tran_options(const TranOptions& opt) {
               opt.record_start, opt.tstop);
     if (!(opt.dv_max > 0.0))
         raise("TranOptions.dv_max must be > 0 (got %g)", opt.dv_max);
-    if (opt.reltol < 0.0 || opt.vntol < 0.0)
-        raise("TranOptions.reltol/vntol must be >= 0 (got %g / %g)", opt.reltol,
-              opt.vntol);
+    const std::pair<const char*, double> tolerances[] = {
+        {"reltol", opt.reltol},
+        {"vntol", opt.vntol},
+        {"lte_reltol", opt.lte_reltol},
+        {"lte_abstol", opt.lte_abstol}};
+    for (const auto& [name, v] : tolerances)
+        if (!(std::isfinite(v) && v >= 0.0))
+            raise("TranOptions.%s must be finite and >= 0 (got %g)", name, v);
     if (opt.be_startup_steps < 0)
         raise("TranOptions.be_startup_steps must be >= 0 (got %d)",
               opt.be_startup_steps);
@@ -313,9 +326,6 @@ void validate_tran_options(const TranOptions& opt) {
     if (opt.dt_recovery_accepts < 1)
         raise("TranOptions.dt_recovery_accepts must be >= 1 (got %d)",
               opt.dt_recovery_accepts);
-    if (opt.lte_reltol < 0.0 || opt.lte_abstol < 0.0)
-        raise("TranOptions.lte_reltol/lte_abstol must be >= 0 (got %g / %g)",
-              opt.lte_reltol, opt.lte_abstol);
     if (opt.retry_history <= 0)
         raise("TranOptions.retry_history must be > 0 (got %d)", opt.retry_history);
     if (opt.dense_crossover < 0)

@@ -278,8 +278,11 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
     for (const auto& p : probes) probe_ids.push_back(netlist.existing_node(p));
 
     const long nsteps = static_cast<long>(std::ceil(opt.tstop / opt.dt));
-    const size_t est = static_cast<size_t>(
-        std::max(0.0, (opt.tstop - opt.record_start) / out.dt_sample)) + 2;
+    // Reserved up front, up to 2^20 samples per wave; a longer record grows
+    // as it is written instead of allocating its whole length at once.
+    constexpr double kMaxReserve = 1 << 20;
+    const size_t est = static_cast<size_t>(std::min(
+        std::max(0.0, (opt.tstop - opt.record_start) / out.dt_sample), kMaxReserve)) + 2;
     out.time.reserve(est);
     for (auto& w : out.waves) w.reserve(est);
 

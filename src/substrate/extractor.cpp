@@ -101,10 +101,11 @@ SubstrateModel extract_substrate(const geom::Rect& area,
         }
     }
 
-    // Schur reduction via RIC(0)-preconditioned CG solves, one right-hand
-    // side per port, four ports in lockstep: exact to solver tolerance,
-    // with no fill-in beyond the mesh itself (node elimination or a direct
-    // factor fills 3-D meshes heavily).
+    // Schur reduction via RIC(0)-preconditioned CG solves in Eisenstat's
+    // split form (two triangular sweeps per iteration, no matrix-vector
+    // product), one right-hand side per port, four ports in lockstep:
+    // exact to solver tolerance, with no fill-in beyond the mesh itself
+    // (node elimination or a direct factor fills 3-D meshes heavily).
     try {
         out.reduced = mor::reduce_by_solve(mesh.network(), port_nodes);
     } catch (const Error& e) {

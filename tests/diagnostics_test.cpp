@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "circuit/diode.hpp"
@@ -251,6 +252,40 @@ TEST_F(DiagnosticsTest, ValidateTranOptionsNamesTheField) {
     bad = ok;
     bad.diag_tail = 0;
     expect_raises_naming(bad, "diag_tail");
+
+    // Non-finite inputs, and step counts the integer step index cannot hold.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    bad = ok;
+    bad.tstop = inf;
+    expect_raises_naming(bad, "TranOptions.tstop");
+    bad = ok;
+    bad.dt = inf;
+    expect_raises_naming(bad, "TranOptions.dt");
+    bad = ok;
+    bad.dt = nan;
+    expect_raises_naming(bad, "TranOptions.dt");
+    bad = ok;
+    bad.tstop = 1.0;
+    bad.dt = 1e-30;
+    expect_raises_naming(bad, "TranOptions.tstop / TranOptions.dt");
+    bad = ok;
+    bad.reltol = nan;
+    expect_raises_naming(bad, "TranOptions.reltol");
+    bad = ok;
+    bad.vntol = inf;
+    expect_raises_naming(bad, "TranOptions.vntol");
+    bad = ok;
+    bad.lte_reltol = nan;
+    expect_raises_naming(bad, "TranOptions.lte_reltol");
+    bad = ok;
+    bad.lte_abstol = -inf;
+    expect_raises_naming(bad, "TranOptions.lte_abstol");
+    // 2^53 steps exactly is still legal.
+    auto edge = ok;
+    edge.dt = 1.0;
+    edge.tstop = 0x1p53;
+    EXPECT_NO_THROW(sim::validate_tran_options(edge));
 }
 
 TEST_F(DiagnosticsTest, StepTelemetryRingKeepsLastN) {

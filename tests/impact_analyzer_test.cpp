@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "circuit/controlled.hpp"
 #include "circuit/diode.hpp"
@@ -127,6 +129,57 @@ protected:
         sim::set_default_diag_dir("");
     }
 };
+
+TEST_F(ImpactAnalyzerTest, ConstructorRejectsInvalidOptionsNamingTheField) {
+    auto model = pulled_tank();
+    auto construct = [&](const AnalyzerOptions& opt) {
+        ImpactAnalyzer analyzer(model, "vnoise", {varactor_entry()}, opt);
+    };
+    auto expect_rejects = [&](const char* field, auto set) {
+        AnalyzerOptions bad = tank_options();
+        set(bad);
+        try {
+            construct(bad);
+            ADD_FAILURE() << "expected a validation error naming " << field;
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+        }
+    };
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_NO_THROW(construct(tank_options()));
+
+    expect_rejects("AnalyzerOptions.dv_dc", [](AnalyzerOptions& o) { o.dv_dc = 0.0; });
+    expect_rejects("AnalyzerOptions.dv_dc", [&](AnalyzerOptions& o) { o.dv_dc = nan; });
+    expect_rejects("AnalyzerOptions.lever_dv", [](AnalyzerOptions& o) { o.lever_dv = -0.02; });
+    expect_rejects("AnalyzerOptions.noise_amplitude",
+                   [&](AnalyzerOptions& o) { o.noise_amplitude = inf; });
+    expect_rejects("AnalyzerOptions.capture_periods",
+                   [](AnalyzerOptions& o) { o.capture_periods = 0.0; });
+    expect_rejects("AnalyzerOptions.resistive_threshold",
+                   [](AnalyzerOptions& o) { o.resistive_threshold = 1.5; });
+    expect_rejects("AnalyzerOptions.resistive_threshold",
+                   [&](AnalyzerOptions& o) { o.resistive_threshold = nan; });
+    expect_rejects("AnalyzerOptions.osc.dt", [](AnalyzerOptions& o) { o.osc.dt = 0.0; });
+    expect_rejects("AnalyzerOptions.osc.dt", [&](AnalyzerOptions& o) { o.osc.dt = nan; });
+    expect_rejects("AnalyzerOptions.osc.capture",
+                   [](AnalyzerOptions& o) { o.osc.capture = -80e-9; });
+    expect_rejects("AnalyzerOptions.osc.settle",
+                   [](AnalyzerOptions& o) { o.osc.settle = -1e-9; });
+    expect_rejects("AnalyzerOptions.osc.settle", [&](AnalyzerOptions& o) { o.osc.settle = inf; });
+    expect_rejects("AnalyzerOptions.osc.f_min", [](AnalyzerOptions& o) { o.osc.f_min = 0.0; });
+    expect_rejects("AnalyzerOptions.osc.f_max",
+                   [](AnalyzerOptions& o) { o.osc.f_max = o.osc.f_min; });
+    expect_rejects("AnalyzerOptions.osc.f_max", [&](AnalyzerOptions& o) { o.osc.f_max = nan; });
+
+    // The closed ends of the legal ranges.
+    AnalyzerOptions edge = tank_options();
+    edge.osc.settle = 0.0;
+    edge.resistive_threshold = 0.0;
+    EXPECT_NO_THROW(construct(edge));
+    edge.resistive_threshold = 1.0;
+    EXPECT_NO_THROW(construct(edge));
+}
 
 TEST_F(ImpactAnalyzerTest, QuarterWindowCalibrationMatchesFullWindow) {
     count_queries("core.calibrate.uncertified");

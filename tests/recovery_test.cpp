@@ -7,7 +7,9 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <new>
 #include <sstream>
+#include <string>
 
 #include "circuit/diode.hpp"
 #include "circuit/netlist.hpp"
@@ -190,6 +192,26 @@ TEST_F(RecoveryTest, StepHalvingRecoversInjectedFailure) {
     // The recovered waveform still meets the paper's accuracy tolerances by
     // a wide margin (micro-stepping only reduces local truncation error).
     EXPECT_LT(wave_delta_db(clean.wave("out"), rec.wave("out")), -40.0);
+}
+
+TEST_F(RecoveryTest, HugeStepCountFailsWithErrorNotBadAlloc) {
+    // 1e12 steps pass validation (at most 2^53), so the run starts; its
+    // waveform reserve is capped, and the injected failure of step 1 with
+    // adaptive stepping off must surface as snim::Error.
+    fault::arm(fault::parse_spec("tran.step.fail"));
+    auto nl = sine_rc_netlist();
+    auto opt = sine_options();
+    opt.tstop = 1e-3;
+    opt.dt = 1e-15;
+    opt.adaptive = false;
+    try {
+        sim::transient(nl, {"out"}, opt);
+        FAIL() << "expected the injected step failure";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("step 1 of"), std::string::npos) << e.what();
+    } catch (const std::bad_alloc&) {
+        FAIL() << "std::bad_alloc escaped from transient()";
+    }
 }
 
 TEST_F(RecoveryTest, RecoveryIsDeterministic) {
