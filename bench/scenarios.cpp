@@ -470,13 +470,14 @@ void run_fft(obs::ScenarioContext&) {
 }
 
 obs::Scenario figure(const char* name, const char* description,
-                     void (*body)(obs::ScenarioContext&)) {
+                     void (*body)(obs::ScenarioContext&), const char* reference) {
     obs::Scenario s;
     s.name = name;
     s.description = description;
     s.kind = "figure";
     s.repeat = 1;
     s.warmup = 0;
+    s.references = {reference};
     s.run = body;
     return s;
 }
@@ -500,21 +501,22 @@ void register_builtin_scenarios() {
     using obs::register_scenario;
     register_scenario(figure("fig3_nmos_transfer",
                              "substrate -> NMOS output transfer vs bias (Figure 3)",
-                             run_fig3));
+                             run_fig3, "fig3_nmos_transfer.csv"));
     register_scenario(figure("table_vco_specs",
                              "VCO tuning curve via AC tank resonance (Section 4)",
-                             run_vco_specs));
+                             run_vco_specs, "table_vco_specs.csv"));
     register_scenario(figure("fig7_vco_spectrum",
                              "VCO output spectrum under a -5 dBm 10 MHz substrate tone",
-                             run_fig7));
+                             run_fig7, "fig7_spectrum.csv"));
     register_scenario(figure("fig8_spur_vs_freq",
                              "spur power vs noise frequency, prediction vs transient",
-                             run_fig8));
+                             run_fig8, "fig8_spur_vs_freq.csv"));
     register_scenario(figure("fig9_contributions",
-                             "per-device contribution ranking (Figure 9)", run_fig9));
+                             "per-device contribution ranking (Figure 9)", run_fig9,
+                             "fig9_contributions.csv"));
     register_scenario(figure("fig10_ground_width",
                              "impact vs ground interconnect resistance (Figure 10)",
-                             run_fig10));
+                             run_fig10, "fig10_ground_width.csv"));
     register_scenario(kernel("kernel/sparse_lu",
                              "sparse LU factor+solve, 1024x1024 random system",
                              run_sparse_lu, 5, 3));

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "core/accuracy.hpp"
 #include "obs/bench.hpp"
 #include "obs/events.hpp"
 #include "obs/profiler.hpp"
@@ -257,6 +258,11 @@ int run(const Args& a) {
         return 0;
     }
     if (scenarios.empty()) raise("no scenario matches filter '%s'", a.filter.c_str());
+    // Resolve every reference file before the first scenario runs: a
+    // missing one raises its named error now, not after the scenarios
+    // ahead of it ran in full or inside a corner that would skip it.
+    for (const auto* s : scenarios)
+        for (const auto& file : s->references) (void)core::find_reference_file(file);
 
     obs::BenchOptions opt;
     opt.quick = a.quick;

@@ -32,8 +32,8 @@ namespace snim {
 /// `allow_fault` must be false from parallel workers: fault query order is
 /// part of the determinism contract and worker scheduling is not (the AC
 /// sweep certifies its serial reference point with faults armed instead).
-template <class Solver, class Mat, class T>
-obs::SolveCertificate certify_solve(const Solver& lu, const Mat& a,
+template <class Solver, class T>
+obs::SolveCertificate certify_solve(const Solver& lu, const SparseCSC<T>& a,
                                     std::vector<T>& x, const std::vector<T>& b,
                                     const obs::CertifyOptions& opt,
                                     bool allow_fault = true) {

@@ -156,20 +156,6 @@ std::vector<double> abs_mat_abs_vec(const SparseCSC<T>& a,
     return out;
 }
 
-/// Dense form of the same.
-template <class T>
-std::vector<double> abs_mat_abs_vec(const DenseMatrix<T>& a,
-                                    const std::vector<T>& x) {
-    std::vector<double> out(a.rows(), 0.0);
-    for (size_t i = 0; i < a.rows(); ++i) {
-        double s = 0.0;
-        for (size_t j = 0; j < a.cols(); ++j)
-            s += condest_detail::mag(a(i, j)) * condest_detail::mag(x[j]);
-        out[i] = s;
-    }
-    return out;
-}
-
 /// Componentwise backward error omega = max_i |Ax-b|_i / (|A||x|+|b|)_i,
 /// hybridised with a normwise floor on the denominator (Arioli/Demmel/Duff):
 /// a row whose own magnitude is vanishingly small against the dominant row
@@ -180,11 +166,10 @@ std::vector<double> abs_mat_abs_vec(const DenseMatrix<T>& a,
 /// against scale * kOmegaDenFloorRel instead, so they register in proportion
 /// to their actual influence.  An all-zero row/rhs pair stays consistent
 /// (contributes 0); a NaN residual poisons the certificate with +inf.
-/// Works for Mat = SparseCSC<T> or DenseMatrix<T>.
 inline constexpr double kOmegaDenFloorRel = 1e-8; // ~sqrt(machine epsilon)
 
-template <class Mat, class T>
-double componentwise_backward_error(const Mat& a, const std::vector<T>& x,
+template <class T>
+double componentwise_backward_error(const SparseCSC<T>& a, const std::vector<T>& x,
                                     const std::vector<T>& b) {
     const std::vector<T> ax = a.multiply(x);
     const std::vector<double> den_ax = abs_mat_abs_vec(a, x);
@@ -210,8 +195,8 @@ double componentwise_backward_error(const Mat& a, const std::vector<T>& x,
 
 /// One step of iterative refinement on an existing factorization:
 /// x += A^{-1} (b - A x).  Returns the refined backward error.
-template <class Mat, class T, class Solver>
-double refine_once(const Solver& lu, const Mat& a, std::vector<T>& x,
+template <class T, class Solver>
+double refine_once(const Solver& lu, const SparseCSC<T>& a, std::vector<T>& x,
                    const std::vector<T>& b) {
     const std::vector<T> ax = a.multiply(x);
     std::vector<T> r(b.size());

@@ -52,16 +52,6 @@ DenseLU<T>::DenseLU(DenseMatrix<T> a) : lu_(std::move(a)) {
 }
 
 template <class T>
-double DenseLU<T>::min_pivot() const {
-    double min = 0.0;
-    for (size_t k = 0; k < lu_.rows(); ++k) {
-        const double m = mag(lu_(k, k));
-        if (k == 0 || m < min) min = m;
-    }
-    return min;
-}
-
-template <class T>
 std::vector<T> DenseLU<T>::solve(std::vector<T> b) const {
     const size_t n = lu_.rows();
     SNIM_ASSERT(b.size() == n, "rhs size %zu != %zu", b.size(), n);

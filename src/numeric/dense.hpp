@@ -104,10 +104,6 @@ public:
     std::vector<T> solve_transpose(const std::vector<T>& b) const;
     size_t size() const { return lu_.rows(); }
 
-    /// Smallest |U(k,k)| of the factorization: the dense counterpart of
-    /// SparseLU::factor_stats().min_pivot for solver-health telemetry.
-    double min_pivot() const;
-
     /// Reciprocal 1-norm condition estimate, the dense counterpart of
     /// SparseLU::rcond_estimate() (same Hager/Higham estimator, cached per
     /// factorization) so both solve paths report conditioning uniformly.

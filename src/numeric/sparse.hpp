@@ -80,9 +80,6 @@ public:
     std::vector<T>& values_mut() { return vx_; }
 
     std::vector<T> multiply(const std::vector<T>& x) const;
-    /// Allocation-reusing y = A x for hot loops; `x` and `y` must be
-    /// distinct objects.  Bit-identical to multiply().
-    void multiply_into(const std::vector<T>& x, std::vector<T>& y) const;
     DenseMatrix<T> to_dense() const;
 
 private:

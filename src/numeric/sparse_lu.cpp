@@ -547,7 +547,7 @@ void ReusableLU<T>::factor(const SparseCSC<T>& a, const RefactorHint& hint) {
         hint_key_[1] = hint.key[1];
         hint_key_[2] = hint.key[2];
     };
-    if (!lu_ || !opt_.reuse || a.col_ptr() != pattern_cp_ || a.row_idx() != pattern_ri_) {
+    if (!lu_ || a.col_ptr() != pattern_cp_ || a.row_idx() != pattern_ri_) {
         full_factor(a, hint.changed_cols);
         adopt_key();
         return;

@@ -146,7 +146,7 @@ private:
 /// Owns a SparseLU and decides, per factor() call, between the cheap numeric
 /// refactor path and a full re-pivoting factorization:
 ///
-///   * first call, pattern change, or reuse disabled -> full factorization;
+///   * first call or pattern change -> full factorization;
 ///     its min |pivot| becomes the health reference.
 ///   * otherwise refactor; if the refactored min |pivot| degrades below
 ///     repivot_tol times the reference (or a pivot lands on exact zero) the
@@ -162,7 +162,6 @@ public:
     struct Options {
         double pivot_tol = 0.1;   // threshold partial pivoting (full factor)
         double repivot_tol = 1e-3; // min-pivot degradation guard vs. reference
-        bool reuse = true;        // false: full factorization every call
     };
 
     ReusableLU() = default;

@@ -106,6 +106,10 @@ struct Scenario {
     int repeat = 3;          // repetitions (full mode)
     int quick_repeat = 0;    // repetitions under --quick; 0 -> same as repeat
     int warmup = 1;          // discarded warmup runs (full mode; 0 under --quick)
+    /// Reference files the body scores against.  snim_bench resolves every
+    /// matched scenario's files before the first one runs, so a missing
+    /// file fails the invocation at once instead of mid-suite.
+    std::vector<std::string> references;
     std::function<void(ScenarioContext&)> run;
 };
 

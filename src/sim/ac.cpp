@@ -96,28 +96,23 @@ AcResult ac_sweep(circuit::Netlist& netlist, const std::vector<double>& freqs,
             const auto& a = s.csc();
             double min_pivot = 0.0;
             double fill_growth = 1.0;
-            bool reused = false;
-            if (opt.reuse_lu) {
-                if (obs::enabled()) obs::count("numeric/lu_refactor");
-                const bool ok = lu.refactor(a);
-                if (ok && lu.factor_stats().min_pivot >=
-                              kRepivotTol * ref_min_pivot) {
-                    if (obs::enabled()) obs::count("numeric/lu_symbolic_reuse");
-                    out.x[i] = lu.solve(s.rhs());
-                    min_pivot = lu.factor_stats().min_pivot;
-                    fill_growth = lu.factor_stats().fill_growth;
-                    reused = true;
-                    if (certify && i % static_cast<size_t>(opt.certify.stride) == 0) {
-                        const obs::SolveCertificate cert =
-                            certify_solve(lu, a, out.x[i], s.rhs(), opt.certify,
-                                          /*allow_fault=*/false);
-                        obs::record_certificate("ac", cert, opt.certify);
-                    }
-                } else if (obs::enabled()) {
-                    obs::count("numeric/lu_repivot_fallbacks");
+            if (obs::enabled()) obs::count("numeric/lu_refactor");
+            const bool reused =
+                lu.refactor(a) &&
+                lu.factor_stats().min_pivot >= kRepivotTol * ref_min_pivot;
+            if (reused) {
+                if (obs::enabled()) obs::count("numeric/lu_symbolic_reuse");
+                out.x[i] = lu.solve(s.rhs());
+                min_pivot = lu.factor_stats().min_pivot;
+                fill_growth = lu.factor_stats().fill_growth;
+                if (certify && i % static_cast<size_t>(opt.certify.stride) == 0) {
+                    const obs::SolveCertificate cert =
+                        certify_solve(lu, a, out.x[i], s.rhs(), opt.certify,
+                                      /*allow_fault=*/false);
+                    obs::record_certificate("ac", cert, opt.certify);
                 }
-            }
-            if (!reused) {
+            } else {
+                if (obs::enabled()) obs::count("numeric/lu_repivot_fallbacks");
                 // A fresh local factorization; the worker's reusable copy is
                 // left alone — refactor() recomputes every value, so a
                 // discarded pass leaves no numeric residue for later points.

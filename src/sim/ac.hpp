@@ -24,11 +24,6 @@ struct AcOptions {
     /// (the SNIM_THREADS environment override).  Results and recorded obs
     /// metrics are bit-identical for every thread count.
     int threads = 0;
-    /// Reuse the first frequency point's symbolic LU analysis (pattern +
-    /// pivot sequence) across the sweep, refreshing numeric values per point
-    /// (pivot-health guarded).  OFF forces a full factorization per point.
-    bool reuse_lu = true;
-
     /// Per-solve certificates on every certify.stride-th frequency point
     /// (backward error on the complex system, condition estimate, counted
     /// refinement).  Active only while the obs registry is enabled; workers

@@ -69,8 +69,9 @@ public:
     /// overlay deviates.
     void assemble(const std::vector<double>& x, const circuit::TranParams& tp);
 
-    /// Bumped by every full pass (learn/relearn).  The Jacobian-reuse guard
-    /// keys on it: stale LU factors must not survive a pattern change.
+    /// Bumped by every full pass (learn/relearn).  The transient's partial
+    /// refactorization key includes it: factors taken before a relearn
+    /// must not be refreshed column by column.
     std::uint64_t epoch() const { return epoch_; }
 
     bool learned() const { return learned_; }

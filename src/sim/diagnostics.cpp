@@ -125,12 +125,6 @@ void digest_options(obs::ConfigDigest& d, const TranOptions& opt) {
     d.add("tran.lte_reltol", opt.lte_reltol);
     d.add("tran.lte_abstol", opt.lte_abstol);
     d.add("tran.retry_history", opt.retry_history);
-    d.add("tran.reuse_lu", opt.reuse_lu);
-    d.add("tran.dense_crossover", opt.dense_crossover);
-    d.add("tran.incremental_assembly", opt.incremental_assembly);
-    d.add("tran.newton_reuse_jacobian", opt.newton_reuse_jacobian);
-    d.add("tran.jacobian_stall_theta", opt.jacobian_stall_theta);
-    d.add("tran.jacobian_max_age", opt.jacobian_max_age);
     digest_certify_options(d, "tran", opt.certify);
     d.add("tran.kcl_max", opt.kcl_max);
     // Checkpoint knobs (dir/tag/cadence/resume) are deliberately excluded:
@@ -155,7 +149,6 @@ void digest_options(obs::ConfigDigest& d, const OpOptions& opt) {
     d.add("op.ptran_growth", opt.ptran_growth);
     d.add("op.ptran_steps", opt.ptran_steps);
     d.add("op.ptran_g_floor", opt.ptran_g_floor);
-    d.add("op.reuse_lu", opt.reuse_lu);
     digest_certify_options(d, "op", opt.certify);
 }
 
@@ -328,17 +321,6 @@ void validate_tran_options(const TranOptions& opt) {
               opt.dt_recovery_accepts);
     if (opt.retry_history <= 0)
         raise("TranOptions.retry_history must be > 0 (got %d)", opt.retry_history);
-    if (opt.dense_crossover < 0)
-        raise("TranOptions.dense_crossover must be >= 0 (got %d)",
-              opt.dense_crossover);
-    if (!(opt.jacobian_stall_theta > 0.0) || !(opt.jacobian_stall_theta < 1.0))
-        raise("TranOptions.jacobian_stall_theta must be in (0, 1) (got %g) — at "
-              "1 or above a reused solve could stall forever without tripping "
-              "the refactor guard",
-              opt.jacobian_stall_theta);
-    if (opt.jacobian_max_age < 1)
-        raise("TranOptions.jacobian_max_age must be >= 1 (got %d)",
-              opt.jacobian_max_age);
     if (!(opt.kcl_max > 0.0))
         raise("TranOptions.kcl_max must be > 0 (got %g)", opt.kcl_max);
     if (opt.checkpoint.every_steps < 0)

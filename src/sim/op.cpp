@@ -46,9 +46,7 @@ bool newton_dc(circuit::Netlist& netlist, std::vector<double>& x, double gmin,
     // The stamp sequence (including the optional anchor entries) is fixed
     // for the duration of this solve, so the symbolic analysis and pivot
     // sequence of the first iteration carry across the whole Newton run.
-    ReusableLU<double>::Options lu_opt;
-    lu_opt.reuse = opt.reuse_lu;
-    ReusableLU<double> rlu(lu_opt);
+    ReusableLU<double> rlu;
     for (int it = 0; it < opt.max_iter; ++it) {
         obs::ScopedTimer obs_newton("sim/op/newton");
         StepTelemetry tel;
@@ -249,7 +247,6 @@ obs::JsonObject op_options_json(const OpOptions& opt) {
     o.emplace("ptran_growth", opt.ptran_growth);
     o.emplace("ptran_steps", opt.ptran_steps);
     o.emplace("ptran_g_floor", opt.ptran_g_floor);
-    o.emplace("reuse_lu", opt.reuse_lu);
     o.emplace("certify_enabled", opt.certify.enabled);
     o.emplace("certify_omega_max", opt.certify.omega_max);
     o.emplace("certify_rcond_min", opt.certify.rcond_min);

@@ -57,12 +57,6 @@ struct OpOptions {
     /// pseudo-state stops moving, the rung locks in with plain Newton.
     double ptran_g_floor = 1e-9;
 
-    /// Reuse one symbolic LU analysis (pattern + pivot sequence) across the
-    /// Newton iterations of each solve, refreshing only the numeric values
-    /// (pivot-health guarded).  OFF forces a full factorization per
-    /// iteration.
-    bool reuse_lu = true;
-
     /// Per-solve certificate on the converged verification solve of each
     /// Newton run (backward error, condition estimate, counted refinement).
     /// Active only while the obs registry is enabled.  The stride knob is

@@ -3,23 +3,22 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <optional>
 #include <thread>
 
 #include "numeric/certify.hpp"
-#include "numeric/newton_guard.hpp"
 #include "numeric/sparse_lu.hpp"
-#include "sim/assembly.hpp"
 #include "numeric/vecops.hpp"
 #include "obs/events.hpp"
 #include "obs/progress.hpp"
 #include "obs/provenance.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
+#include "sim/assembly.hpp"
 #include "sim/diagnostics.hpp"
-#include "sim/mna.hpp"
 #include "sim/op.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
@@ -55,13 +54,6 @@ obs::JsonObject tran_options_json(const TranOptions& opt) {
     o.emplace("max_step_retries", opt.max_step_retries);
     o.emplace("dt_recovery_accepts", opt.dt_recovery_accepts);
     o.emplace("lte_control", opt.lte_control);
-    o.emplace("reuse_lu", opt.reuse_lu);
-    o.emplace("dense_crossover", opt.dense_crossover);
-    o.emplace("incremental_assembly", opt.incremental_assembly);
-    o.emplace("newton_reuse_jacobian", opt.newton_reuse_jacobian);
-    o.emplace("newton_predictor", opt.newton_predictor);
-    o.emplace("jacobian_stall_theta", opt.jacobian_stall_theta);
-    o.emplace("jacobian_max_age", opt.jacobian_max_age);
     o.emplace("certify_enabled", opt.certify.enabled);
     o.emplace("certify_omega_max", opt.certify.omega_max);
     o.emplace("certify_rcond_min", opt.certify.rcond_min);
@@ -77,9 +69,7 @@ obs::JsonObject tran_options_json(const TranOptions& opt) {
 /// net device current left sitting on the node, so a healthy accepted step
 /// reads near the Newton tolerance and a drifting charge model reads hot.
 /// Returns the worst residual and its node index through the out-params.
-/// Mat is SparseCSC<double> or DenseMatrix<double> (the legacy dense path).
-template <class Mat>
-void kcl_audit(const circuit::Netlist& netlist, const Mat& a,
+void kcl_audit(const circuit::Netlist& netlist, const SparseCSC<double>& a,
                const std::vector<double>& b, const std::vector<double>& x,
                double& worst, int& worst_node) {
     const std::vector<double> ax = a.multiply(x);
@@ -303,7 +293,7 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
     std::vector<double> xit = x;         // Newton iterate of the attempt
     std::vector<double> last_dx(n, 0.0); // per-unknown update of the last iteration
     std::vector<double> xn;              // tentative Newton iterate
-    std::vector<double> lu_tmp, resid;   // solve_into / residual scratch
+    std::vector<double> lu_tmp;          // solve_into scratch
     StepTelemetryRing ring(static_cast<size_t>(opt.diag_tail));
     RetryLog retries(static_cast<size_t>(opt.retry_history));
     long recorded = 0;
@@ -321,29 +311,12 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
         out.step_retries = static_cast<long>(res->step_retries);
     }
 
-    // Default engine: one symbolic analysis + pivot sequence computed on
-    // the first iteration, then numeric-only refactors fed by the stamper's
-    // compiled in-place CSC scatter.  The dense fast path (which used to win
-    // below ~160 unknowns purely on the sparse path's per-iteration rebuild
-    // cost) is kept for the reuse_lu=off legacy configuration.
-    const bool use_dense =
-        !opt.reuse_lu && n <= static_cast<size_t>(opt.dense_crossover);
-    DenseMatrix<double> dense(use_dense ? n : 0, use_dense ? n : 0);
-    ReusableLU<double>::Options lu_opt;
-    lu_opt.reuse = opt.reuse_lu;
-    ReusableLU<double> rlu(lu_opt);
-    if (!use_dense) s.enable_compiled_assembly();
-
-    // Incremental assembly and modified Newton only run on the sparse
-    // engine; the legacy dense configuration keeps its historical path
-    // untouched.  The assembler is only constructed when enabled so the
-    // feature-off stamper does not even record the RHS tape.
-    const bool use_incremental = opt.incremental_assembly && !use_dense;
-    const bool reuse_jac = opt.newton_reuse_jacobian && !use_dense;
-    std::optional<TranAssembler> assembler;
-    if (use_incremental) assembler.emplace(netlist, s, opt.gmin);
-    JacobianReuseGuard guard(
-        {opt.jacobian_stall_theta, opt.jacobian_max_age});
+    // One symbolic analysis + pivot sequence computed on the first
+    // iteration, then numeric-only refactors fed by the assembler: the
+    // linear baseline is restored and only the nonlinear devices re-stamp.
+    s.enable_compiled_assembly();
+    TranAssembler assembler(netlist, s, opt.gmin);
+    ReusableLU<double> rlu;
 
     const double lte_reltol = opt.lte_reltol > 0.0 ? opt.lte_reltol : opt.reltol;
     const double lte_abstol = opt.lte_abstol > 0.0 ? opt.lte_abstol : opt.vntol;
@@ -439,13 +412,6 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
     };
 
     for (long step = start_step; step <= nsteps; ++step) {
-        // Factor reuse stops at nominal-step boundaries: a checkpoint resume
-        // restarts exactly here with an empty factor cache, so the
-        // uninterrupted run must drop its factors too or the two would walk
-        // different iterate sequences (resume bit-identity is a hard
-        // contract, and it keeps waveforms independent of snapshot cadence,
-        // which is wall-clock driven).
-        if (reuse_jac) guard.invalidate();
         // Position within the nominal step in units of dt / 2^level.  The
         // step completes when k reaches 2^level; regrowth halves both the
         // numerator and the denominator, so alignment is exact.
@@ -468,12 +434,12 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
 
             obs::ScopedTimer obs_step("sim/transient/step");
 
-            // Newton iteration, starting from the last accepted solution —
-            // or, on the incremental engine, from the LTE gate's linear
-            // predictor, which starts close enough that most steps converge
-            // in two quadratic iterations instead of three.  x_acc, x_prev
-            // and dt_prev are all checkpointed, so a resumed run predicts
-            // the exact same starting iterate.
+            // Newton iteration, starting from the LTE gate's linear
+            // predictor once there is a step to extrapolate from; it starts
+            // close enough that most steps converge in two quadratic
+            // iterations instead of three.  x_acc, x_prev and dt_prev are
+            // all checkpointed, so a resumed run predicts the exact same
+            // starting iterate.
             StepTelemetry tel;
             tel.step = ++attempt_no;
             tel.time = tp.time;
@@ -481,109 +447,46 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
             Reject reject = Reject::none;
             bool converged = false;
             double max_dx = 0.0;
-            if (use_incremental && opt.newton_predictor && dt_prev > 0.0) {
+            if (dt_prev > 0.0) {
                 const double r = dt_cur / dt_prev;
                 for (size_t i = 0; i < n; ++i)
                     xit[i] = x_acc[i] + r * (x_acc[i] - x_prev[i]);
             } else {
                 xit = x_acc;
             }
-            if (use_incremental) {
+            {
                 obs::ScopedTimer obs_ba("sim/transient/begin_attempt");
-                assembler->begin_attempt(xit, tp);
+                assembler.begin_attempt(xit, tp);
             }
-            if (reuse_jac) guard.begin_attempt();
-            // ||xit||_inf as of the last completed iteration; feeds the
-            // guard's endgame prediction.  Iteration 0 never predicts
-            // (begin_attempt cleared the contraction history), so the
-            // stale initial value is never read.
-            double xit_norm = 0.0;
             for (int it = 0; it < opt.max_newton; ++it) {
                 obs::ScopedTimer obs_newton("sim/transient/newton");
                 tel.newton_iters = it + 1;
                 {
                     obs::ScopedTimer obs_asm("sim/transient/newton/assemble");
-                    if (use_incremental) {
-                        assembler->assemble(xit, tp);
-                    } else {
-                        s.clear();
-                        assemble_tran(netlist, s, xit, tp, opt.gmin);
-                    }
+                    assembler.assemble(xit, tp);
                 }
-                // Which system the factors made this solve belong to: dt,
-                // order and the assembler's pattern epoch (a relearn makes
-                // old factors structurally wrong, not merely stale).
-                JacobianReuseGuard::Key jkey;
-                jkey.order = tp.order;
-                std::memcpy(&jkey.dt_bits, &tp.dt, sizeof(jkey.dt_bits));
-                if (use_incremental) jkey.epoch = assembler->epoch();
-                // Incremental assembly guarantees the matrix outside the
-                // nonlinear columns is the cached linear image, so factors
-                // taken under the same (dt, order, epoch) key can be
-                // refreshed by a partial refactorization of just those
-                // columns' elimination closure.  order >= 1 keeps the key
-                // nonzero, which is what arms the partial path.
+                // Outside the nonlinear columns the matrix is the
+                // assembler's cached linear image, so factors taken under
+                // the same (dt bits, order, epoch) key — a relearn bumps the
+                // epoch — are refreshed by a partial refactorization of just
+                // those columns' elimination closure.  order >= 1 keeps the
+                // key nonzero, which is what arms the partial path.
                 ReusableLU<double>::RefactorHint hint;
-                // Cost model for the stale path: reusing factors saves one
-                // refactor but converges linearly, costing extra iterations.
-                // With the partial path armed and the nonlinear columns a
-                // small fraction of the matrix, a refresh costs about one
-                // extra triangular sweep — cheaper than the stale solve's
-                // own residual multiply — so fresh quadratic steps win
-                // outright and the guard skips stale reuse entirely.
-                bool prefer_fresh = false;
-                if (use_incremental && assembler->learned()) {
-                    hint.key[0] = jkey.dt_bits;
-                    hint.key[1] = static_cast<std::uint64_t>(jkey.order);
-                    hint.key[2] = jkey.epoch;
-                    hint.changed_cols = &assembler->nonlinear_cols();
-                    prefer_fresh =
-                        8 * assembler->nonlinear_cols().size() <= n;
+                if (assembler.learned()) {
+                    std::memcpy(&hint.key[0], &tp.dt, sizeof(hint.key[0]));
+                    hint.key[1] = static_cast<std::uint64_t>(tp.order);
+                    hint.key[2] = assembler.epoch();
+                    hint.changed_cols = &assembler.nonlinear_cols();
                 }
-                bool solved_stale = false;
                 try {
                     obs::ScopedTimer obs_solve("sim/transient/newton/solve");
                     if (fault::fires("tran.lu.singular"))
                         raise("fault injected: tran.lu.singular");
-                    if (use_dense) {
-                        dense.fill(0.0);
-                        const auto& tri = s.matrix();
-                        const auto& rows = tri.rows();
-                        const auto& cols = tri.cols();
-                        const auto& vals = tri.values();
-                        for (size_t e = 0; e < rows.size(); ++e)
-                            dense(static_cast<size_t>(rows[e]),
-                                  static_cast<size_t>(cols[e])) += vals[e];
-                        DenseLU<double> lu(dense);
-                        xn = lu.solve(s.rhs());
-                        tel.lu_min_pivot = lu.min_pivot();
-                        tel.lu_fill_growth = 1.0; // in-place, no fill
-                    } else if (!reuse_jac || prefer_fresh ||
-                               guard.should_refactor(jkey) ||
-                               guard.endgame(opt.vntol + opt.reltol * xit_norm)) {
-                        rlu.factor(s.csc(), hint);
-                        if (reuse_jac) guard.on_refactor(jkey);
-                        rlu.lu().solve_into(s.rhs(), xn, lu_tmp);
-                        tel.lu_min_pivot = rlu.factor_stats().min_pivot;
-                        tel.lu_fill_growth = rlu.factor_stats().fill_growth;
-                    } else {
-                        // Modified Newton on stale factors: the residual
-                        // form dx = -LU^{-1}(A x - b) converges to the same
-                        // discrete solution (dx = 0 forces A x = b no
-                        // matter which factors produced it) and skips the
-                        // refactor entirely.
-                        solved_stale = true;
-                        obs::count("sim/jacobian_reuse");
-                        s.csc().multiply_into(xit, resid);
-                        const auto& b = s.rhs();
-                        for (size_t i = 0; i < n; ++i) resid[i] = b[i] - resid[i];
-                        rlu.lu().solve_into(resid, xn, lu_tmp);
-                        for (size_t i = 0; i < n; ++i) xn[i] += xit[i];
-                        tel.lu_min_pivot = rlu.factor_stats().min_pivot;
-                        tel.lu_fill_growth = rlu.factor_stats().fill_growth;
-                    }
+                    rlu.factor(s.csc(), hint);
+                    rlu.lu().solve_into(s.rhs(), xn, lu_tmp);
+                    tel.lu_min_pivot = rlu.factor_stats().min_pivot;
+                    tel.lu_fill_growth = rlu.factor_stats().fill_growth;
                 } catch (const Error&) {
-                    if (reuse_jac) guard.invalidate(); // rlu is empty now
                     reject = Reject::singular;
                     break;
                 }
@@ -615,70 +518,19 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
                     }
                 };
                 eval_update(xn);
-                bool stale_refresh = false;
-                if (solved_stale) {
-                    // Would this stale update converge?  Same predicate as
-                    // the post-apply check, evaluated on the tentative
-                    // iterate: the ACCEPTED iteration must always come from
-                    // fresh factors, so certificates, KCL audits and the
-                    // committed state have the exact solve quality of the
-                    // refactor-every-iteration engine (obs-gated
-                    // refinement then never fires, keeping instrumented
-                    // runs bit-identical to bare ones).
-                    double norm_after = 0.0;
-                    for (size_t i = 0; i < n; ++i)
-                        norm_after =
-                            std::max(norm_after, std::fabs(xit[i] + last_dx[i]));
-                    const bool would_converge =
-                        !nonfinite &&
-                        max_dx < opt.vntol + opt.reltol * norm_after;
-                    const bool stalled =
-                        nonfinite || guard.stalled(max_dx) ||
-                        fault::fires("tran.newton.stale_jacobian");
-                    if (stalled) obs::count("sim/jacobian_stale_fallbacks");
-                    else if (would_converge)
-                        obs::count("sim/jacobian_refresh_on_accept");
-                    stale_refresh = stalled || would_converge;
-                }
-                if (stale_refresh) {
-                    // Refresh the factors against the matrix still in the
-                    // stamper and redo this iteration as standard Newton —
-                    // either because the stale factors stopped contracting
-                    // (or poisoned the update), or as the final polish of a
-                    // converging attempt.
-                    try {
-                        obs::ScopedTimer obs_solve("sim/transient/newton/solve");
-                        rlu.factor(s.csc(), hint);
-                        guard.on_refactor(jkey);
-                        rlu.lu().solve_into(s.rhs(), xn, lu_tmp);
-                        tel.lu_min_pivot = rlu.factor_stats().min_pivot;
-                        tel.lu_fill_growth = rlu.factor_stats().fill_growth;
-                    } catch (const Error&) {
-                        guard.invalidate();
-                        reject = Reject::singular;
-                        break;
-                    }
-                    solved_stale = false;
-                    eval_update(xn);
-                }
-                // Injected after the stale fallback on purpose: the fault
-                // simulates a non-finite FINAL update, which must reach the
-                // retry ladder, not be absorbed by a factor refresh.
+                // The fault simulates a non-finite update, which must reach
+                // the retry ladder.
                 if (fault::fires("tran.newton.nonfinite")) {
                     xn[0] = std::numeric_limits<double>::quiet_NaN();
                     eval_update(xn);
                 }
-                if (reuse_jac) guard.on_iteration(max_dx, solved_stale);
                 tel.clamp_hits += clamp_hits;
-                {
-                    // Apply the update and compute ||xit||_inf in one pass
-                    // (max is order-independent, so this matches norm_inf).
-                    double nrm = 0.0;
-                    for (size_t i = 0; i < n; ++i) {
-                        xit[i] += last_dx[i];
-                        nrm = std::max(nrm, std::fabs(xit[i]));
-                    }
-                    xit_norm = nrm;
+                // Apply the update and compute ||xit||_inf in one pass (max
+                // is order-independent, so this matches norm_inf).
+                double xit_norm = 0.0;
+                for (size_t i = 0; i < n; ++i) {
+                    xit[i] += last_dx[i];
+                    xit_norm = std::max(xit_norm, std::fabs(xit[i]));
                 }
                 if (nonfinite) {
                     reject = Reject::nonfinite;
@@ -706,41 +558,18 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
             if (converged && opt.certify.enabled && obs::enabled() &&
                 be_steps_done % opt.certify.stride == 0) {
                 obs::ScopedTimer obs_cert("sim/transient/certify");
-                obs::SolveCertificate cert;
-                if (use_dense) {
-                    // Legacy path: the factor was loop-local, so certify on a
-                    // fresh factorization of the last assembled matrix
-                    // (n <= dense_crossover, stride-gated — cheap enough).
-                    DenseLU<double> clu(dense);
-                    cert = certify_solve(clu, dense, xit, s.rhs(), opt.certify);
-                } else {
-                    cert = certify_solve(rlu.lu(), s.csc(), xit, s.rhs(),
-                                         opt.certify);
-                }
+                const obs::SolveCertificate cert =
+                    certify_solve(rlu.lu(), s.csc(), xit, s.rhs(), opt.certify);
                 tel.cert_omega = cert.omega;
                 tel.cert_rcond = cert.rcond;
                 obs::record_certificate("transient", cert, opt.certify);
 
                 // Conservation audit at the (possibly refined) accepted
                 // solution: re-assemble there and read the node-row residual.
-                if (use_incremental) {
-                    assembler->assemble(xit, tp);
-                } else {
-                    s.clear();
-                    assemble_tran(netlist, s, xit, tp, opt.gmin);
-                }
+                assembler.assemble(xit, tp);
                 double kcl = 0.0;
                 int kcl_node = -1;
-                if (use_dense) {
-                    dense.fill(0.0);
-                    const auto& tri = s.matrix();
-                    for (size_t e = 0; e < tri.rows().size(); ++e)
-                        dense(static_cast<size_t>(tri.rows()[e]),
-                              static_cast<size_t>(tri.cols()[e])) += tri.values()[e];
-                    kcl_audit(netlist, dense, s.rhs(), xit, kcl, kcl_node);
-                } else {
-                    kcl_audit(netlist, s.csc(), s.rhs(), xit, kcl, kcl_node);
-                }
+                kcl_audit(netlist, s.csc(), s.rhs(), xit, kcl, kcl_node);
                 tel.kcl_residual = kcl;
                 obs::ts_append("sim/transient/kcl_residual", tp.time, kcl, "A");
                 obs::record_value("sim/kcl_worst_residual", kcl);
@@ -833,8 +662,7 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
             // commit_tran is a no-op for LinearStatic devices, so the
             // assembler's partitioned list commits the identical state while
             // skipping the static majority of the netlist.
-            if (use_incremental) assembler->commit(xit, tp);
-            else for (const auto& d : netlist.devices()) d->commit_tran(xit, tp);
+            assembler.commit(xit, tp);
             x_prev = x_acc;
             x_acc = xit;
             dt_prev = dt_cur;

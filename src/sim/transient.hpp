@@ -12,6 +12,14 @@
 // boundaries — after enough consecutive accepted micro-steps.  Every nominal
 // boundary is hit exactly, so recorded samples stay on the same uniform grid
 // whether or not recovery fired.
+//
+// There is one engine (DESIGN.md §14): incremental assembly
+// (sim::TranAssembler), a ReusableLU refreshed by partial refactorization
+// of the nonlinear columns, a fresh solve on every Newton iteration, and
+// each attempt seeded by the linear predictor
+// x_acc + (dt/dt_prev) (x_acc - x_prev), which turns most steps from three
+// Newton iterations into two.  The predictor's inputs are checkpointed, so
+// a resumed run predicts bit-identically.
 #pragma once
 
 #include <string>
@@ -83,47 +91,6 @@ struct TranOptions {
     double lte_abstol = 0.0; // 0 -> vntol
     /// Last-N retry events kept for the diagnosis bundle.
     int retry_history = 64;
-
-    // --- solver hot path ------------------------------------------------
-    /// Reuse one symbolic LU analysis (sparsity pattern + pivot sequence)
-    /// across Newton iterations and steps, refreshing only the numeric
-    /// values (in-place stamp scatter + ReusableLU refactor, guarded by
-    /// pivot-health fallback).  OFF restores the historical engine: a fresh
-    /// factorization per iteration, dense below dense_crossover unknowns.
-    bool reuse_lu = true;
-    /// Largest unknown count solved with the dense LU fast path when
-    /// reuse_lu is off.  The reusable sparse path beats dense at every size
-    /// measured, so this only matters for the legacy configuration.
-    int dense_crossover = 160;
-    /// Partitioned incremental assembly (sim::TranAssembler): linear stamps
-    /// are pre-assembled once per run, companion images cached per
-    /// (dt, order), and each Newton iteration restores the linear baseline
-    /// and re-stamps only the nonlinear devices.  Bit-identical to the full
-    /// pass by construction.  OFF restores the full re-stamp per iteration.
-    /// Only applies on the sparse (reuse_lu) engine.
-    bool incremental_assembly = true;
-    /// Modified Newton: keep the previous LU factors while updates keep
-    /// contracting, solving the residual form dx = -LU^{-1}(A x - b); a
-    /// guarded fallback refactors on stall, non-finite update, key change
-    /// or age.  Converges to the same discrete solution (dx = 0 forces
-    /// A x = b regardless of the factors).  OFF refactors every iteration.
-    bool newton_reuse_jacobian = true;
-    /// Seed each Newton attempt with the same linear extrapolation the LTE
-    /// gate uses, x_acc + (dt/dt_prev) (x_acc - x_prev), instead of the
-    /// last accepted state.  On smooth waveforms the predictor lands an
-    /// order of magnitude closer to the solution, converting most steps
-    /// from three Newton iterations to two.  Both history vectors and
-    /// dt_prev are part of the checkpoint state, so resumed runs predict
-    /// bit-identically.  Only active with incremental_assembly (OFF keeps
-    /// the seed engine's x_acc start).
-    bool newton_predictor = true;
-    /// Stall guard: a reused solve must shrink max_dx to at most
-    /// jacobian_stall_theta times the previous iteration's, else the
-    /// factors are declared stale and refreshed.
-    double jacobian_stall_theta = 0.9;
-    /// Unconditional Jacobian refresh after this many consecutive reused
-    /// solves, bounding drift across accepted steps.
-    int jacobian_max_age = 32;
 
     // --- numerical-health certificates ----------------------------------
     /// Per-solve certificates on accepted steps (backward error, condition

@@ -7,14 +7,15 @@
 //   * SparseLU::refactor_partial must reproduce a full numeric refactor
 //     exactly (unchanged columns would recompute to their stored values, so
 //     skipping them cannot change anything downstream);
-//   * with the Newton predictor disabled, the incremental engine's waveform
-//     must be byte-identical to the legacy full-re-stamp engine whenever
-//     the fresh-preferred guard keeps every iteration on fresh factors.
+//   * the transient engine's waveforms must match frozen golden digests
+//     bit for bit, and the textbook oracle of tests/reference_transient.*
+//     within the Newton tolerance.
 // Runs as its own binary (ctest label `perf`) because it arms global fault
 // windows and asserts on the global registry.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -23,13 +24,15 @@
 #include "circuit/passives.hpp"
 #include "circuit/sources.hpp"
 #include "circuit/stamp.hpp"
-#include "numeric/newton_guard.hpp"
 #include "numeric/sparse_lu.hpp"
 #include "obs/registry.hpp"
+#include "reference_transient.hpp"
+#include "rf/oscillator.hpp"
 #include "sim/assembly.hpp"
 #include "sim/mna.hpp"
 #include "sim/transient.hpp"
 #include "tech/generic180.hpp"
+#include "testcases/vco.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -334,39 +337,6 @@ TEST_F(AssemblyTest, ReusableLuTakesPartialPathOnlyUnderMatchingKey) {
 }
 #endif
 
-// --- Jacobian reuse guard -------------------------------------------------
-
-TEST_F(AssemblyTest, GuardRefactorsOnKeyChangeAndAge) {
-    JacobianReuseGuard g({0.9, 3});
-    JacobianReuseGuard::Key k1{0x10, 2, 1};
-    JacobianReuseGuard::Key k2{0x20, 2, 1};
-    EXPECT_TRUE(g.should_refactor(k1)); // no factors yet
-    g.on_refactor(k1);
-    EXPECT_FALSE(g.should_refactor(k1));
-    EXPECT_TRUE(g.should_refactor(k2)); // dt changed
-    for (int i = 0; i < 3; ++i) g.on_iteration(1e-3, /*reused=*/true);
-    EXPECT_TRUE(g.should_refactor(k1)); // age cap
-    g.on_refactor(k1);
-    EXPECT_EQ(g.age(), 0);
-}
-
-TEST_F(AssemblyTest, GuardDetectsStallAndEndgame) {
-    JacobianReuseGuard g({0.5, 32});
-    g.on_refactor({1, 2, 3});
-    EXPECT_FALSE(g.stalled(1.0)); // no reference yet
-    g.on_iteration(1.0, true);
-    EXPECT_FALSE(g.stalled(0.4)); // contracted by > theta
-    EXPECT_TRUE(g.stalled(0.6));  // did not
-    // Endgame: previous update within margin of tol predicts the accepting
-    // iteration; begin_attempt clears the history so the first solve of the
-    // next attempt can never predict from stale data.
-    g.on_iteration(1e-7, true);
-    EXPECT_TRUE(g.endgame(1e-6, 64.0));
-    EXPECT_FALSE(g.endgame(1e-9, 64.0));
-    g.begin_attempt();
-    EXPECT_FALSE(g.endgame(1e-6, 64.0));
-}
-
 // --- transient engine integration -----------------------------------------
 
 circuit::Netlist ladder_with_mosfet(int stages) {
@@ -393,38 +363,59 @@ circuit::Netlist ladder_with_mosfet(int stages) {
     return nl;
 }
 
-TEST_F(AssemblyTest, GuardedEngineBitIdenticalToRefactorEveryIteration) {
-    // With the predictor off and the nonlinear set a small fraction of the
-    // matrix, the fresh-preferred guard keeps every default-config
-    // iteration on fresh factors — so the guarded engine must produce the
-    // exact bytes of a run with Jacobian reuse disabled outright (both on
-    // incremental assembly, so the matrix and its ordering are identical).
-    // This is the engine-level proof that partial refactorization and the
-    // guard machinery are value-transparent.
+/// FNV-1a over the bytes of `time` and then of every probe wave, in probe
+/// order: a frozen digest pins a waveform bit for bit.
+uint64_t waveform_digest(const sim::TranResult& r) {
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto feed = [&h](const std::vector<double>& v) {
+        const auto* bytes = reinterpret_cast<const unsigned char*>(v.data());
+        for (size_t i = 0; i < v.size() * sizeof(double); ++i) {
+            h ^= bytes[i];
+            h *= 0x100000001b3ull;
+        }
+    };
+    feed(r.time);
+    for (const auto& w : r.waves) feed(w);
+    return h;
+}
+
+TEST_F(AssemblyTest, DefaultEngineMatchesFrozenWaveformDigests) {
+    // Golden waveforms of the transient engine, time axis and probes bit
+    // for bit; they hold in Release, RelWithDebInfo and -O0 builds.  A
+    // change that moves them must re-freeze them and say why.  The MOSFET
+    // ladder: 200 steps of 20 ps.
     sim::TranOptions opt;
     opt.dt = 20e-12;
     opt.tstop = 4e-9;
-    opt.newton_predictor = false;
+    auto ladder = ladder_with_mosfet(40);
+    EXPECT_EQ(waveform_digest(sim::transient(ladder, {"out"}, opt)),
+              0xea043a1a7cc214dcull);
 
-    auto nl1 = ladder_with_mosfet(40);
-    const auto guarded = sim::transient(nl1, {"out"}, opt);
-
-    opt.newton_reuse_jacobian = false;
-    auto nl2 = ladder_with_mosfet(40);
-    const auto fresh = sim::transient(nl2, {"out"}, opt);
-
-    ASSERT_EQ(guarded.time.size(), fresh.time.size());
-    const auto& wi = guarded.wave("out");
-    const auto& wf = fresh.wave("out");
-    ASSERT_EQ(wi.size(), wf.size());
-    EXPECT_EQ(std::memcmp(wi.data(), wf.data(), wi.size() * sizeof(double)), 0);
+    // The nominal VCO impact model over the first calibration capture's
+    // quarter window (settle/4 + capture/4 of vco_osc_options(), 6,750
+    // steps of 10 ps), run with record_oscillator()'s options and probing
+    // both tank outputs.
+    auto vco = testcases::build_model(testcases::build_vco(),
+                                      testcases::vco_flow_options());
+    const rf::OscOptions osc = testcases::vco_osc_options();
+    sim::TranOptions vo;
+    vo.dt = osc.dt;
+    vo.tstop = osc.settle / 4.0 + osc.capture / 4.0;
+    vo.record_start = osc.settle / 4.0;
+    vo.order = osc.order;
+    vo.gmin = osc.gmin;
+    vo.accumulate_average = true;
+    const auto res = sim::transient(vco.netlist, {osc.probe_p, osc.probe_n}, vo);
+    EXPECT_EQ(waveform_digest(res), 0xcfecda685e598f84ull);
 }
 
 TEST_F(AssemblyTest, IncrementalEngineMatchesFullRestampWithinTolerance) {
-    // The legacy engine keeps the seed's column ordering while the
-    // incremental engine orders the nonlinear columns last, so the two are
-    // deliberately NOT bitwise comparable — but both converge every step to
-    // the same Newton tolerance, so the waveforms must agree well inside it.
+    // The textbook oracle restamps everything, factors afresh in the pure
+    // min-degree order and starts each step from the last accepted state;
+    // the engine orders the nonlinear columns last, refactors partially and
+    // starts from the linear predictor.  The two are deliberately NOT
+    // bitwise comparable, but both converge every step to the same Newton
+    // tolerance, so the waveforms must agree well inside it.
     sim::TranOptions opt;
     opt.dt = 20e-12;
     opt.tstop = 4e-9;
@@ -432,11 +423,8 @@ TEST_F(AssemblyTest, IncrementalEngineMatchesFullRestampWithinTolerance) {
     auto nl1 = ladder_with_mosfet(40);
     const auto incremental = sim::transient(nl1, {"out"}, opt);
 
-    opt.incremental_assembly = false;
-    opt.newton_reuse_jacobian = false;
-    opt.newton_predictor = false;
     auto nl2 = ladder_with_mosfet(40);
-    const auto full = sim::transient(nl2, {"out"}, opt);
+    const auto full = sim::reference_transient(nl2, {"out"}, opt);
 
     ASSERT_EQ(incremental.time.size(), full.time.size());
     const auto& wi = incremental.wave("out");
@@ -444,25 +432,6 @@ TEST_F(AssemblyTest, IncrementalEngineMatchesFullRestampWithinTolerance) {
     ASSERT_EQ(wi.size(), wf.size());
     for (size_t k = 0; k < wi.size(); ++k)
         EXPECT_NEAR(wi[k], wf[k], 1e-6) << "sample " << k;
-}
-
-TEST_F(AssemblyTest, PredictorKeepsWaveformWithinNewtonTolerance) {
-    sim::TranOptions opt;
-    opt.dt = 20e-12;
-    opt.tstop = 4e-9;
-
-    auto nl1 = ladder_with_mosfet(40);
-    const auto predicted = sim::transient(nl1, {"out"}, opt);
-
-    opt.newton_predictor = false;
-    auto nl2 = ladder_with_mosfet(40);
-    const auto stepped = sim::transient(nl2, {"out"}, opt);
-
-    ASSERT_EQ(predicted.time.size(), stepped.time.size());
-    const auto& wp = predicted.wave("out");
-    const auto& ws = stepped.wave("out");
-    for (size_t k = 0; k < wp.size(); ++k)
-        EXPECT_NEAR(wp[k], ws[k], 1e-6) << "sample " << k;
 }
 
 #if SNIM_OBS_ENABLED
@@ -480,41 +449,6 @@ TEST_F(AssemblyTest, DefaultRunDoesExactlyOneFullAssembly) {
     EXPECT_GT(obs::counter_value("sim/assemble_cache_hits"), 0u);
     EXPECT_GT(obs::counter_value("numeric/lu_partial_refactor"), 0u);
 }
-
-#if SNIM_FAULTS_ENABLED
-TEST_F(AssemblyTest, StaleJacobianFaultTripsCountedFallback) {
-    // A MOSFET-dominated system (nonlinear columns are most of the matrix)
-    // keeps the stale-reuse path active; the injected stall forces the
-    // guarded fallback, which must refactor and finish the run cleanly.
-    obs::set_enabled(true);
-    circuit::Netlist nl;
-    nl.add<circuit::VSource>("vin", nl.node("g"), circuit::kGround,
-                             circuit::Waveform::sin(0.9, 0.3, 2e8));
-    nl.add<circuit::VSource>("vdd", nl.node("vdd"), circuit::kGround,
-                             circuit::Waveform::dc(1.8));
-    nl.add<circuit::Resistor>("rd", nl.node("vdd"), nl.node("out"), 2e3);
-    nl.add<circuit::Mosfet>("m0", nl.node("out"), nl.node("g"), circuit::kGround,
-                            circuit::kGround, tech::generic180().mos_model("nch"),
-                            circuit::MosGeometry{});
-    nl.add<circuit::Capacitor>("cl", nl.node("out"), circuit::kGround, 5e-13);
-
-    fault::arm(fault::parse_spec("tran.newton.stale_jacobian@2x5"));
-    sim::TranOptions opt;
-    opt.dt = 20e-12;
-    opt.tstop = 4e-9;
-    // Tight tolerances keep steps in Newton for several iterations, so the
-    // mid-iteration updates sit above the endgame margin and the stale
-    // path actually runs (the default tolerances converge too fast here).
-    opt.vntol = 1e-9;
-    opt.reltol = 1e-6;
-    const auto res = sim::transient(nl, {"out"}, opt);
-
-    EXPECT_GT(obs::counter_value("sim/jacobian_reuse"), 0u);
-    EXPECT_GE(obs::counter_value("sim/jacobian_stale_fallbacks"), 1u);
-    EXPECT_EQ(res.time.size(), res.wave("out").size());
-    for (double v : res.wave("out")) EXPECT_TRUE(std::isfinite(v));
-}
-#endif
 #endif
 
 } // namespace

@@ -377,14 +377,11 @@ TEST_F(CheckpointTest, MidRunResumeIsBitIdentical) {
     }
 }
 
-TEST_F(CheckpointTest, ResumeIsBitIdenticalWithStaleJacobianReuseActive) {
-    // Tight Newton tolerances keep steps iterating long enough that the
-    // modified-Newton stale path actually runs (the endgame predictor
-    // otherwise refactors straight away).  A resumed run must still
-    // reproduce the uninterrupted waveform exactly: the guard is
-    // invalidated at nominal-step boundaries, so the resume point carries
-    // no hidden factor state, and the (dt, order) companion cache and the
-    // predictor history rebuild deterministically from the snapshot.
+TEST_F(CheckpointTest, ResumeIsBitIdenticalUnderTightNewtonTolerances) {
+    // Tight Newton tolerances keep every step iterating longer than the
+    // defaults do.  A resumed run must still reproduce the uninterrupted
+    // waveform exactly: the (dt, order) companion cache and the predictor
+    // history rebuild deterministically from the snapshot.
     auto tight = base_options();
     tight.vntol = 1e-9;
     tight.reltol = 1e-6;

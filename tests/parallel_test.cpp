@@ -29,6 +29,7 @@
 #include "obs/timeseries.hpp"
 #include "rf/spur.hpp"
 #include "sim/ac.hpp"
+#include "sim/mna.hpp"
 #include "sim/transient.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -320,6 +321,7 @@ TEST_F(ParallelTest, CompiledStamperDemotesOnSequenceChangeAndRelearns) {
 
 // --- transient engine -----------------------------------------------------
 
+#if SNIM_FAULTS_ENABLED
 TEST_F(ParallelTest, TransientReuseMatchesForcedFreshFactorizationBitwise) {
     sim::TranOptions opt;
     opt.dt = 1e-9;
@@ -328,10 +330,12 @@ TEST_F(ParallelTest, TransientReuseMatchesForcedFreshFactorizationBitwise) {
     auto nl1 = sine_rc_netlist();
     const auto reuse = sim::transient(nl1, {"out"}, opt);
 
+    // A repivot window left open forever turns every reuse opportunity into
+    // a fresh full factorization.
+    fault::arm(fault::parse_spec("numeric.lu.repivot@1x-1"));
     auto nl2 = sine_rc_netlist();
-    opt.reuse_lu = false;
-    opt.dense_crossover = 0; // legacy engine, forced fresh SPARSE factorization
     const auto fresh = sim::transient(nl2, {"out"}, opt);
+    EXPECT_GT(fault::trips("numeric.lu.repivot"), 0);
 
     ASSERT_EQ(reuse.time.size(), fresh.time.size());
     ASSERT_EQ(reuse.wave("out").size(), fresh.wave("out").size());
@@ -339,7 +343,6 @@ TEST_F(ParallelTest, TransientReuseMatchesForcedFreshFactorizationBitwise) {
         EXPECT_EQ(reuse.wave("out")[k], fresh.wave("out")[k]) << "sample " << k;
 }
 
-#if SNIM_FAULTS_ENABLED
 TEST_F(ParallelTest, ForcedRepivotFallsBackWithoutChangingTheWaveform) {
     sim::TranOptions opt;
     opt.dt = 1e-9;
@@ -370,10 +373,10 @@ TEST_F(ParallelTest, ForcedRepivotFallsBackWithoutChangingTheWaveform) {
 
 #if SNIM_OBS_ENABLED
 TEST_F(ParallelTest, IncrementalTransientIsThreadCountInvariant) {
-    // The incremental engine (assembler cache, partial refactors, guarded
-    // modified Newton, predictor) is serial per run, but it must neither
-    // read nor leak any thread-pool state: waveform bytes AND the assembly
-    // / factorization counters have to match for any thread count.
+    // The transient engine (assembler cache, partial refactors, predictor)
+    // is serial per run, but it must neither read nor leak any thread-pool
+    // state: waveform bytes AND the assembly / factorization counters have
+    // to match for any thread count.
     sim::TranOptions opt;
     opt.dt = 1e-9;
     opt.tstop = 50e-9;
@@ -417,14 +420,13 @@ struct AcRun {
     uint64_t reuse = 0, refactor = 0, fallbacks = 0;
 };
 
-AcRun run_ac(int threads, bool reuse_lu) {
+AcRun run_ac(int threads) {
     auto nl = ac_ladder(30);
     nl.finalize();
     const std::vector<double> xop(nl.unknown_count(), 0.0);
     const auto freqs = linspace(1e6, 1e9, 64);
     sim::AcOptions opt;
     opt.threads = threads;
-    opt.reuse_lu = reuse_lu;
 #if SNIM_OBS_ENABLED
     obs::reset();
     obs::set_enabled(true);
@@ -457,9 +459,9 @@ void expect_ac_bitwise_equal(const AcRun& a, const AcRun& b) {
 }
 
 TEST_F(ParallelTest, AcSweepIsBitIdenticalAcrossThreadCounts) {
-    const auto serial = run_ac(1, true);
-    const auto par4 = run_ac(4, true);
-    const auto par3 = run_ac(3, true); // uneven chunking
+    const auto serial = run_ac(1);
+    const auto par4 = run_ac(4);
+    const auto par3 = run_ac(3); // uneven chunking
     expect_ac_bitwise_equal(serial, par4);
     expect_ac_bitwise_equal(serial, par3);
 #if SNIM_OBS_ENABLED
@@ -469,13 +471,25 @@ TEST_F(ParallelTest, AcSweepIsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(ParallelTest, AcSweepReuseMatchesFreshPerPoint) {
-    const auto reused = run_ac(4, true);
-    const auto fresh = run_ac(1, false);
-    ASSERT_EQ(reused.res.x.size(), fresh.res.x.size());
-    for (size_t k = 0; k < reused.res.x.size(); ++k)
-        for (size_t i = 0; i < reused.res.x[k].size(); ++i)
-            EXPECT_EQ(reused.res.x[k][i], fresh.res.x[k][i])
-                << "point " << k << " node " << i;
+    const auto reused = run_ac(4);
+    // Fresh side: every point assembled on its own stamper (keeping
+    // structural zeros, like the sweep's) and solved by its own full
+    // factorization.
+    auto nl = ac_ladder(30);
+    nl.finalize();
+    const size_t n = nl.unknown_count();
+    const std::vector<double> xop(n, 0.0);
+    const auto freqs = linspace(1e6, 1e9, 64);
+    ASSERT_EQ(reused.res.x.size(), freqs.size());
+    for (size_t k = 0; k < freqs.size(); ++k) {
+        circuit::ComplexStamper s(n);
+        s.enable_compiled_assembly();
+        sim::assemble_ac(nl, s, xop, units::kTwoPi * freqs[k], sim::AcOptions{}.gmin);
+        const auto fresh = SparseLU<std::complex<double>>(s.csc()).solve(s.rhs());
+        ASSERT_EQ(reused.res.x[k].size(), fresh.size());
+        for (size_t i = 0; i < fresh.size(); ++i)
+            EXPECT_EQ(reused.res.x[k][i], fresh[i]) << "point " << k << " node " << i;
+    }
 }
 
 // --- obs parallel merge ---------------------------------------------------

@@ -118,7 +118,7 @@ TEST_F(ProvenanceTest, TranOptionsDigestSeesEveryPerturbedField) {
     o.order = 1;
     EXPECT_NE(digest_of(o), h0);
     o = base;
-    o.reuse_lu = !o.reuse_lu;
+    o.be_startup_steps += 1;
     EXPECT_NE(digest_of(o), h0);
     o = base;
     o.lte_control = !o.lte_control;

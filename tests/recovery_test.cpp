@@ -335,18 +335,6 @@ TEST_F(RecoveryTest, RetryCountersAndDtChannelLandInRegistry) {
     for (double v : dt_ts->value) dt_min_seen = std::min(dt_min_seen, v);
     EXPECT_NEAR(dt_min_seen, opt.dt / 4.0, 1e-21); // two halvings deep
 }
-
-TEST_F(RecoveryTest, DensePathReportsUnitFillGrowth) {
-    auto nl = sine_rc_netlist(); // 3 unknowns -> dense fast path
-    auto opt = sine_options();
-    opt.reuse_lu = false; // legacy engine: dense LU below dense_crossover
-    opt.observe = true;
-    sim::transient(nl, {"out"}, opt);
-    const auto fill = obs::ts_get("sim/transient/lu_fill_growth");
-    ASSERT_TRUE(fill.has_value()); // the health lane exists on the dense path
-    EXPECT_EQ(fill->offered, 50u);
-    for (double v : fill->value) EXPECT_DOUBLE_EQ(v, 1.0);
-}
 #endif // SNIM_OBS_ENABLED
 
 TEST_F(RecoveryTest, HardEdgeIsRescuedByMicroStepping) {
