@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the numerical kernels behind the
-// flow: sparse LU, CG-based substrate reduction, node elimination,
-// transient stepping and FFT.
+// flow: sparse LU, CG-based substrate reduction, transient stepping and
+// FFT.
 #include <benchmark/benchmark.h>
 
 #include "circuit/mosfet.hpp"
@@ -8,7 +8,6 @@
 #include "circuit/passives.hpp"
 #include "circuit/sources.hpp"
 #include "dsp/fft.hpp"
-#include "mor/elimination.hpp"
 #include "numeric/sparse_lu.hpp"
 #include "sim/assembly.hpp"
 #include "sim/mna.hpp"
@@ -66,25 +65,6 @@ void BM_SubstrateReduction(benchmark::State& state) {
     state.counters["mesh_nodes"] = static_cast<double>(mesh_nodes);
 }
 BENCHMARK(BM_SubstrateReduction)->Arg(20)->Arg(10)->Arg(5)->Unit(benchmark::kMillisecond);
-
-void BM_NodeElimination(benchmark::State& state) {
-    // 2-D resistive grid, 4 corner ports.
-    const int n = static_cast<int>(state.range(0));
-    mor::RcNetwork net;
-    net.node_count = static_cast<size_t>(n * n);
-    auto id = [n](int x, int y) { return y * n + x; };
-    for (int y = 0; y < n; ++y)
-        for (int x = 0; x < n; ++x) {
-            if (x + 1 < n) net.add_g(id(x, y), id(x + 1, y), 1.0);
-            if (y + 1 < n) net.add_g(id(x, y), id(x, y + 1), 1.0);
-        }
-    const std::vector<int> ports{id(0, 0), id(n - 1, 0), id(0, n - 1), id(n - 1, n - 1)};
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(mor::eliminate_internal(net, ports));
-    }
-    state.SetComplexityN(n);
-}
-BENCHMARK(BM_NodeElimination)->Arg(8)->Arg(16)->Arg(32)->Complexity();
 
 void BM_TransientStep(benchmark::State& state) {
     // RLC ladder sized by the argument; measures cost per transient step.

@@ -10,7 +10,7 @@
 // between quick and full runs.
 //
 // Kernel scenarios isolate the numeric hot paths (sparse LU, CG substrate
-// reduction, MOR elimination, transient stepping, FFT) with runtime-only
+// reduction, transient stepping, assembly, FFT) with runtime-only
 // telemetry; their random inputs come from the default-seeded Rng so
 // `snim_bench --seed` makes runs bit-identical.
 #include "scenarios.hpp"
@@ -25,7 +25,6 @@
 #include "core/contribution.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/spectrum.hpp"
-#include "mor/elimination.hpp"
 #include "numeric/sparse_lu.hpp"
 #include "numeric/vecops.hpp"
 #include "obs/bench.hpp"
@@ -322,22 +321,6 @@ void run_sparse_lu(obs::ScenarioContext&) {
     (void)sink;
 }
 
-void run_mor_elimination(obs::ScenarioContext&) {
-    const int n = 24;
-    mor::RcNetwork net;
-    net.node_count = static_cast<size_t>(n) * n;
-    auto id = [n](int x, int y) { return y * n + x; };
-    for (int y = 0; y < n; ++y)
-        for (int x = 0; x < n; ++x) {
-            if (x + 1 < n) net.add_g(id(x, y), id(x + 1, y), 1.0);
-            if (y + 1 < n) net.add_g(id(x, y), id(x, y + 1), 1.0);
-        }
-    const std::vector<int> ports{id(0, 0), id(n - 1, 0), id(0, n - 1), id(n - 1, n - 1)};
-    auto reduced = mor::eliminate_internal(net, ports);
-    volatile size_t sink = reduced.node_count;
-    (void)sink;
-}
-
 void run_substrate_cg(obs::ScenarioContext&) {
     substrate::ExtractOptions opt;
     opt.mesh.fine_pitch = 10.0;
@@ -520,9 +503,6 @@ void register_builtin_scenarios() {
     register_scenario(kernel("kernel/sparse_lu",
                              "sparse LU factor+solve, 1024x1024 random system",
                              run_sparse_lu, 5, 3));
-    register_scenario(kernel("kernel/mor_elimination",
-                             "MOR node elimination of a 24x24 resistive grid",
-                             run_mor_elimination, 5, 3));
     register_scenario(kernel("kernel/substrate_cg",
                              "substrate extraction incl. CG reduction, 200x200 um",
                              run_substrate_cg, 3, 2));

@@ -53,13 +53,6 @@ void validate_flow_options(const FlowOptions& opt) {
         if (!(std::isfinite(m.z_steps[i]) && m.z_steps[i] > 0.0))
             raise("FlowOptions.substrate.mesh.z_steps[%zu] must be finite and > 0 "
                   "(got %g)", i, m.z_steps[i]);
-    if (opt.substrate.mor_probes < 0)
-        raise("FlowOptions.substrate.mor_probes must be >= 0 (got %d)",
-              opt.substrate.mor_probes);
-    const double err_max = opt.substrate.mor_error_max;
-    if (!(std::isfinite(err_max) && err_max > 0.0))
-        raise("FlowOptions.substrate.mor_error_max must be finite and > 0 (got %g)",
-              err_max);
     if (!(opt.interconnect.touch_resistance > 0.0))
         raise("FlowOptions.interconnect.touch_resistance must be > 0 (got %g)",
               opt.interconnect.touch_resistance);
@@ -95,7 +88,6 @@ void digest_options(obs::ConfigDigest& d, const FlowOptions& opt) {
     d.add("flow.substrate.mesh.z_steps", m.z_steps);
     d.add("flow.substrate.mesh.margin", m.margin);
     d.add("flow.substrate.mesh.max_cells_per_axis", m.max_cells_per_axis);
-    d.add("flow.substrate.unreduced_fallback", opt.substrate.unreduced_fallback);
     d.add("flow.interconnect.extract_resistance", opt.interconnect.extract_resistance);
     d.add("flow.interconnect.extract_capacitance", opt.interconnect.extract_capacitance);
     d.add("flow.interconnect.touch_resistance", opt.interconnect.touch_resistance);

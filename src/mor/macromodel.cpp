@@ -6,8 +6,9 @@
 namespace snim::mor {
 
 void instantiate(const RcNetwork& net, circuit::Netlist& target,
-                 const std::vector<std::string>& port_nodes, const std::string& prefix,
-                 double g_floor, double c_floor) {
+                 const std::vector<std::string>& port_nodes, const std::string& prefix) {
+    constexpr double g_floor = 1e-9;  // [S]
+    constexpr double c_floor = 1e-18; // [F]
     using circuit::Capacitor;
     using circuit::NodeId;
     using circuit::Resistor;

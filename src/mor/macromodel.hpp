@@ -14,11 +14,10 @@ namespace snim::mor {
 /// for the network's node i (after reduction, node i is the i-th port).
 /// `prefix` namespaces the generated device names; non-port internal nodes
 /// (if the network was not reduced) get fresh node names under the prefix.
-/// Conductances below `g_floor` (default 1 nS) are skipped to keep the
-/// stitched netlist small.
+/// Conductances below 1 nS and capacitances below 1 aF are skipped to keep
+/// the stitched netlist small.
 void instantiate(const RcNetwork& net, circuit::Netlist& target,
-                 const std::vector<std::string>& port_nodes, const std::string& prefix,
-                 double g_floor = 1e-9, double c_floor = 1e-18);
+                 const std::vector<std::string>& port_nodes, const std::string& prefix);
 
 /// Total capacitance of the network (for conservation checks).
 double total_capacitance(const RcNetwork& net);

@@ -109,19 +109,31 @@ Verdict runtime_verdict(const ScenarioResult& r, double baseline_median,
     return v;
 }
 
-/// AccuracyFail verdict when any metric of `r` exceeds its tolerance.
+/// AccuracyFail verdict when any metric of `r` exceeds its tolerance, and
+/// when `r` is a figure without a single accuracy metric: every corner was
+/// skipped (ScenarioContext::guard_corner), so nothing was checked.
 bool accuracy_fail_verdict(const ScenarioResult& r, Verdict& out) {
-    for (const auto& m : r.accuracy) {
-        if (m.pass()) continue;
-        out.scenario = r.name;
-        out.kind = VerdictKind::AccuracyFail;
-        out.median_s = r.runtime.median_s;
+    const auto bad = std::find_if(r.accuracy.begin(), r.accuracy.end(),
+                                  [](const AccuracyMetric& m) { return !m.pass(); });
+    if (bad != r.accuracy.end()) {
         out.detail = format("'%s' delta %.2f dB > tolerance %.2f dB (vs %s)",
-                            m.name.c_str(), m.delta_db, m.tolerance_db,
-                            m.reference.c_str());
-        return true;
+                            bad->name.c_str(), bad->delta_db, bad->tolerance_db,
+                            bad->reference.c_str());
+    } else if (r.kind == "figure" && r.accuracy.empty()) {
+        // guard_corner's notes read "corner '<tag>' skipped: <error>".
+        const std::string prefix = "corner ";
+        out.detail = "figure without accuracy metrics; skipped corners:";
+        for (const auto& note : r.notes)
+            if (note.rfind(prefix + '\'', 0) == 0)
+                out.detail += " " + note.substr(prefix.size(),
+                                                note.find(" skipped: ") - prefix.size());
+    } else {
+        return false;
     }
-    return false;
+    out.scenario = r.name;
+    out.kind = VerdictKind::AccuracyFail;
+    out.median_s = r.runtime.median_s;
+    return true;
 }
 
 /// Filesystem-safe slug: '/' and whitespace become '_'.

@@ -80,7 +80,9 @@ struct ScenarioContext {
     /// skip-and-record: the error becomes a note ("corner '<tag>' skipped:
     /// ..."), bumps the bench/skipped_corners counter and returns false so
     /// the scenario keeps producing the corners that do work instead of
-    /// aborting the figure.  Non-Error exceptions propagate.
+    /// aborting the figure.  Non-Error exceptions propagate.  A figure
+    /// whose every corner is skipped ends without accuracy metrics, which
+    /// the accuracy gate fails, naming the skipped corners.
     bool guard_corner(const std::string& tag, const std::function<void()>& body);
 
     /// Writes `signals` to <wave_dir>/<slug(tag)>.vcd and .csv; no-op
@@ -196,7 +198,7 @@ enum class VerdictKind {
     Pass,         // runtime within the threshold, accuracy in tolerance
     Improve,      // median runtime faster than baseline by more than the threshold
     Regress,      // median runtime slower than baseline beyond the threshold
-    AccuracyFail, // an accuracy delta exceeds its per-figure tolerance
+    AccuracyFail, // an accuracy delta exceeds its tolerance, or a figure has none
     New,          // scenario absent from the baseline (informational)
     Missing,      // baseline scenario absent from this run (informational)
 };
@@ -213,6 +215,7 @@ struct Verdict {
 };
 
 /// Accuracy-only verdicts (no baseline): AccuracyFail / Pass per scenario.
+/// A figure scenario without accuracy metrics fails; a kernel passes.
 std::vector<Verdict> accuracy_verdicts(const std::vector<ScenarioResult>& results);
 
 /// Full gate: accuracy tolerances plus median-runtime comparison against a

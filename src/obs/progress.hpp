@@ -1,8 +1,8 @@
 // Progress reporting and once-per-interval heartbeats.
 //
-// Long-running loops (the transient time loop, dc_sweep points, AC frequency
-// chunks, bench corner sweeps) open a ProgressScope naming their phase path
-// and total work count, then advance() it per unit of work:
+// Long-running loops (the transient time loop, AC frequency chunks, bench
+// corner sweeps) open a ProgressScope naming their phase path and total
+// work count, then advance() it per unit of work:
 //
 //   obs::ProgressScope progress("sim/transient", nsteps);
 //   for (...) { ...; progress.advance(); }

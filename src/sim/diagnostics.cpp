@@ -139,7 +139,6 @@ void digest_options(obs::ConfigDigest& d, const OpOptions& opt) {
     d.add("op.gmin", opt.gmin);
     d.add("op.dv_max", opt.dv_max);
     d.add("op.gmin_stepping", opt.gmin_stepping);
-    d.add("op.initial", opt.initial);
     d.add("op.diag_bundle", opt.diag_bundle);
     d.add("op.diag_tail", opt.diag_tail);
     d.add("op.source_stepping", opt.source_stepping);

@@ -262,9 +262,6 @@ OpResult operating_point_ex(circuit::Netlist& netlist, const OpOptions& opt) {
     obs::ScopedTimer obs_run("sim/op", obs::Timing::WhenEnabled, obs::Rss::Track);
     netlist.finalize();
     const size_t n = netlist.unknown_count();
-    std::vector<double> x0 = opt.initial;
-    if (x0.empty()) x0.assign(n, 0.0);
-    SNIM_ASSERT(x0.size() == n, "initial point size %zu != %zu", x0.size(), n);
 
     OpTelemetry diag(static_cast<size_t>(opt.diag_tail), n);
 
@@ -301,7 +298,7 @@ OpResult operating_point_ex(circuit::Netlist& netlist, const OpOptions& opt) {
             obs::ts_append("sim/op/rung_active",
                            static_cast<double>(diag.total_iters), rung_index, "rung");
         const long iters_before = diag.total_iters;
-        std::vector<double> x = x0;
+        std::vector<double> x(n, 0.0);
         if (rung.attempt(netlist, x, opt, diag)) {
             obs::count(format("sim/op/rung/%s/wins", rung.name));
             if (rung_index > 1)

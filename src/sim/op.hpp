@@ -1,7 +1,7 @@
 // DC operating point: a homotopy ladder of increasingly robust solvers.
 //
 // Rungs, tried in order until one converges:
-//   1. "newton"  — damped Newton from the caller's initial point,
+//   1. "newton"  — damped Newton from all-zeros,
 //   2. "gmin"    — gmin stepping: solve at a large node-to-ground gmin and
 //                  continue the solution down to OpOptions::gmin,
 //   3. "source"  — source stepping: ramp every independent source value
@@ -28,8 +28,6 @@ struct OpOptions {
     double gmin = 1e-12;   // final gmin [S]
     double dv_max = 0.5;   // Newton step clamp [V]
     bool gmin_stepping = true;
-    /// Starting point; empty means all-zeros.
-    std::vector<double> initial;
     /// Write a snim_diag_*.json failure diagnosis bundle (per-iteration
     /// residual history, worst nodes, LU pivot health, the rung ladder)
     /// when the operating point fails; the thrown snim::Error names the
@@ -77,7 +75,7 @@ struct OpResult {
 std::vector<double> operating_point(circuit::Netlist& netlist, const OpOptions& opt = {});
 
 /// As operating_point(), also reporting the winning rung and the total
-/// Newton iteration count (tests and sweep drivers read these).
+/// Newton iteration count (the tests read these).
 OpResult operating_point_ex(circuit::Netlist& netlist, const OpOptions& opt = {});
 
 } // namespace snim::sim

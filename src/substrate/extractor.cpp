@@ -109,7 +109,6 @@ SubstrateModel extract_substrate(const geom::Rect& area,
     try {
         out.reduced = mor::reduce_by_solve(mesh.network(), port_nodes);
     } catch (const Error& e) {
-        if (!opt.unreduced_fallback) throw;
         // Graceful degradation: stitch the full mesh network in instead of
         // killing the flow.  Exact, just larger and slower to simulate.
         log_warn("substrate: reduction failed (%s); falling back to the "
@@ -123,17 +122,17 @@ SubstrateModel extract_substrate(const geom::Rect& area,
     // Accuracy-budget probe: how much port admittance the reduction lost,
     // measured against the still-live unreduced mesh network.  Observability
     // only — the model itself is unaffected.
-    if (obs::enabled() && !out.mor_fallback && opt.mor_probes > 0) {
+    if (obs::enabled() && !out.mor_fallback) {
         const double rel = mor::probe_reduction_error(
-            mesh.network(), out.reduced, port_nodes, opt.mor_probes);
+            mesh.network(), out.reduced, port_nodes, kReductionProbes);
         const double rel_db =
             rel > 0.0 ? 20.0 * std::log10(rel) : -400.0; // exact -> floor
         obs::record_value("mor/reduction_error_db", rel_db);
-        obs::budget_update("mor/reduction", rel, opt.mor_error_max, "1",
+        obs::budget_update("mor/reduction", rel, kReductionErrorMax, "1",
                            /*higher_is_worse=*/true,
-                           format("%d probes", opt.mor_probes));
+                           format("%d probes", kReductionProbes));
         log_info("substrate: reduction-error probe %.1f dB over %d excitations",
-                 rel_db, opt.mor_probes);
+                 rel_db, kReductionProbes);
     }
     out.extract_seconds = obs_timer.stop();
     log_info("substrate: %zu mesh nodes -> %zu ports in %.2fs%s",

@@ -33,22 +33,15 @@ struct PortSpec {
     double cap_per_area = 0.0;
 };
 
+/// Reduction-error probe of extract_substrate, run only while obs is
+/// enabled: the worst relative port-current error over this many random
+/// port excitations (mor::probe_reduction_error) goes to the accuracy
+/// budget as stage "mor/reduction", against kReductionErrorMax.
+inline constexpr int kReductionProbes = 3;
+inline constexpr double kReductionErrorMax = 1e-6;
+
 struct ExtractOptions {
     MeshOptions mesh;
-    /// When the CG-based reduction fails, degrade to the unreduced mesh
-    /// network (ports renumbered first) instead of aborting the flow: the
-    /// stitched model is larger and slower but exact.  OFF propagates the
-    /// reduction error.
-    bool unreduced_fallback = true;
-    /// Reduction-error probes for the accuracy budget: after a successful
-    /// reduction, drive reduced and unreduced networks with this many random
-    /// port excitations and ledger the worst relative port-current error as
-    /// budget stage "mor/reduction" (see mor::probe_reduction_error).  Runs
-    /// only while obs is enabled; 0 disables.
-    int mor_probes = 3;
-    /// Accuracy budget for the probe error (relative port-current error; the
-    /// ledger reports the margin against it in dB).
-    double mor_error_max = 1e-6;
 };
 
 struct SubstrateModel {
@@ -58,7 +51,8 @@ struct SubstrateModel {
     size_t mesh_node_count = 0;
     double extract_seconds = 0.0;
     /// True when the reduction failed and `reduced` holds the unreduced
-    /// mesh network instead (see ExtractOptions::unreduced_fallback).
+    /// mesh network instead, ports first (mor::ports_first).  Counted in
+    /// substrate/mor_fallbacks, and in flow/degraded_builds by the flow.
     bool mor_fallback = false;
 
     int port_index(const std::string& name) const;
@@ -66,6 +60,9 @@ struct SubstrateModel {
 
 /// Runs the extraction.  `area` is the chip outline in um (margin is added
 /// by the mesher).  Port regions outside the meshed area are an error.
+/// When the CG-based reduction fails, the extraction degrades to the
+/// unreduced mesh network instead of aborting the flow: the stitched model
+/// is larger and slower to simulate but exact (SubstrateModel::mor_fallback).
 SubstrateModel extract_substrate(const geom::Rect& area,
                                  const tech::DopingProfile& profile,
                                  const std::vector<PortSpec>& ports,

@@ -1,7 +1,8 @@
 // Tests for the snim_bench scenario harness: registration and filtering,
 // runtime statistics, the determinism assertion across repetitions,
 // BENCH_*.json round-trip through the regression gate (pass / regress /
-// improve / new / missing verdicts, schema_version check), and the Chrome
+// improve / new / missing verdicts, a figure without accuracy metrics
+// failing, schema_version check), and the Chrome
 // trace exporter's well-formedness (balanced B/E pairs, monotonic
 // timestamps, counter args).
 //
@@ -246,6 +247,39 @@ TEST(BenchGate, AccuracyFailureIsAlwaysFatal) {
         obs::bench_report_json({fixed_result("t/gate/acc", 10.0)}, obs::BenchOptions{});
     const auto vs = obs::compare_to_baseline(baseline, {bad}, 10.0);
     EXPECT_EQ(vs[0].kind, obs::VerdictKind::AccuracyFail);
+}
+
+TEST(BenchGate, FigureWithoutAccuracyMetricFailsTheGate) {
+    // Every corner of the figure was skipped, so no accuracy was checked.
+    auto fig = fixed_result("t/gate/fig", 1.0);
+    fig.kind = "figure";
+    fig.notes = {"corner 'fig10 real' skipped: operating point did not converge",
+                 "corner 'fig10 2x' skipped: operating point did not converge"};
+    const auto kernel = fixed_result("t/gate/kernel", 1.0);
+
+    const auto verdicts = obs::accuracy_verdicts({fig, kernel});
+    ASSERT_EQ(verdicts.size(), 2u);
+    EXPECT_EQ(verdicts[0].kind, obs::VerdictKind::AccuracyFail);
+    EXPECT_NE(verdicts[0].detail.find("skipped corners: 'fig10 real' 'fig10 2x'"),
+              std::string::npos)
+        << verdicts[0].detail;
+    EXPECT_EQ(verdicts[1].kind, obs::VerdictKind::Pass);
+    EXPECT_FALSE(obs::gate_passes(verdicts));
+
+    const auto baseline = obs::bench_report_json(
+        {fixed_result("t/gate/fig", 1.0, {metric("delta", 0.1, 2.0)}),
+         fixed_result("t/gate/kernel", 1.0)},
+        obs::BenchOptions{});
+    const auto vs = obs::compare_to_baseline(baseline, {fig, kernel}, 10.0);
+    ASSERT_EQ(vs.size(), 2u);
+    EXPECT_EQ(vs[0].kind, obs::VerdictKind::AccuracyFail);
+    EXPECT_EQ(vs[0].detail, verdicts[0].detail);
+    EXPECT_EQ(vs[1].kind, obs::VerdictKind::Pass);
+    EXPECT_FALSE(obs::gate_passes(vs));
+
+    // A kernel scores no accuracy and passes both entry points on its own.
+    EXPECT_TRUE(obs::gate_passes(obs::accuracy_verdicts({kernel})));
+    EXPECT_TRUE(obs::gate_passes(obs::compare_to_baseline(baseline, {kernel}, 10.0)));
 }
 
 TEST(BenchGate, SchemaVersionMismatchRaises) {

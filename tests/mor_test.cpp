@@ -22,13 +22,16 @@ TEST(RcNetworkTest, RejectsBadElements) {
     EXPECT_TRUE(net.conductances.empty());
 }
 
+// Node elimination by the Schur complement (reduce_by_solve) against
+// closed forms and the dense oracle.
+
 TEST(EliminationTest, SeriesChainCollapses) {
     // 0 -1ohm- 1 -1ohm- 2, ports {0, 2}: reduced must be a single 2-ohm link.
     RcNetwork net;
     net.node_count = 3;
     net.add_g(0, 1, 1.0);
     net.add_g(1, 2, 1.0);
-    auto red = eliminate_internal(net, {0, 2});
+    auto red = reduce_by_solve(net, {0, 2});
     ASSERT_EQ(red.node_count, 2u);
     ASSERT_EQ(red.conductances.size(), 1u);
     EXPECT_NEAR(red.conductances[0].value, 0.5, 1e-12);
@@ -42,7 +45,7 @@ TEST(EliminationTest, StarBecomesDelta) {
     net.add_g(0, 3, 1.0);
     net.add_g(1, 3, 1.0);
     net.add_g(2, 3, 1.0);
-    auto red = eliminate_internal(net, {0, 1, 2});
+    auto red = reduce_by_solve(net, {0, 1, 2});
     EXPECT_EQ(red.conductances.size(), 3u);
     for (const auto& e : red.conductances) EXPECT_NEAR(e.value, 1.0 / 3.0, 1e-12);
 }
@@ -54,7 +57,7 @@ TEST(EliminationTest, GroundConductancePreserved) {
     net.node_count = 2;
     net.add_g(0, 1, 2.0);
     net.add_g(1, -1, 4.0);
-    auto red = eliminate_internal(net, {0});
+    auto red = reduce_by_solve(net, {0});
     ASSERT_EQ(red.conductances.size(), 1u);
     EXPECT_EQ(red.conductances[0].b, -1);
     EXPECT_NEAR(red.conductances[0].value, 4.0 / 3.0, 1e-12);
@@ -81,7 +84,7 @@ TEST(EliminationTest, PortMatrixExactOnRandomMesh) {
 
     const std::vector<int> ports{0, 5, 11, 23, 37};
     const auto gref = dense_port_conductance(net, ports);
-    auto red = eliminate_internal(net, ports);
+    auto red = reduce_by_solve(net, ports);
     // Build the reduced network's own port matrix (ports are all nodes now).
     std::vector<int> all_ports(ports.size());
     for (size_t i = 0; i < ports.size(); ++i) all_ports[i] = static_cast<int>(i);
@@ -103,7 +106,7 @@ TEST(EliminationTest, CapacitanceConserved) {
     net.add_c(1, -1, 10e-15);
     net.add_c(2, -1, 20e-15);
     net.add_c(0, -1, 1e-15);
-    auto red = eliminate_internal(net, {0, 3});
+    auto red = reduce_by_solve(net, {0, 3});
     EXPECT_NEAR(total_capacitance(red), 31e-15, 1e-20);
 }
 
@@ -112,27 +115,9 @@ TEST(EliminationTest, IsolatedInternalNodeDropped) {
     net.node_count = 3;
     net.add_g(0, 1, 1.0);
     // Node 2 has no connections at all.
-    auto red = eliminate_internal(net, {0, 1});
+    auto red = reduce_by_solve(net, {0, 1});
     ASSERT_EQ(red.conductances.size(), 1u);
     EXPECT_NEAR(red.conductances[0].value, 1.0, 1e-12);
-}
-
-TEST(EliminationTest, DropToleranceShrinksModel) {
-    Rng rng(9);
-    const size_t n = 80;
-    RcNetwork net;
-    net.node_count = n;
-    for (size_t i = 0; i < n; ++i)
-        net.add_g(static_cast<int>(i), static_cast<int>((i + 1) % n), 1.0);
-    for (int k = 0; k < 200; ++k) {
-        int a = rng.uniform_int(0, static_cast<int>(n) - 1);
-        int b = rng.uniform_int(0, static_cast<int>(n) - 1);
-        if (a != b) net.add_g(a, b, rng.uniform(1e-4, 1.0));
-    }
-    const std::vector<int> ports{0, 10, 20, 30, 40, 50, 60, 70};
-    auto exact = eliminate_internal(net, ports, 0.0);
-    auto pruned = eliminate_internal(net, ports, 0.05);
-    EXPECT_LE(pruned.conductances.size(), exact.conductances.size());
 }
 
 TEST(MacromodelTest, InstantiateIntoNetlist) {

@@ -1,7 +1,7 @@
 // Convergence-recovery subsystem: deterministic fault injection drives the
-// transient retry ladder, the op-solver homotopy ladder, dc_sweep cold
-// retries, the MOR unreduced fallback and the bench corner guard.  Runs as
-// its own binary because faults and registry counters are process-global.
+// transient retry ladder, the op-solver homotopy ladder, the MOR unreduced
+// fallback and the bench corner guard.  Runs as its own binary because
+// faults and registry counters are process-global.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,7 +21,6 @@
 #include "obs/bench.hpp"
 #include "obs/registry.hpp"
 #include "obs/timeseries.hpp"
-#include "sim/dc_sweep.hpp"
 #include "sim/diagnostics.hpp"
 #include "sim/op.hpp"
 #include "sim/transient.hpp"
@@ -453,39 +452,6 @@ TEST_F(RecoveryTest, RungCountersTrackAttemptsAndWins) {
 }
 #endif // SNIM_OBS_ENABLED
 
-// --- dc_sweep cold retry --------------------------------------------------
-
-TEST_F(RecoveryTest, DcSweepRetriesFailedPointCold) {
-    // op.fail@2: the warm-started second point fails; the cold retry (third
-    // operating_point call) succeeds and the sweep completes.
-    fault::arm(fault::parse_spec("op.fail@2"));
-    auto nl = diode_netlist();
-    sim::OpOptions opt;
-    opt.diag_bundle = false;
-    const auto sweep = sim::dc_sweep(nl, "v1", {0.5, 1.0, 1.5}, opt);
-    ASSERT_EQ(sweep.x.size(), 3u);
-    ASSERT_EQ(sweep.retried_points.size(), 1u);
-    EXPECT_EQ(sweep.retried_points[0], 1u);
-    // The retried point still matches a direct solve at that value.
-    auto nl2 = diode_netlist();
-    nl2.find_as<circuit::VSource>("v1")->set_waveform(circuit::Waveform::dc(1.0));
-    const auto direct = sim::operating_point(nl2);
-    ASSERT_EQ(sweep.x[1].size(), direct.size());
-    for (size_t i = 0; i < direct.size(); ++i)
-        EXPECT_NEAR(sweep.x[1][i], direct[i], 1e-6);
-}
-
-TEST_F(RecoveryTest, DcSweepPropagatesPersistentFailureAndRestoresWaveform) {
-    fault::arm(fault::parse_spec("op.fail@2x-1")); // fails warm AND cold
-    auto nl = diode_netlist();
-    auto* src = nl.find_as<circuit::VSource>("v1");
-    const double before = src->waveform().dc_value();
-    sim::OpOptions opt;
-    opt.diag_bundle = false;
-    EXPECT_THROW(sim::dc_sweep(nl, "v1", {0.5, 1.0, 1.5}, opt), Error);
-    EXPECT_DOUBLE_EQ(src->waveform().dc_value(), before);
-}
-
 // --- MOR / extractor graceful degradation ---------------------------------
 
 TEST_F(RecoveryTest, PortsFirstPreservesPortConductance) {
@@ -553,16 +519,6 @@ TEST_F(RecoveryTest, ExtractorFallsBackToUnreducedMeshOnCgFailure) {
         for (size_t j = 0; j < 2; ++j)
             EXPECT_NEAR(g_full[i][j], g_red[i][j],
                         1e-12 + 1e-5 * std::fabs(g_red[i][j]));
-}
-
-TEST_F(RecoveryTest, FallbackDisabledPropagatesReductionError) {
-    fault::arm(fault::parse_spec("mor.cg.fail"));
-    auto opt = small_extract_options();
-    opt.unreduced_fallback = false;
-    EXPECT_THROW(substrate::extract_substrate(geom::Rect(0, 0, 60, 20),
-                                              tech::DopingProfile::high_ohmic(20.0, 50.0),
-                                              two_contacts(), opt),
-                 Error);
 }
 
 #endif // SNIM_FAULTS_ENABLED
@@ -735,14 +691,6 @@ TEST_F(RecoveryTest, ValidateFlowOptionsIsCoveredByImpactFlow) {
         expect_raises_naming(bad, "FlowOptions.substrate.mesh.z_steps[3]");
     }
     bad = ok;
-    bad.substrate.mor_probes = -1;
-    expect_raises_naming(bad, "FlowOptions.substrate.mor_probes");
-    for (double e : {0.0, -1e-6, inf, nan}) {
-        bad = ok;
-        bad.substrate.mor_error_max = e;
-        expect_raises_naming(bad, "FlowOptions.substrate.mor_error_max");
-    }
-    bad = ok;
     bad.interconnect.touch_resistance = 0.0;
     expect_raises_naming(bad, "FlowOptions.interconnect.touch_resistance");
     bad = ok;
@@ -769,10 +717,6 @@ TEST_F(RecoveryTest, ValidateFlowOptionsIsCoveredByImpactFlow) {
     bad.checkpoint_dir = bad.diag_dir = "snim_run_dir";
     expect_raises_naming(bad, "FlowOptions.checkpoint_dir");
 
-    // The zero-probe setting stays valid: it turns the reduction probe off.
-    auto off = ok;
-    off.substrate.mor_probes = 0;
-    EXPECT_NO_THROW(core::validate_flow_options(off));
     // An unbounded max_pitch is legal: the outer cells then only grow by
     // `growth`.
     auto unbounded = ok;

@@ -45,17 +45,15 @@ std::vector<std::vector<double>> port_matrix(const RcNetwork& reduced, size_t np
     return dense_port_conductance(reduced, ports);
 }
 
-TEST(ReduceBySolveTest, MatchesEliminationOnRandomNetworks) {
+TEST(ReduceBySolveTest, MatchesDenseSchurOnRandomNetworks) {
     for (uint64_t seed : {1u, 7u, 19u}) {
         auto net = random_grounded_network(60, 90, seed);
         const std::vector<int> ports{0, 13, 27, 41, 55};
-        auto by_elim = eliminate_internal(net, ports);
-        auto by_solve = reduce_by_solve(net, ports);
-        auto ge = port_matrix(by_elim, ports.size());
-        auto gs = port_matrix(by_solve, ports.size());
+        const auto gref = dense_port_conductance(net, ports);
+        const auto g = port_matrix(reduce_by_solve(net, ports), ports.size());
         for (size_t i = 0; i < ports.size(); ++i)
             for (size_t j = 0; j < ports.size(); ++j)
-                EXPECT_NEAR(gs[i][j], ge[i][j], 1e-7 * std::fabs(ge[i][i]) + 1e-10)
+                EXPECT_NEAR(g[i][j], gref[i][j], 1e-7 * std::fabs(gref[i][i]) + 1e-10)
                     << "seed=" << seed << " (" << i << "," << j << ")";
     }
 }
@@ -181,8 +179,8 @@ std::vector<std::vector<double>> cap_matrix(const RcNetwork& reduced, size_t np)
     return c;
 }
 
-/// reduce_by_solve against both oracles: port conductances against the
-/// dense Schur complement, capacitances against eliminate_internal.
+/// reduce_by_solve against both dense oracles: port conductances against
+/// the Schur complement, capacitances against the DC-weight lumping.
 void expect_matches_oracles(const RcNetwork& net, const std::vector<int>& ports) {
     const size_t np = ports.size();
     const RcNetwork red = reduce_by_solve(net, ports);
@@ -195,7 +193,7 @@ void expect_matches_oracles(const RcNetwork& net, const std::vector<int>& ports)
                         1e-8 * std::sqrt(gref[i][i] * gref[j][j]))
                 << "G(" << i << "," << j << ")";
 
-    const auto cref = cap_matrix(eliminate_internal(net, ports), np);
+    const auto cref = dense_port_capacitance(net, ports);
     const auto c = cap_matrix(red, np);
     double cmax = 0.0;
     for (const auto& row : cref)
@@ -206,11 +204,38 @@ void expect_matches_oracles(const RcNetwork& net, const std::vector<int>& ports)
             EXPECT_NEAR(c[i][j], cref[i][j], 1e-9 * cmax) << "C(" << i << "," << j << ")";
 }
 
+TEST(ReduceBySolveTest, CapacitanceSplitsByConductanceDivider) {
+    // Ports A, B, P and one internal node k tied to A by 1 S, to B by 3 S
+    // and to ground by 0.5 S: k's DC influence weights are 1/4.5 on A and
+    // 3/4.5 on B.  A 4 fF cap from k to ground splits onto A's and B's
+    // ground caps; a 2 fF cap from P to k becomes P-A and P-B caps, and
+    // the 0.5/4.5 share that k passes to ground becomes P's ground cap.
+    const int a = 0, b = 1, p = 2, k = 3;
+    RcNetwork net;
+    net.node_count = 4;
+    net.add_g(k, a, 1.0);
+    net.add_g(k, b, 3.0);
+    net.add_g(k, -1, 0.5);
+    net.add_c(k, -1, 4e-15);
+    net.add_c(p, k, 2e-15);
+    const std::vector<int> ports{a, b, p};
+    const double fF = 1e-15, tol = 1e-27;
+    for (const auto& c : {cap_matrix(reduce_by_solve(net, ports), ports.size()),
+                          dense_port_capacitance(net, ports)}) {
+        EXPECT_NEAR(c[a][a], 4 * fF / 4.5, tol);
+        EXPECT_NEAR(c[b][b], 12 * fF / 4.5, tol);
+        EXPECT_NEAR(c[p][a], 2 * fF / 4.5, tol);
+        EXPECT_NEAR(c[p][b], 6 * fF / 4.5, tol);
+        EXPECT_NEAR(c[p][p], 1 * fF / 4.5, tol);
+        EXPECT_EQ(c[a][b], 0.0);
+    }
+}
+
 TEST(ReduceBySolveTest, MatchesDirectOraclesOnCoarseSubstrateMesh) {
     // A coarse mesh of the VCO's slab stack (10 x 8 x 7 = 560 nodes) with
     // three resistive contacts and one capacitive well, attached the way the
-    // substrate extractor attaches ports.  Small enough for the dense and
-    // elimination oracles; the 0.8-120 um slabs and stiff contacts make G_ii
+    // substrate extractor attaches ports.  Small enough for the dense
+    // oracles; the 0.8-120 um slabs and stiff contacts make G_ii
     // ill-conditioned enough that a 1e-9 CG residual misses both bounds.
     substrate::MeshOptions mo;
     mo.z_steps = testcases::vco_flow_options().substrate.mesh.z_steps;
@@ -272,11 +297,11 @@ TEST(ReduceBySolveTest, CapacitiveOnlyPortNextToResistivePorts) {
     expect_matches_oracles(net, {0, 15, well, 45});
 }
 
-TEST(ReduceBySolveTest, MixedPortCapsMatchEliminationOracle) {
-    // A port with both a conductance and a capacitance into internal nodes:
-    // the one case where the ground cap of a port sums its terms in another
-    // order than a node-by-node pass (last-bit differences), hence the
-    // 1e-9-of-max cap tolerance.
+TEST(ReduceBySolveTest, MixedPortCapsMatchDenseOracle) {
+    // A port with both a conductance and capacitances into internal nodes:
+    // the shares of its cap plates that reach the port itself are shorted,
+    // and its ground cap sums the lumped internal ground caps and the
+    // plates' remainders to ground.
     RcNetwork net = random_rc_network(60, 90, 17);
     const int mixed = add_node(net);
     net.add_g(mixed, 30, 0.7);
@@ -338,7 +363,7 @@ TEST(ReduceBySolveTest, ProbeSpansTwoLaneBlocks) {
     const double e4 = probe_reduction_error(net, red, ports, 4);
     const double e5 = probe_reduction_error(net, red, ports, 5);
     EXPECT_TRUE(std::isfinite(e5));
-    EXPECT_LT(e5, substrate::ExtractOptions{}.mor_error_max);
+    EXPECT_LT(e5, substrate::kReductionErrorMax);
     EXPECT_GE(e5, e4);
 }
 

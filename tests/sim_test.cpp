@@ -11,7 +11,6 @@
 #include "circuit/varactor.hpp"
 #include "numeric/vecops.hpp"
 #include "sim/ac.hpp"
-#include "sim/dc_sweep.hpp"
 #include "sim/op.hpp"
 #include "sim/transfer.hpp"
 #include "sim/transient.hpp"
@@ -127,15 +126,14 @@ TEST(DcSweepTest, MosfetTransferCurve) {
     nl.add<VSource>("vg", nl.node("g"), kGround, Waveform::dc(0.0));
     nl.add<Mosfet>("m1", nl.node("d"), nl.node("g"), kGround, kGround,
                    t.mos_model("nch"), MosGeometry{.w = 10, .l = 0.18});
-    auto sweep = dc_sweep(nl, "vg", linspace(0.0, 1.8, 10));
     auto* m = nl.find_as<Mosfet>("m1");
-    // Current must be monotonically increasing with gate bias.
+    auto* vg = nl.find_as<VSource>("vg");
+    // Current must be monotonically increasing with gate bias; each bias
+    // point is a cold operating point.
     double prev = -1.0;
-    for (size_t k = 0; k < sweep.values.size(); ++k) {
-        // Recompute ids by re-solving at this bias via small_signal.
-        auto* vg = nl.find_as<VSource>("vg");
-        vg->set_waveform(Waveform::dc(sweep.values[k]));
-        const auto ss = m->small_signal(sweep.x[k]);
+    for (double v : linspace(0.0, 1.8, 10)) {
+        vg->set_waveform(Waveform::dc(v));
+        const auto ss = m->small_signal(operating_point(nl));
         EXPECT_GE(ss.ids, prev - 1e-12);
         prev = ss.ids;
     }
