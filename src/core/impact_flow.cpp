@@ -6,8 +6,6 @@
 #include "layout/connectivity.hpp"
 #include "mor/macromodel.hpp"
 #include "obs/trace.hpp"
-#include "sim/checkpoint.hpp"
-#include "sim/diagnostics.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -62,20 +60,6 @@ void validate_flow_options(const FlowOptions& opt) {
     if (!(opt.interconnect.cut_pitch > 0.0))
         raise("FlowOptions.interconnect.cut_pitch must be > 0 (got %g)",
               opt.interconnect.cut_pitch);
-    if (opt.threads < 0)
-        raise("FlowOptions.threads must be >= 0 (got %d)", opt.threads);
-    if (opt.resume_from_checkpoint && opt.checkpoint_dir.empty())
-        raise("FlowOptions.resume_from_checkpoint needs checkpoint_dir to be set");
-    if (opt.checkpoint_every_steps < 0)
-        raise("FlowOptions.checkpoint_every_steps must be >= 0 (got %ld)",
-              opt.checkpoint_every_steps);
-    if (!(std::isfinite(opt.checkpoint_every_s) && opt.checkpoint_every_s >= 0.0))
-        raise("FlowOptions.checkpoint_every_s must be finite and >= 0 (got %g)",
-              opt.checkpoint_every_s);
-    if (!opt.checkpoint_dir.empty() && opt.checkpoint_dir == opt.diag_dir)
-        raise("FlowOptions.checkpoint_dir must differ from diag_dir ('%s'): "
-              "snapshot rotation would clobber diagnosis bundles",
-              opt.diag_dir.c_str());
 }
 
 void digest_options(obs::ConfigDigest& d, const FlowOptions& opt) {
@@ -96,28 +80,12 @@ void digest_options(obs::ConfigDigest& d, const FlowOptions& opt) {
     d.add("flow.interconnect.substrate_node_set",
           static_cast<bool>(opt.interconnect.substrate_node));
     d.add("flow.surface_patches", opt.surface_patches);
-    d.add("flow.auto_tap_ports", opt.auto_tap_ports);
-    d.add("flow.observe", opt.observe);
-    // checkpoint_dir / resume_from_checkpoint / cadence are excluded on
-    // purpose: checkpointing never changes results, and a resumed run must
-    // produce the same digest as the run that wrote the snapshot.
 }
 
 ImpactModel build_impact_model(FlowInputs inputs, const FlowOptions& opt) {
     SNIM_ASSERT(inputs.layout != nullptr && inputs.tech != nullptr,
                 "flow needs layout and technology");
     validate_flow_options(opt);
-    if (opt.observe) obs::set_enabled(true);
-    if (!opt.diag_dir.empty()) sim::set_default_diag_dir(opt.diag_dir);
-    if (opt.threads > 0) util::set_default_thread_count(opt.threads);
-    if (!opt.checkpoint_dir.empty()) {
-        sim::CheckpointOptions ck;
-        ck.dir = opt.checkpoint_dir;
-        ck.resume = opt.resume_from_checkpoint;
-        ck.every_s = opt.checkpoint_every_s;
-        ck.every_steps = opt.checkpoint_every_steps;
-        sim::set_default_checkpoint(ck);
-    }
     // Adopt the enclosing run's identity (a bench scenario already set one)
     // or establish this flow as its own run.
     {
@@ -139,13 +107,11 @@ ImpactModel build_impact_model(FlowInputs inputs, const FlowOptions& opt) {
     SNIM_ASSERT(!area.empty(), "layout is empty");
 
     // --- substrate ports ----------------------------------------------------
+    // Resistive tap ports come from the layout's subtap shapes: taps only;
+    // wells are passed explicitly so their names match schematic nodes.
     std::vector<substrate::PortSpec> ports = inputs.substrate_ports;
-    if (opt.auto_tap_ports) {
-        // Taps only; wells are passed explicitly so their names match
-        // schematic nodes.
-        for (auto& p : substrate::ports_from_layout(shapes, nets, labels, tech)) {
-            if (p.kind == substrate::PortKind::Resistive) ports.push_back(std::move(p));
-        }
+    for (auto& p : substrate::ports_from_layout(shapes, nets, labels, tech)) {
+        if (p.kind == substrate::PortKind::Resistive) ports.push_back(std::move(p));
     }
 
     // Surface-potential patches: coupling targets for wire capacitance.

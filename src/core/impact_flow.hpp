@@ -25,39 +25,6 @@ struct FlowOptions {
     /// Lateral grid of substrate surface-potential patches used as the
     /// coupling targets of wire capacitances (per axis).
     int surface_patches = 3;
-    /// Automatically derive resistive tap ports from layout subtap shapes.
-    bool auto_tap_ports = true;
-    /// Turn on the obs registry for this flow (equivalent to SNIM_OBS=1):
-    /// per-stage phases (flow/substrate_extract, flow/interconnect_extract,
-    /// flow/stitch) and extraction counters are recorded and can be read
-    /// back via obs::phase_stats / obs::report_json.
-    bool observe = false;
-    /// When non-empty, Newton-failure diagnosis bundles (snim_diag_*.json)
-    /// from every solve on the resulting impact model are written here:
-    /// forwarded to sim::set_default_diag_dir(), which op/transient consult
-    /// when their own TranOptions/OpOptions::diag_dir is empty.
-    std::string diag_dir;
-    /// Default worker-thread count for every parallel sweep run on the
-    /// resulting impact model (AC sweeps, bench corner fan-out); forwarded
-    /// to util::set_default_thread_count().  0 keeps the current default
-    /// (the SNIM_THREADS environment override, else 1).  Sweep results are
-    /// bit-identical for every thread count.
-    int threads = 0;
-    /// When non-empty, every transient run on the resulting impact model
-    /// snapshots its state here (crash-consistent, double-buffered);
-    /// forwarded to sim::set_default_checkpoint().  Like diag_dir/threads,
-    /// checkpointing is operational and excluded from the config digest:
-    /// a checkpointed run is bit-identical to an uncheckpointed one.
-    std::string checkpoint_dir;
-    /// Resume from the snapshots in checkpoint_dir: transients whose
-    /// checkpoint file carries a matching config digest continue (or replay
-    /// instantly when complete); mismatched digests refuse with an error.
-    bool resume_from_checkpoint = false;
-    /// Snapshot cadence: wall-clock seconds and/or accepted-step count
-    /// (either 0 disables that trigger; both 0 with a checkpoint_dir set
-    /// falls back to the sim default of one snapshot every 5 s).
-    double checkpoint_every_s = 0.0;
-    long checkpoint_every_steps = 0;
 };
 
 /// Validates every FlowOptions field, raising an error that names the
@@ -68,9 +35,7 @@ void validate_flow_options(const FlowOptions& opt);
 /// Feeds every FlowOptions field — including the nested substrate mesh and
 /// interconnect extraction options — into a provenance config digest under
 /// "flow.*" names.  The interconnect substrate_node callback is hashed as a
-/// presence bit (callables have no stable value identity).  Environment
-/// (threads) and output paths (diag_dir) are excluded: they do not change
-/// results.
+/// presence bit (callables have no stable value identity).
 void digest_options(obs::ConfigDigest& d, const FlowOptions& opt);
 
 struct FlowInputs {

@@ -18,9 +18,6 @@
 namespace snim::obs {
 
 void validate_certify_options(const CertifyOptions& opt, const char* engine) {
-    if (!(opt.omega_max > 0.0) || !std::isfinite(opt.omega_max))
-        raise("%s options: certify.omega_max must be finite and > 0 (got %g)",
-              engine, opt.omega_max);
     if (!(opt.rcond_min >= 0.0) || !std::isfinite(opt.rcond_min))
         raise("%s options: certify.rcond_min must be finite and >= 0 (got %g)",
               engine, opt.rcond_min);
@@ -28,12 +25,6 @@ void validate_certify_options(const CertifyOptions& opt, const char* engine) {
         raise("%s options: certify.rcond_min must be < 1 (got %g) — rcond is "
               "a reciprocal condition number",
               engine, opt.rcond_min);
-    if (opt.max_refine_steps < 0 || opt.max_refine_steps > 16)
-        raise("%s options: certify.max_refine_steps must be in [0, 16] (got %d)",
-              engine, opt.max_refine_steps);
-    if (opt.stride < 1)
-        raise("%s options: certify.stride must be >= 1 (got %d)", engine,
-              opt.stride);
 }
 
 #if SNIM_OBS_ENABLED
@@ -201,7 +192,7 @@ void record_certificate(const char* component, const SolveCertificate& cert,
     record_value("numeric/cert_rcond", cert.rcond);
 
     const std::string site(component);
-    budget_update("numeric/" + site + "/omega", omega, opt.omega_max, "1",
+    budget_update("numeric/" + site + "/omega", omega, kCertifyOmegaMax, "1",
                   /*higher_is_worse=*/true,
                   cert.fault_injected ? "fault_injected" : std::string_view{});
     // rcond_min == 0 means the caller disabled the condition gate (ablation
@@ -228,7 +219,7 @@ void record_certificate(const char* component, const SolveCertificate& cert,
         event(EventLevel::Warn, "numeric", "cert_breach",
               {{"site", component},
                {"omega", omega},
-               {"omega_max", opt.omega_max},
+               {"omega_max", kCertifyOmegaMax},
                {"rcond", cert.rcond},
                {"rcond_min", opt.rcond_min},
                {"refine_steps", cert.refine_steps},

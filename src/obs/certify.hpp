@@ -42,28 +42,25 @@
 
 namespace snim::obs {
 
-/// Per-engine certificate knobs, carried inside TranOptions / OpOptions /
-/// AcOptions and validated by validate_certify_options (raise-style, like
-/// the other option validators).
+/// Componentwise backward-error acceptance threshold of every certified
+/// solve.  Healthy solves sit near machine epsilon (~1e-16); 1e-8 flags a
+/// solve that lost half the mantissa before it can bend a figure.
+inline constexpr double kCertifyOmegaMax = 1e-8;
+
+/// Engines certify every kCertifyStride-th site (accepted transient
+/// micro-step, AC frequency point); the condition estimate costs a few
+/// triangular solves, so sweeps amortise it.  Operating points certify
+/// every solve.
+inline constexpr int kCertifyStride = 8;
+
+/// Per-engine certificate knob, carried inside TranOptions / OpOptions /
+/// AcOptions / rf::OscOptions and validated by validate_certify_options
+/// (raise-style, like the other option validators).  Certificates run
+/// whenever obs::enabled().
 struct CertifyOptions {
-    /// Master switch; certificates additionally require obs::enabled().
-    bool enabled = true;
-    /// Componentwise backward-error acceptance threshold.  Healthy solves
-    /// sit near machine epsilon (~1e-16); 1e-8 flags a solve that lost half
-    /// the mantissa before it can bend a figure.
-    double omega_max = 1e-8;
     /// Reciprocal-condition floor: below this the linear system itself has
     /// fewer trustworthy digits than the figure tolerances assume.
     double rcond_min = 1e-14;
-    /// One (counted) step of iterative refinement when omega breaches.
-    /// false keeps runs bit-identical to a certificate-free build.
-    bool refine = true;
-    /// Refinement budget per certified solve.
-    int max_refine_steps = 1;
-    /// Certify every stride-th site (accepted transient micro-step, AC
-    /// frequency point).  1 = every site; the condition estimate costs a few
-    /// triangular solves, so sweeps amortise it.
-    int stride = 8;
 };
 
 /// Raises on out-of-range knobs, naming the offending field and engine.

@@ -26,7 +26,7 @@ struct OscOptions {
     double f_max = 20e9;
     int order = 2;
     double gmin = 1e-12;
-    /// Solve-certificate knobs forwarded to the transient (and its internal
+    /// Solve-certificate knob forwarded to the transient (and its internal
     /// operating-point solve).  Ablation experiments that intentionally
     /// produce extreme conductance spreads (shorted taps vs gmin anchors)
     /// relax certify.rcond_min here; the backward-error gate stays.

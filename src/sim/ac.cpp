@@ -59,7 +59,7 @@ AcResult ac_sweep(circuit::Netlist& netlist, const std::vector<double>& freqs,
     // The serial reference point is the sweep's only certificate site where
     // fault queries are allowed (fault order is part of the determinism
     // contract; worker scheduling is not).
-    const bool certify = opt.certify.enabled && obs::enabled();
+    const bool certify = obs::enabled();
     if (certify) {
         const obs::SolveCertificate cert = certify_solve(
             ref_lu, s0.csc(), out.x[0], s0.rhs(), opt.certify);
@@ -105,7 +105,7 @@ AcResult ac_sweep(circuit::Netlist& netlist, const std::vector<double>& freqs,
                 out.x[i] = lu.solve(s.rhs());
                 min_pivot = lu.factor_stats().min_pivot;
                 fill_growth = lu.factor_stats().fill_growth;
-                if (certify && i % static_cast<size_t>(opt.certify.stride) == 0) {
+                if (certify && i % obs::kCertifyStride == 0) {
                     const obs::SolveCertificate cert =
                         certify_solve(lu, a, out.x[i], s.rhs(), opt.certify,
                                       /*allow_fault=*/false);
@@ -120,7 +120,7 @@ AcResult ac_sweep(circuit::Netlist& netlist, const std::vector<double>& freqs,
                 out.x[i] = fresh.solve(s.rhs());
                 min_pivot = fresh.factor_stats().min_pivot;
                 fill_growth = fresh.factor_stats().fill_growth;
-                if (certify && i % static_cast<size_t>(opt.certify.stride) == 0) {
+                if (certify && i % obs::kCertifyStride == 0) {
                     const obs::SolveCertificate cert =
                         certify_solve(fresh, a, out.x[i], s.rhs(), opt.certify,
                                       /*allow_fault=*/false);

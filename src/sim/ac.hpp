@@ -24,11 +24,11 @@ struct AcOptions {
     /// (the SNIM_THREADS environment override).  Results and recorded obs
     /// metrics are bit-identical for every thread count.
     int threads = 0;
-    /// Per-solve certificates on every certify.stride-th frequency point
-    /// (backward error on the complex system, condition estimate, counted
-    /// refinement).  Active only while the obs registry is enabled; workers
-    /// certify their own points, the ledger aggregation is commutative so
-    /// results stay thread-count independent.
+    /// Per-solve certificates on every obs::kCertifyStride-th frequency
+    /// point (backward error on the complex system, condition estimate,
+    /// counted refinement).  Active only while the obs registry is enabled;
+    /// workers certify their own points, the ledger aggregation is
+    /// commutative so results stay thread-count independent.
     obs::CertifyOptions certify;
 };
 

@@ -138,7 +138,6 @@ std::string encode_checkpoint(const TranCheckpoint& c) {
     put_i64(p, c.recorded);
     put_i64(p, c.averaged);
     put_f64(p, c.dt_prev);
-    put_u64(p, c.lte_ok ? 1 : 0);
     put_vec(p, c.x_acc);
     put_vec(p, c.x_prev);
     put_vec(p, c.device_state);
@@ -227,7 +226,6 @@ TranCheckpoint decode_checkpoint(std::string_view data) {
     c.recorded = cur.i64();
     c.averaged = cur.i64();
     c.dt_prev = cur.f64();
-    c.lte_ok = cur.u64() != 0;
     c.x_acc = cur.vec();
     c.x_prev = cur.vec();
     c.device_state = cur.vec();

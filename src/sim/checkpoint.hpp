@@ -3,7 +3,7 @@
 // A checkpoint is everything transient() needs to continue a run after a
 // SIGKILL and still produce BIT-IDENTICAL results: the accepted solution
 // pair (x_acc / x_prev), every device's integration state, the dt backoff
-// ladder (level / consecutive accepts / dt_prev / LTE flag), the accepted
+// ladder (level / consecutive accepts / dt_prev), the accepted
 // and attempted step counters, the RNG seed, the accuracy-budget ledger's
 // partial sums, and the recorded waveform prefix.
 //
@@ -64,7 +64,8 @@ struct CheckpointOptions {
     bool resume = false;
 };
 
-inline constexpr uint32_t kCheckpointVersion = 1;
+/// v2: the ladder's LTE flag left the payload.
+inline constexpr uint32_t kCheckpointVersion = 2;
 
 /// The serialised solver state.  Waveform vectors hold the recorded prefix;
 /// `average` holds RAW accumulated sums (divided only when the run ends).
@@ -80,7 +81,6 @@ struct TranCheckpoint {
     int64_t recorded = 0;
     int64_t averaged = 0;
     double dt_prev = 0.0;
-    bool lte_ok = true;
     std::vector<double> x_acc;
     std::vector<double> x_prev;
     std::vector<double> device_state;
@@ -119,7 +119,7 @@ std::optional<TranCheckpoint> load_checkpoint(const std::string& path,
 
 /// Process-wide default checkpoint policy, consulted by transient() when
 /// TranOptions carries no checkpoint dir — how snim_bench --checkpoint-dir
-/// and FlowOptions::resume_from reach every transient in the process.
+/// and --resume reach every transient in the process.
 /// Mirrors sim::set_default_diag_dir.
 void set_default_checkpoint(CheckpointOptions policy);
 const CheckpointOptions& default_checkpoint();

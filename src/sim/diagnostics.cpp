@@ -42,15 +42,14 @@ obs::Json telemetry_json(const StepTelemetry& t) {
     return obs::Json(std::move(o));
 }
 
-void digest_certify_options(obs::ConfigDigest& d, const char* prefix,
-                            const obs::CertifyOptions& c) {
-    const std::string p = std::string(prefix) + ".certify.";
-    d.add(p + "enabled", c.enabled);
-    d.add(p + "omega_max", c.omega_max);
-    d.add(p + "rcond_min", c.rcond_min);
-    d.add(p + "refine", c.refine);
-    d.add(p + "max_refine_steps", c.max_refine_steps);
-    d.add(p + "stride", c.stride);
+/// Newton convergence tolerances must be finite and >= 0: an infinite one
+/// accepts any iterate as converged, a NaN one accepts none.
+void validate_tolerances(const char* engine, double reltol, double vntol) {
+    const std::pair<const char*, double> tolerances[] = {{"reltol", reltol},
+                                                         {"vntol", vntol}};
+    for (const auto& [name, v] : tolerances)
+        if (!(std::isfinite(v) && v >= 0.0))
+            raise("%s.%s must be finite and >= 0 (got %g)", engine, name, v);
 }
 
 obs::Json wave_tail_json(const TranResult& r, size_t tail) {
@@ -109,24 +108,11 @@ void digest_options(obs::ConfigDigest& d, const TranOptions& opt) {
     d.add("tran.vntol", opt.vntol);
     d.add("tran.dv_max", opt.dv_max);
     d.add("tran.record_start", opt.record_start);
-    d.add("tran.record_stride", opt.record_stride);
     d.add("tran.initial", opt.initial);
     d.add("tran.be_startup_steps", opt.be_startup_steps);
     d.add("tran.accumulate_average", opt.accumulate_average);
-    d.add("tran.observe", opt.observe);
     d.add("tran.diag_bundle", opt.diag_bundle);
-    d.add("tran.diag_tail", opt.diag_tail);
-    d.add("tran.diag_wave_tail", opt.diag_wave_tail);
-    d.add("tran.adaptive", opt.adaptive);
-    d.add("tran.dt_min", opt.dt_min);
-    d.add("tran.max_step_retries", opt.max_step_retries);
-    d.add("tran.dt_recovery_accepts", opt.dt_recovery_accepts);
-    d.add("tran.lte_control", opt.lte_control);
-    d.add("tran.lte_reltol", opt.lte_reltol);
-    d.add("tran.lte_abstol", opt.lte_abstol);
-    d.add("tran.retry_history", opt.retry_history);
-    digest_certify_options(d, "tran", opt.certify);
-    d.add("tran.kcl_max", opt.kcl_max);
+    d.add("tran.certify.rcond_min", opt.certify.rcond_min);
     // Checkpoint knobs (dir/tag/cadence/resume) are deliberately excluded:
     // they are operational, like thread counts, and a resumed run must
     // produce the same digest as the run that wrote the snapshot.
@@ -138,17 +124,8 @@ void digest_options(obs::ConfigDigest& d, const OpOptions& opt) {
     d.add("op.vntol", opt.vntol);
     d.add("op.gmin", opt.gmin);
     d.add("op.dv_max", opt.dv_max);
-    d.add("op.gmin_stepping", opt.gmin_stepping);
     d.add("op.diag_bundle", opt.diag_bundle);
-    d.add("op.diag_tail", opt.diag_tail);
-    d.add("op.source_stepping", opt.source_stepping);
-    d.add("op.source_steps", opt.source_steps);
-    d.add("op.pseudo_transient", opt.pseudo_transient);
-    d.add("op.ptran_g0", opt.ptran_g0);
-    d.add("op.ptran_growth", opt.ptran_growth);
-    d.add("op.ptran_steps", opt.ptran_steps);
-    d.add("op.ptran_g_floor", opt.ptran_g_floor);
-    digest_certify_options(d, "op", opt.certify);
+    d.add("op.certify.rcond_min", opt.certify.rcond_min);
 }
 
 obs::Json diagnosis_json(const FailureDiagnosis& d) {
@@ -285,43 +262,16 @@ void validate_tran_options(const TranOptions& opt) {
         raise("TranOptions.order must be 1 (BE) or 2 (trapezoidal), got %d", opt.order);
     if (opt.max_newton <= 0)
         raise("TranOptions.max_newton must be > 0 (got %d)", opt.max_newton);
-    if (opt.record_stride <= 0)
-        raise("TranOptions.record_stride must be > 0 (got %d)", opt.record_stride);
     if (opt.record_start >= opt.tstop)
         raise("TranOptions.record_start (%g) must be before tstop (%g) — nothing "
               "would be recorded",
               opt.record_start, opt.tstop);
     if (!(opt.dv_max > 0.0))
         raise("TranOptions.dv_max must be > 0 (got %g)", opt.dv_max);
-    const std::pair<const char*, double> tolerances[] = {
-        {"reltol", opt.reltol},
-        {"vntol", opt.vntol},
-        {"lte_reltol", opt.lte_reltol},
-        {"lte_abstol", opt.lte_abstol}};
-    for (const auto& [name, v] : tolerances)
-        if (!(std::isfinite(v) && v >= 0.0))
-            raise("TranOptions.%s must be finite and >= 0 (got %g)", name, v);
+    validate_tolerances("TranOptions", opt.reltol, opt.vntol);
     if (opt.be_startup_steps < 0)
         raise("TranOptions.be_startup_steps must be >= 0 (got %d)",
               opt.be_startup_steps);
-    if (opt.diag_tail <= 0)
-        raise("TranOptions.diag_tail must be > 0 (got %d)", opt.diag_tail);
-    if (opt.diag_wave_tail < 0)
-        raise("TranOptions.diag_wave_tail must be >= 0 (got %d)", opt.diag_wave_tail);
-    if (opt.dt_min < 0.0)
-        raise("TranOptions.dt_min must be >= 0 (got %g)", opt.dt_min);
-    if (opt.dt_min > opt.dt)
-        raise("TranOptions.dt_min (%g) must not exceed dt (%g)", opt.dt_min, opt.dt);
-    if (opt.max_step_retries < 0)
-        raise("TranOptions.max_step_retries must be >= 0 (got %d)",
-              opt.max_step_retries);
-    if (opt.dt_recovery_accepts < 1)
-        raise("TranOptions.dt_recovery_accepts must be >= 1 (got %d)",
-              opt.dt_recovery_accepts);
-    if (opt.retry_history <= 0)
-        raise("TranOptions.retry_history must be > 0 (got %d)", opt.retry_history);
-    if (!(opt.kcl_max > 0.0))
-        raise("TranOptions.kcl_max must be > 0 (got %g)", opt.kcl_max);
     if (opt.checkpoint.every_steps < 0)
         raise("TranOptions.checkpoint.every_steps must be >= 0 (got %ld)",
               opt.checkpoint.every_steps);
@@ -334,24 +284,9 @@ void validate_tran_options(const TranOptions& opt) {
 void validate_op_options(const OpOptions& opt) {
     if (opt.max_iter <= 0)
         raise("OpOptions.max_iter must be > 0 (got %d)", opt.max_iter);
-    if (opt.reltol < 0.0 || opt.vntol < 0.0)
-        raise("OpOptions.reltol/vntol must be >= 0 (got %g / %g)", opt.reltol,
-              opt.vntol);
+    validate_tolerances("OpOptions", opt.reltol, opt.vntol);
     if (!(opt.gmin > 0.0)) raise("OpOptions.gmin must be > 0 (got %g)", opt.gmin);
     if (!(opt.dv_max > 0.0)) raise("OpOptions.dv_max must be > 0 (got %g)", opt.dv_max);
-    if (opt.diag_tail <= 0)
-        raise("OpOptions.diag_tail must be > 0 (got %d)", opt.diag_tail);
-    if (opt.source_steps < 1)
-        raise("OpOptions.source_steps must be >= 1 (got %d)", opt.source_steps);
-    if (!(opt.ptran_g0 > 0.0))
-        raise("OpOptions.ptran_g0 must be > 0 (got %g)", opt.ptran_g0);
-    if (!(opt.ptran_growth > 1.0))
-        raise("OpOptions.ptran_growth must be > 1 (got %g)", opt.ptran_growth);
-    if (opt.ptran_steps < 1)
-        raise("OpOptions.ptran_steps must be >= 1 (got %d)", opt.ptran_steps);
-    if (!(opt.ptran_g_floor > 0.0) || opt.ptran_g_floor > opt.ptran_g0)
-        raise("OpOptions.ptran_g_floor must be in (0, ptran_g0] (got %g, g0 %g)",
-              opt.ptran_g_floor, opt.ptran_g0);
     obs::validate_certify_options(opt.certify, "OpOptions");
 }
 

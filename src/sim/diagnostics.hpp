@@ -51,7 +51,7 @@ struct StepTelemetry {
                                  // (in-place factorisation, no fill)
     bool converged = true;
     // Numerical-health certificate of the step, when the site was audited
-    // (certify stride + obs enabled); -1 = not audited.
+    // (obs::kCertifyStride + obs enabled); -1 = not audited.
     double kcl_residual = -1.0; // worst per-node KCL current residual [A]
     double cert_omega = -1.0;   // componentwise backward error of the solve
     double cert_rcond = -1.0;   // reciprocal 1-norm condition estimate
@@ -135,9 +135,9 @@ std::vector<std::pair<std::string, double>> worst_unknowns(
 std::string unknown_name(const circuit::Netlist& netlist, int index);
 
 /// Feeds every TranOptions field into a provenance config digest under
-/// "tran.*" names.  Any option change — tolerance, integration order, the
-/// retry ladder, LU reuse — changes the digest, so artifacts from different
-/// configurations never compare as like-for-like.
+/// "tran.*" names.  Any option change — tolerance, integration order,
+/// start-up, recording window — changes the digest, so artifacts from
+/// different configurations never compare as like-for-like.
 void digest_options(obs::ConfigDigest& d, const TranOptions& opt);
 
 /// Same for OpOptions under "op.*" names.
@@ -149,7 +149,7 @@ void digest_options(obs::ConfigDigest& d, const OpOptions& opt);
 void validate_tran_options(const TranOptions& opt);
 
 /// Validates every OpOptions field the same way (gmin > 0, max_iter >= 1,
-/// homotopy-ladder knobs in range, ...).  operating_point() calls this.
+/// finite tolerances, ...).  operating_point() calls this.
 void validate_op_options(const OpOptions& opt);
 
 } // namespace snim::sim

@@ -19,6 +19,22 @@ namespace snim::sim {
 
 namespace {
 
+// The homotopy ladder's continuation schedules (DESIGN.md §8) and the
+// bundle's capacity.
+/// Continuation points of the source ramp (scale = k / kSourceSteps).
+constexpr int kSourceSteps = 8;
+/// Initial node-anchor conductance [S] (the pseudo dt starts small).
+constexpr double kPtranG0 = 1.0;
+/// Geometric anchor relaxation per accepted pseudo-step: sqrt(10).
+constexpr double kPtranGrowth = 3.1622776601683795;
+/// Pseudo-step budget before the rung gives up.
+constexpr int kPtranSteps = 80;
+/// Anchor level treated as "free": once g falls below this and the
+/// pseudo-state stops moving, the rung locks in with plain Newton.
+constexpr double kPtranGFloor = 1e-9;
+/// Last-N Newton iterations of telemetry kept for the bundle.
+constexpr size_t kDiagTail = 64;
+
 /// Telemetry shared across every homotopy-ladder attempt of one operating
 /// point so the failure bundle shows the whole search, not just the last
 /// Newton run.
@@ -114,7 +130,7 @@ bool newton_dc(circuit::Netlist& netlist, std::vector<double>& x, double gmin,
                             !fault::fires("op.newton.stall");
             // A linear solve is exact Newton: x == xn, so the certificate
             // covers the solution the caller receives.
-            if (tel.converged && opt.certify.enabled && obs::enabled()) {
+            if (tel.converged && obs::enabled()) {
                 const obs::SolveCertificate cert =
                     certify_solve(rlu.lu(), s.csc(), x, s.rhs(), opt.certify);
                 tel.cert_omega = cert.omega;
@@ -157,7 +173,7 @@ bool newton_dc(circuit::Netlist& netlist, std::vector<double>& x, double gmin,
             // Certify the accepted fixpoint against the verification system
             // (still held by the stamper and rlu).  A refinement step, if one
             // fires, is one extra chord iteration on the returned iterate.
-            if (tel.converged && opt.certify.enabled && obs::enabled()) {
+            if (tel.converged && obs::enabled()) {
                 const obs::SolveCertificate cert =
                     certify_solve(rlu.lu(), s.csc(), x, s.rhs(), opt.certify);
                 tel.cert_omega = cert.omega;
@@ -186,15 +202,15 @@ bool gmin_stepping_rung(circuit::Netlist& netlist, std::vector<double>& x,
     return true;
 }
 
-/// Rung 3: ramp every independent source from 1/source_steps to 100%,
+/// Rung 3: ramp every independent source from 1/kSourceSteps to 100%,
 /// warm-starting each continuation point from the previous one.  The first
 /// point is nearly source-free, which a gmin'd Newton almost always wins.
 bool source_stepping_rung(circuit::Netlist& netlist, std::vector<double>& x,
                           const OpOptions& opt, OpTelemetry& diag) {
     std::vector<double> xs(netlist.unknown_count(), 0.0);
-    for (int k = 1; k <= opt.source_steps; ++k) {
+    for (int k = 1; k <= kSourceSteps; ++k) {
         obs::count("sim/op/source_steps");
-        const double scale = static_cast<double>(k) / opt.source_steps;
+        const double scale = static_cast<double>(k) / kSourceSteps;
         if (!newton_dc(netlist, xs, opt.gmin, opt, diag, scale)) return false;
     }
     x = std::move(xs);
@@ -210,22 +226,22 @@ bool source_stepping_rung(circuit::Netlist& netlist, std::vector<double>& x,
 bool ptran_rung(circuit::Netlist& netlist, std::vector<double>& x,
                 const OpOptions& opt, OpTelemetry& diag) {
     std::vector<double> anchor = x;
-    double g = opt.ptran_g0;
-    const double g_ceiling = opt.ptran_g0 * 1e6;
-    for (int k = 0; k < opt.ptran_steps; ++k) {
+    double g = kPtranG0;
+    const double g_ceiling = kPtranG0 * 1e6;
+    for (int k = 0; k < kPtranSteps; ++k) {
         obs::count("sim/op/ptran_steps");
         std::vector<double> xk = anchor;
         if (newton_dc(netlist, xk, opt.gmin, opt, diag, 1.0, g, &anchor)) {
             const double move = max_abs_diff(xk, anchor);
             anchor = std::move(xk);
-            if (g <= opt.ptran_g_floor &&
+            if (g <= kPtranGFloor &&
                 move < opt.vntol + opt.reltol * norm_inf(anchor)) {
                 x = anchor;
                 return newton_dc(netlist, x, opt.gmin, opt, diag);
             }
-            g /= opt.ptran_growth; // grow the pseudo time step
+            g /= kPtranGrowth; // grow the pseudo time step
         } else {
-            g *= opt.ptran_growth * opt.ptran_growth; // shrink it
+            g *= kPtranGrowth * kPtranGrowth; // shrink it
             if (g > g_ceiling) return false; // diverging even when frozen
         }
     }
@@ -239,19 +255,7 @@ obs::JsonObject op_options_json(const OpOptions& opt) {
     o.emplace("vntol", opt.vntol);
     o.emplace("gmin", opt.gmin);
     o.emplace("dv_max", opt.dv_max);
-    o.emplace("gmin_stepping", opt.gmin_stepping);
-    o.emplace("source_stepping", opt.source_stepping);
-    o.emplace("source_steps", opt.source_steps);
-    o.emplace("pseudo_transient", opt.pseudo_transient);
-    o.emplace("ptran_g0", opt.ptran_g0);
-    o.emplace("ptran_growth", opt.ptran_growth);
-    o.emplace("ptran_steps", opt.ptran_steps);
-    o.emplace("ptran_g_floor", opt.ptran_g_floor);
-    o.emplace("certify_enabled", opt.certify.enabled);
-    o.emplace("certify_omega_max", opt.certify.omega_max);
     o.emplace("certify_rcond_min", opt.certify.rcond_min);
-    o.emplace("certify_refine", opt.certify.refine);
-    o.emplace("certify_stride", opt.certify.stride);
     return o;
 }
 
@@ -263,24 +267,23 @@ OpResult operating_point_ex(circuit::Netlist& netlist, const OpOptions& opt) {
     netlist.finalize();
     const size_t n = netlist.unknown_count();
 
-    OpTelemetry diag(static_cast<size_t>(opt.diag_tail), n);
+    OpTelemetry diag(kDiagTail, n);
 
     // The homotopy ladder: each rung is tried in order; the first winner
     // returns.  "op.fail" fails the whole ladder, "op.rung.<name>" vetoes
     // one rung — both let tests drive every recovery and diagnosis path.
     struct Rung {
         const char* name;
-        bool enabled;
         bool (*attempt)(circuit::Netlist&, std::vector<double>&, const OpOptions&,
                         OpTelemetry&);
     };
     const Rung ladder[] = {
-        {"newton", true,
+        {"newton",
          [](circuit::Netlist& nl, std::vector<double>& x, const OpOptions& o,
             OpTelemetry& d) { return newton_dc(nl, x, o.gmin, o, d); }},
-        {"gmin", opt.gmin_stepping, gmin_stepping_rung},
-        {"source", opt.source_stepping, source_stepping_rung},
-        {"ptran", opt.pseudo_transient, ptran_rung},
+        {"gmin", gmin_stepping_rung},
+        {"source", source_stepping_rung},
+        {"ptran", ptran_rung},
     };
 
     const bool forced_fail = fault::fires("op.fail");
@@ -288,7 +291,7 @@ OpResult operating_point_ex(circuit::Netlist& netlist, const OpOptions& opt) {
     int rung_index = 0;
     for (const Rung& rung : ladder) {
         ++rung_index;
-        if (!rung.enabled || forced_fail) continue;
+        if (forced_fail) continue;
         if (fault::fires(format("op.rung.%s", rung.name).c_str())) {
             rung_log.emplace(rung.name, "fault_injected");
             continue;

@@ -5,13 +5,16 @@
 //   2. "gmin"    — gmin stepping: solve at a large node-to-ground gmin and
 //                  continue the solution down to OpOptions::gmin,
 //   3. "source"  — source stepping: ramp every independent source value
-//                  from ~0 to 100% in source_steps continuation points,
+//                  from ~0 to 100% in 8 continuation points,
 //   4. "ptran"   — pseudo-transient continuation: anchor every node through
 //                  a conductance g to the previous pseudo-state (backward-
 //                  Euler integration of artificial node capacitors) and
-//                  relax g from ptran_g0 toward 0 until plain Newton holds.
-// Per-rung attempt/win counters land in the obs registry under
-// sim/op/rung/<name>/..., and the failure bundle records the whole ladder.
+//                  relax g from 1 S toward 0 until plain Newton holds.
+// No option skips a rung (tests veto one through the op.rung.<name> fault
+// points), and the continuation schedules are constants in op.cpp
+// (DESIGN.md §8).  Per-rung attempt/win counters land in the obs registry
+// under sim/op/rung/<name>/..., and the failure bundle records the whole
+// ladder.
 #pragma once
 
 #include <string>
@@ -27,7 +30,6 @@ struct OpOptions {
     double vntol = 1e-9;   // absolute voltage tolerance [V]
     double gmin = 1e-12;   // final gmin [S]
     double dv_max = 0.5;   // Newton step clamp [V]
-    bool gmin_stepping = true;
     /// Write a snim_diag_*.json failure diagnosis bundle (per-iteration
     /// residual history, worst nodes, LU pivot health, the rung ladder)
     /// when the operating point fails; the thrown snim::Error names the
@@ -35,30 +37,11 @@ struct OpOptions {
     bool diag_bundle = true;
     /// Bundle directory; empty -> sim::default_diag_dir() -> current dir.
     std::string diag_dir;
-    /// Last-N Newton iterations of telemetry kept for the bundle.
-    int diag_tail = 64;
-
-    // --- homotopy ladder (rungs past gmin stepping) ---------------------
-    /// Try source stepping when damped Newton and gmin stepping fail.
-    bool source_stepping = true;
-    /// Continuation points of the source ramp (scale = k / source_steps).
-    int source_steps = 8;
-    /// Try pseudo-transient continuation as the last rung.
-    bool pseudo_transient = true;
-    /// Initial node-anchor conductance [S] (the pseudo dt starts small).
-    double ptran_g0 = 1.0;
-    /// Geometric anchor relaxation per accepted pseudo-step (> 1).
-    double ptran_growth = 3.1622776601683795; // sqrt(10)
-    /// Pseudo-step budget before the rung gives up.
-    int ptran_steps = 80;
-    /// Anchor level treated as "free": once g falls below this and the
-    /// pseudo-state stops moving, the rung locks in with plain Newton.
-    double ptran_g_floor = 1e-9;
 
     /// Per-solve certificate on the converged verification solve of each
     /// Newton run (backward error, condition estimate, counted refinement).
-    /// Active only while the obs registry is enabled.  The stride knob is
-    /// ignored here: op solves are rare, every one is certified.
+    /// Active only while the obs registry is enabled; every op solve is
+    /// certified.
     obs::CertifyOptions certify;
 };
 
@@ -71,7 +54,7 @@ struct OpResult {
 
 /// Solves the DC operating point; returns the full unknown vector
 /// (node voltages then branch currents).  Throws snim::Error once every
-/// enabled homotopy rung has failed.
+/// homotopy rung has failed.
 std::vector<double> operating_point(circuit::Netlist& netlist, const OpOptions& opt = {});
 
 /// As operating_point(), also reporting the winning rung and the total

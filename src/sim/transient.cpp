@@ -11,7 +11,6 @@
 
 #include "numeric/certify.hpp"
 #include "numeric/sparse_lu.hpp"
-#include "numeric/vecops.hpp"
 #include "obs/events.hpp"
 #include "obs/progress.hpp"
 #include "obs/provenance.hpp"
@@ -34,6 +33,27 @@ const std::vector<double>& TranResult::wave(const std::string& probe) const {
 
 namespace {
 
+// The retry ladder's policy (DESIGN.md §8) and the bundle's capacities.
+/// The dt backoff ladder subdivides the nominal grid by powers of two: at
+/// `level`, micro-steps are dt / 2^level and a nominal step is 2^level
+/// micro-positions wide.  The deepest level reaches dt / 2^12 = dt / 4096.
+constexpr int kMaxLevel = 12;
+/// Rejected attempts allowed per nominal step before the run gives up and
+/// writes the diagnosis bundle.  A step that fails at every level hits
+/// kMaxLevel after 12 rejections; this bounds steps that regrow and fail
+/// again.
+constexpr int kMaxStepRetries = 16;
+/// Consecutive accepted micro-steps required before dt may double back
+/// toward the nominal dt.
+constexpr int kDtRecoveryAccepts = 4;
+/// Last-N retry events kept for the diagnosis bundle.
+constexpr size_t kRetryHistory = 64;
+/// Last-N steps of telemetry kept for the bundle.
+constexpr size_t kDiagTail = 64;
+/// Samples of each probed waveform kept in the bundle (the recorded
+/// prefix's tail).
+constexpr size_t kDiagWaveTail = 256;
+
 /// Serialised into the failure bundle so a post-mortem sees the exact
 /// solver configuration.
 obs::JsonObject tran_options_json(const TranOptions& opt) {
@@ -47,19 +67,8 @@ obs::JsonObject tran_options_json(const TranOptions& opt) {
     o.emplace("vntol", opt.vntol);
     o.emplace("dv_max", opt.dv_max);
     o.emplace("record_start", opt.record_start);
-    o.emplace("record_stride", opt.record_stride);
     o.emplace("be_startup_steps", opt.be_startup_steps);
-    o.emplace("adaptive", opt.adaptive);
-    o.emplace("dt_min", opt.dt_min);
-    o.emplace("max_step_retries", opt.max_step_retries);
-    o.emplace("dt_recovery_accepts", opt.dt_recovery_accepts);
-    o.emplace("lte_control", opt.lte_control);
-    o.emplace("certify_enabled", opt.certify.enabled);
-    o.emplace("certify_omega_max", opt.certify.omega_max);
     o.emplace("certify_rcond_min", opt.certify.rcond_min);
-    o.emplace("certify_refine", opt.certify.refine);
-    o.emplace("certify_stride", opt.certify.stride);
-    o.emplace("kcl_max", opt.kcl_max);
     return o;
 }
 
@@ -87,10 +96,8 @@ void kcl_audit(const circuit::Netlist& netlist, const SparseCSC<double>& a,
 /// Bounded FIFO of retry events for the diagnosis bundle.
 class RetryLog {
 public:
-    explicit RetryLog(size_t capacity) : cap_(std::max<size_t>(1, capacity)) {}
-
     void push(RetryEvent e) {
-        if (events_.size() == cap_) events_.erase(events_.begin());
+        if (events_.size() == kRetryHistory) events_.erase(events_.begin());
         events_.push_back(std::move(e));
         ++total_;
     }
@@ -98,7 +105,6 @@ public:
     long total() const { return total_; }
 
 private:
-    size_t cap_;
     std::vector<RetryEvent> events_;
     long total_ = 0;
 };
@@ -126,7 +132,7 @@ private:
             d.worst_nodes = nodes;
             d.options = tran_options_json(opt);
             d.partial = &partial;
-            d.wave_tail = static_cast<size_t>(opt.diag_wave_tail);
+            d.wave_tail = kDiagWaveTail;
             d.retries = retries.events();
             d.total_retries = retries.total();
             bundle = write_diagnosis_bundle(d, opt.diag_dir);
@@ -205,7 +211,6 @@ void validate_resume(const TranCheckpoint& c, size_t n,
 TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& probes,
                      const TranOptions& opt) {
     validate_tran_options(opt);
-    if (opt.observe) obs::set_enabled(true);
     obs::ScopedTimer obs_run("sim/transient", obs::Timing::WhenEnabled,
                              obs::Rss::Track);
     netlist.finalize();
@@ -262,7 +267,7 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
     TranResult out;
     out.probe_names = probes;
     out.waves.resize(probes.size());
-    out.dt_sample = opt.dt * opt.record_stride;
+    out.dt_sample = opt.dt;
     std::vector<circuit::NodeId> probe_ids;
     probe_ids.reserve(probes.size());
     for (const auto& p : probes) probe_ids.push_back(netlist.existing_node(p));
@@ -276,17 +281,6 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
     out.time.reserve(est);
     for (auto& w : out.waves) w.reserve(est);
 
-    // The dt backoff ladder subdivides the nominal grid by powers of two:
-    // at `level`, micro-steps are dt / 2^level and a nominal step is 2^level
-    // micro-positions wide.  dt_min (0 -> dt/4096) bounds the subdivision.
-    int max_level = 0;
-    if (opt.adaptive) {
-        const double floor_dt = opt.dt_min > 0.0 ? opt.dt_min : opt.dt / 4096.0;
-        while (opt.dt / static_cast<double>(1L << (max_level + 1)) >= floor_dt &&
-               max_level < 30)
-            ++max_level;
-    }
-
     circuit::RealStamper s(n);
     std::vector<double> x_acc = x;       // last accepted (committed) state
     std::vector<double> x_prev = x;      // accepted state one micro-step back
@@ -294,8 +288,8 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
     std::vector<double> last_dx(n, 0.0); // per-unknown update of the last iteration
     std::vector<double> xn;              // tentative Newton iterate
     std::vector<double> lu_tmp;          // solve_into scratch
-    StepTelemetryRing ring(static_cast<size_t>(opt.diag_tail));
-    RetryLog retries(static_cast<size_t>(opt.retry_history));
+    StepTelemetryRing ring(kDiagTail);
+    RetryLog retries;
     long recorded = 0;
     long averaged = 0;
     if (opt.accumulate_average) out.average.assign(n, 0.0);
@@ -318,22 +312,17 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
     TranAssembler assembler(netlist, s, opt.gmin);
     ReusableLU<double> rlu;
 
-    const double lte_reltol = opt.lte_reltol > 0.0 ? opt.lte_reltol : opt.reltol;
-    const double lte_abstol = opt.lte_abstol > 0.0 ? opt.lte_abstol : opt.vntol;
-
     long attempt_no = 0;       // global step-attempt counter (telemetry "step")
     long be_steps_done = 0;    // accepted steps integrated with BE so far
     int level = 0;             // current subdivision depth (0 = nominal dt)
     int consecutive_accepts = 0;
-    double dt_prev = 0.0;      // accepted step before the current one (LTE)
-    bool lte_ok = true;        // last accepted step passed the LTE gate
+    double dt_prev = 0.0;      // accepted step before the current one
     if (resuming) {
         attempt_no = static_cast<long>(res->attempt_no);
         be_steps_done = static_cast<long>(res->be_steps_done);
         level = static_cast<int>(res->level);
         consecutive_accepts = static_cast<int>(res->consecutive_accepts);
         dt_prev = res->dt_prev;
-        lte_ok = res->lte_ok;
     }
 
     // Live progress over the nominal grid (heartbeats/ETA); inert unless
@@ -378,7 +367,6 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
         c.recorded = recorded;
         c.averaged = averaged;
         c.dt_prev = dt_prev;
-        c.lte_ok = lte_ok;
         c.x_acc = x_acc;
         c.x_prev = x_prev;
         for (const auto& d : netlist.devices()) d->save_tran_state(c.device_state);
@@ -434,10 +422,10 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
 
             obs::ScopedTimer obs_step("sim/transient/step");
 
-            // Newton iteration, starting from the LTE gate's linear
-            // predictor once there is a step to extrapolate from; it starts
-            // close enough that most steps converge in two quadratic
-            // iterations instead of three.  x_acc, x_prev and dt_prev are
+            // Newton iteration, starting from the linear predictor once
+            // there is a step to extrapolate from; it starts close enough
+            // that most steps converge in two quadratic iterations instead
+            // of three.  x_acc, x_prev and dt_prev are
             // all checkpointed, so a resumed run predicts the exact same
             // starting iterate.
             StepTelemetry tel;
@@ -550,13 +538,13 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
             tel.converged = converged;
 
             // Numerical-health audit of accepted attempts, every
-            // certify.stride-th accepted micro-step (be_steps_done counts
+            // kCertifyStride-th accepted micro-step (be_steps_done counts
             // accepts, so the gate is deterministic).  The certificate covers
             // the final Newton solve whose system is still in the stamper —
-            // refinement (if it fires) lands before the LTE gate and commit.
-            // Entirely obs-gated: an unobserved run does no extra work.
-            if (converged && opt.certify.enabled && obs::enabled() &&
-                be_steps_done % opt.certify.stride == 0) {
+            // refinement (if it fires) lands before the commit.  Entirely
+            // obs-gated: an unobserved run does no extra work.
+            if (converged && obs::enabled() &&
+                be_steps_done % obs::kCertifyStride == 0) {
                 obs::ScopedTimer obs_cert("sim/transient/certify");
                 const obs::SolveCertificate cert =
                     certify_solve(rlu.lu(), s.csc(), xit, s.rhs(), opt.certify);
@@ -573,7 +561,7 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
                 tel.kcl_residual = kcl;
                 obs::ts_append("sim/transient/kcl_residual", tp.time, kcl, "A");
                 obs::record_value("sim/kcl_worst_residual", kcl);
-                obs::budget_update("sim/kcl", kcl, opt.kcl_max, "A",
+                obs::budget_update("sim/kcl", kcl, kKclMax, "A",
                                    /*higher_is_worse=*/true,
                                    unknown_name(netlist, kcl_node));
             }
@@ -612,11 +600,11 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
                 // Reject the attempt.  Device state only advances in
                 // commit_tran, so restoring the iterate to the last accepted
                 // solution is the entire rollback.
-                const bool can_halve = opt.adaptive && level < max_level &&
-                                       step_retries < opt.max_step_retries;
+                const bool can_halve =
+                    level < kMaxLevel && step_retries < kMaxStepRetries;
                 if (!can_halve) {
-                    // Budget exhausted (or recovery disabled): report the
-                    // failure against the nominal grid the caller knows.
+                    // Budget exhausted: report the failure against the
+                    // nominal grid the caller knows.
                     const char* why =
                         reject == Reject::nonfinite ? "produced a non-finite update"
                         : reject == Reject::singular ? "hit a singular system"
@@ -645,21 +633,7 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
                 continue;
             }
 
-            // Accept: the LTE gate compares the corrector against a linear
-            // predictor extrapolated from the last two accepted states; a
-            // large error keeps dt from regrowing (it never rejects).
-            if (opt.lte_control && dt_prev > 0.0) {
-                double err = 0.0;
-                const double r = dt_cur / dt_prev;
-                for (size_t i = 0; i < n; ++i) {
-                    const double pred = x_acc[i] + r * (x_acc[i] - x_prev[i]);
-                    err = std::max(err, std::fabs(xit[i] - pred));
-                }
-                lte_ok = err < lte_reltol * norm_inf(xit) + lte_abstol;
-                if (obs::enabled())
-                    obs::ts_append("sim/transient/lte", tp.time, err, "V");
-            }
-            // commit_tran is a no-op for LinearStatic devices, so the
+            // Accept.  commit_tran is a no-op for LinearStatic devices, so the
             // assembler's partitioned list commits the identical state while
             // skipping the static majority of the netlist.
             assembler.commit(xit, tp);
@@ -672,8 +646,8 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
 
             // Regrow dt (level--) only on even positions, so the coarser
             // grid still lands exactly on the nominal boundary.
-            if (level > 0 && consecutive_accepts >= opt.dt_recovery_accepts &&
-                k % 2 == 0 && lte_ok) {
+            if (level > 0 && consecutive_accepts >= kDtRecoveryAccepts &&
+                k % 2 == 0) {
                 --level;
                 k /= 2;
                 consecutive_accepts = 0;
@@ -684,11 +658,9 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
         // the fixed-step loop did.
         const double t_nominal = static_cast<double>(step) * opt.dt;
         if (t_nominal >= opt.record_start) {
-            if (recorded % opt.record_stride == 0) {
-                out.time.push_back(t_nominal);
-                for (size_t p = 0; p < probe_ids.size(); ++p)
-                    out.waves[p].push_back(circuit::volt(x_acc, probe_ids[p]));
-            }
+            out.time.push_back(t_nominal);
+            for (size_t p = 0; p < probe_ids.size(); ++p)
+                out.waves[p].push_back(circuit::volt(x_acc, probe_ids[p]));
             ++recorded;
             if (opt.accumulate_average) {
                 for (size_t i = 0; i < n; ++i) out.average[i] += x_acc[i];

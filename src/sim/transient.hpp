@@ -7,11 +7,12 @@
 // trajectory.  Convergence recovery therefore subdivides *within* the
 // nominal grid: a step whose Newton iteration fails (stall, non-finite
 // update, singular system) is rejected, the last accepted state is restored,
-// and the step is retried at dt/2, dt/4, ... down to dt_min with a bounded
+// and the step is retried at dt/2, dt/4, ... down to dt/4096 with a bounded
 // retry budget; dt regrows by doubling — only on nominal-grid-aligned
-// boundaries — after enough consecutive accepted micro-steps.  Every nominal
+// boundaries — after four consecutive accepted micro-steps.  Every nominal
 // boundary is hit exactly, so recorded samples stay on the same uniform grid
-// whether or not recovery fired.
+// whether or not recovery fired.  The ladder's budgets are constants in
+// transient.cpp (DESIGN.md §8).
 //
 // There is one engine (DESIGN.md §14): incremental assembly
 // (sim::TranAssembler), a ReusableLU refreshed by partial refactorization
@@ -30,6 +31,14 @@
 
 namespace snim::sim {
 
+/// Post-accept KCL conservation audit threshold: worst per-node current
+/// residual |A(x) x - b(x)|_i over the node rows of the accepted system
+/// [A].  Audited every obs::kCertifyStride-th accepted micro-step while
+/// the obs registry is on, recorded as the sim/transient/kcl_residual
+/// channel and the sim/kcl_worst_residual histogram, budgeted as stage
+/// "sim/kcl".
+inline constexpr double kKclMax = 1e-6;
+
 struct TranOptions {
     double tstop = 0.0;
     double dt = 0.0;
@@ -39,10 +48,9 @@ struct TranOptions {
     double reltol = 1e-4;
     double vntol = 1e-6;
     double dv_max = 0.5;    // Newton step clamp [V]
-    /// Recording starts at this time (settle/startup skip).
+    /// Recording starts at this time (settle/startup skip); every nominal
+    /// step from there on is recorded.
     double record_start = 0.0;
-    /// Keep every k-th accepted step.
-    int record_stride = 1;
     /// Operating point to start from; empty -> computed internally.
     std::vector<double> initial;
     /// Number of initial steps integrated with backward Euler to damp the
@@ -51,58 +59,17 @@ struct TranOptions {
     /// Accumulate the time-average of the FULL unknown vector over the
     /// recorded window (quasi-DC levels during oscillation).
     bool accumulate_average = false;
-    /// Turn on the obs registry for this run (equivalent to SNIM_OBS=1):
-    /// per-step phases, Newton counters, solver statistics and the
-    /// solver-health time-series channels (sim/transient/newton_iters,
-    /// residual, clamp_hits, lu_min_pivot, lu_fill_growth) are recorded and
-    /// can be read back via obs::phase_stats / obs::ts_get / report_json.
-    bool observe = false;
     /// Write a snim_diag_*.json failure diagnosis bundle when Newton
     /// diverges (the thrown snim::Error names the bundle path).
     bool diag_bundle = true;
     /// Bundle directory; empty -> sim::default_diag_dir() -> current dir.
     std::string diag_dir;
-    /// Last-N steps of telemetry kept for the bundle.
-    int diag_tail = 64;
-    /// Samples of each probed waveform kept in the bundle (the recorded
-    /// prefix's tail; 0 drops the waveform section).
-    int diag_wave_tail = 256;
 
-    // --- convergence recovery (the retry ladder) ------------------------
-    /// Reject-and-retry failed steps with dt backoff instead of raising on
-    /// the first Newton failure.  OFF restores the historical behavior:
-    /// one attempt per step, first failure raises.
-    bool adaptive = true;
-    /// Smallest micro-step the backoff may reach; 0 -> dt / 4096.  The
-    /// effective floor is always a power-of-two fraction of dt so every
-    /// micro-step lands back on the nominal grid.
-    double dt_min = 0.0;
-    /// Rejected attempts allowed per nominal step before the run gives up
-    /// and writes the diagnosis bundle (with the full retry history).
-    int max_step_retries = 16;
-    /// Consecutive accepted micro-steps required before dt may double back
-    /// toward the nominal dt.
-    int dt_recovery_accepts = 4;
-    /// Gate dt regrowth on a predictor-corrector local-truncation-error
-    /// estimate: dt only doubles while |x - x_predicted|_inf stays below
-    /// lte_reltol * |x|_inf + lte_abstol.
-    bool lte_control = false;
-    double lte_reltol = 0.0; // 0 -> reltol
-    double lte_abstol = 0.0; // 0 -> vntol
-    /// Last-N retry events kept for the diagnosis bundle.
-    int retry_history = 64;
-
-    // --- numerical-health certificates ----------------------------------
     /// Per-solve certificates on accepted steps (backward error, condition
-    /// estimate, counted iterative refinement).  Active only while the obs
-    /// registry is enabled; see obs::CertifyOptions for the knobs.
+    /// estimate, counted iterative refinement) and the KCL audit, every
+    /// obs::kCertifyStride-th accepted micro-step while the obs registry is
+    /// enabled.
     obs::CertifyOptions certify;
-    /// Post-accept KCL conservation audit threshold: worst per-node current
-    /// residual |A(x) x - b(x)|_i over the node rows of the accepted system
-    /// [A].  Audited every certify.stride-th accepted micro-step, recorded
-    /// as the sim/transient/kcl_residual channel and the
-    /// sim/kcl_worst_residual histogram, budgeted as stage "sim/kcl".
-    double kcl_max = 1e-6;
 
     // --- checkpoint/restart ---------------------------------------------
     /// Crash-consistent solver-state snapshots and digest-guarded resume
@@ -118,7 +85,7 @@ struct TranResult {
     std::vector<double> time;
     std::vector<std::string> probe_names;
     std::vector<std::vector<double>> waves; // waves[p][k], p indexes probes
-    double dt_sample = 0.0;                 // dt * record_stride
+    double dt_sample = 0.0;                 // the nominal dt
     /// Mean of every unknown over the recorded window (when requested).
     std::vector<double> average;
     /// Rejected step attempts recovered by the retry ladder (0 on a clean
@@ -129,9 +96,9 @@ struct TranResult {
 };
 
 /// Integrates the netlist to `tstop`, recording the named probe nodes.
-/// Newton failures are retried with the dt-backoff ladder (TranOptions
-/// recovery knobs); snim::Error is thrown only once the retry budget or
-/// dt_min is exhausted.
+/// Newton failures are retried with the dt-backoff ladder; snim::Error is
+/// thrown only once the ladder's retry budget or its dt/4096 floor is
+/// exhausted.
 TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& probes,
                      const TranOptions& opt);
 

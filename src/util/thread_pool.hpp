@@ -9,8 +9,8 @@
 // count.
 //
 // The process-wide default worker count is 1 — everything is serial unless
-// the user opts in via SNIM_THREADS, FlowOptions::threads, or the
-// snim_bench --threads flag (all route to set_default_thread_count).
+// the user opts in via SNIM_THREADS, set_default_thread_count, or the
+// snim_bench --threads flag (which calls it).
 #pragma once
 
 #include <cstddef>

@@ -136,7 +136,6 @@ sim::TranCheckpoint sample_checkpoint() {
     c.recorded = 5;
     c.averaged = 5;
     c.dt_prev = 0.05e-9;
-    c.lte_ok = false;
     c.x_acc = {1.0, -2.5, 3.0e-13};
     c.x_prev = {0.875, -2.5, 2.9e-13};
     c.device_state = {0.1, 0.2, 0.3, 1.0, 0.0};
@@ -195,7 +194,6 @@ TEST_F(CheckpointTest, EncodeDecodeRoundTrip) {
     EXPECT_EQ(d.recorded, c.recorded);
     EXPECT_EQ(d.averaged, c.averaged);
     EXPECT_EQ(d.dt_prev, c.dt_prev);
-    EXPECT_EQ(d.lte_ok, c.lte_ok);
     EXPECT_EQ(d.x_acc, c.x_acc);
     EXPECT_EQ(d.x_prev, c.x_prev);
     EXPECT_EQ(d.device_state, c.device_state);

@@ -121,10 +121,10 @@ TEST_F(ProvenanceTest, TranOptionsDigestSeesEveryPerturbedField) {
     o.be_startup_steps += 1;
     EXPECT_NE(digest_of(o), h0);
     o = base;
-    o.lte_control = !o.lte_control;
+    o.record_start = 1e-9;
     EXPECT_NE(digest_of(o), h0);
     o = base;
-    o.max_step_retries += 1;
+    o.certify.rcond_min = 0.0;
     EXPECT_NE(digest_of(o), h0);
     o = base;
     o.initial = {0.0, 1.0};
@@ -141,7 +141,7 @@ TEST_F(ProvenanceTest, OpAndFlowAndBenchDigestsReactToChanges) {
     };
     sim::OpOptions op;
     const uint64_t oh = op_digest(op);
-    op.source_steps += 1;
+    op.max_iter += 1;
     EXPECT_NE(op_digest(op), oh);
 
     const auto flow_digest = [](const core::FlowOptions& o) {

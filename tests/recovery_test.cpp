@@ -195,19 +195,21 @@ TEST_F(RecoveryTest, StepHalvingRecoversInjectedFailure) {
 
 TEST_F(RecoveryTest, HugeStepCountFailsWithErrorNotBadAlloc) {
     // 1e12 steps pass validation (at most 2^53), so the run starts; its
-    // waveform reserve is capped, and the injected failure of step 1 with
-    // adaptive stepping off must surface as snim::Error.
-    fault::arm(fault::parse_spec("tran.step.fail"));
+    // waveform reserve is capped, and the injected failure of every attempt
+    // at step 1 exhausts the retry ladder and must surface as snim::Error.
+    fault::arm(fault::parse_spec("tran.step.fail@1x-1"));
     auto nl = sine_rc_netlist();
     auto opt = sine_options();
     opt.tstop = 1e-3;
     opt.dt = 1e-15;
-    opt.adaptive = false;
     try {
         sim::transient(nl, {"out"}, opt);
         FAIL() << "expected the injected step failure";
     } catch (const Error& e) {
-        EXPECT_NE(std::string(e.what()).find("step 1 of"), std::string::npos) << e.what();
+        const std::string message = e.what();
+        EXPECT_NE(message.find("step 1 of"), std::string::npos) << message;
+        EXPECT_NE(message.find("after 12 rejected attempts"), std::string::npos)
+            << message;
     } catch (const std::bad_alloc&) {
         FAIL() << "std::bad_alloc escaped from transient()";
     }
@@ -273,8 +275,9 @@ TEST_F(RecoveryTest, ExhaustedRetryBudgetWritesRetryHistoryBundle) {
     EXPECT_EQ(static_cast<int>(doc.at("schema_version").as_number()),
               sim::kDiagSchemaVersion);
     EXPECT_EQ(static_cast<long>(doc.at("fail_step").as_number()), 10);
+    // One rejection per halving, down to the dt/4096 floor.
     const auto& retries = doc.at("retry_history").as_array();
-    ASSERT_GE(retries.size(), 3u);
+    ASSERT_EQ(retries.size(), 12u);
     EXPECT_EQ(static_cast<long>(doc.at("total_step_retries").as_number()),
               static_cast<long>(retries.size()));
     double prev_dt = 2.0 * sine_options().dt;
@@ -293,53 +296,39 @@ TEST_F(RecoveryTest, ExhaustedRetryBudgetWritesRetryHistoryBundle) {
     EXPECT_LT(tel.back().at("dt").as_number(), sine_options().dt);
 }
 
-TEST_F(RecoveryTest, AdaptiveOffRestoresSingleAttemptBehavior) {
-    fault::arm(fault::parse_spec("tran.step.fail@10"));
-    auto nl = sine_rc_netlist();
-    auto opt = sine_options();
-    opt.adaptive = false;
-    try {
-        sim::transient(nl, {"out"}, opt);
-        FAIL() << "adaptive=false must raise on the first failure";
-    } catch (const Error& e) {
-        const std::string message = e.what();
-        EXPECT_NE(message.find("did not converge"), std::string::npos) << message;
-        EXPECT_NE(message.find("step 10 of 50"), std::string::npos) << message;
-        EXPECT_EQ(message.find("rejected attempts"), std::string::npos) << message;
-    }
-}
-
-TEST_F(RecoveryTest, RetryBudgetOfZeroFailsOnFirstRejection) {
-    fault::arm(fault::parse_spec("tran.step.fail@10"));
-    auto nl = sine_rc_netlist();
-    auto opt = sine_options();
-    opt.max_step_retries = 0;
-    EXPECT_THROW(sim::transient(nl, {"out"}, opt), Error);
-}
-
 #if SNIM_OBS_ENABLED
 TEST_F(RecoveryTest, RetryCountersAndDtChannelLandInRegistry) {
+    obs::set_enabled(true);
     fault::arm(fault::parse_spec("tran.step.fail@25x2"));
     auto nl = sine_rc_netlist();
-    auto opt = sine_options();
-    opt.observe = true;
+    const auto opt = sine_options();
     const auto res = sim::transient(nl, {"out"}, opt);
     EXPECT_EQ(res.step_retries, 2);
     EXPECT_EQ(obs::counter_value("sim/transient/step_retries"), 2u);
+    EXPECT_EQ(obs::counter_value("sim/transient/convergence_failures"), 2u);
     const auto dt_ts = obs::ts_get("sim/transient/dt");
     ASSERT_TRUE(dt_ts.has_value());
-    // 50 nominal attempts + 2 rejected + the extra micro-steps of recovery.
-    EXPECT_GT(dt_ts->offered, 50u);
-    double dt_min_seen = 1.0;
-    for (double v : dt_ts->value) dt_min_seen = std::min(dt_min_seen, v);
-    EXPECT_NEAR(dt_min_seen, opt.dt / 4.0, 1e-21); // two halvings deep
+    // The ladder's policy, attempt by attempt: step 25 is rejected at dt
+    // and at dt/2, completes in four dt/4 micro-steps and regrows after
+    // those four accepts; four dt/2 accepts later (steps 26 and 27) dt is
+    // back.  50 nominal steps, 2 rejected attempts and 5 extra micro-steps
+    // make 57 attempts.
+    EXPECT_EQ(dt_ts->offered, 57u);
+    std::vector<double> expect(24, opt.dt);
+    expect.insert(expect.end(), {opt.dt, opt.dt / 2.0});
+    expect.insert(expect.end(), 4, opt.dt / 4.0);
+    expect.insert(expect.end(), 4, opt.dt / 2.0);
+    expect.insert(expect.end(), 23, opt.dt);
+    EXPECT_EQ(dt_ts->value, expect);
 }
 #endif // SNIM_OBS_ENABLED
 
 TEST_F(RecoveryTest, HardEdgeIsRescuedByMicroStepping) {
-    // The diagnostics suite asserts this exact circuit FAILS with
-    // adaptive=false; with the ladder on, micro-steps subdivide the 100 V
-    // edge into dv_max-sized jumps and the run completes.
+    // No nominal step can take this 100 V edge (the clamp allows 30 V per
+    // attempt), but with 1 ps rise and fall the ladder's micro-steps
+    // subdivide it into dv_max-sized jumps and the run completes.  The
+    // diagnostics suite sharpens the same edge to 1 fs, which no micro-step
+    // can split, to make the ladder fail.
     auto nl = hard_edge_netlist();
     sim::TranOptions opt;
     opt.dt = 0.1e-9;
@@ -547,18 +536,18 @@ TEST_F(RecoveryTest, ValidateOpOptionsNamesTheField) {
     bad = ok;
     bad.dv_max = -1.0;
     expect_raises_naming(bad, "dv_max");
-    bad = ok;
-    bad.source_steps = 0;
-    expect_raises_naming(bad, "source_steps");
-    bad = ok;
-    bad.ptran_growth = 1.0;
-    expect_raises_naming(bad, "ptran_growth");
-    bad = ok;
-    bad.ptran_g_floor = 2.0 * ok.ptran_g0;
-    expect_raises_naming(bad, "ptran_g_floor");
-    bad = ok;
-    bad.diag_tail = 0;
-    expect_raises_naming(bad, "diag_tail");
+    // Non-finite tolerances: inf accepts any iterate as converged (a wrong
+    // operating point on the first clamped step), NaN never converges.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (double v : {inf, nan, -1.0}) {
+        bad = ok;
+        bad.reltol = v;
+        expect_raises_naming(bad, "OpOptions.reltol");
+        bad = ok;
+        bad.vntol = v;
+        expect_raises_naming(bad, "OpOptions.vntol");
+    }
 }
 
 TEST_F(RecoveryTest, ValidateTranOptionsCoversRecoveryKnobs) {
@@ -576,38 +565,26 @@ TEST_F(RecoveryTest, ValidateTranOptionsCoversRecoveryKnobs) {
     ok.tstop = 1e-6;
     EXPECT_NO_THROW(sim::validate_tran_options(ok));
 
+    // The recovery policy itself is constant; what a caller can still set
+    // is the start-up, the checkpoint cadence and the certificate floor.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
     auto bad = ok;
-    bad.dt_min = -1.0;
-    expect_raises_naming(bad, "dt_min");
+    bad.be_startup_steps = -1;
+    expect_raises_naming(bad, "TranOptions.be_startup_steps");
     bad = ok;
-    bad.dt_min = 2e-9; // above dt
-    expect_raises_naming(bad, "dt_min");
-    bad = ok;
-    bad.max_step_retries = -1;
-    expect_raises_naming(bad, "max_step_retries");
-    bad = ok;
-    bad.dt_recovery_accepts = 0;
-    expect_raises_naming(bad, "dt_recovery_accepts");
-    bad = ok;
-    bad.lte_reltol = -1.0;
-    expect_raises_naming(bad, "lte_reltol");
-    bad = ok;
-    bad.retry_history = 0;
-    expect_raises_naming(bad, "retry_history");
-}
-
-TEST_F(RecoveryTest, LteControlledRunStaysAccurate) {
-    auto clean_nl = sine_rc_netlist();
-    const auto clean = sim::transient(clean_nl, {"out"}, sine_options());
-    auto nl = sine_rc_netlist();
-    auto opt = sine_options();
-    opt.lte_control = true;
-    const auto res = sim::transient(nl, {"out"}, opt);
-    ASSERT_EQ(res.time.size(), clean.time.size());
-    // No failures -> the LTE gate never fires (dt never shrank) and the
-    // waveform is bit-identical to the plain run.
-    for (size_t k = 0; k < res.time.size(); ++k)
-        EXPECT_EQ(res.wave("out")[k], clean.wave("out")[k]);
+    bad.checkpoint.every_steps = -1;
+    expect_raises_naming(bad, "TranOptions.checkpoint.every_steps");
+    for (double v : {-1.0, inf, nan}) {
+        bad = ok;
+        bad.checkpoint.every_s = v;
+        expect_raises_naming(bad, "TranOptions.checkpoint.every_s");
+    }
+    for (double v : {-1.0, 1.5, nan}) {
+        bad = ok;
+        bad.certify.rcond_min = v;
+        expect_raises_naming(bad, "certify.rcond_min");
+    }
 }
 
 // --- bench corner guard ---------------------------------------------------
@@ -699,23 +676,6 @@ TEST_F(RecoveryTest, ValidateFlowOptionsIsCoveredByImpactFlow) {
     bad = ok;
     bad.interconnect.cut_pitch = 0.0;
     expect_raises_naming(bad, "FlowOptions.interconnect.cut_pitch");
-    bad = ok;
-    bad.threads = -1;
-    expect_raises_naming(bad, "FlowOptions.threads");
-    bad = ok;
-    bad.resume_from_checkpoint = true;
-    expect_raises_naming(bad, "FlowOptions.resume_from_checkpoint");
-    bad = ok;
-    bad.checkpoint_every_steps = -1;
-    expect_raises_naming(bad, "FlowOptions.checkpoint_every_steps");
-    for (double s : {-1.0, inf, nan}) {
-        bad = ok;
-        bad.checkpoint_every_s = s;
-        expect_raises_naming(bad, "FlowOptions.checkpoint_every_s");
-    }
-    bad = ok;
-    bad.checkpoint_dir = bad.diag_dir = "snim_run_dir";
-    expect_raises_naming(bad, "FlowOptions.checkpoint_dir");
 
     // An unbounded max_pitch is legal: the outer cells then only grow by
     // `growth`.

@@ -23,13 +23,12 @@ TranResult reference_transient(circuit::Netlist& netlist,
     TranResult out;
     out.probe_names = probes;
     out.waves.resize(probes.size());
-    out.dt_sample = opt.dt * opt.record_stride;
+    out.dt_sample = opt.dt;
     std::vector<circuit::NodeId> ids;
     for (const auto& p : probes) ids.push_back(netlist.existing_node(p));
 
     circuit::RealStamper s(n);
     const long nsteps = static_cast<long>(std::ceil(opt.tstop / opt.dt));
-    long recorded = 0;
     for (long step = 1; step <= nsteps; ++step) {
         circuit::TranParams tp;
         tp.dt = opt.dt;
@@ -57,12 +56,9 @@ TranResult reference_transient(circuit::Netlist& netlist,
         for (const auto& d : netlist.devices()) d->commit_tran(xit, tp);
         x = xit;
         if (tp.time >= opt.record_start) {
-            if (recorded % opt.record_stride == 0) {
-                out.time.push_back(tp.time);
-                for (size_t p = 0; p < ids.size(); ++p)
-                    out.waves[p].push_back(circuit::volt(x, ids[p]));
-            }
-            ++recorded;
+            out.time.push_back(tp.time);
+            for (size_t p = 0; p < ids.size(); ++p)
+                out.waves[p].push_back(circuit::volt(x, ids[p]));
         }
     }
     return out;

@@ -16,8 +16,8 @@ namespace snim::sim {
 /// Integrates `netlist` like transient() with the same step, integration
 /// order, backward-Euler start-up, gmin, dv_max clamp, Newton convergence
 /// test and recording grid (tstop, dt, order, be_startup_steps, gmin,
-/// max_newton, reltol, vntol, dv_max, record_start, record_stride; the
-/// other fields are ignored).  Starts from operating_point() and raises
+/// max_newton, reltol, vntol, dv_max, record_start; the other fields are
+/// ignored).  Starts from operating_point() and raises
 /// on the first step whose Newton iteration fails.
 TranResult reference_transient(circuit::Netlist& netlist,
                                const std::vector<std::string>& probes,
