@@ -19,6 +19,17 @@
 
 using namespace snim;
 
+namespace {
+
+// Telemetry handles (obs/registry.hpp), interned once per process.
+const obs::Phase kTestcaseBuildPhase("bench/testcase_build");
+const obs::Phase kExtractPhase("bench/extract");
+const obs::Phase kCalibratePhase("bench/calibrate");
+const obs::Phase kPredictPhase("bench/predict");
+const obs::Phase kReferenceTransientPhase("bench/reference_transient");
+
+} // namespace
+
 int main(int argc, char** argv) {
     obs::BenchOptions bopt;
     for (int i = 1; i < argc; ++i)
@@ -36,10 +47,10 @@ int main(int argc, char** argv) {
     s.run = [&](obs::ScenarioContext& ctx) {
         model.reset();
         {
-            obs::ScopedTimer t("bench/testcase_build");
+            obs::ScopedTimer t(kTestcaseBuildPhase);
             auto vco = testcases::build_vco();
             t.stop();
-            obs::ScopedTimer e("bench/extract");
+            obs::ScopedTimer e(kExtractPhase);
             model.emplace(
                 testcases::build_model(std::move(vco), testcases::vco_flow_options()));
         }
@@ -48,15 +59,15 @@ int main(int argc, char** argv) {
         core::ImpactAnalyzer analyzer(*model, testcases::VcoTestcase::kNoiseSource,
                                       testcases::vco_noise_entries(), aopt);
         {
-            obs::ScopedTimer t("bench/calibrate");
+            obs::ScopedTimer t(kCalibratePhase);
             analyzer.calibrate();
         }
         {
-            obs::ScopedTimer t("bench/predict");
+            obs::ScopedTimer t(kPredictPhase);
             for (double fn : {1e6, 3e6, 10e6, 15e6}) analyzer.predict(fn);
         }
         if (!ctx.quick) {
-            obs::ScopedTimer t("bench/reference_transient");
+            obs::ScopedTimer t(kReferenceTransientPhase);
             analyzer.simulate(10e6);
         }
     };

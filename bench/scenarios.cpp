@@ -52,6 +52,10 @@ namespace {
 using testcases::NmosStructure;
 using testcases::VcoTestcase;
 
+// Telemetry handles (obs/registry.hpp), interned once per process.
+const obs::Phase kAssembleIncrementalPhase("bench/assemble_incremental");
+const obs::Phase kAssembleFullPhase("bench/assemble_full");
+
 /// Indices 0, n-1 and an even spread in between: quick runs stay on the
 /// full sweep's grid so every computed point matches a reference key.
 std::vector<double> subsample(const std::vector<double>& full, size_t count) {
@@ -415,18 +419,18 @@ void run_assemble_kernel(obs::ScenarioContext&) {
     for (int a = 0; a < attempts; ++a) {
         tp.time = (a + 1) * tp.dt;
         {
-            obs::ScopedTimer t1("bench/assemble_incremental");
+            obs::ScopedTimer t1(kAssembleIncrementalPhase);
             asmb.begin_attempt(x, tp);
         }
         for (int it = 0; it < iters; ++it) {
             for (size_t i = 0; i < n; ++i)
                 x[i] = 0.9 * x[i] + 0.05 * rng.uniform(0, 1);
             {
-                obs::ScopedTimer t1("bench/assemble_incremental");
+                obs::ScopedTimer t1(kAssembleIncrementalPhase);
                 asmb.assemble(x, tp);
             }
             {
-                obs::ScopedTimer t2("bench/assemble_full");
+                obs::ScopedTimer t2(kAssembleFullPhase);
                 full.clear();
                 sim::assemble_tran(nl, full, x, tp, gmin);
             }

@@ -277,7 +277,8 @@ private:
     /// The next csc() call relearns the map from the new sequence.
     void demote() {
         mapped_ = false;
-        if (obs::enabled()) obs::count("circuit/stamp_map_fallbacks");
+        static const obs::Counter fallbacks("circuit/stamp_map_fallbacks");
+        obs::count(fallbacks);
         a_.clear();
         for (size_t i = 0; i < cursor_; ++i)
             a_.add(static_cast<size_t>(rows_seq_[i]), static_cast<size_t>(cols_seq_[i]),

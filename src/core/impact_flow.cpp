@@ -14,6 +14,18 @@
 
 namespace snim::core {
 
+namespace {
+
+// Telemetry handles (obs/registry.hpp), interned once per process.
+const obs::Phase kBuildPhase("flow/build_impact_model");
+const obs::Phase kStitchPhase("flow/stitch");
+const obs::Counter kBuilds("flow/builds");
+const obs::Counter kDegradedBuilds("flow/degraded_builds");
+const obs::Value kModelDevices("flow/model_devices");
+const obs::Value kModelNodes("flow/model_nodes");
+
+} // namespace
+
 const interconnect::NetStats* ImpactModel::wire_stats_for(const std::string& net) const {
     for (const auto& s : wire_stats)
         if (equals_nocase(s.name, net)) return &s;
@@ -94,8 +106,7 @@ ImpactModel build_impact_model(FlowInputs inputs, const FlowOptions& opt) {
         obs::ensure_current_manifest("impact_flow", digest, default_rng_seed(),
                                      util::default_thread_count());
     }
-    obs::ScopedTimer obs_flow("flow/build_impact_model", obs::Timing::WhenEnabled,
-                              obs::Rss::Track);
+    obs::ScopedTimer obs_flow(kBuildPhase, obs::Timing::WhenEnabled, obs::Rss::Track);
     const layout::Layout& lay = *inputs.layout;
     const tech::Technology& tech = *inputs.tech;
 
@@ -148,7 +159,7 @@ ImpactModel build_impact_model(FlowInputs inputs, const FlowOptions& opt) {
     if (out.substrate.mor_fallback) {
         // The flow still produces a usable (exact, just unreduced) model;
         // the counter lets sweep reports flag the degraded corner.
-        obs::count("flow/degraded_builds");
+        obs::count(kDegradedBuilds);
         log_warn("impact model: substrate reduction degraded to the unreduced "
                  "mesh (%zu nodes) — simulation will be slower",
                  out.mesh_nodes);
@@ -176,7 +187,7 @@ ImpactModel build_impact_model(FlowInputs inputs, const FlowOptions& opt) {
     // wiring (shares tap ports / surface patches by name), then the
     // schematic (shares pin nodes), then the package.
     {
-        obs::ScopedTimer obs_stitch("flow/stitch", obs::Timing::WhenEnabled,
+        obs::ScopedTimer obs_stitch(kStitchPhase, obs::Timing::WhenEnabled,
                                     obs::Rss::Track);
         mor::instantiate(out.substrate.reduced, out.netlist, out.substrate.port_names,
                          "sub:");
@@ -185,11 +196,9 @@ ImpactModel build_impact_model(FlowInputs inputs, const FlowOptions& opt) {
         inputs.package.instantiate(out.netlist);
     }
     if (obs::enabled()) {
-        obs::count("flow/builds");
-        obs::record_value("flow/model_devices",
-                          static_cast<double>(out.netlist.device_count()));
-        obs::record_value("flow/model_nodes",
-                          static_cast<double>(out.netlist.node_count()));
+        obs::count(kBuilds);
+        obs::record_value(kModelDevices, static_cast<double>(out.netlist.device_count()));
+        obs::record_value(kModelNodes, static_cast<double>(out.netlist.node_count()));
     }
 
     log_info("impact model: %zu devices, %zu nodes (mesh %zu -> %zu ports)",

@@ -28,6 +28,10 @@ namespace {
 constexpr double kPairTol = 0.01;
 constexpr double kAmplitudeTol = 1e-3;
 
+// Telemetry handles (obs/registry.hpp), interned once per process.
+const obs::Counter kCalibrationPairs("core/calibration_pairs");
+const obs::Counter kCalibrationFallbacks("core/calibration_fallbacks");
+
 /// Rejects analyzer options no capture could run with, naming the field.
 void validate_analyzer_options(const AnalyzerOptions& opt) {
     const std::pair<const char*, double> positive[] = {
@@ -144,11 +148,11 @@ auto certified(const std::string& what, Measure measure, Ratio ratio) {
                    ? std::numeric_limits<double>::infinity()
                    : ratio(result);
     };
-    obs::count("core/calibration_pairs");
+    obs::count(kCalibrationPairs);
     auto result = measure(false);
     double r = certify(result);
     if (!(r <= kPairTol)) {
-        obs::count("core/calibration_fallbacks");
+        obs::count(kCalibrationFallbacks);
         log_info("impact: %s uncertified on the quarter window (ratio %.3g); "
                  "re-running on the full window",
                  what.c_str(), r);

@@ -20,6 +20,10 @@ size_t next_pow2(size_t n) {
 
 namespace {
 
+// Telemetry handles (obs/registry.hpp), interned once per process.
+const obs::Phase kFftPhase("dsp/fft");
+const obs::Value kFftSize("dsp/fft_size");
+
 /// Cached twiddle table for one butterfly stage: w^k = exp(+-i 2*pi k / len)
 /// for k < len/2, built once per (len, direction) and shared by every
 /// transform size (a 4096-point FFT reuses the 2..2048 stage tables of
@@ -49,8 +53,8 @@ const std::vector<std::complex<double>>& twiddles(size_t len, bool inverse) {
 void fft_core(std::vector<std::complex<double>>& a, bool inverse) {
     const size_t n = a.size();
     SNIM_ASSERT(n > 0 && (n & (n - 1)) == 0, "FFT size %zu not a power of two", n);
-    obs::ScopedTimer obs_timer("dsp/fft");
-    if (obs::enabled()) obs::record_value("dsp/fft_size", static_cast<double>(n));
+    obs::ScopedTimer obs_timer(kFftPhase);
+    obs::record_value(kFftSize, static_cast<double>(n));
 
     // Bit-reversal permutation.
     for (size_t i = 1, j = 0; i < n; ++i) {

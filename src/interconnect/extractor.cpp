@@ -22,6 +22,12 @@ const NetStats* InterconnectModel::stats_for(const std::string& net) const {
 
 namespace {
 
+// Telemetry handles (obs/registry.hpp), interned once per process.
+const obs::Phase kExtractPhase("flow/interconnect_extract");
+const obs::Counter kDevices("interconnect/devices");
+const obs::Counter kNets("interconnect/nets");
+const obs::Counter kSegments("interconnect/segments");
+
 // A global attach event: where some connection lands on a routing shape.
 struct Event {
     enum class Kind { Pin, ViaBottom, ViaTop, Touch, SubTap } kind;
@@ -49,8 +55,7 @@ InterconnectModel extract_interconnect(const std::vector<layout::Shape>& shapes,
                                        const ExtractOptions& opt) {
     SNIM_ASSERT(shapes.size() == nets.shape_net.size(), "shapes/nets size mismatch");
     // Always times: extract_seconds is a public result field.
-    obs::ScopedTimer obs_timer("flow/interconnect_extract", obs::Timing::Always,
-                               obs::Rss::Track);
+    obs::ScopedTimer obs_timer(kExtractPhase, obs::Timing::Always, obs::Rss::Track);
 
     InterconnectModel out;
     circuit::Netlist& nl = out.netlist;
@@ -302,10 +307,10 @@ InterconnectModel extract_interconnect(const std::vector<layout::Shape>& shapes,
     for (auto& [net, st] : stats) out.stats.push_back(std::move(st));
     out.extract_seconds = obs_timer.stop();
     if (obs::enabled()) {
-        obs::count("interconnect/devices", nl.device_count());
-        obs::count("interconnect/nets", out.stats.size());
+        obs::count(kDevices, nl.device_count());
+        obs::count(kNets, out.stats.size());
         for (const auto& st : out.stats)
-            obs::count("interconnect/segments", static_cast<uint64_t>(st.segment_count));
+            obs::count(kSegments, static_cast<uint64_t>(st.segment_count));
     }
     log_info("interconnect: %zu devices, %zu nets in %.2fs", nl.device_count(),
              out.stats.size(), out.extract_seconds);

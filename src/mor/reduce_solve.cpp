@@ -15,6 +15,15 @@ namespace snim::mor {
 
 namespace {
 
+// Telemetry handles (obs/registry.hpp), interned once per process.
+const obs::Phase kReducePhase("mor/reduce_by_solve");
+const obs::Phase kProbePhase("mor/probe_reduction_error");
+const obs::Counter kResidualChecks("mor/cg_residual_checks");
+const obs::Counter kSweeps("mor/cg_sweeps");
+const obs::Counter kSolves("mor/cg_solves");
+const obs::Counter kProbeSolves("mor/probe_cg_solves");
+const obs::Value kIters("mor/cg_iters");
+
 /// CG stopping rule: relative residual ||r||_2 <= kCgTol ||b||_2 in the
 /// original variables.  At 1e-11 the port conductances of both figure
 /// meshes sit within 5e-8 sqrt(g_ii g_jj) of a solve to 1e-15 (1e-9 moved
@@ -311,14 +320,14 @@ public:
                 evaluate = evaluate || checking[l];
             }
             if (evaluate) {
-                obs::count("mor/cg_residual_checks");
+                obs::count(kResidualChecks);
                 a_.unsplit_norms(r_.data(), res);
                 for (size_t l = 0; l < kLanes; ++l) {
                     if (done[l] || !checking[l] || !(std::sqrt(res[l]) <= kCgTol * bnorm[l]))
                         continue;
                     done[l] = true;
                     --active;
-                    if (obs::enabled()) obs::record_value("mor/cg_iters", sweeps);
+                    obs::record_value(kIters, sweeps);
                 }
             }
             if (active == 0) break;
@@ -331,7 +340,7 @@ public:
                     p_[i + l] = r_[i + l] + beta[l] * p_[i + l];
         }
         a_.backward_scaled(x_.data());
-        obs::count("mor/cg_sweeps", static_cast<uint64_t>(sweeps));
+        obs::count(kSweeps, static_cast<uint64_t>(sweeps));
     }
 
 private:
@@ -499,7 +508,7 @@ PartitionedG partition_conductance(const RcNetwork& net,
 } // namespace
 
 RcNetwork reduce_by_solve(const RcNetwork& net, const std::vector<int>& ports) {
-    obs::ScopedTimer obs_timer("mor/reduce_by_solve");
+    obs::ScopedTimer obs_timer(kReducePhase);
     if (fault::fires("mor.cg.fail"))
         raise("substrate reduction: CG failed to converge for port 0 "
               "(fault injected)");
@@ -575,7 +584,7 @@ RcNetwork reduce_by_solve(const RcNetwork& net, const std::vector<int>& ports) {
             cg.clear();
             for (size_t l = 0; l < lanes; ++l)
                 for (const auto& [k, g] : gip[j0 + l]) cg.rhs(static_cast<size_t>(k), l) += g;
-            obs::count("mor/cg_solves", lanes);
+            obs::count(kSolves, lanes);
             cg.solve("substrate reduction", "port", j0, lanes);
         }
         for (size_t l = 0; l < lanes; ++l) {
@@ -653,7 +662,7 @@ RcNetwork reduce_by_solve(const RcNetwork& net, const std::vector<int>& ports) {
 
 double probe_reduction_error(const RcNetwork& full, const RcNetwork& reduced,
                              const std::vector<int>& ports, int probes) {
-    obs::ScopedTimer obs_timer("mor/probe_reduction_error");
+    obs::ScopedTimer obs_timer(kProbePhase);
     const size_t np = ports.size();
     SNIM_ASSERT(reduced.node_count == np,
                 "reduced network has %zu nodes for %zu ports",
@@ -704,7 +713,7 @@ double probe_reduction_error(const RcNetwork& full, const RcNetwork& reduced,
                 for (size_t j = 0; j < np; ++j)
                     for (const auto& [k, g] : part.gip[j])
                         cg.rhs(static_cast<size_t>(k), l) += g * vs[l][j];
-            obs::count("mor/probe_cg_solves", lanes);
+            obs::count(kProbeSolves, lanes);
             cg.solve("substrate reduction probe", "probe", t0, lanes);
         }
         for (size_t l = 0; l < lanes; ++l) {

@@ -8,6 +8,11 @@
 namespace snim {
 
 namespace {
+
+// Telemetry handles (obs/registry.hpp), interned once per process.
+const obs::Phase kFactorPhase("numeric/dense_lu_factor");
+const obs::Counter kDenseBytes("numeric/dense_bytes");
+
 template <class T>
 double mag(const T& v) {
     return std::abs(v);
@@ -18,11 +23,10 @@ template <class T>
 DenseLU<T>::DenseLU(DenseMatrix<T> a) : lu_(std::move(a)) {
     SNIM_ASSERT(lu_.rows() == lu_.cols(), "LU needs a square matrix, got %zux%zu",
                 lu_.rows(), lu_.cols());
-    obs::ScopedTimer obs_timer("numeric/dense_lu_factor");
+    obs::ScopedTimer obs_timer(kFactorPhase);
     const size_t n = lu_.rows();
     a_norm1_ = snim::norm1(lu_); // lu_ still holds A; factored in place below
-    if (obs::enabled())
-        obs::count("numeric/dense_bytes", n * n * sizeof(T) + n * sizeof(size_t));
+    obs::count(kDenseBytes, n * n * sizeof(T) + n * sizeof(size_t));
     perm_.resize(n);
     for (size_t i = 0; i < n; ++i) perm_[i] = i;
 

@@ -12,6 +12,22 @@ namespace snim {
 
 namespace {
 
+// Telemetry handles (obs/registry.hpp), interned once per process.
+const obs::Phase kFactorPhase("numeric/lu_factor");
+const obs::Phase kRefactorPhase("numeric/lu_refactor");
+const obs::Phase kSolvePhase("numeric/lu_solve");
+const obs::Counter kPivotSwaps("numeric/lu_pivot_swaps");
+const obs::Counter kFactorBytes("numeric/sparse_lu_bytes");
+const obs::Counter kRefactors("numeric/lu_refactor");
+const obs::Counter kPartialRefactors("numeric/lu_partial_refactor");
+const obs::Counter kSymbolicReuse("numeric/lu_symbolic_reuse");
+const obs::Counter kRepivotFallbacks("numeric/lu_repivot_fallbacks");
+const obs::Value kFillNnz("numeric/lu_fill_nnz");
+const obs::Value kDim("numeric/lu_dim");
+const obs::Value kMinPivot("numeric/lu_min_pivot");
+const obs::Value kFillGrowth("numeric/lu_fill_growth");
+const obs::Value kRcond("numeric/lu_rcond");
+
 template <class T>
 double mag(const T& v) {
     return std::abs(v);
@@ -115,7 +131,7 @@ SparseLU<T>::SparseLU(const SparseCSC<T>& a, double pivot_tol,
                       const std::vector<int>* last_cols)
     : n_(a.size()) {
     SNIM_ASSERT(pivot_tol >= 0.0 && pivot_tol <= 1.0, "pivot_tol out of range");
-    obs::ScopedTimer obs_timer("numeric/lu_factor");
+    obs::ScopedTimer obs_timer(kFactorPhase);
     size_t pivot_swaps = 0;
     l_.resize(n_);
     u_.resize(n_);
@@ -303,15 +319,14 @@ SparseLU<T>::SparseLU(const SparseCSC<T>& a, double pivot_tol,
     }
 
     if (obs::enabled()) {
-        obs::count("numeric/lu_pivot_swaps", pivot_swaps);
+        obs::count(kPivotSwaps, pivot_swaps);
         // Factor storage for the memory-attribution report: L + U entries
         // plus the three permutation vectors.
-        obs::count("numeric/sparse_lu_bytes",
-                   nnz() * sizeof(Entry) + 3 * n_ * sizeof(int));
-        obs::record_value("numeric/lu_fill_nnz", static_cast<double>(nnz()));
-        obs::record_value("numeric/lu_dim", static_cast<double>(n_));
-        obs::record_value("numeric/lu_min_pivot", stats_.min_pivot);
-        obs::record_value("numeric/lu_fill_growth", stats_.fill_growth);
+        obs::count(kFactorBytes, nnz() * sizeof(Entry) + 3 * n_ * sizeof(int));
+        obs::record_value(kFillNnz, static_cast<double>(nnz()));
+        obs::record_value(kDim, static_cast<double>(n_));
+        obs::record_value(kMinPivot, stats_.min_pivot);
+        obs::record_value(kFillGrowth, stats_.fill_growth);
     }
 }
 
@@ -396,13 +411,13 @@ void SparseLU<T>::finish_refactor() {
     for (size_t j = 0; j < n_; ++j) best = std::max(best, col_abs_sum_[j]);
     a_norm1_ = best;
     rcond_cache_ = -1.0; // new values: the cached condition estimate is stale
-    if (obs::enabled()) obs::record_value("numeric/lu_min_pivot", stats_.min_pivot);
+    obs::record_value(kMinPivot, stats_.min_pivot);
 }
 
 template <class T>
 bool SparseLU<T>::refactor(const SparseCSC<T>& a) {
     SNIM_ASSERT(a.size() == n_, "refactor shape %zu != %zu", a.size(), n_);
-    obs::ScopedTimer obs_timer("numeric/lu_refactor");
+    obs::ScopedTimer obs_timer(kRefactorPhase);
     if (!refactor_columns(a, nullptr, n_)) return false;
     finish_refactor();
     return true;
@@ -438,7 +453,7 @@ template <class T>
 bool SparseLU<T>::refactor_partial(const SparseCSC<T>& a,
                                    const std::vector<int>& changed_cols) {
     SNIM_ASSERT(a.size() == n_, "refactor shape %zu != %zu", a.size(), n_);
-    obs::ScopedTimer obs_timer("numeric/lu_refactor");
+    obs::ScopedTimer obs_timer(kRefactorPhase);
     if (!closure_valid_ || closure_key_ != changed_cols) build_closure(changed_cols);
     if (!refactor_columns(a, closure_.data(), closure_.size())) return false;
     finish_refactor();
@@ -450,7 +465,7 @@ double SparseLU<T>::rcond_estimate() const {
     if (rcond_cache_ >= 0.0) return rcond_cache_;
     rcond_cache_ = rcond_from_norm1<T>(*this, n_, a_norm1_);
     stats_.rcond = rcond_cache_;
-    if (obs::enabled()) obs::record_value("numeric/lu_rcond", rcond_cache_);
+    obs::record_value(kRcond, rcond_cache_);
     return rcond_cache_;
 }
 
@@ -458,7 +473,7 @@ template <class T>
 void SparseLU<T>::solve_into(const std::vector<T>& b, std::vector<T>& out,
                              std::vector<T>& scratch) const {
     SNIM_ASSERT(b.size() == n_, "rhs size %zu != %zu", b.size(), n_);
-    obs::ScopedTimer obs_timer("numeric/lu_solve");
+    obs::ScopedTimer obs_timer(kSolvePhase);
     scratch.resize(n_); // every slot is written by the permute-in below
     std::vector<T>& x = scratch;
     for (size_t i = 0; i < n_; ++i)
@@ -495,7 +510,7 @@ std::vector<T> SparseLU<T>::solve(const std::vector<T>& b) const {
 template <class T>
 std::vector<T> SparseLU<T>::solve_transpose(const std::vector<T>& b) const {
     SNIM_ASSERT(b.size() == n_, "rhs size %zu != %zu", b.size(), n_);
-    obs::ScopedTimer obs_timer("numeric/lu_solve");
+    obs::ScopedTimer obs_timer(kSolvePhase);
     // A^T = (P^T L U)^T = U^T L^T P, so solve U^T y = b, L^T z = y, x = P^T z.
     // The min-degree permutation is symmetric, so transposing commutes with
     // it: permute b in, solve the permuted transpose, permute x back out.
@@ -555,7 +570,7 @@ void ReusableLU<T>::factor(const SparseCSC<T>& a, const RefactorHint& hint) {
     // Queried first and unconditionally, so firing positions are a pure
     // function of how many reuse opportunities the run has seen.
     const bool forced = fault::fires("numeric.lu.repivot");
-    if (obs::enabled()) obs::count("numeric/lu_refactor");
+    obs::count(kRefactors);
     // The partial path needs the held factors to come from a matrix that is
     // value-identical to `a` outside hint.changed_cols — exactly what a
     // matching nonzero key attests.  Anything else (key change, zero key,
@@ -568,19 +583,19 @@ void ReusableLU<T>::factor(const SparseCSC<T>& a, const RefactorHint& hint) {
     bool ok;
     if (!forced && partial_ok) {
         ok = lu_->refactor_partial(a, *hint.changed_cols);
-        if (ok && obs::enabled()) obs::count("numeric/lu_partial_refactor");
+        if (ok) obs::count(kPartialRefactors);
     } else {
         ok = !forced && lu_->refactor(a);
     }
     if (ok && lu_->factor_stats().min_pivot >= opt_.repivot_tol * ref_min_pivot_) {
         adopt_key();
-        if (obs::enabled()) obs::count("numeric/lu_symbolic_reuse");
+        obs::count(kSymbolicReuse);
         return;
     }
     // Guard tripped (pivot degraded / exact zero / forced): the cached pivot
     // sequence is stale — pay for one full re-pivoting factorization, which
     // also refreshes the health reference.
-    if (obs::enabled()) obs::count("numeric/lu_repivot_fallbacks");
+    obs::count(kRepivotFallbacks);
     full_factor(a, hint.changed_cols);
     adopt_key();
 }

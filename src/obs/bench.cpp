@@ -22,6 +22,8 @@ namespace snim::obs {
 
 namespace {
 
+const Counter kSkippedCorners("bench/skipped_corners");
+
 std::vector<Scenario>& scenario_store() {
     static std::vector<Scenario>* s = new std::vector<Scenario>;
     return *s;
@@ -152,7 +154,7 @@ bool ScenarioContext::guard_corner(const std::string& tag,
         body();
         return true;
     } catch (const Error& e) {
-        count("bench/skipped_corners");
+        count(kSkippedCorners);
         add_note(format("corner '%s' skipped: %s", tag.c_str(), e.what()));
         return false;
     }

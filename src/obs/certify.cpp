@@ -35,6 +35,13 @@ namespace {
 /// no error at all) stay plottable and diffable instead of going to -inf.
 constexpr double kMarginClampDb = 400.0;
 
+// Telemetry handles (obs/registry.hpp), interned once per process.
+const Counter kSolveCertificates("numeric/solve_certificates");
+const Counter kRefinementSteps("numeric/ir_refinement_steps");
+const Counter kCertBreaches("numeric/cert_breaches");
+const Value kCertOmega("numeric/cert_omega");
+const Value kCertRcond("numeric/cert_rcond");
+
 double margin_db_of(double value, double threshold, bool higher_is_worse) {
     const double num = higher_is_worse ? value : threshold;
     const double den = higher_is_worse ? threshold : value;
@@ -184,12 +191,11 @@ void record_certificate(const char* component, const SolveCertificate& cert,
     const double omega = std::isfinite(cert.omega)
                              ? cert.omega
                              : std::numeric_limits<double>::max();
-    count("numeric/solve_certificates");
+    count(kSolveCertificates);
     if (cert.refine_steps > 0)
-        count("numeric/ir_refinement_steps",
-              static_cast<uint64_t>(cert.refine_steps));
-    record_value("numeric/cert_omega", omega);
-    record_value("numeric/cert_rcond", cert.rcond);
+        count(kRefinementSteps, static_cast<uint64_t>(cert.refine_steps));
+    record_value(kCertOmega, omega);
+    record_value(kCertRcond, cert.rcond);
 
     const std::string site(component);
     budget_update("numeric/" + site + "/omega", omega, kCertifyOmegaMax, "1",
@@ -214,7 +220,7 @@ void record_certificate(const char* component, const SolveCertificate& cert,
     }
 
     if (cert.breach) {
-        count("numeric/cert_breaches");
+        count(kCertBreaches);
         g_breach_count.fetch_add(1, std::memory_order_relaxed);
         event(EventLevel::Warn, "numeric", "cert_breach",
               {{"site", component},

@@ -3,7 +3,7 @@
 #if SNIM_OBS_ENABLED
 
 #include <algorithm>
-#include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -13,6 +13,10 @@
 #include "obs/timeseries.hpp"
 
 namespace snim::obs {
+
+namespace detail {
+std::atomic<bool> g_enabled{false};
+}
 
 namespace {
 
@@ -72,21 +76,114 @@ struct Histogram {
     }
 };
 
-struct Registry {
-    std::mutex mu;
-    // std::map keeps snapshots name-sorted for free; registries hold tens
-    // of entries, so the log-n lookup is irrelevant next to the lock.
-    std::map<std::string, uint64_t, std::less<>> counters;
-    std::map<std::string, Histogram, std::less<>> values;
-    std::map<std::string, PhaseStats, std::less<>> phases;
-    ReportMode mode = ReportMode::None;
+/// One time-series channel's decimating buffer (policy in timeseries.hpp).
+/// `stride` doubles every time the buffer fills; only every stride-th
+/// offered sample is stored, plus the pending last sample kept aside so
+/// snapshots always end on it.
+struct ChannelBuf {
+    std::vector<double> time;
+    std::vector<double> value;
+    uint64_t offered = 0;
+    uint64_t stride = 1;
+    double last_t = 0.0;
+    double last_v = 0.0;
+
+    void add(double t, double v) {
+        if (offered % stride == 0) {
+            time.push_back(t);
+            value.push_back(v);
+            if (time.size() >= kTimeSeriesCapacity) decimate();
+        }
+        last_t = t;
+        last_v = v;
+        ++offered;
+    }
+
+    void decimate() {
+        size_t kept = 0;
+        for (size_t i = 0; i < time.size(); i += 2) {
+            time[kept] = time[i];
+            value[kept] = value[i];
+            ++kept;
+        }
+        time.resize(kept);
+        value.resize(kept);
+        stride *= 2;
+    }
+
+    TimeSeries snapshot(const std::string& name, const std::string& unit) const {
+        TimeSeries s;
+        s.name = name;
+        s.unit = unit;
+        s.time = time;
+        s.value = value;
+        s.offered = offered;
+        s.stride = stride;
+        // The stride may have skipped the most recent sample; a series that
+        // does not end on the last offered point misreports where the run
+        // stopped (the whole point of a post-mortem tail).
+        if (offered > 0 && (s.time.empty() || s.time.back() != last_t ||
+                            s.value.back() != last_v)) {
+            s.time.push_back(last_t);
+            s.value.push_back(last_v);
+        }
+        return s;
+    }
 };
 
-std::atomic<bool> g_enabled{false};
+struct CounterSlot {
+    uint64_t value = 0;
+    bool live = false; // recorded on since the last reset()
+};
+
+struct PhaseSlot {
+    PhaseStats stats;
+    bool live = false;
+};
+
+/// Name -> id table of one storage kind.  Names are never erased, so ids
+/// and the name views Phase hands out stay valid for the process; the map
+/// keeps snapshots name-sorted.
+struct Names {
+    std::map<std::string, uint32_t, std::less<>> ids;
+    std::vector<const std::string*> by_id;
+
+    /// Id of `name`, adding it (and calling `grow` once) when new.
+    template <class Grow>
+    uint32_t intern(std::string_view name, Grow&& grow) {
+        auto it = ids.find(name);
+        if (it == ids.end()) {
+            it = ids.emplace(std::string(name), static_cast<uint32_t>(by_id.size())).first;
+            by_id.push_back(&it->first);
+            grow();
+        }
+        return it->second;
+    }
+
+    const uint32_t* find(std::string_view name) const {
+        auto it = ids.find(name);
+        return it == ids.end() ? nullptr : &it->second;
+    }
+};
+
+/// Everything threads share, under `mu`.  Storage vectors are indexed by
+/// handle id; a slot shows up in snapshots only while live (a histogram or
+/// channel is live once it holds a sample).
+struct Registry {
+    std::mutex mu;
+    ReportMode mode = ReportMode::None; // fixed when the registry is built
+
+    Names counter_names, value_names, phase_names, channel_names;
+    std::vector<CounterSlot> counters;
+    std::vector<Histogram> values;
+    std::vector<PhaseSlot> phases;
+    std::vector<ChannelBuf> channels;
+    std::vector<std::string> channel_units; // kept across reset(), like names
+};
 
 Registry& registry() {
-    // Leaked on purpose: the atexit report writer and late ScopedTimer
-    // destructors must never race static destruction.
+    // Leaked on purpose: the atexit report writer, thread-exit flushes and
+    // late ScopedTimer destructors must never race static destruction.
     static Registry* r = [] {
         Registry* reg = new Registry;
         if (const char* env = std::getenv("SNIM_OBS")) {
@@ -96,198 +193,271 @@ Registry& registry() {
             } else if (v == "1" || v == "on" || v == "text") {
                 reg->mode = ReportMode::Text;
             }
-            if (reg->mode != ReportMode::None) {
-                g_enabled.store(true, std::memory_order_relaxed);
-                std::atexit(&write_env_report);
-            }
+            if (reg->mode != ReportMode::None)
+                detail::g_enabled.store(true, std::memory_order_relaxed);
         }
         return reg;
     }();
     return *r;
 }
 
-thread_local TaskCapture* tl_capture = nullptr;
+// SNIM_OBS takes effect before main, so the inline enabled() needs no
+// first-touch hook.
+const bool g_env_read = (registry(), true);
 
-} // namespace
+/// Registers the end-of-process report the first time something records or
+/// reads (not at static initialisation, so that every static the report
+/// touches is built before it and destroyed after it).
+void arm_env_report() {
+    static const bool armed = [] {
+        if (registry().mode != ReportMode::None) std::atexit(&write_env_report);
+        return true;
+    }();
+    (void)armed;
+}
 
-/// Private-member access for the capture hooks below (kept out of the
-/// header so TaskCapture's op format stays an implementation detail).
-struct CaptureAccess {
-    using Op = TaskCapture::Op;
-    static void push(TaskCapture& c, Op::Kind kind, std::string_view name, double a,
-                     double b, uint64_t delta, std::string_view unit) {
-        c.ops_.push_back({kind, std::string(name), a, b, delta, std::string(unit)});
+/// A thread's bounded op log.  Constant-initialised and trivially
+/// destructible, so a record is a plain TLS access with no guard; the
+/// thread-exit flush hangs off a separate hook.
+struct ThreadLog {
+    detail::Op ops[kLogCapacity] = {};
+    uint32_t n = 0;
+    uint32_t limit = 1; // 1 until the first append has hooked thread exit
+    TaskCapture* capture = nullptr;
+};
+
+thread_local ThreadLog tl_log;
+
+// Interned before anything can record: applying a non-finite sample
+// counts it here.
+const Counter g_ts_nonfinite("obs/ts_nonfinite_dropped");
+
+void apply_locked(Registry& r, const detail::Op* ops, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+        const detail::Op& op = ops[i];
+        switch (op.kind) {
+        case detail::Op::Count: {
+            CounterSlot& c = r.counters[op.id];
+            c.value += std::bit_cast<uint64_t>(op.a);
+            c.live = true;
+            break;
+        }
+        case detail::Op::Value: r.values[op.id].add(op.a); break;
+        case detail::Op::Phase: {
+            PhaseSlot& p = r.phases[op.id];
+            ++p.stats.calls;
+            p.stats.seconds += op.a;
+            p.live = true;
+            break;
+        }
+        case detail::Op::PhaseRss: {
+            PhaseSlot& p = r.phases[op.id];
+            ++p.stats.rss_samples;
+            p.stats.rss_delta_bytes += std::bit_cast<int64_t>(op.a);
+            p.stats.rss_peak_bytes =
+                std::max(p.stats.rss_peak_bytes, std::bit_cast<uint64_t>(op.b));
+            p.live = true;
+            break;
+        }
+        case detail::Op::Ts: {
+            if (!std::isfinite(op.a) || !std::isfinite(op.b)) {
+                CounterSlot& c = r.counters[g_ts_nonfinite.id()];
+                ++c.value;
+                c.live = true;
+                break;
+            }
+            r.channels[op.id].add(op.a, op.b);
+            break;
+        }
+        }
+    }
+}
+
+/// Applies the calling thread's log; callers hold r.mu.
+void drain_locked(Registry& r) {
+    ThreadLog& log = tl_log;
+    apply_locked(r, log.ops, log.n);
+    log.n = 0;
+}
+
+void flush_thread_log() {
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mu);
+    drain_locked(r);
+}
+
+struct ExitFlush {
+    ~ExitFlush() { flush_thread_log(); }
+};
+
+/// Slow path of append: the thread's first op hooks the thread-exit flush,
+/// every later call means the log is full.
+[[gnu::noinline]] void log_full(ThreadLog& log) {
+    if (log.limit < kLogCapacity) {
+        log.limit = kLogCapacity;
+        thread_local ExitFlush hook;
+        (void)hook;
+        arm_env_report();
+        return;
+    }
+    flush_thread_log();
+}
+
+/// Locks the registry for a read: applies the reader's own log first.
+struct ReadLock {
+    Registry& r;
+    std::lock_guard<std::mutex> lock;
+    ReadLock() : r(registry()), lock(r.mu) {
+        arm_env_report();
+        drain_locked(r);
     }
 };
 
-CaptureScope::CaptureScope(TaskCapture& cap) : prev_(tl_capture) { tl_capture = &cap; }
-CaptureScope::~CaptureScope() { tl_capture = prev_; }
-
-void TaskCapture::commit() {
-    // Replaying through the public entry points routes into the registry —
-    // or into the committing thread's own active capture when parallel
-    // regions nest, which preserves the outer region's index ordering.
-    for (const Op& op : ops_) {
-        switch (op.kind) {
-        case Op::Count: count(op.name, op.delta); break;
-        case Op::Value: record_value(op.name, op.a); break;
-        case Op::Phase: record_phase(op.name, op.a); break;
-        case Op::PhaseRss:
-            record_phase_rss(op.name, static_cast<int64_t>(op.a),
-                             static_cast<uint64_t>(op.b));
-            break;
-        case Op::Ts: ts_append(op.name, op.a, op.b, op.unit); break;
-        }
-    }
-    ops_.clear();
-}
+} // namespace
 
 namespace detail {
 
-bool capture_count(std::string_view name, uint64_t delta) {
-    if (!tl_capture) return false;
-    CaptureAccess::push(*tl_capture, CaptureAccess::Op::Count, name, 0.0, 0.0, delta, {});
-    return true;
-}
-
-bool capture_value(std::string_view name, double value) {
-    if (!tl_capture) return false;
-    CaptureAccess::push(*tl_capture, CaptureAccess::Op::Value, name, value, 0.0, 0, {});
-    return true;
-}
-
-bool capture_phase(std::string_view name, double seconds) {
-    if (!tl_capture) return false;
-    CaptureAccess::push(*tl_capture, CaptureAccess::Op::Phase, name, seconds, 0.0, 0, {});
-    return true;
-}
-
-bool capture_phase_rss(std::string_view name, int64_t delta_bytes, uint64_t peak_bytes) {
-    if (!tl_capture) return false;
-    // Byte values fit a double exactly well past any realistic RSS (2^53).
-    CaptureAccess::push(*tl_capture, CaptureAccess::Op::PhaseRss, name,
-                        static_cast<double>(delta_bytes),
-                        static_cast<double>(peak_bytes), 0, {});
-    return true;
-}
-
-bool capture_ts(std::string_view channel, double t, double value, std::string_view unit) {
-    if (!tl_capture) return false;
-    CaptureAccess::push(*tl_capture, CaptureAccess::Op::Ts, channel, t, value, 0, unit);
-    return true;
+void append(const Op& op) {
+    ThreadLog& log = tl_log;
+    if (log.capture) [[unlikely]] {
+        log.capture->push(op);
+        return;
+    }
+    log.ops[log.n] = op;
+    if (++log.n >= log.limit) [[unlikely]]
+        log_full(log);
 }
 
 } // namespace detail
 
-bool enabled() {
-    // Touch the registry once so SNIM_OBS is honoured even if no one called
-    // set_enabled(); after that it is a single relaxed load.
-    static const bool init = (registry(), true);
-    (void)init;
-    return g_enabled.load(std::memory_order_relaxed);
+Counter::Counter(std::string_view name) {
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mu);
+    id_ = r.counter_names.intern(name, [&] { r.counters.emplace_back(); });
+}
+
+Value::Value(std::string_view name) {
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mu);
+    id_ = r.value_names.intern(name, [&] { r.values.emplace_back(); });
+}
+
+Phase::Phase(std::string_view name) {
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mu);
+    id_ = r.phase_names.intern(name, [&] { r.phases.emplace_back(); });
+    name_ = *r.phase_names.by_id[id_];
+}
+
+Channel::Channel(std::string_view name, std::string_view unit) {
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mu);
+    id_ = r.channel_names.intern(name, [&] {
+        r.channels.emplace_back();
+        r.channel_units.emplace_back();
+    });
+    if (r.channel_units[id_].empty()) r.channel_units[id_] = unit;
+}
+
+CaptureScope::CaptureScope(TaskCapture& cap) : prev_(tl_log.capture) { tl_log.capture = &cap; }
+CaptureScope::~CaptureScope() { tl_log.capture = prev_; }
+
+// Out of line: keeps the vector growth off append's fast path.
+[[gnu::noinline]] void TaskCapture::push(const detail::Op& op) { ops_.push_back(op); }
+
+void TaskCapture::commit() {
+    ThreadLog& log = tl_log;
+    if (log.capture) {
+        log.capture->ops_.insert(log.capture->ops_.end(), ops_.begin(), ops_.end());
+    } else {
+        Registry& r = registry();
+        std::lock_guard<std::mutex> lock(r.mu);
+        drain_locked(r);
+        apply_locked(r, ops_.data(), ops_.size());
+    }
+    ops_.clear();
 }
 
 void set_enabled(bool on) {
-    registry();
-    g_enabled.store(on, std::memory_order_relaxed);
+    arm_env_report();
+    detail::g_enabled.store(on, std::memory_order_relaxed);
 }
 
-ReportMode report_mode() {
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    return r.mode;
-}
+ReportMode report_mode() { return registry().mode; }
 
 void count(std::string_view name, uint64_t delta) {
-    if (!enabled()) return;
-    if (detail::capture_count(name, delta)) return;
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    auto it = r.counters.find(name);
-    if (it == r.counters.end())
-        r.counters.emplace(std::string(name), delta);
-    else
-        it->second += delta;
+    if (enabled()) count(Counter(name), delta);
 }
 
 void record_value(std::string_view name, double value) {
-    if (!enabled()) return;
-    if (detail::capture_value(name, value)) return;
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    auto it = r.values.find(name);
-    if (it == r.values.end()) it = r.values.emplace(std::string(name), Histogram{}).first;
-    it->second.add(value);
+    if (enabled()) record_value(Value(name), value);
 }
 
-void record_phase(std::string_view name, double seconds) {
-    if (!enabled()) return;
-    if (detail::capture_phase(name, seconds)) return;
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    auto it = r.phases.find(name);
-    if (it == r.phases.end()) it = r.phases.emplace(std::string(name), PhaseStats{}).first;
-    ++it->second.calls;
-    it->second.seconds += seconds;
-}
-
-void record_phase_rss(std::string_view name, int64_t delta_bytes,
-                      uint64_t peak_bytes) {
-    if (!enabled()) return;
-    if (detail::capture_phase_rss(name, delta_bytes, peak_bytes)) return;
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    auto it = r.phases.find(name);
-    if (it == r.phases.end()) it = r.phases.emplace(std::string(name), PhaseStats{}).first;
-    ++it->second.rss_samples;
-    it->second.rss_delta_bytes += delta_bytes;
-    it->second.rss_peak_bytes = std::max(it->second.rss_peak_bytes, peak_bytes);
+void ts_append(std::string_view channel, double t, double value, std::string_view unit) {
+    if (enabled()) ts_append(Channel(channel, unit), t, value);
 }
 
 uint64_t counter_value(std::string_view name) {
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    auto it = r.counters.find(name);
-    return it == r.counters.end() ? 0 : it->second;
+    ReadLock rl;
+    const uint32_t* id = rl.r.counter_names.find(name);
+    return id ? rl.r.counters[*id].value : 0;
 }
 
 std::optional<ValueStats> value_stats(std::string_view name) {
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    auto it = r.values.find(name);
-    if (it == r.values.end()) return std::nullopt;
-    return it->second.stats();
+    ReadLock rl;
+    const uint32_t* id = rl.r.value_names.find(name);
+    if (!id || rl.r.values[*id].count == 0) return std::nullopt;
+    return rl.r.values[*id].stats();
 }
 
 PhaseStats phase_stats(std::string_view name) {
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    auto it = r.phases.find(name);
-    return it == r.phases.end() ? PhaseStats{} : it->second;
+    ReadLock rl;
+    const uint32_t* id = rl.r.phase_names.find(name);
+    return id ? rl.r.phases[*id].stats : PhaseStats{};
 }
 
 double phase_seconds(std::string_view name) { return phase_stats(name).seconds; }
 uint64_t phase_calls(std::string_view name) { return phase_stats(name).calls; }
 
 std::vector<std::pair<std::string, uint64_t>> counters_snapshot() {
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    return {r.counters.begin(), r.counters.end()};
+    ReadLock rl;
+    std::vector<std::pair<std::string, uint64_t>> out;
+    for (const auto& [name, id] : rl.r.counter_names.ids)
+        if (rl.r.counters[id].live) out.emplace_back(name, rl.r.counters[id].value);
+    return out;
 }
 
 std::vector<std::pair<std::string, ValueStats>> values_snapshot() {
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
+    ReadLock rl;
     std::vector<std::pair<std::string, ValueStats>> out;
-    out.reserve(r.values.size());
-    for (const auto& [name, hist] : r.values) out.emplace_back(name, hist.stats());
+    for (const auto& [name, id] : rl.r.value_names.ids)
+        if (rl.r.values[id].count > 0) out.emplace_back(name, rl.r.values[id].stats());
     return out;
 }
 
 std::vector<std::pair<std::string, PhaseStats>> phases_snapshot() {
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    return {r.phases.begin(), r.phases.end()};
+    ReadLock rl;
+    std::vector<std::pair<std::string, PhaseStats>> out;
+    for (const auto& [name, id] : rl.r.phase_names.ids)
+        if (rl.r.phases[id].live) out.emplace_back(name, rl.r.phases[id].stats);
+    return out;
+}
+
+std::optional<TimeSeries> ts_get(std::string_view channel) {
+    ReadLock rl;
+    const uint32_t* id = rl.r.channel_names.find(channel);
+    if (!id || rl.r.channels[*id].offered == 0) return std::nullopt;
+    return rl.r.channels[*id].snapshot(*rl.r.channel_names.by_id[*id],
+                                       rl.r.channel_units[*id]);
+}
+
+std::vector<TimeSeries> ts_snapshot() {
+    ReadLock rl;
+    std::vector<TimeSeries> out;
+    for (const auto& [name, id] : rl.r.channel_names.ids)
+        if (rl.r.channels[id].offered > 0)
+            out.push_back(rl.r.channels[id].snapshot(name, rl.r.channel_units[id]));
+    return out;
 }
 
 PhaseNode phase_tree() {
@@ -326,12 +496,13 @@ void reset() {
     {
         Registry& r = registry();
         std::lock_guard<std::mutex> lock(r.mu);
-        r.counters.clear();
-        r.values.clear();
-        r.phases.clear();
+        tl_log.n = 0;
+        std::fill(r.counters.begin(), r.counters.end(), CounterSlot{});
+        std::fill(r.values.begin(), r.values.end(), Histogram{});
+        std::fill(r.phases.begin(), r.phases.end(), PhaseSlot{});
+        std::fill(r.channels.begin(), r.channels.end(), ChannelBuf{});
     }
-    ts_reset();     // the time-series channels are part of the registry too
-    budget_reset(); // and so is the accuracy-budget ledger
+    budget_reset(); // the accuracy-budget ledger is part of the registry too
 }
 
 } // namespace snim::obs

@@ -1,29 +1,47 @@
-// Observability registry: named monotonic counters, value histograms and
-// hierarchical phase accumulators shared by the whole library.
+// Observability registry: named monotonic counters, value histograms,
+// hierarchical phase accumulators and time-series channels (timeseries.hpp)
+// shared by the whole library.
 //
 // Design goals, in order:
-//   1. Near-zero overhead when disabled: every recording entry point loads
-//      one relaxed atomic and returns.  Hot paths (sparse LU, transient
-//      stepping) can therefore stay instrumented unconditionally.
-//   2. Thread-safe: all mutation goes through one registry mutex; the
-//      enabled flag is atomic.  Extraction and simulation are currently
-//      single-threaded but the ROADMAP points at sharded/batched flows.
-//   3. Compile-out: configure with -DSNIM_ENABLE_OBS=OFF and the whole
+//   1. Near-zero overhead when disabled: every recording entry point is an
+//      inline relaxed load of the enabled flag.  Hot paths (sparse LU,
+//      transient stepping) can therefore stay instrumented unconditionally.
+//   2. Cheap when enabled: each literal call site interns a handle once,
+//      as a static (obs::Counter, obs::Value, obs::Phase, obs::Channel);
+//      the handle's id indexes the registry's storage.  A
+//      record through a handle appends one plain 24-byte op (kind, id, two
+//      doubles) to the calling thread's bounded log: no name lookup, no
+//      string, no allocation, no lock.
+//   3. Thread-safe: threads share registry data only under one mutex,
+//      taken once per applied batch.  A thread's log is applied, in its
+//      recording order, when it is full, before any read on that thread
+//      (counter_value, value_stats, the snapshots and the reports), at
+//      thread exit and, for obs::parallel_tasks captures, at commit in task
+//      index order.  A read sees every op of its own thread and of every
+//      joined thread, so after join() totals are exact; it can miss another
+//      live thread's last unapplied batch (at most kLogCapacity ops).
+//   4. Compile-out: configure with -DSNIM_ENABLE_OBS=OFF and the whole
 //      subsystem collapses to inline no-ops (see the #else branch below),
 //      proving no functional dependency on the instrumentation.
 //
 // Phase names use '/'-separated paths ("sim/transient/newton"); the path
 // segments define the phase tree reported by obs/report.  Counter and
-// histogram names use the same convention for grouping only.
+// histogram names use the same convention for grouping only.  The
+// string_view recording overloads intern their name on every call; they
+// exist for dynamic names (format("sim/op/rung/%s/attempts", ...)) and
+// tests.  An entry shows up in snapshots once something has been recorded
+// on it since the last reset(), whichever way it was recorded.
 //
 // Enabling: obs::set_enabled(true), or the SNIM_OBS environment variable
-// (read once, on first registry use):
+// (read once, before main):
 //   SNIM_OBS=0 / off / (unset)  -> disabled
 //   SNIM_OBS=1 / on / text      -> enabled, text report to stderr at exit
 //   SNIM_OBS=json               -> enabled, JSON report written at exit to
 //                                  SNIM_OBS_FILE (default snim_obs_report.json)
 #pragma once
 
+#include <atomic>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -77,27 +95,83 @@ struct PhaseNode {
 
 #if SNIM_OBS_ENABLED
 
+/// Ops a thread buffers before its log is applied to the registry.
+inline constexpr size_t kLogCapacity = 256;
+
+namespace detail {
+
+extern std::atomic<bool> g_enabled;
+
+/// One recorded event as a thread log or task capture holds it.  Integer
+/// payloads (counter deltas, RSS bytes) travel bit-cast in the doubles.
+struct Op {
+    enum Kind : uint8_t { Count, Value, Phase, PhaseRss, Ts };
+    Kind kind;
+    uint32_t id; // handle id: indexes the registry's storage of that kind
+    double a;    // delta bits / sample / seconds / RSS delta bits / ts time
+    double b;    // RSS peak bits / ts value
+};
+
+/// Appends one op to the calling thread's log, or to its active TaskCapture.
+void append(const Op& op);
+
+} // namespace detail
+
 /// True when the registry records; checked by every entry point.
-bool enabled();
+inline bool enabled() { return detail::g_enabled.load(std::memory_order_relaxed); }
 void set_enabled(bool on);
 
 /// Report destination requested via SNIM_OBS (None when disabled or unset).
 ReportMode report_mode();
 
-/// Adds `delta` to the named monotonic counter.
+/// Interned handle of a monotonic counter.  Make it once per call site (a
+/// namespace-scope or function-local static); ids live for the process.
+class Counter {
+public:
+    explicit Counter(std::string_view name);
+    uint32_t id() const { return id_; }
+
+private:
+    uint32_t id_;
+};
+
+/// Interned handle of a value histogram.
+class Value {
+public:
+    explicit Value(std::string_view name);
+    uint32_t id() const { return id_; }
+
+private:
+    uint32_t id_;
+};
+
+/// Interned handle of a phase accumulator (see ScopedTimer in obs/trace.hpp).
+class Phase {
+public:
+    explicit Phase(std::string_view name);
+    uint32_t id() const { return id_; }
+    /// The phase path; views registry-owned storage, valid for the process.
+    std::string_view name() const { return name_; }
+
+private:
+    uint32_t id_;
+    std::string_view name_;
+};
+
+/// Adds `delta` to the counter.
+inline void count(const Counter& c, uint64_t delta = 1) {
+    if (enabled())
+        detail::append({detail::Op::Count, c.id(), std::bit_cast<double>(delta), 0.0});
+}
+
+/// Records one sample of the histogram.
+inline void record_value(const Value& v, double value) {
+    if (enabled()) detail::append({detail::Op::Value, v.id(), value, 0.0});
+}
+
+/// Interning wrappers: look the name up on every call.
 void count(std::string_view name, uint64_t delta = 1);
-
-/// Records one sample of the named value histogram.
 void record_value(std::string_view name, double value);
-
-/// Accumulates one completed phase interval (normally via ScopedTimer).
-void record_phase(std::string_view name, double seconds);
-
-/// Attributes one memory sample pair to a phase: the RSS growth over the
-/// interval and the process peak observed at its end (ScopedTimer with
-/// Rss::Track records this next to the wall time).
-void record_phase_rss(std::string_view name, int64_t delta_bytes,
-                      uint64_t peak_bytes);
 
 /// Current value of a counter; 0 when absent.
 uint64_t counter_value(std::string_view name);
@@ -119,46 +193,36 @@ std::vector<std::pair<std::string, PhaseStats>> phases_snapshot();
 /// structural node with empty name holding the top-level phases.
 PhaseNode phase_tree();
 
-/// Clears every counter, histogram and phase (the enabled flag is kept).
+/// Clears every counter, histogram, phase and channel, and drops the
+/// calling thread's unapplied ops (the enabled flag and interned handles
+/// are kept).
 void reset();
 
-/// Buffers the recording calls one parallel task makes so they can be
-/// applied to the registry later, in deterministic task order.  Used by
+/// Buffers the ops one parallel task records so they can be applied to the
+/// registry later, in deterministic task order.  Used by
 /// obs::parallel_tasks: each worker records through a CaptureScope, and the
 /// sweep owner commits the captures in index order after joining — the
 /// registry then holds exactly what a serial run would have produced,
 /// independent of thread count and scheduling.
 class TaskCapture {
 public:
-    TaskCapture() = default;
-    TaskCapture(TaskCapture&&) = default;
-    TaskCapture& operator=(TaskCapture&&) = default;
-
-    /// Replays the buffered operations into the registry (or into the
-    /// calling thread's own active capture, which is what makes nested
-    /// parallel regions compose).  Clears the buffer.
+    /// Applies the buffered ops to the registry after the calling thread's
+    /// own unapplied ops, or appends them to the calling thread's active
+    /// capture, which is what makes nested parallel regions compose.
+    /// Clears the buffer.
     void commit();
 
     bool empty() const { return ops_.empty(); }
 
 private:
-    friend class CaptureScope;
-    friend struct CaptureAccess; // registry.cpp internals
-    struct Op {
-        enum Kind : uint8_t { Count, Value, Phase, PhaseRss, Ts };
-        Kind kind = Count;
-        std::string name;
-        double a = 0.0;     // value sample / phase seconds / rss delta / ts time
-        double b = 0.0;     // rss peak / ts value
-        uint64_t delta = 0; // counter delta
-        std::string unit;   // ts unit
-    };
-    std::vector<Op> ops_;
+    friend void detail::append(const detail::Op& op);
+    void push(const detail::Op& op);
+    std::vector<detail::Op> ops_;
 };
 
 /// RAII: while alive, every obs recording made on THIS thread goes into the
-/// given TaskCapture instead of the registry.  Scopes nest per thread (the
-/// previous capture is restored on destruction).
+/// given TaskCapture instead of the thread's log.  Scopes nest per thread
+/// (the previous capture is restored on destruction).
 class CaptureScope {
 public:
     explicit CaptureScope(TaskCapture& cap);
@@ -170,25 +234,29 @@ private:
     TaskCapture* prev_;
 };
 
-namespace detail {
-/// Recording-entry-point hooks: route one operation into the thread's
-/// active capture; false when none is active (record into the registry).
-bool capture_count(std::string_view name, uint64_t delta);
-bool capture_value(std::string_view name, double value);
-bool capture_phase(std::string_view name, double seconds);
-bool capture_phase_rss(std::string_view name, int64_t delta_bytes, uint64_t peak_bytes);
-bool capture_ts(std::string_view channel, double t, double value, std::string_view unit);
-} // namespace detail
-
 #else // SNIM_OBS_ENABLED — compiled out: inline no-ops.
 
 inline bool enabled() { return false; }
 inline void set_enabled(bool) {}
 inline ReportMode report_mode() { return ReportMode::None; }
+
+class Counter {
+public:
+    explicit Counter(std::string_view) {}
+};
+class Value {
+public:
+    explicit Value(std::string_view) {}
+};
+class Phase {
+public:
+    explicit Phase(std::string_view) {}
+};
+
+inline void count(const Counter&, uint64_t = 1) {}
+inline void record_value(const Value&, double) {}
 inline void count(std::string_view, uint64_t = 1) {}
 inline void record_value(std::string_view, double) {}
-inline void record_phase(std::string_view, double) {}
-inline void record_phase_rss(std::string_view, int64_t, uint64_t) {}
 inline uint64_t counter_value(std::string_view) { return 0; }
 inline std::optional<ValueStats> value_stats(std::string_view) { return {}; }
 inline PhaseStats phase_stats(std::string_view) { return {}; }
@@ -212,14 +280,6 @@ public:
     CaptureScope(const CaptureScope&) = delete;
     CaptureScope& operator=(const CaptureScope&) = delete;
 };
-
-namespace detail {
-inline bool capture_count(std::string_view, uint64_t) { return false; }
-inline bool capture_value(std::string_view, double) { return false; }
-inline bool capture_phase(std::string_view, double) { return false; }
-inline bool capture_phase_rss(std::string_view, int64_t, uint64_t) { return false; }
-inline bool capture_ts(std::string_view, double, double, std::string_view) { return false; }
-} // namespace detail
 
 #endif // SNIM_OBS_ENABLED
 

@@ -15,14 +15,20 @@
 //     when the stride skipped it),
 //   * time stays monotone non-decreasing when the producer's time is.
 //
-// Like every other obs entry point, appends are no-ops while the registry is
-// disabled and the whole API collapses to inline no-ops under
-// -DSNIM_ENABLE_OBS=OFF.  Non-finite values are never stored: they bump the
-// "obs/ts_nonfinite_dropped" counter instead, so NaN telemetry cannot
-// corrupt a VCD or trace file (the engines raise a structured diagnostic on
-// non-finite *solution* data before it ever reaches a channel).
+// Channels live in the obs registry and are recorded like its other kinds:
+// a call site interns an obs::Channel handle (name plus the unit its
+// samples carry) once, and ts_append through it appends one op to the
+// calling thread's log (obs/registry.hpp).  Decimation and finiteness
+// filtering happen when the log is applied, in recording order.  Appends are
+// no-ops while the registry is disabled and the whole API collapses to
+// inline no-ops under -DSNIM_ENABLE_OBS=OFF.  Non-finite values are never
+// stored: they bump the "obs/ts_nonfinite_dropped" counter instead, so NaN
+// telemetry cannot corrupt a VCD or trace file (the engines raise a
+// structured diagnostic on non-finite *solution* data before it ever
+// reaches a channel).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -38,7 +44,7 @@ inline constexpr size_t kTimeSeriesCapacity = 4096;
 /// Snapshot of one channel.
 struct TimeSeries {
     std::string name;
-    std::string unit;           // free-form ("iters", "V", "1"), set on first append
+    std::string unit;           // free-form ("iters", "V", "1"), see Channel
     std::vector<double> time;   // sample abscissa (seconds, iteration index, Hz...)
     std::vector<double> value;
     uint64_t offered = 0;       // samples offered, before decimation
@@ -47,26 +53,43 @@ struct TimeSeries {
 
 #if SNIM_OBS_ENABLED
 
-/// Appends one sample to the named channel (created on first use).  `unit`
-/// is recorded the first time it is non-empty.
+/// Interned handle of a channel and the unit its samples carry.  A
+/// channel's unit is the first non-empty one any of its handles named.
+class Channel {
+public:
+    explicit Channel(std::string_view name, std::string_view unit = {});
+    uint32_t id() const { return id_; }
+
+private:
+    uint32_t id_;
+};
+
+/// Appends one sample to the channel.
+inline void ts_append(const Channel& ch, double t, double value) {
+    if (enabled()) detail::append({detail::Op::Ts, ch.id(), t, value});
+}
+
+/// Interning wrapper: looks the channel up on every call.
 void ts_append(std::string_view channel, double t, double value,
                std::string_view unit = {});
 
-/// Snapshot of one channel; nullopt when it does not exist.
+/// Snapshot of one channel; nullopt when it holds no sample.
 std::optional<TimeSeries> ts_get(std::string_view channel);
 
-/// Snapshots of every channel, sorted by name.
+/// Snapshots of every channel holding a sample, sorted by name.
 std::vector<TimeSeries> ts_snapshot();
-
-/// Drops every channel (obs::reset() calls this too).
-void ts_reset();
 
 #else // SNIM_OBS_ENABLED — compiled out.
 
+class Channel {
+public:
+    explicit Channel(std::string_view, std::string_view = {}) {}
+};
+
+inline void ts_append(const Channel&, double, double) {}
 inline void ts_append(std::string_view, double, double, std::string_view = {}) {}
 inline std::optional<TimeSeries> ts_get(std::string_view) { return {}; }
 inline std::vector<TimeSeries> ts_snapshot() { return {}; }
-inline void ts_reset() {}
 
 #endif // SNIM_OBS_ENABLED
 

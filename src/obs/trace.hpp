@@ -2,7 +2,11 @@
 //
 // ScopedTimer measures the inclusive wall time of one phase; nested timers
 // with '/'-separated names ("sim/transient", "sim/transient/newton") form
-// the phase tree rendered by obs/report.  Two timing policies:
+// the phase tree rendered by obs/report.  A call site passes an interned
+// obs::Phase handle, so a recorded interval is one op appended to the
+// thread's log (obs/registry.hpp); the string_view constructor interns on
+// every construction and is meant for dynamic names and tests.  Two timing
+// policies:
 //
 //   Timing::WhenEnabled (default) — the constructor loads the enabled flag
 //     once; when observability is off no clock is read and the destructor
@@ -19,7 +23,10 @@
 // coarse once-per-run phases should track — never per-step timers.
 #pragma once
 
+#include <bit>
 #include <chrono>
+#include <cstdint>
+#include <string_view>
 
 #include "obs/phasestack.hpp"
 #include "obs/registry.hpp"
@@ -34,15 +41,19 @@ enum class Rss { Off, Track };
 
 class ScopedTimer {
 public:
+    explicit ScopedTimer(const Phase& phase, Timing timing = Timing::WhenEnabled,
+                         Rss rss = Rss::Off)
+        : id_(phase.id()), name_(phase.name()), record_(enabled()) {
+        start(timing, rss);
+    }
+
+    /// Interning wrapper for dynamic names and tests: looks the phase up
+    /// when recording.
     explicit ScopedTimer(std::string_view phase, Timing timing = Timing::WhenEnabled,
                          Rss rss = Rss::Off)
-        : phase_(phase), record_(enabled()), timing_(record_ || timing == Timing::Always),
-          track_rss_(record_ && rss == Rss::Track) {
-        if (track_rss_) rss_start_ = sample_resources().rss_bytes;
-        if (timing_) start_ = Clock::now();
-        // Live phase stack for the sampling profiler / watchdog / crash
-        // handler; one relaxed load when nothing live is running.
-        if (phase_stack::enabled()) stack_pushed_ = phase_stack::push(phase);
+        : name_(phase), record_(enabled()) {
+        if (record_) id_ = Phase(phase).id();
+        start(timing, rss);
     }
 
     ScopedTimer(const ScopedTimer&) = delete;
@@ -65,13 +76,13 @@ public:
             phase_stack::pop();
             stack_pushed_ = false;
         }
-        if (record_) record_phase(phase_, last_);
-        if (track_rss_) {
+        if (record_ && enabled()) detail::append({detail::Op::Phase, id_, last_, 0.0});
+        if (track_rss_ && enabled()) {
             const ResourceSample end = sample_resources();
-            record_phase_rss(phase_,
-                             static_cast<int64_t>(end.rss_bytes) -
-                                 static_cast<int64_t>(rss_start_),
-                             end.peak_rss_bytes);
+            const int64_t delta = static_cast<int64_t>(end.rss_bytes) -
+                                  static_cast<int64_t>(rss_start_);
+            detail::append({detail::Op::PhaseRss, id_, std::bit_cast<double>(delta),
+                            std::bit_cast<double>(end.peak_rss_bytes)});
         }
         return last_;
     }
@@ -79,10 +90,21 @@ public:
 private:
     using Clock = std::chrono::steady_clock;
 
-    std::string_view phase_;
+    void start(Timing timing, Rss rss) {
+        timing_ = record_ || timing == Timing::Always;
+        track_rss_ = record_ && rss == Rss::Track;
+        if (track_rss_) rss_start_ = sample_resources().rss_bytes;
+        if (timing_) start_ = Clock::now();
+        // Live phase stack for the sampling profiler / watchdog / crash
+        // handler; one relaxed load when nothing live is running.
+        if (phase_stack::enabled()) stack_pushed_ = phase_stack::push(name_);
+    }
+
+    uint32_t id_ = 0;
+    std::string_view name_;
     Clock::time_point start_;
     bool record_;
-    bool timing_;
+    bool timing_ = false;
     bool track_rss_ = false;
     bool stack_pushed_ = false;
     bool stopped_ = false;
@@ -94,6 +116,11 @@ private:
 
 class ScopedTimer {
 public:
+    explicit ScopedTimer(const Phase&, Timing timing = Timing::WhenEnabled,
+                         Rss = Rss::Off)
+        : timing_(timing == Timing::Always) {
+        if (timing_) start_ = Clock::now();
+    }
     explicit ScopedTimer(std::string_view, Timing timing = Timing::WhenEnabled,
                          Rss = Rss::Off)
         : timing_(timing == Timing::Always) {

@@ -21,6 +21,15 @@ namespace {
 /// factorization's is discarded in favour of a fresh full factorization.
 constexpr double kRepivotTol = 1e-3;
 
+// Telemetry handles (obs/registry.hpp), interned once per process.
+const obs::Phase kRunPhase("sim/ac");
+const obs::Counter kPoints("sim/ac/points");
+const obs::Counter kRefactors("numeric/lu_refactor");
+const obs::Counter kSymbolicReuse("numeric/lu_symbolic_reuse");
+const obs::Counter kRepivotFallbacks("numeric/lu_repivot_fallbacks");
+const obs::Channel kMinPivotChannel("sim/ac/lu_min_pivot", "1");
+const obs::Channel kFillGrowthChannel("sim/ac/lu_fill_growth", "x");
+
 } // namespace
 
 std::complex<double> AcResult::at(size_t k, circuit::NodeId node) const {
@@ -33,8 +42,8 @@ std::complex<double> AcResult::at(size_t k, circuit::NodeId node) const {
 AcResult ac_sweep(circuit::Netlist& netlist, const std::vector<double>& freqs,
                   const std::vector<double>& xop, const AcOptions& opt) {
     obs::validate_certify_options(opt.certify, "AcOptions");
-    obs::ScopedTimer obs_run("sim/ac", obs::Timing::WhenEnabled, obs::Rss::Track);
-    obs::count("sim/ac/points", freqs.size());
+    obs::ScopedTimer obs_run(kRunPhase, obs::Timing::WhenEnabled, obs::Rss::Track);
+    obs::count(kPoints, freqs.size());
     netlist.finalize();
     const size_t n = netlist.unknown_count();
     SNIM_ASSERT(xop.size() == n, "operating point size mismatch");
@@ -69,9 +78,8 @@ AcResult ac_sweep(circuit::Netlist& netlist, const std::vector<double>& freqs,
     if (obs::enabled()) {
         // Per-point pivot health over the sweep: a dip flags the
         // frequency where the MNA system loses conditioning.
-        obs::ts_append("sim/ac/lu_min_pivot", freqs[0], ref_min_pivot, "1");
-        obs::ts_append("sim/ac/lu_fill_growth", freqs[0],
-                       ref_lu.factor_stats().fill_growth, "x");
+        obs::ts_append(kMinPivotChannel, freqs[0], ref_min_pivot);
+        obs::ts_append(kFillGrowthChannel, freqs[0], ref_lu.factor_stats().fill_growth);
     }
 
     const size_t rest = freqs.size() - 1;
@@ -96,12 +104,12 @@ AcResult ac_sweep(circuit::Netlist& netlist, const std::vector<double>& freqs,
             const auto& a = s.csc();
             double min_pivot = 0.0;
             double fill_growth = 1.0;
-            if (obs::enabled()) obs::count("numeric/lu_refactor");
+            obs::count(kRefactors);
             const bool reused =
                 lu.refactor(a) &&
                 lu.factor_stats().min_pivot >= kRepivotTol * ref_min_pivot;
             if (reused) {
-                if (obs::enabled()) obs::count("numeric/lu_symbolic_reuse");
+                obs::count(kSymbolicReuse);
                 out.x[i] = lu.solve(s.rhs());
                 min_pivot = lu.factor_stats().min_pivot;
                 fill_growth = lu.factor_stats().fill_growth;
@@ -112,7 +120,7 @@ AcResult ac_sweep(circuit::Netlist& netlist, const std::vector<double>& freqs,
                     obs::record_certificate("ac", cert, opt.certify);
                 }
             } else {
-                if (obs::enabled()) obs::count("numeric/lu_repivot_fallbacks");
+                obs::count(kRepivotFallbacks);
                 // A fresh local factorization; the worker's reusable copy is
                 // left alone — refactor() recomputes every value, so a
                 // discarded pass leaves no numeric residue for later points.
@@ -127,10 +135,8 @@ AcResult ac_sweep(circuit::Netlist& netlist, const std::vector<double>& freqs,
                     obs::record_certificate("ac", cert, opt.certify);
                 }
             }
-            if (obs::enabled()) {
-                obs::ts_append("sim/ac/lu_min_pivot", freqs[i], min_pivot, "1");
-                obs::ts_append("sim/ac/lu_fill_growth", freqs[i], fill_growth, "x");
-            }
+            obs::ts_append(kMinPivotChannel, freqs[i], min_pivot);
+            obs::ts_append(kFillGrowthChannel, freqs[i], fill_growth);
             // Heartbeat bookkeeping only — never the obs registry, so the
             // merged observation sequence stays thread-count independent.
             progress.advance();

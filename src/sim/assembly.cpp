@@ -9,6 +9,14 @@
 namespace snim::sim {
 
 namespace {
+
+// Telemetry handles (obs/registry.hpp), interned once per process.
+const obs::Counter kFullAssemblies("sim/assemble_full");
+const obs::Counter kRelearns("sim/assemble_relearn");
+const obs::Counter kCacheHits("sim/assemble_cache_hits");
+const obs::Counter kCacheMisses("sim/assemble_cache_misses");
+const obs::Counter kIncrementalAssemblies("sim/assemble_incremental");
+
 std::uint64_t dt_key(double dt) {
     // The retry ladder only visits power-of-two fractions of the nominal
     // dt, so keying on the exact bit pattern keeps the cache tiny while
@@ -35,7 +43,7 @@ TranAssembler::TranAssembler(const circuit::Netlist& netlist,
 
 void TranAssembler::full_pass(const std::vector<double>& x,
                               const circuit::TranParams& tp) {
-    obs::count("sim/assemble_full");
+    obs::count(kFullAssemblies);
     s_.reset_compiled();
     s_.set_source_scale(1.0);
     const auto& devices = netlist_.devices();
@@ -245,7 +253,7 @@ void TranAssembler::compile(const circuit::TranParams& tp) {
 
 void TranAssembler::relearn(const std::vector<double>& x,
                             const circuit::TranParams& tp) {
-    obs::count("sim/assemble_relearn");
+    obs::count(kRelearns);
     learned_ = false;
     full_pass(x, tp);
 }
@@ -295,10 +303,10 @@ const std::vector<double>& TranAssembler::key_image(const circuit::TranParams& t
     const std::uint64_t bits = dt_key(tp.dt);
     for (const auto& e : cache_)
         if (e.dt_bits == bits && e.order == tp.order) {
-            obs::count("sim/assemble_cache_hits");
+            obs::count(kCacheHits);
             return e.values;
         }
-    obs::count("sim/assemble_cache_misses");
+    obs::count(kCacheMisses);
     if (cache_.size() >= 96) cache_.clear(); // ladder keys never get near this
     KeyImage img;
     img.dt_bits = bits;
@@ -413,7 +421,7 @@ void TranAssembler::assemble(const std::vector<double>& x,
         for (const std::int32_t k : m.calls) v += rvals[static_cast<size_t>(k)];
         b[static_cast<size_t>(m.target)] = v;
     }
-    obs::count("sim/assemble_incremental");
+    obs::count(kIncrementalAssemblies);
 }
 
 } // namespace snim::sim

@@ -18,6 +18,10 @@ namespace {
 
 constexpr char kMagic[8] = {'S', 'N', 'I', 'M', 'C', 'K', 'P', 'T'};
 
+// Telemetry handles (obs/registry.hpp), interned once per process.
+const obs::Counter kFallbacks("sim/ckpt_fallbacks");
+const obs::Counter kCorrupt("sim/ckpt_corrupt");
+
 // ---- little-endian payload encoding -------------------------------------
 // Doubles travel as their raw 64-bit images so restored state is the exact
 // bit pattern that was saved (the whole point of the determinism contract).
@@ -299,7 +303,7 @@ std::optional<TranCheckpoint> load_checkpoint(const std::string& path,
                       static_cast<unsigned long long>(c.config_digest),
                       static_cast<unsigned long long>(expected_digest));
             if (i > 0) {
-                obs::count("sim/ckpt_fallbacks");
+                obs::count(kFallbacks);
                 obs::event(obs::EventLevel::Warn, "ckpt", "ckpt_fallback",
                            {{"path", candidates[i]},
                             {"reason", first_error}});
@@ -312,7 +316,7 @@ std::optional<TranCheckpoint> load_checkpoint(const std::string& path,
         } catch (const Error& e) {
             // Digest refusal propagates — only corruption falls back.
             if (std::strstr(e.what(), "refusing to resume") != nullptr) throw;
-            obs::count("sim/ckpt_corrupt");
+            obs::count(kCorrupt);
             if (first_error.empty()) first_error = e.what();
         }
     }

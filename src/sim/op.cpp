@@ -35,6 +35,15 @@ constexpr double kPtranGFloor = 1e-9;
 /// Last-N Newton iterations of telemetry kept for the bundle.
 constexpr size_t kDiagTail = 64;
 
+// Telemetry handles (obs/registry.hpp), interned once per process.
+const obs::Phase kRunPhase("sim/op");
+const obs::Phase kNewtonPhase("sim/op/newton");
+const obs::Counter kGminSteps("sim/op/gmin_steps");
+const obs::Counter kSourceStepsCount("sim/op/source_steps");
+const obs::Counter kPtranStepsCount("sim/op/ptran_steps");
+const obs::Channel kResidualChannel("sim/op/residual", "V");
+const obs::Channel kRungChannel("sim/op/rung_active", "rung");
+
 /// Telemetry shared across every homotopy-ladder attempt of one operating
 /// point so the failure bundle shows the whole search, not just the last
 /// Newton run.
@@ -64,7 +73,7 @@ bool newton_dc(circuit::Netlist& netlist, std::vector<double>& x, double gmin,
     // sequence of the first iteration carry across the whole Newton run.
     ReusableLU<double> rlu;
     for (int it = 0; it < opt.max_iter; ++it) {
-        obs::ScopedTimer obs_newton("sim/op/newton");
+        obs::ScopedTimer obs_newton(kNewtonPhase);
         StepTelemetry tel;
         tel.step = ++diag.total_iters;
         tel.time = gmin; // abscissa: the gmin level this iteration ran at
@@ -121,9 +130,8 @@ bool newton_dc(circuit::Netlist& netlist, std::vector<double>& x, double gmin,
             // the channel stays monotone across repeated op solves (one
             // scenario runs dozens: calibration, ablations, sweeps).
             static std::atomic<long> cumulative{0};
-            obs::ts_append("sim/op/residual",
-                           static_cast<double>(++cumulative),
-                           std::isfinite(max_dx) ? max_dx : 0.0, "V");
+            obs::ts_append(kResidualChannel, static_cast<double>(++cumulative),
+                           std::isfinite(max_dx) ? max_dx : 0.0);
         }
         if (!nonlinear) {
             tel.converged = !nonfinite && std::isfinite(max_dx) &&
@@ -194,7 +202,7 @@ bool gmin_stepping_rung(circuit::Netlist& netlist, std::vector<double>& x,
                         const OpOptions& opt, OpTelemetry& diag) {
     std::vector<double> xg(netlist.unknown_count(), 0.0);
     for (double g = 1e-2; g >= opt.gmin; g *= 0.1) {
-        obs::count("sim/op/gmin_steps");
+        obs::count(kGminSteps);
         if (!newton_dc(netlist, xg, g, opt, diag)) return false;
     }
     if (!newton_dc(netlist, xg, opt.gmin, opt, diag)) return false;
@@ -209,7 +217,7 @@ bool source_stepping_rung(circuit::Netlist& netlist, std::vector<double>& x,
                           const OpOptions& opt, OpTelemetry& diag) {
     std::vector<double> xs(netlist.unknown_count(), 0.0);
     for (int k = 1; k <= kSourceSteps; ++k) {
-        obs::count("sim/op/source_steps");
+        obs::count(kSourceStepsCount);
         const double scale = static_cast<double>(k) / kSourceSteps;
         if (!newton_dc(netlist, xs, opt.gmin, opt, diag, scale)) return false;
     }
@@ -229,7 +237,7 @@ bool ptran_rung(circuit::Netlist& netlist, std::vector<double>& x,
     double g = kPtranG0;
     const double g_ceiling = kPtranG0 * 1e6;
     for (int k = 0; k < kPtranSteps; ++k) {
-        obs::count("sim/op/ptran_steps");
+        obs::count(kPtranStepsCount);
         std::vector<double> xk = anchor;
         if (newton_dc(netlist, xk, opt.gmin, opt, diag, 1.0, g, &anchor)) {
             const double move = max_abs_diff(xk, anchor);
@@ -241,8 +249,11 @@ bool ptran_rung(circuit::Netlist& netlist, std::vector<double>& x,
             }
             g /= kPtranGrowth; // grow the pseudo time step
         } else {
-            g *= kPtranGrowth * kPtranGrowth; // shrink it
-            if (g > g_ceiling) return false; // diverging even when frozen
+            // Diverging even when frozen at the ceiling anchor: give up.
+            if (g >= g_ceiling) return false;
+            // Shrink the pseudo time step; the last stiffening lands on
+            // the ceiling exactly, so the rung always tries that anchor.
+            g = std::min(g * kPtranGrowth * kPtranGrowth, g_ceiling);
         }
     }
     return false;
@@ -263,7 +274,7 @@ obs::JsonObject op_options_json(const OpOptions& opt) {
 
 OpResult operating_point_ex(circuit::Netlist& netlist, const OpOptions& opt) {
     validate_op_options(opt);
-    obs::ScopedTimer obs_run("sim/op", obs::Timing::WhenEnabled, obs::Rss::Track);
+    obs::ScopedTimer obs_run(kRunPhase, obs::Timing::WhenEnabled, obs::Rss::Track);
     netlist.finalize();
     const size_t n = netlist.unknown_count();
 
@@ -298,8 +309,8 @@ OpResult operating_point_ex(circuit::Netlist& netlist, const OpOptions& opt) {
         }
         obs::count(format("sim/op/rung/%s/attempts", rung.name));
         if (obs::enabled())
-            obs::ts_append("sim/op/rung_active",
-                           static_cast<double>(diag.total_iters), rung_index, "rung");
+            obs::ts_append(kRungChannel, static_cast<double>(diag.total_iters),
+                           rung_index);
         const long iters_before = diag.total_iters;
         std::vector<double> x(n, 0.0);
         if (rung.attempt(netlist, x, opt, diag)) {

@@ -54,6 +54,32 @@ constexpr size_t kDiagTail = 64;
 /// prefix's tail).
 constexpr size_t kDiagWaveTail = 256;
 
+// Telemetry handles (obs/registry.hpp), interned once per process.
+const obs::Phase kRunPhase("sim/transient");
+const obs::Phase kStepPhase("sim/transient/step");
+const obs::Phase kBeginAttemptPhase("sim/transient/begin_attempt");
+const obs::Phase kNewtonPhase("sim/transient/newton");
+const obs::Phase kAssemblePhase("sim/transient/newton/assemble");
+const obs::Phase kSolvePhase("sim/transient/newton/solve");
+const obs::Phase kCertifyPhase("sim/transient/certify");
+const obs::Counter kStepsCount("sim/transient/steps");
+const obs::Counter kConvergenceFailures("sim/transient/convergence_failures");
+const obs::Counter kStepRetries("sim/transient/step_retries");
+const obs::Counter kCkptResumes("sim/ckpt_resumes");
+const obs::Counter kCkptWrites("sim/ckpt_writes");
+const obs::Counter kCkptBytes("sim/ckpt_bytes");
+const obs::Counter kCkptWriteFailures("sim/ckpt_write_failures");
+const obs::Value kNewtonPerStep("sim/transient/newton_per_step");
+const obs::Value kKclWorst("sim/kcl_worst_residual");
+const obs::Value kSlowStep("sim/transient/slow_step_s");
+const obs::Channel kKclChannel("sim/transient/kcl_residual", "A");
+const obs::Channel kNewtonItersChannel("sim/transient/newton_iters", "iters");
+const obs::Channel kResidualChannel("sim/transient/residual", "V");
+const obs::Channel kClampHitsChannel("sim/transient/clamp_hits", "1");
+const obs::Channel kMinPivotChannel("sim/transient/lu_min_pivot", "1");
+const obs::Channel kFillGrowthChannel("sim/transient/lu_fill_growth", "x");
+const obs::Channel kDtChannel("sim/transient/dt", "s");
+
 /// Serialised into the failure bundle so a post-mortem sees the exact
 /// solver configuration.
 obs::JsonObject tran_options_json(const TranOptions& opt) {
@@ -211,8 +237,7 @@ void validate_resume(const TranCheckpoint& c, size_t n,
 TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& probes,
                      const TranOptions& opt) {
     validate_tran_options(opt);
-    obs::ScopedTimer obs_run("sim/transient", obs::Timing::WhenEnabled,
-                             obs::Rss::Track);
+    obs::ScopedTimer obs_run(kRunPhase, obs::Timing::WhenEnabled, obs::Rss::Track);
     netlist.finalize();
     const size_t n = netlist.unknown_count();
 
@@ -338,7 +363,7 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
         // The ledger merge is monotone, so restoring a later state of the
         // same execution path reproduces the uninterrupted ledger exactly.
         obs::budget_restore(res->budget);
-        obs::count("sim/ckpt_resumes");
+        obs::count(kCkptResumes);
         obs::event(obs::EventLevel::Info, "ckpt", "ckpt_resume",
                    {{"path", ckpt_file},
                     {"step", static_cast<long>(res->step)},
@@ -377,8 +402,8 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
         c.budget = obs::budget_state();
         try {
             const size_t bytes = write_checkpoint(ckpt_file, c);
-            obs::count("sim/ckpt_writes");
-            obs::count("sim/ckpt_bytes", bytes);
+            obs::count(kCkptWrites);
+            obs::count(kCkptBytes, bytes);
             obs::event(obs::EventLevel::Info, "ckpt", "ckpt_write",
                        {{"path", ckpt_file},
                         {"step", steps_done},
@@ -387,7 +412,7 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
         } catch (const Error& e) {
             // A failed snapshot must never kill the run: the last-good pair
             // stays on disk and integration continues.
-            obs::count("sim/ckpt_write_failures");
+            obs::count(kCkptWriteFailures);
             obs::event(obs::EventLevel::Warn, "ckpt", "ckpt_write_failed",
                        {{"path", ckpt_file},
                         {"step", steps_done},
@@ -420,7 +445,7 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
                           : t_base + static_cast<double>(k + 1) * dt_cur;
             tp.order = (be_steps_done < opt.be_startup_steps) ? 1 : opt.order;
 
-            obs::ScopedTimer obs_step("sim/transient/step");
+            obs::ScopedTimer obs_step(kStepPhase);
 
             // Newton iteration, starting from the linear predictor once
             // there is a step to extrapolate from; it starts close enough
@@ -443,14 +468,14 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
                 xit = x_acc;
             }
             {
-                obs::ScopedTimer obs_ba("sim/transient/begin_attempt");
+                obs::ScopedTimer obs_ba(kBeginAttemptPhase);
                 assembler.begin_attempt(xit, tp);
             }
             for (int it = 0; it < opt.max_newton; ++it) {
-                obs::ScopedTimer obs_newton("sim/transient/newton");
+                obs::ScopedTimer obs_newton(kNewtonPhase);
                 tel.newton_iters = it + 1;
                 {
-                    obs::ScopedTimer obs_asm("sim/transient/newton/assemble");
+                    obs::ScopedTimer obs_asm(kAssemblePhase);
                     assembler.assemble(xit, tp);
                 }
                 // Outside the nonlinear columns the matrix is the
@@ -467,7 +492,7 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
                     hint.changed_cols = &assembler.nonlinear_cols();
                 }
                 try {
-                    obs::ScopedTimer obs_solve("sim/transient/newton/solve");
+                    obs::ScopedTimer obs_solve(kSolvePhase);
                     if (fault::fires("tran.lu.singular"))
                         raise("fault injected: tran.lu.singular");
                     rlu.factor(s.csc(), hint);
@@ -545,7 +570,7 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
             // obs-gated: an unobserved run does no extra work.
             if (converged && obs::enabled() &&
                 be_steps_done % obs::kCertifyStride == 0) {
-                obs::ScopedTimer obs_cert("sim/transient/certify");
+                obs::ScopedTimer obs_cert(kCertifyPhase);
                 const obs::SolveCertificate cert =
                     certify_solve(rlu.lu(), s.csc(), xit, s.rhs(), opt.certify);
                 tel.cert_omega = cert.omega;
@@ -559,8 +584,8 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
                 int kcl_node = -1;
                 kcl_audit(netlist, s.csc(), s.rhs(), xit, kcl, kcl_node);
                 tel.kcl_residual = kcl;
-                obs::ts_append("sim/transient/kcl_residual", tp.time, kcl, "A");
-                obs::record_value("sim/kcl_worst_residual", kcl);
+                obs::ts_append(kKclChannel, tp.time, kcl);
+                obs::record_value(kKclWorst, kcl);
                 obs::budget_update("sim/kcl", kcl, kKclMax, "A",
                                    /*higher_is_worse=*/true,
                                    unknown_name(netlist, kcl_node));
@@ -572,28 +597,25 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
             // actually stalls the thread, so watchdog tests can induce a
             // real hang.  Sleeping cannot change numeric results.
             if (fault::fires("tran.slow_step")) {
-                obs::record_value("sim/transient/slow_step_s", 1.0);
+                obs::record_value(kSlowStep, 1.0);
                 const double stall_s = fault::slow_step_seconds();
                 if (stall_s > 0.0)
                     std::this_thread::sleep_for(
                         std::chrono::duration<double>(stall_s));
             }
             if (obs::enabled()) {
-                obs::count("sim/transient/steps");
-                obs::record_value("sim/transient/newton_per_step", tel.newton_iters);
-                if (!converged) obs::count("sim/transient/convergence_failures");
+                obs::count(kStepsCount);
+                obs::record_value(kNewtonPerStep, tel.newton_iters);
+                if (!converged) obs::count(kConvergenceFailures);
                 // Solver-health time-series: the per-step view of how hard
                 // the engine worked, exported to VCD and Perfetto lanes.
-                obs::ts_append("sim/transient/newton_iters", tp.time, tel.newton_iters,
-                               "iters");
-                obs::ts_append("sim/transient/residual", tp.time,
-                               std::isfinite(max_dx) ? max_dx : 0.0, "V");
-                obs::ts_append("sim/transient/clamp_hits", tp.time, tel.clamp_hits, "1");
-                obs::ts_append("sim/transient/lu_min_pivot", tp.time, tel.lu_min_pivot,
-                               "1");
-                obs::ts_append("sim/transient/lu_fill_growth", tp.time,
-                               tel.lu_fill_growth, "x");
-                obs::ts_append("sim/transient/dt", tp.time, dt_cur, "s");
+                obs::ts_append(kNewtonItersChannel, tp.time, tel.newton_iters);
+                obs::ts_append(kResidualChannel, tp.time,
+                               std::isfinite(max_dx) ? max_dx : 0.0);
+                obs::ts_append(kClampHitsChannel, tp.time, tel.clamp_hits);
+                obs::ts_append(kMinPivotChannel, tp.time, tel.lu_min_pivot);
+                obs::ts_append(kFillGrowthChannel, tp.time, tel.lu_fill_growth);
+                obs::ts_append(kDtChannel, tp.time, dt_cur);
             }
 
             if (!converged) {
@@ -623,7 +645,7 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
                 retries.push(ev);
                 ++out.step_retries;
                 ++step_retries;
-                obs::count("sim/transient/step_retries");
+                obs::count(kStepRetries);
                 log_info("transient: step %ld rejected (%s) at t=%.4g, retrying "
                          "with dt=%.3g",
                          step, ev.reason.c_str(), tp.time, ev.dt_to);

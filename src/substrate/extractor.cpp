@@ -10,6 +10,18 @@
 
 namespace snim::substrate {
 
+namespace {
+
+// Telemetry handles (obs/registry.hpp), interned once per process.
+const obs::Phase kExtractPhase("flow/substrate_extract");
+const obs::Counter kPorts("substrate/ports");
+const obs::Counter kMeshBytes("substrate/mesh_bytes");
+const obs::Counter kMorFallbacks("substrate/mor_fallbacks");
+const obs::Value kMeshNodes("substrate/mesh_nodes");
+const obs::Value kReductionErrorDb("mor/reduction_error_db");
+
+} // namespace
+
 int SubstrateModel::port_index(const std::string& name) const {
     for (size_t i = 0; i < port_names.size(); ++i)
         if (equals_nocase(port_names[i], name)) return static_cast<int>(i);
@@ -23,22 +35,20 @@ SubstrateModel extract_substrate(const geom::Rect& area,
     SNIM_ASSERT(!ports.empty(), "substrate extraction needs at least one port");
     // Always times (not just when obs is on): extract_seconds is a public
     // result field that predates the registry and stays populated.
-    obs::ScopedTimer obs_timer("flow/substrate_extract", obs::Timing::Always,
-                               obs::Rss::Track);
+    obs::ScopedTimer obs_timer(kExtractPhase, obs::Timing::Always, obs::Rss::Track);
 
     Mesh mesh(area, profile, opt.mesh);
 
     SubstrateModel out;
     out.mesh_node_count = mesh.node_count();
     if (obs::enabled()) {
-        obs::record_value("substrate/mesh_nodes", static_cast<double>(mesh.node_count()));
-        obs::count("substrate/ports", ports.size());
+        obs::record_value(kMeshNodes, static_cast<double>(mesh.node_count()));
+        obs::count(kPorts, ports.size());
         // Mesh footprint: the assembled RC network dominates (edge vectors
         // are O(nx + ny)); this is what peak-RSS deltas attribute to here.
         const auto& net = mesh.network();
-        obs::count("substrate/mesh_bytes",
-                   (net.conductances.size() + net.capacitances.size()) *
-                       sizeof(mor::RcNetwork::Elem));
+        obs::count(kMeshBytes, (net.conductances.size() + net.capacitances.size()) *
+                                   sizeof(mor::RcNetwork::Elem));
     }
 
     std::vector<int> port_nodes;
@@ -114,7 +124,7 @@ SubstrateModel extract_substrate(const geom::Rect& area,
         log_warn("substrate: reduction failed (%s); falling back to the "
                  "unreduced mesh network (%zu nodes)",
                  e.what(), mesh.network().node_count);
-        obs::count("substrate/mor_fallbacks");
+        obs::count(kMorFallbacks);
         out.reduced = mor::ports_first(mesh.network(), port_nodes);
         out.mor_fallback = true;
     }
@@ -127,7 +137,7 @@ SubstrateModel extract_substrate(const geom::Rect& area,
             mesh.network(), out.reduced, port_nodes, kReductionProbes);
         const double rel_db =
             rel > 0.0 ? 20.0 * std::log10(rel) : -400.0; // exact -> floor
-        obs::record_value("mor/reduction_error_db", rel_db);
+        obs::record_value(kReductionErrorDb, rel_db);
         obs::budget_update("mor/reduction", rel, kReductionErrorMax, "1",
                            /*higher_is_worse=*/true,
                            format("%d probes", kReductionProbes));

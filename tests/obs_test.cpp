@@ -1,6 +1,7 @@
 // Tests for the observability subsystem: registry counters/histograms,
 // nested scoped phase timers, JSON report round-trip, log sink capture,
-// and the disabled mode recording nothing.
+// the disabled mode recording nothing, concurrent recording from raw
+// threads, and a frozen digest of what a VCO capture records.
 //
 // Built as its own ctest target (label "obs") so the whole group can be
 // selected with `ctest -L obs`, and so the suite still compiles and passes
@@ -16,7 +17,11 @@
 #include "obs/json.hpp"
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
+#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
+#include "rf/oscillator.hpp"
+#include "sim/transient.hpp"
+#include "testcases/vco.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
@@ -56,26 +61,51 @@ TEST_F(ObsTest, CountersAccumulate) {
 }
 
 TEST_F(ObsTest, CountersThreadSafeUnderHammer) {
+    // Four raw threads record every kind, alternately through interned
+    // handles and through names.  Each thread's op log is applied at the
+    // latest when the thread exits, so every total is exact after join().
     constexpr int kThreads = 4;
     constexpr int kPerThread = 50000;
+    const obs::Counter counter("hammer/shared");
+    const obs::Value value("hammer/value");
+    const obs::Phase phase("hammer/phase");
+    const obs::Channel channel("hammer/ts", "1");
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([] {
+        threads.emplace_back([&] {
             for (int i = 0; i < kPerThread; ++i) {
-                obs::count("hammer/shared");
-                obs::record_value("hammer/value", static_cast<double>(i));
+                const double v = static_cast<double>(i);
+                if (i % 2 == 0) {
+                    obs::ScopedTimer timer(phase);
+                    obs::count(counter);
+                    obs::record_value(value, v);
+                    obs::ts_append(channel, v, v);
+                } else {
+                    obs::ScopedTimer timer("hammer/phase");
+                    obs::count("hammer/shared");
+                    obs::record_value("hammer/value", v);
+                    obs::ts_append("hammer/ts", v, v, "1");
+                }
             }
         });
     }
     for (auto& th : threads) th.join();
 #if SNIM_OBS_ENABLED
-    EXPECT_EQ(obs::counter_value("hammer/shared"),
-              static_cast<uint64_t>(kThreads) * kPerThread);
+    constexpr uint64_t kTotal = static_cast<uint64_t>(kThreads) * kPerThread;
+    EXPECT_EQ(obs::counter_value("hammer/shared"), kTotal);
     const auto stats = obs::value_stats("hammer/value");
     ASSERT_TRUE(stats.has_value());
-    EXPECT_EQ(stats->count, static_cast<uint64_t>(kThreads) * kPerThread);
+    EXPECT_EQ(stats->count, kTotal);
     EXPECT_DOUBLE_EQ(stats->min, 0.0);
     EXPECT_DOUBLE_EQ(stats->max, kPerThread - 1);
+    // Integer samples: the sum is exact in any order.
+    EXPECT_EQ(stats->sum, kThreads * (kPerThread - 1.0) * kPerThread / 2.0);
+    EXPECT_EQ(obs::phase_calls("hammer/phase"), kTotal);
+    const auto ts = obs::ts_get("hammer/ts");
+    ASSERT_TRUE(ts.has_value());
+    EXPECT_EQ(ts->offered, kTotal);
+    EXPECT_EQ(ts->unit, "1");
+    EXPECT_LE(ts->value.size(), obs::kTimeSeriesCapacity + 1);
 #endif
 }
 
@@ -329,5 +359,85 @@ TEST(ObsIntegrationTest, SparseLuRecordsFactorAndFillIn) {
     EXPECT_DOUBLE_EQ(fill->max, static_cast<double>(lu.nnz()));
     obs::set_enabled(false);
     obs::reset();
+}
+#endif
+
+#if SNIM_OBS_ENABLED
+namespace {
+
+/// FNV-1a over the recorded contents of the registry, in snapshot order:
+/// every counter; each histogram's count, sum, min, max, mean, p50 and p95;
+/// every time-series sample with its unit, offered count and stride; and
+/// every phase's call count.  Wall seconds and RSS are left out, so the
+/// digest pins what was recorded, not how long it took.
+uint64_t registry_digest() {
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto bytes = [&h](const void* p, size_t n) {
+        const auto* b = static_cast<const unsigned char*>(p);
+        for (size_t i = 0; i < n; ++i) {
+            h ^= b[i];
+            h *= 0x100000001b3ull;
+        }
+    };
+    auto str = [&](const std::string& s) {
+        const uint64_t n = s.size();
+        bytes(&n, sizeof n);
+        bytes(s.data(), s.size());
+    };
+    auto num = [&](auto v) { bytes(&v, sizeof v); };
+    for (const auto& [name, v] : obs::counters_snapshot()) {
+        str(name);
+        num(v);
+    }
+    for (const auto& [name, s] : obs::values_snapshot()) {
+        str(name);
+        num(s.count);
+        for (const double d : {s.sum, s.min, s.max, s.mean, s.p50, s.p95}) num(d);
+    }
+    for (const auto& ts : obs::ts_snapshot()) {
+        str(ts.name);
+        str(ts.unit);
+        num(ts.offered);
+        num(ts.stride);
+        num(static_cast<uint64_t>(ts.time.size()));
+        bytes(ts.time.data(), ts.time.size() * sizeof(double));
+        bytes(ts.value.data(), ts.value.size() * sizeof(double));
+    }
+    for (const auto& [name, p] : obs::phases_snapshot()) {
+        str(name);
+        num(p.calls);
+    }
+    return h;
+}
+
+} // namespace
+
+TEST_F(ObsTest, VcoCaptureRecordsFrozenRegistryContents) {
+    // Golden registry contents of the nominal VCO model build plus the
+    // first calibration capture's quarter window (the run that
+    // AssemblyTest.DefaultEngineMatchesFrozenWaveformDigests pins): 6,750
+    // transient steps overflow the 4,096-sample histogram reservoirs and
+    // decimate every per-step channel, so the digest also pins the
+    // reservoir LCG, the decimation and the order ops reach the registry.
+    // A change that moves it must re-freeze it and say why.
+    auto vco = testcases::build_model(testcases::build_vco(),
+                                      testcases::vco_flow_options());
+    const rf::OscOptions osc = testcases::vco_osc_options();
+    sim::TranOptions vo;
+    vo.dt = osc.dt;
+    vo.tstop = osc.settle / 4.0 + osc.capture / 4.0;
+    vo.record_start = osc.settle / 4.0;
+    vo.order = osc.order;
+    vo.gmin = osc.gmin;
+    vo.accumulate_average = true;
+    sim::transient(vco.netlist, {osc.probe_p, osc.probe_n}, vo);
+
+    const auto steps = obs::value_stats("sim/transient/newton_per_step");
+    ASSERT_TRUE(steps.has_value());
+    EXPECT_GT(steps->count, 4096u); // the reservoir overflowed
+    const auto dt = obs::ts_get("sim/transient/dt");
+    ASSERT_TRUE(dt.has_value());
+    EXPECT_GT(dt->stride, 1u); // the channel decimated
+    EXPECT_EQ(registry_digest(), 0xae2250c06cd116b9ull);
 }
 #endif

@@ -27,6 +27,7 @@
 #include "obs/parallel.hpp"
 #include "obs/registry.hpp"
 #include "obs/timeseries.hpp"
+#include "obs/trace.hpp"
 #include "rf/spur.hpp"
 #include "sim/ac.hpp"
 #include "sim/mna.hpp"
@@ -496,10 +497,17 @@ TEST_F(ParallelTest, AcSweepReuseMatchesFreshPerPoint) {
 
 #if SNIM_OBS_ENABLED
 TEST_F(ParallelTest, ParallelTasksMergesMetricsInIndexOrder) {
-    auto body = [](size_t i) {
+    // 16 tasks x 600 samples overflow the 4,096-sample reservoir, so the
+    // quantiles depend on the order samples reach the histogram.
+    const obs::Value val("p/val");
+    const obs::Phase phase("p/phase");
+    auto body = [&](size_t i) {
+        obs::ScopedTimer timer(phase);
         obs::count("p/tasks");
         obs::count(format("p/task_%zu", i));
-        obs::record_value("p/val", static_cast<double>(i));
+        for (size_t j = 0; j < 600; ++j)
+            obs::record_value(val, std::sin(static_cast<double>(i * 600 + j)));
+        obs::record_value("p/named_val", static_cast<double>(i));
         obs::ts_append("p/ts", static_cast<double>(i), std::sqrt(static_cast<double>(i)),
                        "1");
     };
@@ -508,18 +516,31 @@ TEST_F(ParallelTest, ParallelTasksMergesMetricsInIndexOrder) {
     for (size_t i = 0; i < 16; ++i) body(i); // serial reference
     const auto ref_ts = obs::ts_get("p/ts");
     const auto ref_counters = obs::counters_snapshot();
+    const auto ref_val = obs::value_stats("p/val");
     ASSERT_TRUE(ref_ts.has_value());
+    ASSERT_TRUE(ref_val.has_value());
+    ASSERT_EQ(ref_val->count, 9600u);
 
-    obs::reset();
-    obs::parallel_tasks(4, 16, body);
-    const auto par_ts = obs::ts_get("p/ts");
-    ASSERT_TRUE(par_ts.has_value());
-    EXPECT_EQ(par_ts->value, ref_ts->value);
-    EXPECT_EQ(par_ts->time, ref_ts->time);
-    EXPECT_EQ(obs::counters_snapshot(), ref_counters);
-    const auto vs = obs::value_stats("p/val");
-    ASSERT_TRUE(vs.has_value());
-    EXPECT_EQ(vs->count, 16u);
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE(threads);
+        obs::reset();
+        obs::parallel_tasks(threads, 16, body);
+        const auto par_ts = obs::ts_get("p/ts");
+        ASSERT_TRUE(par_ts.has_value());
+        EXPECT_EQ(par_ts->value, ref_ts->value);
+        EXPECT_EQ(par_ts->time, ref_ts->time);
+        EXPECT_EQ(obs::counters_snapshot(), ref_counters);
+        const auto vs = obs::value_stats("p/val");
+        ASSERT_TRUE(vs.has_value());
+        EXPECT_EQ(vs->count, ref_val->count);
+        EXPECT_EQ(vs->sum, ref_val->sum);
+        EXPECT_EQ(vs->p50, ref_val->p50);
+        EXPECT_EQ(vs->p95, ref_val->p95);
+        const auto named = obs::value_stats("p/named_val");
+        ASSERT_TRUE(named.has_value());
+        EXPECT_EQ(named->count, 16u);
+        EXPECT_EQ(obs::phase_calls("p/phase"), 16u);
+    }
 }
 #endif // SNIM_OBS_ENABLED
 
