@@ -6,6 +6,7 @@
 // concrete devices access them through named index constants.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -66,8 +67,13 @@ public:
     }
 
     /// Disabled devices are skipped by every analysis (open circuit);
-    /// used for coupling-path ablation studies.
-    void set_disabled(bool disabled) { disabled_ = disabled; }
+    /// used for coupling-path ablation studies.  A change bumps the owning
+    /// netlist's Netlist::disable_generation().
+    void set_disabled(bool disabled) {
+        if (disabled == disabled_) return;
+        disabled_ = disabled;
+        if (disable_gen_ != nullptr) ++*disable_gen_;
+    }
     bool disabled() const { return disabled_; }
 
     /// Number of auxiliary unknowns (branch currents) this device needs.
@@ -134,10 +140,13 @@ protected:
     }
 
 private:
+    friend class Netlist; // binds disable_gen_ in add_device()
+
     std::string name_;
     std::vector<NodeId> terms_;
     NodeId aux_base_ = -1;
     bool disabled_ = false;
+    std::uint64_t* disable_gen_ = nullptr; // owning netlist's counter
 };
 
 } // namespace snim::circuit

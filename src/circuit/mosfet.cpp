@@ -30,7 +30,7 @@ Mosfet::Mosfet(std::string name, NodeId d, NodeId g, NodeId s, NodeId b,
     if (geom_.ps <= 0) geom_.ps = 2.0 * (geom_.w + ext);
 }
 
-Mosfet::SmallSignal Mosfet::small_signal(const std::vector<double>& x) const {
+Mosfet::SmallSignal Mosfet::channel_op(const std::vector<double>& x) const {
     const double sgn = model_.is_nmos ? 1.0 : -1.0;
     const double vd = sgn * volt(x, term(kD));
     const double vg = sgn * volt(x, term(kG));
@@ -94,6 +94,14 @@ Mosfet::SmallSignal Mosfet::small_signal(const std::vector<double>& x) const {
     out.gm = gm;
     out.gds = gds;
     out.gmb = gmb;
+    return out;
+}
+
+Mosfet::SmallSignal Mosfet::small_signal(const std::vector<double>& x) const {
+    SmallSignal out = channel_op(x);
+    const double sgn = model_.is_nmos ? 1.0 : -1.0;
+    const bool swapped = sgn * volt(x, term(kD)) < sgn * volt(x, term(kS));
+    const double vov = out.vgs - out.vt;
 
     // --- capacitances (effective frame) ---------------------------------
     const double w_total = geom_.w * geom_.m;
@@ -188,7 +196,7 @@ void stamp_channel_block(Stamper<T>& s, const std::vector<NodeId>& t,
 } // namespace
 
 void Mosfet::stamp_channel(RealStamper& s, const std::vector<double>& x) const {
-    const ChannelStamp c = channel_stamp(small_signal(x), x);
+    const ChannelStamp c = channel_stamp(channel_op(x), x);
     stamp_channel_block(s, nodes(), c.row);
     s.rhs_current(term(kD), c.rhs);
     s.rhs_current(term(kS), -c.rhs);
@@ -250,13 +258,12 @@ void Mosfet::init_tran(const std::vector<double>& x) {
 }
 
 void Mosfet::stamp_cap(RealStamper& s, NodeId a, NodeId b, CapState& st,
-                       const std::vector<double>& x, const TranParams& tp) const {
+                       const std::vector<double>& x, double k, int order) const {
     const double v = volt(x, a) - volt(x, b);
     const double c = cap_value(st, v);
     if (c <= 0.0) return;
     // Charge-based companion: i = k (q(v) - q_n) - (trap) i_n.
-    const double k = (tp.order == 2 ? 2.0 : 1.0) / tp.dt;
-    const double i = k * (cap_charge(st, v) - st.q) - (tp.order == 2 ? st.i : 0.0);
+    const double i = k * (cap_charge(st, v) - st.q) - (order == 2 ? st.i : 0.0);
     const double geq = k * c;
     const double ieq = i - geq * v;
     s.admittance(a, b, geq);
@@ -265,30 +272,36 @@ void Mosfet::stamp_cap(RealStamper& s, NodeId a, NodeId b, CapState& st,
 }
 
 void Mosfet::commit_cap(const std::vector<double>& x, NodeId a, NodeId b, CapState& st,
-                        const TranParams& tp) const {
+                        double k, int order) const {
     const double v = volt(x, a) - volt(x, b);
-    const double k = (tp.order == 2 ? 2.0 : 1.0) / tp.dt;
     const double q = cap_charge(st, v);
-    st.i = k * (q - st.q) - (tp.order == 2 ? st.i : 0.0);
+    st.i = k * (q - st.q) - (order == 2 ? st.i : 0.0);
     st.q = q;
 }
+
+namespace {
+// Companion factor of the charge-based capacitor stamps, kord / dt.
+double companion_k(const TranParams& tp) { return (tp.order == 2 ? 2.0 : 1.0) / tp.dt; }
+} // namespace
 
 void Mosfet::stamp_tran(RealStamper& s, const std::vector<double>& x,
                         const TranParams& tp) {
     stamp_channel(s, x);
-    stamp_cap(s, term(kG), term(kS), cgs_st_, x, tp);
-    stamp_cap(s, term(kG), term(kD), cgd_st_, x, tp);
-    stamp_cap(s, term(kG), term(kB), cgb_st_, x, tp);
-    stamp_cap(s, term(kB), term(kD), cdb_st_, x, tp);
-    stamp_cap(s, term(kB), term(kS), csb_st_, x, tp);
+    const double k = companion_k(tp);
+    stamp_cap(s, term(kG), term(kS), cgs_st_, x, k, tp.order);
+    stamp_cap(s, term(kG), term(kD), cgd_st_, x, k, tp.order);
+    stamp_cap(s, term(kG), term(kB), cgb_st_, x, k, tp.order);
+    stamp_cap(s, term(kB), term(kD), cdb_st_, x, k, tp.order);
+    stamp_cap(s, term(kB), term(kS), csb_st_, x, k, tp.order);
 }
 
 void Mosfet::commit_tran(const std::vector<double>& x, const TranParams& tp) {
-    commit_cap(x, term(kG), term(kS), cgs_st_, tp);
-    commit_cap(x, term(kG), term(kD), cgd_st_, tp);
-    commit_cap(x, term(kG), term(kB), cgb_st_, tp);
-    commit_cap(x, term(kB), term(kD), cdb_st_, tp);
-    commit_cap(x, term(kB), term(kS), csb_st_, tp);
+    const double k = companion_k(tp);
+    commit_cap(x, term(kG), term(kS), cgs_st_, k, tp.order);
+    commit_cap(x, term(kG), term(kD), cgd_st_, k, tp.order);
+    commit_cap(x, term(kG), term(kB), cgb_st_, k, tp.order);
+    commit_cap(x, term(kB), term(kD), cdb_st_, k, tp.order);
+    commit_cap(x, term(kB), term(kS), csb_st_, k, tp.order);
 }
 
 void Mosfet::save_tran_state(std::vector<double>& out) const {

@@ -86,16 +86,20 @@ private:
         std::array<double, 4> row{};
         double rhs = 0.0; // RHS current into the drain node; the source node gets -rhs
     };
+    /// small_signal() without the capacitances: the DC channel point
+    /// (ids, gm, gds, gmb and the effective biases) the Newton stamps use.
+    SmallSignal channel_op(const std::vector<double>& x) const;
     ChannelStamp channel_stamp(const SmallSignal& ss, const std::vector<double>& x) const;
     void stamp_channel(RealStamper& s, const std::vector<double>& x) const;
     double junction_cap0(double v, double cj0) const;
     double junction_charge(double v, double cj0) const;
     double cap_charge(const CapState& st, double v) const;
     double cap_value(const CapState& st, double v) const;
+    // k is the companion factor kord / dt, formed once per stamp/commit.
     void stamp_cap(RealStamper& s, NodeId a, NodeId b, CapState& st,
-                   const std::vector<double>& x, const TranParams& tp) const;
+                   const std::vector<double>& x, double k, int order) const;
     void commit_cap(const std::vector<double>& x, NodeId a, NodeId b, CapState& st,
-                    const TranParams& tp) const;
+                    double k, int order) const;
 
     tech::MosModelCard model_;
     MosGeometry geom_;

@@ -46,6 +46,8 @@ void Netlist::add_device(std::unique_ptr<Device> dev) {
     SNIM_ASSERT(dev != nullptr, "null device");
     SNIM_ASSERT(find(dev->name()) == nullptr, "duplicate device '%s'",
                 dev->name().c_str());
+    if (!disable_gen_) disable_gen_ = std::make_unique<std::uint64_t>(0); // moved-from
+    dev->disable_gen_ = disable_gen_.get();
     devices_.push_back(std::move(dev));
     finalized_ = false;
 }

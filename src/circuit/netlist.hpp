@@ -2,6 +2,7 @@
 // indices and assigns auxiliary (branch-current) unknowns.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -55,6 +56,12 @@ public:
     const std::vector<std::unique_ptr<Device>>& devices() const { return devices_; }
     size_t device_count() const { return devices_.size(); }
 
+    /// Bumped every time a device of this netlist changes its disabled
+    /// flag.  Per netlist, so toggles in one corner's netlist never touch
+    /// another's; the transient assembler compares it to decide whether
+    /// its learned stamp tape still matches the enabled device set.
+    std::uint64_t disable_generation() const { return disable_gen_ ? *disable_gen_ : 0; }
+
     /// Per-partition device view (see circuit::Partition), the single
     /// source of truth analyses use to decide between linear and Newton
     /// solves and to split transient assembly.  Classifies every device —
@@ -94,6 +101,8 @@ private:
     std::vector<std::unique_ptr<Device>> devices_;
     std::vector<std::string> node_names_;
     std::unordered_map<std::string, NodeId> node_index_;
+    // Heap-held so devices keep a valid pointer when the netlist moves.
+    std::unique_ptr<std::uint64_t> disable_gen_ = std::make_unique<std::uint64_t>(0);
     size_t aux_total_ = 0;
     bool finalized_ = false;
     int fresh_counter_ = 0;

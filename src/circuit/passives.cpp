@@ -75,11 +75,7 @@ void Capacitor::stamp_tran(RealStamper& s, const std::vector<double>&,
 }
 
 void Capacitor::commit_tran(const std::vector<double>& x, const TranParams& tp) {
-    const double v = volt(x, term(kA)) - volt(x, term(kB));
-    const double geq = (tp.order == 2 ? 2.0 : 1.0) * c_ / tp.dt;
-    const double i = (tp.order == 2) ? geq * (v - v_prev_) - i_prev_ : geq * (v - v_prev_);
-    v_prev_ = v;
-    i_prev_ = i;
+    commit_companion(x, (tp.order == 2 ? 2.0 : 1.0) * c_ / tp.dt, tp.order);
 }
 
 void Capacitor::save_tran_state(std::vector<double>& out) const {

@@ -43,6 +43,14 @@ public:
                     const TranParams& tp) override;
     void init_tran(const std::vector<double>& x) override;
     void commit_tran(const std::vector<double>& x, const TranParams& tp) override;
+    /// commit_tran with the companion conductance geq = kord * C / dt
+    /// already formed (the incremental assembler keeps it per (dt, order)).
+    void commit_companion(const std::vector<double>& x, double geq, int order) {
+        const double v = volt(x, term(0)) - volt(x, term(1));
+        const double i = (order == 2) ? geq * (v - v_prev_) - i_prev_ : geq * (v - v_prev_);
+        v_prev_ = v;
+        i_prev_ = i;
+    }
     void save_tran_state(std::vector<double>& out) const override;
     void load_tran_state(const std::vector<double>& in, size_t& pos) override;
     void stamp_ac(ComplexStamper& s, const std::vector<double>& xop,

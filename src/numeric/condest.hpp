@@ -138,24 +138,6 @@ double rcond_from_norm1(const Solver& lu, size_t n, double a_norm1,
     return 1.0 / (a_norm1 * inv);
 }
 
-/// (|A| |x|)_i for the Oettli-Prager denominator, CSC form.
-template <class T>
-std::vector<double> abs_mat_abs_vec(const SparseCSC<T>& a,
-                                    const std::vector<T>& x) {
-    std::vector<double> out(a.size(), 0.0);
-    const auto& cp = a.col_ptr();
-    const auto& ri = a.row_idx();
-    const auto& vx = a.values();
-    for (size_t j = 0; j < a.size(); ++j) {
-        const double xj = condest_detail::mag(x[j]);
-        if (xj == 0.0) continue;
-        for (int p = cp[j]; p < cp[j + 1]; ++p)
-            out[static_cast<size_t>(ri[static_cast<size_t>(p)])] +=
-                condest_detail::mag(vx[static_cast<size_t>(p)]) * xj;
-    }
-    return out;
-}
-
 /// Componentwise backward error omega = max_i |Ax-b|_i / (|A||x|+|b|)_i,
 /// hybridised with a normwise floor on the denominator (Arioli/Demmel/Duff):
 /// a row whose own magnitude is vanishingly small against the dominant row
@@ -171,8 +153,29 @@ inline constexpr double kOmegaDenFloorRel = 1e-8; // ~sqrt(machine epsilon)
 template <class T>
 double componentwise_backward_error(const SparseCSC<T>& a, const std::vector<T>& x,
                                     const std::vector<T>& b) {
-    const std::vector<T> ax = a.multiply(x);
-    const std::vector<double> den_ax = abs_mat_abs_vec(a, x);
+    // A x and |A| |x| in one column pass into per-thread scratch: each row
+    // accumulates in ascending column order and zero x entries are
+    // skipped, as SparseCSC::multiply does.
+    thread_local std::vector<T> ax;
+    thread_local std::vector<double> den_ax;
+    ax.assign(a.size(), T{});
+    den_ax.assign(a.size(), 0.0);
+    {
+        const auto& cp = a.col_ptr();
+        const auto& ri = a.row_idx();
+        const auto& vx = a.values();
+        for (size_t j = 0; j < a.size(); ++j) {
+            const T xj = x[j];
+            if (xj == T{}) continue;
+            const double xm = condest_detail::mag(xj);
+            for (int p = cp[j]; p < cp[j + 1]; ++p) {
+                const auto r = static_cast<size_t>(ri[static_cast<size_t>(p)]);
+                const T v = vx[static_cast<size_t>(p)];
+                ax[r] += v * xj;
+                den_ax[r] += condest_detail::mag(v) * xm;
+            }
+        }
+    }
     double scale = 0.0;
     for (size_t i = 0; i < ax.size(); ++i)
         scale = std::max(scale, den_ax[i] + condest_detail::mag(b[i]));

@@ -55,8 +55,15 @@ SparseCSC<T>::SparseCSC(const Triplets<T>& t) : n_(t.size()) {
 
 template <class T>
 std::vector<T> SparseCSC<T>::multiply(const std::vector<T>& x) const {
+    std::vector<T> y;
+    multiply_into(x, y);
+    return y;
+}
+
+template <class T>
+void SparseCSC<T>::multiply_into(const std::vector<T>& x, std::vector<T>& y) const {
     SNIM_ASSERT(x.size() == n_, "matvec shape mismatch");
-    std::vector<T> y(n_, T{});
+    y.assign(n_, T{});
     for (size_t c = 0; c < n_; ++c) {
         const T xc = x[c];
         if (xc == T{}) continue;
@@ -64,7 +71,6 @@ std::vector<T> SparseCSC<T>::multiply(const std::vector<T>& x) const {
             y[static_cast<size_t>(ri_[static_cast<size_t>(p)])] +=
                 vx_[static_cast<size_t>(p)] * xc;
     }
-    return y;
 }
 
 template <class T>

@@ -80,6 +80,8 @@ public:
     std::vector<T>& values_mut() { return vx_; }
 
     std::vector<T> multiply(const std::vector<T>& x) const;
+    /// multiply() into `y` (resized to n), for loops that reuse the buffer.
+    void multiply_into(const std::vector<T>& x, std::vector<T>& y) const;
     DenseMatrix<T> to_dense() const;
 
 private:

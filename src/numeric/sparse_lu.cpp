@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "numeric/condest.hpp"
@@ -386,10 +387,61 @@ bool SparseLU<T>::refactor_columns(const SparseCSC<T>& a, const int* cols, size_
     return true;
 }
 
-// Rebuild the global reductions from the per-column caches.  min/max over an
-// array and max of column sums are order-independent exact reductions, so
-// this yields the same stats_ and a_norm1_ a full sweep computes regardless
-// of which columns the preceding pass actually touched.
+// Trailing-block refresh (see refactor_partial): the closure is the pivot
+// range [block_begin_, n_).  Only block rows are cleared, scattered and
+// updated; the U entries above the block keep their stored values and the
+// cached products stand in for the sweep's updates from the columns left
+// of the block, replayed in the sweep's order, so every block row sees the
+// same sequence of subtractions as refactor_columns() would apply.
+template <class T>
+bool SparseLU<T>::refactor_trailing(const SparseCSC<T>& a) {
+    const auto& cp = a.col_ptr();
+    const auto& vx = a.values();
+    if (work_.size() != n_) work_.assign(n_, T{});
+    T* x = work_.data();
+    const size_t m = n_ - block_begin_;
+    for (size_t b = 0; b < m; ++b) {
+        const size_t kk = block_begin_ + b;
+        Column& ucol = u_[kk];
+        Column& lcol = l_[kk];
+
+        std::fill(x + block_begin_, x + n_, T{});
+        const auto j = static_cast<size_t>(perm_[kk]);
+        const int* arow = block_arow_.data() + block_arow_ptr_[b];
+        double asum = 0.0;
+        for (int p = cp[j]; p < cp[j + 1]; ++p, ++arow) {
+            const T v = vx[static_cast<size_t>(p)];
+            asum += mag(v);
+            if (*arow >= 0) x[*arow] = v;
+        }
+        col_abs_sum_[j] = asum; // same per-column summation order as norm1()
+
+        for (int e = block_prod_ptr_[b]; e < block_prod_ptr_[b + 1]; ++e) {
+            const Product& pr = block_prod_[static_cast<size_t>(e)];
+            x[pr.row] -= pr.l * pr.u;
+        }
+        for (size_t q = static_cast<size_t>(block_uq_[b]); q + 1 < ucol.size(); ++q) {
+            const int jp = ucol[q].row;
+            const T xj = x[jp];
+            ucol[q].value = xj;
+            const Column& lj = l_[static_cast<size_t>(jp)];
+            for (size_t r = 1; r < lj.size(); ++r) x[lj[r].row] -= lj[r].value * xj;
+        }
+
+        const T pivot = x[kk];
+        if (pivot == T{}) return false; // stale pivot hit exact zero
+        ucol.back().value = pivot;
+        for (size_t r = 1; r < lcol.size(); ++r) lcol[r].value = x[lcol[r].row] / pivot;
+        pivot_mag_[kk] = mag(pivot);
+    }
+    return true;
+}
+
+// Rebuild the global reductions from the per-column caches, as the full
+// ascending scan: min/max seeded with column 0, so a NaN |pivot| there
+// wins and any later NaN never compares; ||A||_1 starts from 0 and skips
+// NaN sums.  Values are exact, so the result does not depend on which
+// columns the preceding pass touched.
 template <class T>
 void SparseLU<T>::finish_refactor() {
     double minp = 0.0, maxp = 0.0;
@@ -402,14 +454,39 @@ void SparseLU<T>::finish_refactor() {
             maxp = std::max(maxp, pmag);
         }
     }
-    // Pattern and pivot sequence are unchanged, so fill_growth and
-    // pivot_swaps carry over; only the pivot magnitudes move.
-    stats_.min_pivot = minp;
-    stats_.max_pivot = maxp;
-    stats_.rcond = 0.0;
     double best = 0.0;
     for (size_t j = 0; j < n_; ++j) best = std::max(best, col_abs_sum_[j]);
-    a_norm1_ = best;
+    cache_valid_ = false; // values outside any closure moved
+    set_refreshed_stats(minp, maxp, best);
+}
+
+// The same reductions after a partial refactor: the closure's columns
+// folded into the cached extrema of the others, with the scan's NaN rules.
+template <class T>
+void SparseLU<T>::finish_partial() {
+    double minp = other_min_pivot_, maxp = other_max_pivot_, best = other_norm1_;
+    for (const int kk : closure_) {
+        const double pmag = pivot_mag_[static_cast<size_t>(kk)];
+        if (pmag < minp) minp = pmag;
+        if (pmag > maxp) maxp = pmag;
+        const double s = col_abs_sum_[static_cast<size_t>(perm_[static_cast<size_t>(kk)])];
+        if (s > best) best = s;
+    }
+    if (n_ == 0)
+        minp = maxp = 0.0;
+    else if (std::isnan(pivot_mag_[0]))
+        minp = maxp = pivot_mag_[0];
+    set_refreshed_stats(minp, maxp, best);
+}
+
+template <class T>
+void SparseLU<T>::set_refreshed_stats(double min_pivot, double max_pivot, double norm1) {
+    // Pattern and pivot sequence are unchanged, so fill_growth and
+    // pivot_swaps carry over; only the pivot magnitudes move.
+    stats_.min_pivot = min_pivot;
+    stats_.max_pivot = max_pivot;
+    stats_.rcond = 0.0;
+    a_norm1_ = norm1;
     rcond_cache_ = -1.0; // new values: the cached condition estimate is stale
     obs::record_value(kMinPivot, stats_.min_pivot);
 }
@@ -447,6 +524,72 @@ void SparseLU<T>::build_closure(const std::vector<int>& changed_cols) {
     }
     closure_key_ = changed_cols;
     closure_valid_ = true;
+    cache_valid_ = false;
+}
+
+// Builds what a partial refactor reuses from the held factors: the extrema
+// of the columns outside the closure and, when the closure is a trailing
+// block that every changed row pivots into, the block caches.  A changed
+// row pivoting above the block could move U entries there, so that case
+// keeps the column sweep.
+template <class T>
+void SparseLU<T>::build_block_cache(const SparseCSC<T>& a,
+                                    const std::vector<int>& changed_cols) {
+    std::vector<char> in(n_, 0);
+    for (const int kk : closure_) in[static_cast<size_t>(kk)] = 1;
+    double minp = std::numeric_limits<double>::infinity();
+    double maxp = -std::numeric_limits<double>::infinity();
+    double best = 0.0;
+    for (size_t kk = 0; kk < n_; ++kk) {
+        if (in[kk]) continue;
+        const double pmag = pivot_mag_[kk];
+        if (pmag < minp) minp = pmag;
+        if (pmag > maxp) maxp = pmag;
+        const double s = col_abs_sum_[static_cast<size_t>(perm_[kk])];
+        if (s > best) best = s;
+    }
+    other_min_pivot_ = minp;
+    other_max_pivot_ = maxp;
+    other_norm1_ = best;
+    cache_valid_ = true;
+
+    const size_t m = closure_.size();
+    block_begin_ = n_;
+    bool trailing = m > 0 && static_cast<size_t>(closure_.front()) == n_ - m;
+    for (const int c : changed_cols)
+        trailing = trailing &&
+                   static_cast<size_t>(pinv_[static_cast<size_t>(
+                       iperm_[static_cast<size_t>(c)])]) >= n_ - m;
+    if (!trailing) return;
+    block_begin_ = n_ - m;
+    const int begin = static_cast<int>(block_begin_);
+    const auto& cp = a.col_ptr();
+    const auto& ri = a.row_idx();
+    block_arow_ptr_.assign(m + 1, 0);
+    block_prod_ptr_.assign(m + 1, 0);
+    block_uq_.assign(m, 0);
+    block_arow_.clear();
+    block_prod_.clear();
+    for (size_t b = 0; b < m; ++b) {
+        const size_t kk = block_begin_ + b;
+        const auto j = static_cast<size_t>(perm_[kk]);
+        for (int p = cp[j]; p < cp[j + 1]; ++p) {
+            const int r = pinv_[static_cast<size_t>(
+                iperm_[static_cast<size_t>(ri[static_cast<size_t>(p)])])];
+            block_arow_.push_back(r >= begin ? r : -1);
+        }
+        block_arow_ptr_[b + 1] = static_cast<int>(block_arow_.size());
+        const Column& ucol = u_[kk];
+        size_t q = 0;
+        for (; q + 1 < ucol.size() && ucol[q].row < begin; ++q) {
+            const T xj = ucol[q].value;
+            const Column& lj = l_[static_cast<size_t>(ucol[q].row)];
+            for (size_t r = 1; r < lj.size(); ++r)
+                if (lj[r].row >= begin) block_prod_.push_back({lj[r].row, lj[r].value, xj});
+        }
+        block_uq_[b] = static_cast<int>(q);
+        block_prod_ptr_[b + 1] = static_cast<int>(block_prod_.size());
+    }
 }
 
 template <class T>
@@ -455,8 +598,12 @@ bool SparseLU<T>::refactor_partial(const SparseCSC<T>& a,
     SNIM_ASSERT(a.size() == n_, "refactor shape %zu != %zu", a.size(), n_);
     obs::ScopedTimer obs_timer(kRefactorPhase);
     if (!closure_valid_ || closure_key_ != changed_cols) build_closure(changed_cols);
-    if (!refactor_columns(a, closure_.data(), closure_.size())) return false;
-    finish_refactor();
+    if (!cache_valid_) build_block_cache(a, changed_cols);
+    const bool ok = block_begin_ < n_
+                        ? refactor_trailing(a)
+                        : refactor_columns(a, closure_.data(), closure_.size());
+    if (!ok) return false;
+    finish_partial();
     return true;
 }
 
@@ -562,7 +709,15 @@ void ReusableLU<T>::factor(const SparseCSC<T>& a, const RefactorHint& hint) {
         hint_key_[1] = hint.key[1];
         hint_key_[2] = hint.key[2];
     };
-    if (!lu_ || a.col_ptr() != pattern_cp_ || a.row_idx() != pattern_ri_) {
+    // A matching nonzero key attests that the held factors come from a
+    // matrix with `a`'s pattern that is value-identical to it outside
+    // changed_cols x changed_cols (see RefactorHint), so the pattern check
+    // is skipped and the partial path may run.  Anything else (key change,
+    // zero key) compares patterns and pays for the full numeric refactor.
+    const bool same_key = (hint.key[0] | hint.key[1] | hint.key[2]) != 0 &&
+                          hint.key[0] == hint_key_[0] &&
+                          hint.key[1] == hint_key_[1] && hint.key[2] == hint_key_[2];
+    if (!lu_ || (!same_key && (a.col_ptr() != pattern_cp_ || a.row_idx() != pattern_ri_))) {
         full_factor(a, hint.changed_cols);
         adopt_key();
         return;
@@ -571,15 +726,7 @@ void ReusableLU<T>::factor(const SparseCSC<T>& a, const RefactorHint& hint) {
     // function of how many reuse opportunities the run has seen.
     const bool forced = fault::fires("numeric.lu.repivot");
     obs::count(kRefactors);
-    // The partial path needs the held factors to come from a matrix that is
-    // value-identical to `a` outside hint.changed_cols — exactly what a
-    // matching nonzero key attests.  Anything else (key change, zero key,
-    // no column list) pays for the full numeric refactor.
-    const bool partial_ok =
-        hint.changed_cols != nullptr &&
-        (hint.key[0] | hint.key[1] | hint.key[2]) != 0 &&
-        hint.key[0] == hint_key_[0] && hint.key[1] == hint_key_[1] &&
-        hint.key[2] == hint_key_[2];
+    const bool partial_ok = same_key && hint.changed_cols != nullptr;
     bool ok;
     if (!forced && partial_ok) {
         ok = lu_->refactor_partial(a, *hint.changed_cols);

@@ -62,7 +62,8 @@ public:
     /// Re-runs the numeric factorization on `a` reusing this factorization's
     /// pattern and pivot sequence.  `a` must have exactly the sparsity
     /// pattern of the matrix this object was constructed from (the caller —
-    /// normally ReusableLU — checks; violating it is undefined).  Column
+    /// normally ReusableLU, by a pattern comparison or a matching
+    /// RefactorHint key — guarantees it; violating it is undefined).  Column
     /// updates are applied in ascending pivot order, the same order the full
     /// constructor uses, so when the fixed pivot sequence matches what a
     /// fresh factorization would choose the result is bit-identical to one.
@@ -71,16 +72,30 @@ public:
     bool refactor(const SparseCSC<T>& a);
 
     /// Numeric refactorization restricted to the elimination closure of the
-    /// listed original columns.  `a` must be value-identical to the matrix
-    /// the current factors came from everywhere OUTSIDE `changed_cols`
-    /// (pattern identical everywhere, as for refactor()).  Every column not
-    /// recomputed would reproduce its stored values bit-exactly — its A
-    /// column and every L column it consumes are unchanged — so the result
-    /// is bit-identical to a full refactor(a), at the cost of only the
-    /// changed columns and their downstream dependents.  The closure is
-    /// cached and rebuilt when `changed_cols` differs from the previous
-    /// call.  Incremental transient assembly leans on this: between Newton
-    /// iterations only the nonlinear-device columns move.
+    /// listed original indices.  `a` must be value-identical to the matrix
+    /// the current factors came from at every entry (r, c) outside
+    /// changed_cols x changed_cols (pattern identical everywhere, as for
+    /// refactor()).  Every column not recomputed would reproduce its stored
+    /// values bit-exactly — its A column and every L column it consumes are
+    /// unchanged — so the result is bit-identical to a full refactor(a), at
+    /// the cost of only the changed columns and their downstream dependents.
+    /// The closure is cached and rebuilt when `changed_cols` differs from
+    /// the previous call.  Incremental transient assembly leans on this:
+    /// between Newton iterations only the nonlinear-device block moves.
+    ///
+    /// When the closure is the last m pivot positions and every changed row
+    /// pivots inside them (the case `last_cols` sets up), the refresh
+    /// touches the trailing block only.  The U entries above the block and
+    /// the updates x[r] -= L(r,jp)*U(jp,j) the sweep applies to block rows
+    /// r from columns jp left of the block are fixed while the contract
+    /// holds.  The first refresh after each full factorization or full
+    /// refactor() caches those updates per block column as (r, L(r,jp),
+    /// U(jp,j)), in the sweep's order (ascending jp, then L order).  A
+    /// refresh then clears and scatters the block rows, replays the cached
+    /// updates with the sweep's own expression (so they round, or contract
+    /// to fused multiply-adds, exactly as the sweep's do), runs the
+    /// in-block updates and takes pivots and L quotients as the sweep does.
+    /// Any other closure runs the column sweep over the closure.
     bool refactor_partial(const SparseCSC<T>& a, const std::vector<int>& changed_cols);
 
     /// Solves A x = b.
@@ -115,10 +130,21 @@ private:
         T value;
     };
     using Column = std::vector<Entry>;
+    // One cached trailing-block update, replayed as x[row] -= l * u: the
+    // sweep's own expression, so it rounds (or contracts) the same way.
+    struct Product {
+        int row;
+        T l; // L(row, jp)
+        T u; // U(jp, j)
+    };
 
     bool refactor_columns(const SparseCSC<T>& a, const int* cols, size_t ncols);
+    bool refactor_trailing(const SparseCSC<T>& a);
     void finish_refactor();
+    void finish_partial();
+    void set_refreshed_stats(double min_pivot, double max_pivot, double norm1);
     void build_closure(const std::vector<int>& changed_cols);
+    void build_block_cache(const SparseCSC<T>& a, const std::vector<int>& changed_cols);
 
     size_t n_ = 0;
     std::vector<Column> l_;  // unit-lower; first entry of column k is the diagonal (1)
@@ -131,23 +157,41 @@ private:
     mutable double rcond_cache_ = -1.0; // < 0: not yet estimated
 
     // Refactor scratch and incremental bookkeeping.  pivot_mag_ /
-    // col_abs_sum_ persist per-column |pivot| and column abs-sums so a
-    // partial refactor can rebuild global stats (min/max pivot, ||A||_1)
-    // without visiting untouched columns; the reductions run over the full
-    // arrays in ascending index order, matching what a full sweep computes.
+    // col_abs_sum_ persist per-column |pivot| and column abs-sums; a
+    // partial refactor folds the closure's entries into the cached extrema
+    // of the other columns (other_*), which gives the global stats (min/max
+    // pivot, ||A||_1) the full ascending scan computes, NaN handling
+    // included, without visiting untouched columns.
     mutable std::vector<T> work_;        // dense scatter column
     std::vector<double> pivot_mag_;      // |pivot| per permuted column
     std::vector<double> col_abs_sum_;    // abs column sum per original column
     std::vector<int> closure_;           // permuted columns to recompute, ascending
     std::vector<int> closure_key_;       // changed_cols the closure was built for
     bool closure_valid_ = false;
+
+    // Caches a partial refactor builds from the factors and keeps until the
+    // next full factorization or full refactor() changes the values outside
+    // the closure (cache_valid_ false).
+    bool cache_valid_ = false;
+    double other_min_pivot_ = 0.0;  // extrema over columns outside the closure,
+    double other_max_pivot_ = 0.0;  // NaNs skipped
+    double other_norm1_ = 0.0;
+    // Trailing-block refresh (see refactor_partial); block_begin_ == n_
+    // when the closure is not a trailing block.
+    size_t block_begin_ = 0;
+    std::vector<int> block_arow_ptr_;   // per block column: range in block_arow_
+    std::vector<int> block_arow_;       // pivot row of each A entry (-1: above the block)
+    std::vector<int> block_prod_ptr_;   // per block column: range in block_prod_
+    std::vector<Product> block_prod_;   // (block row, L(r,jp), U(jp,j)) in sweep order
+    std::vector<int> block_uq_;         // per block column: first in-block U entry
 };
 
 /// Owns a SparseLU and decides, per factor() call, between the cheap numeric
 /// refactor path and a full re-pivoting factorization:
 ///
 ///   * first call or pattern change -> full factorization;
-///     its min |pivot| becomes the health reference.
+///     its min |pivot| becomes the health reference.  A call whose
+///     RefactorHint key matches the held factors' skips the comparison.
 ///   * otherwise refactor; if the refactored min |pivot| degrades below
 ///     repivot_tol times the reference (or a pivot lands on exact zero) the
 ///     stale pivot sequence is declared unhealthy and a full factorization
@@ -169,12 +213,17 @@ public:
 
     /// Caller-supplied context for an incremental refactorization.  `key` is
     /// an opaque fingerprint of everything that shapes the matrix OUTSIDE
-    /// the columns in `changed_cols` (for transient assembly: dt bits,
-    /// integration order, assembler epoch).  When a factor() call carries
-    /// the same nonzero key as the factors it would refresh, only the
-    /// elimination closure of `changed_cols` is recomputed — bit-identical
-    /// to a full refactor by construction.  A zero key, a key change, or a
-    /// null column list falls back to the full numeric refactor.
+    /// the block changed_cols x changed_cols (for transient assembly: dt
+    /// bits, integration order, assembler epoch): two matrices under one
+    /// nonzero key must be value-identical at every entry outside that
+    /// block and share their pattern.  When a factor() call carries the
+    /// same nonzero key as the factors it would refresh, the pattern check
+    /// is skipped and only the elimination closure of `changed_cols` is
+    /// recomputed (SparseLU::refactor_partial) — bit-identical to a full
+    /// refactor by construction; with a null column list a matching key
+    /// still skips the pattern check and runs the full numeric refactor.
+    /// Only a zero key or a key change compares patterns (a mismatch pays
+    /// for a full factorization) and runs the full numeric refactor.
     struct RefactorHint {
         uint64_t key[3] = {0, 0, 0};
         const std::vector<int>* changed_cols = nullptr;

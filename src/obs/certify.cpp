@@ -53,8 +53,11 @@ double margin_db_of(double value, double threshold, bool higher_is_worse) {
 }
 
 /// One mutable ledger row; threshold/unit/direction are fixed by the first
-/// update of a stage so concurrent updates stay commutative.
+/// update of a stage so concurrent updates stay commutative.  Rows are never
+/// erased, so interned handles keep pointing at them: a stage without an
+/// update since the last reset is not `live` and stays out of snapshots.
 struct LedgerRow {
+    bool live = false;
     std::string unit;
     double worst = 0.0;
     double threshold = 0.0;
@@ -66,7 +69,7 @@ struct LedgerRow {
 
 struct Ledger {
     std::mutex mu;
-    std::map<std::string, LedgerRow> rows;
+    std::map<std::string, LedgerRow, std::less<>> rows;
 
     // Aggregate certificate summary across every certified solve.
     uint64_t cert_solves = 0;
@@ -77,13 +80,67 @@ struct Ledger {
 };
 
 Ledger& ledger() {
-    static Ledger l;
-    return l;
+    // Leaked on purpose, like the registry: interned stages point at its
+    // rows for the whole process, late exit-time updates included.
+    static Ledger* l = new Ledger;
+    return *l;
 }
 
 std::atomic<uint64_t> g_breach_count{0};
 
+LedgerRow& row_of(Ledger& l, std::string_view stage) {
+    auto it = l.rows.find(stage);
+    if (it == l.rows.end()) it = l.rows.emplace(std::string(stage), LedgerRow{}).first;
+    return it->second;
+}
+
+/// Folds one sample into `row`; callers hold the ledger lock.  `detail()`
+/// is only called when the sample opens the stage, is worse than its worst
+/// or ties it: a strict improvement replaces the worst, an exact tie keeps
+/// the lexicographically smaller detail, so the aggregate is independent
+/// of update order.
+template <class Detail>
+void fold_sample(LedgerRow& row, double value, double threshold, std::string_view unit,
+                 bool higher_is_worse, const Detail& detail) {
+    if (!row.live) {
+        row.live = true;
+        row.unit = std::string(unit);
+        row.threshold = threshold;
+        row.higher_is_worse = higher_is_worse;
+        row.worst = value;
+        row.detail = std::string(detail());
+    } else {
+        const bool worse = row.higher_is_worse ? value > row.worst
+                                               : value < row.worst;
+        if (worse || value == row.worst) {
+            const auto d = detail();
+            if (worse || d < row.detail) {
+                row.worst = value;
+                row.detail = std::string(d);
+            }
+        }
+    }
+    ++row.samples;
+    if (margin_db_of(value, row.threshold, row.higher_is_worse) > 0.0)
+        ++row.breaches;
+}
+
 } // namespace
+
+struct LedgerAccess {
+    static LedgerRow& row(const BudgetStage& s) { return *static_cast<LedgerRow*>(s.row_); }
+};
+
+BudgetStage::BudgetStage(std::string_view name) {
+    Ledger& l = ledger();
+    std::lock_guard<std::mutex> lock(l.mu);
+    row_ = &row_of(l, name);
+}
+
+CertSite::CertSite(std::string_view site)
+    : name_(site),
+      omega_("numeric/" + name_ + "/omega"),
+      rcond_("numeric/" + name_ + "/rcond") {}
 
 void budget_update(std::string_view stage, double value, double threshold,
                    std::string_view unit, bool higher_is_worse,
@@ -91,27 +148,17 @@ void budget_update(std::string_view stage, double value, double threshold,
     if (!enabled()) return;
     Ledger& l = ledger();
     std::lock_guard<std::mutex> lock(l.mu);
-    auto [it, fresh] = l.rows.try_emplace(std::string(stage));
-    LedgerRow& row = it->second;
-    if (fresh) {
-        row.unit = std::string(unit);
-        row.threshold = threshold;
-        row.higher_is_worse = higher_is_worse;
-        row.worst = value;
-        row.detail = std::string(detail);
-    } else {
-        // Strict improvement replaces; an exact tie keeps the lexicographically
-        // smaller detail, so the aggregate is independent of update order.
-        const bool worse = row.higher_is_worse ? value > row.worst
-                                               : value < row.worst;
-        if (worse || (value == row.worst && detail < row.detail)) {
-            row.worst = value;
-            row.detail = std::string(detail);
-        }
-    }
-    ++row.samples;
-    if (margin_db_of(value, row.threshold, row.higher_is_worse) > 0.0)
-        ++row.breaches;
+    fold_sample(row_of(l, stage), value, threshold, unit, higher_is_worse,
+                [detail] { return detail; });
+}
+
+void detail::budget_update_lazy(const BudgetStage& stage, double value, double threshold,
+                                std::string_view unit, bool higher_is_worse,
+                                DetailFn make, const void* ctx) {
+    Ledger& l = ledger();
+    std::lock_guard<std::mutex> lock(l.mu);
+    fold_sample(LedgerAccess::row(stage), value, threshold, unit, higher_is_worse,
+                [make, ctx] { return make(ctx); });
 }
 
 std::vector<BudgetEntry> budget_snapshot() {
@@ -120,6 +167,7 @@ std::vector<BudgetEntry> budget_snapshot() {
     std::lock_guard<std::mutex> lock(l.mu);
     out.reserve(l.rows.size());
     for (const auto& [stage, row] : l.rows) {
+        if (!row.live) continue;
         BudgetEntry e;
         e.stage = stage;
         e.unit = row.unit;
@@ -174,7 +222,7 @@ Json certificate_summary_json() {
 void budget_reset() {
     Ledger& l = ledger();
     std::lock_guard<std::mutex> lock(l.mu);
-    l.rows.clear();
+    for (auto& [stage, row] : l.rows) row = LedgerRow{}; // handles keep their rows
     l.cert_solves = 0;
     l.cert_breaches = 0;
     l.cert_refine_steps = 0;
@@ -183,7 +231,7 @@ void budget_reset() {
     g_breach_count.store(0, std::memory_order_relaxed);
 }
 
-void record_certificate(const char* component, const SolveCertificate& cert,
+void record_certificate(const CertSite& site, const SolveCertificate& cert,
                         const CertifyOptions& opt) {
     if (!enabled()) return;
     // A non-finite omega (inconsistent zero row, NaN residual) is folded in
@@ -197,21 +245,21 @@ void record_certificate(const char* component, const SolveCertificate& cert,
     record_value(kCertOmega, omega);
     record_value(kCertRcond, cert.rcond);
 
-    const std::string site(component);
-    budget_update("numeric/" + site + "/omega", omega, kCertifyOmegaMax, "1",
-                  /*higher_is_worse=*/true,
-                  cert.fault_injected ? "fault_injected" : std::string_view{});
-    // rcond_min == 0 means the caller disabled the condition gate (ablation
-    // runs whose conductance spread collapses the estimate by construction);
-    // a disabled gate makes no budget claim, so those samples must not drag
-    // the stage's worst below the threshold the gated solves are held to.
-    if (opt.rcond_min > 0.0)
-        budget_update("numeric/" + site + "/rcond", cert.rcond, opt.rcond_min,
-                      "1", /*higher_is_worse=*/false);
-
     {
         Ledger& l = ledger();
         std::lock_guard<std::mutex> lock(l.mu);
+        const std::string_view omega_detail =
+            cert.fault_injected ? "fault_injected" : std::string_view{};
+        fold_sample(LedgerAccess::row(site.omega()), omega, kCertifyOmegaMax, "1",
+                    /*higher_is_worse=*/true, [omega_detail] { return omega_detail; });
+        // rcond_min == 0 means the caller disabled the condition gate
+        // (ablation runs whose conductance spread collapses the estimate by
+        // construction); a disabled gate makes no budget claim, so those
+        // samples must not drag the stage's worst below the threshold the
+        // gated solves are held to.
+        if (opt.rcond_min > 0.0)
+            fold_sample(LedgerAccess::row(site.rcond()), cert.rcond, opt.rcond_min, "1",
+                        /*higher_is_worse=*/false, [] { return std::string_view{}; });
         ++l.cert_solves;
         if (cert.breach) ++l.cert_breaches;
         l.cert_refine_steps += static_cast<uint64_t>(cert.refine_steps);
@@ -223,7 +271,7 @@ void record_certificate(const char* component, const SolveCertificate& cert,
         count(kCertBreaches);
         g_breach_count.fetch_add(1, std::memory_order_relaxed);
         event(EventLevel::Warn, "numeric", "cert_breach",
-              {{"site", component},
+              {{"site", site.name()},
                {"omega", omega},
                {"omega_max", kCertifyOmegaMax},
                {"rcond", cert.rcond},
@@ -243,6 +291,7 @@ BudgetState budget_state() {
     std::lock_guard<std::mutex> lock(l.mu);
     st.rows.reserve(l.rows.size());
     for (const auto& [stage, row] : l.rows) {
+        if (!row.live) continue;
         BudgetState::Row r;
         r.stage = stage;
         r.unit = row.unit;
@@ -267,9 +316,9 @@ void budget_restore(const BudgetState& st) {
     Ledger& l = ledger();
     std::lock_guard<std::mutex> lock(l.mu);
     for (const auto& r : st.rows) {
-        auto [it, fresh] = l.rows.try_emplace(r.stage);
-        LedgerRow& row = it->second;
-        if (fresh) {
+        LedgerRow& row = row_of(l, r.stage);
+        if (!row.live) {
+            row.live = true;
             row.unit = r.unit;
             row.threshold = r.threshold;
             row.higher_is_worse = r.higher_is_worse;

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/registry.hpp"
 
 #ifndef SNIM_OBS_ENABLED
 #define SNIM_OBS_ENABLED 1
@@ -118,12 +119,64 @@ struct BudgetState {
 
 #if SNIM_OBS_ENABLED
 
+/// Interned handle of one ledger stage: the name is resolved to its row
+/// once (make it a namespace-scope or function-local static), so an update
+/// through it builds no string and does no name lookup.  The stage shows in
+/// snapshots from its first update on, as with the name-keyed form.
+class BudgetStage {
+public:
+    explicit BudgetStage(std::string_view name);
+
+private:
+    friend struct LedgerAccess;
+    void* row_; // the ledger's row for this stage, valid for the process
+};
+
+/// Interned ledger stages of one certificate site ("transient", "op",
+/// "ac"): "numeric/<site>/omega" and "numeric/<site>/rcond".
+class CertSite {
+public:
+    explicit CertSite(std::string_view site);
+    const std::string& name() const { return name_; }
+    const BudgetStage& omega() const { return omega_; }
+    const BudgetStage& rcond() const { return rcond_; }
+
+private:
+    std::string name_;
+    BudgetStage omega_, rcond_;
+};
+
 /// Folds one sample into the named ledger stage.  Thread-safe and
 /// commutative (max/min + sums), so parallel workers call it directly.
-/// `detail` is kept for the sample that defines `worst`.
+/// `detail` is kept for the sample that defines `worst`: a strictly worse
+/// sample replaces it, a tie keeps the lexicographically smaller detail.
 void budget_update(std::string_view stage, double value, double threshold,
                    std::string_view unit, bool higher_is_worse = true,
                    std::string_view detail = {});
+
+namespace detail {
+using DetailFn = std::string (*)(const void* ctx);
+void budget_update_lazy(const BudgetStage& stage, double value, double threshold,
+                        std::string_view unit, bool higher_is_worse, DetailFn make,
+                        const void* ctx);
+} // namespace detail
+
+/// budget_update() through an interned stage, for attributions that cost a
+/// string build: `make_detail()` runs (once, under the ledger lock) only
+/// when the sample can define the stage's worst under the worse-or-tie
+/// rule.
+template <class MakeDetail>
+void budget_update_lazy(const BudgetStage& stage, double value, double threshold,
+                        std::string_view unit, bool higher_is_worse,
+                        const MakeDetail& make_detail) {
+    if (!enabled()) return;
+    detail::budget_update_lazy(
+        stage, value, threshold, unit, higher_is_worse,
+        [](const void* ctx) -> std::string {
+            return (*static_cast<const MakeDetail*>(ctx))();
+        },
+        &make_detail);
+}
 
 /// Snapshot sorted by descending margin (worst stage first).
 std::vector<BudgetEntry> budget_snapshot();
@@ -139,11 +192,10 @@ Json certificate_summary_json();
 /// Clears the ledger and the certificate summary (obs::reset() calls this).
 void budget_reset();
 
-/// Records one solve certificate: counters, histograms, ledger stages
-/// "numeric/<component>/omega" and "numeric/<component>/rcond", and a Warn
-/// journal event on breach.  `component` names the engine site ("transient",
-/// "op", "ac").
-void record_certificate(const char* component, const SolveCertificate& cert,
+/// Records one solve certificate: counters, histograms, the site's two
+/// ledger stages (one ledger lock for both and the summary), and a Warn
+/// journal event on breach.
+void record_certificate(const CertSite& site, const SolveCertificate& cert,
                         const CertifyOptions& opt);
 
 /// Breaches recorded since the last budget_reset(); cheap (one relaxed
@@ -163,13 +215,25 @@ void budget_restore(const BudgetState& st);
 
 #else // SNIM_OBS_ENABLED — compiled out: inline no-ops.
 
+class BudgetStage {
+public:
+    explicit BudgetStage(std::string_view) {}
+};
+class CertSite {
+public:
+    explicit CertSite(std::string_view) {}
+};
+
 inline void budget_update(std::string_view, double, double, std::string_view,
                           bool = true, std::string_view = {}) {}
+template <class MakeDetail>
+void budget_update_lazy(const BudgetStage&, double, double, std::string_view, bool,
+                        const MakeDetail&) {}
 inline std::vector<BudgetEntry> budget_snapshot() { return {}; }
 inline Json budget_json() { return Json(JsonArray{}); }
 inline Json certificate_summary_json() { return Json(JsonObject{}); }
 inline void budget_reset() {}
-inline void record_certificate(const char*, const SolveCertificate&,
+inline void record_certificate(const CertSite&, const SolveCertificate&,
                                const CertifyOptions&) {}
 inline uint64_t certificate_breach_count() { return 0; }
 inline BudgetState budget_state() { return {}; }

@@ -179,6 +179,7 @@ struct Registry {
     std::vector<PhaseSlot> phases;
     std::vector<ChannelBuf> channels;
     std::vector<std::string> channel_units; // kept across reset(), like names
+    std::vector<uint64_t> channel_numbered; // TsNumbered samples applied, kept across reset()
 };
 
 Registry& registry() {
@@ -259,14 +260,18 @@ void apply_locked(Registry& r, const detail::Op* ops, size_t n) {
             p.live = true;
             break;
         }
-        case detail::Op::Ts: {
-            if (!std::isfinite(op.a) || !std::isfinite(op.b)) {
+        case detail::Op::Ts:
+        case detail::Op::TsNumbered: {
+            const double t = op.kind == detail::Op::TsNumbered
+                                 ? static_cast<double>(++r.channel_numbered[op.id])
+                                 : op.a;
+            if (!std::isfinite(t) || !std::isfinite(op.b)) {
                 CounterSlot& c = r.counters[g_ts_nonfinite.id()];
                 ++c.value;
                 c.live = true;
                 break;
             }
-            r.channels[op.id].add(op.a, op.b);
+            r.channels[op.id].add(t, op.b);
             break;
         }
         }
@@ -355,6 +360,7 @@ Channel::Channel(std::string_view name, std::string_view unit) {
     id_ = r.channel_names.intern(name, [&] {
         r.channels.emplace_back();
         r.channel_units.emplace_back();
+        r.channel_numbered.emplace_back(0);
     });
     if (r.channel_units[id_].empty()) r.channel_units[id_] = unit;
 }

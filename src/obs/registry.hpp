@@ -105,10 +105,11 @@ extern std::atomic<bool> g_enabled;
 /// One recorded event as a thread log or task capture holds it.  Integer
 /// payloads (counter deltas, RSS bytes) travel bit-cast in the doubles.
 struct Op {
-    enum Kind : uint8_t { Count, Value, Phase, PhaseRss, Ts };
+    enum Kind : uint8_t { Count, Value, Phase, PhaseRss, Ts, TsNumbered };
     Kind kind;
     uint32_t id; // handle id: indexes the registry's storage of that kind
     double a;    // delta bits / sample / seconds / RSS delta bits / ts time
+                 // (TsNumbered: set when the op is applied)
     double b;    // RSS peak bits / ts value
 };
 

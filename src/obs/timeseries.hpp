@@ -69,6 +69,16 @@ inline void ts_append(const Channel& ch, double t, double value) {
     if (enabled()) detail::append({detail::Op::Ts, ch.id(), t, value});
 }
 
+/// Appends one sample whose abscissa is its number among the samples
+/// ever applied to the channel in this process (1, 2, ...), assigned when
+/// the log is applied rather than when the sample is recorded.
+/// parallel_tasks applies task captures in index order, so the numbering
+/// is the serial run's for any thread count.  The count survives
+/// obs::reset(), which keeps the channel monotone across repeated runs.
+inline void ts_append_numbered(const Channel& ch, double value) {
+    if (enabled()) detail::append({detail::Op::TsNumbered, ch.id(), 0.0, value});
+}
+
 /// Interning wrapper: looks the channel up on every call.
 void ts_append(std::string_view channel, double t, double value,
                std::string_view unit = {});
@@ -87,6 +97,7 @@ public:
 };
 
 inline void ts_append(const Channel&, double, double) {}
+inline void ts_append_numbered(const Channel&, double) {}
 inline void ts_append(std::string_view, double, double, std::string_view = {}) {}
 inline std::optional<TimeSeries> ts_get(std::string_view) { return {}; }
 inline std::vector<TimeSeries> ts_snapshot() { return {}; }

@@ -29,6 +29,7 @@ const obs::Counter kSymbolicReuse("numeric/lu_symbolic_reuse");
 const obs::Counter kRepivotFallbacks("numeric/lu_repivot_fallbacks");
 const obs::Channel kMinPivotChannel("sim/ac/lu_min_pivot", "1");
 const obs::Channel kFillGrowthChannel("sim/ac/lu_fill_growth", "x");
+const obs::CertSite kCertSite("ac");
 
 } // namespace
 
@@ -72,7 +73,7 @@ AcResult ac_sweep(circuit::Netlist& netlist, const std::vector<double>& freqs,
     if (certify) {
         const obs::SolveCertificate cert = certify_solve(
             ref_lu, s0.csc(), out.x[0], s0.rhs(), opt.certify);
-        obs::record_certificate("ac", cert, opt.certify);
+        obs::record_certificate(kCertSite, cert, opt.certify);
     }
     progress.advance();
     if (obs::enabled()) {
@@ -117,7 +118,7 @@ AcResult ac_sweep(circuit::Netlist& netlist, const std::vector<double>& freqs,
                     const obs::SolveCertificate cert =
                         certify_solve(lu, a, out.x[i], s.rhs(), opt.certify,
                                       /*allow_fault=*/false);
-                    obs::record_certificate("ac", cert, opt.certify);
+                    obs::record_certificate(kCertSite, cert, opt.certify);
                 }
             } else {
                 obs::count(kRepivotFallbacks);
@@ -132,7 +133,7 @@ AcResult ac_sweep(circuit::Netlist& netlist, const std::vector<double>& freqs,
                     const obs::SolveCertificate cert =
                         certify_solve(fresh, a, out.x[i], s.rhs(), opt.certify,
                                       /*allow_fault=*/false);
-                    obs::record_certificate("ac", cert, opt.certify);
+                    obs::record_certificate(kCertSite, cert, opt.certify);
                 }
             }
             obs::ts_append(kMinPivotChannel, freqs[i], min_pivot);

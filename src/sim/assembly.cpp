@@ -5,6 +5,7 @@
 #include "circuit/passives.hpp"
 #include "obs/registry.hpp"
 #include "sim/mna.hpp"
+#include "util/error.hpp"
 
 namespace snim::sim {
 
@@ -33,12 +34,6 @@ TranAssembler::TranAssembler(const circuit::Netlist& netlist,
     : netlist_(netlist), s_(s), gmin_(gmin) {
     s_.enable_compiled_assembly();
     s_.enable_rhs_tape();
-    // partition() is a structural constant per device, so the commit list
-    // can be fixed up front; disabled devices stay on it (the reference
-    // loop calls commit_tran unconditionally).
-    for (const auto& d : netlist_.devices())
-        if (d->partition() != circuit::Partition::LinearStatic)
-            commit_list_.push_back(d.get());
 }
 
 void TranAssembler::full_pass(const std::vector<double>& x,
@@ -48,12 +43,11 @@ void TranAssembler::full_pass(const std::vector<double>& x,
     s_.set_source_scale(1.0);
     const auto& devices = netlist_.devices();
     spans_.assign(devices.size(), Span{});
-    disabled_at_learn_.assign(devices.size(), 0);
+    disable_gen_at_learn_ = netlist_.disable_generation();
     for (size_t i = 0; i < devices.size(); ++i) {
         Span& sp = spans_[i];
         sp.mat_begin = static_cast<std::uint32_t>(s_.matrix().rows().size());
         sp.rhs_begin = static_cast<std::uint32_t>(s_.rhs_tape_nodes().size());
-        disabled_at_learn_[i] = devices[i]->disabled() ? 1 : 0;
         if (!devices[i]->disabled()) devices[i]->stamp_tran(s_, x, tp);
         sp.mat_end = static_cast<std::uint32_t>(s_.matrix().rows().size());
         sp.rhs_end = static_cast<std::uint32_t>(s_.rhs_tape_nodes().size());
@@ -83,7 +77,7 @@ void TranAssembler::compile(const circuit::TranParams& tp) {
     nonlinear_.clear();
     refresh_.clear();
     for (size_t i = 0; i < devices.size(); ++i) {
-        if (disabled_at_learn_[i]) continue;
+        if (devices[i]->disabled()) continue; // full_pass() stamped nothing for it
         const Span& sp = spans_[i];
         switch (devices[i]->partition()) {
             case circuit::Partition::Nonlinear:
@@ -134,14 +128,16 @@ void TranAssembler::compile(const circuit::TranParams& tp) {
             mixed_slots_.push_back({static_cast<std::int32_t>(slot), calls});
     }
 
-    // Seed set for partial refactorization: every CSC column holding at
-    // least one nonlinear stamp call.  Mixed slots are covered too — a slot
-    // is only "mixed" because a nonlinear call lands in it.  The slot list
-    // itself doubles as the sparse-restore dirty set.
+    // Changed set for partial refactorization: the row and the column of
+    // every CSC slot holding at least one nonlinear stamp call, so the
+    // overlay moves entries inside changed x changed only.  Mixed slots are
+    // covered too — a slot is only "mixed" because a nonlinear call lands
+    // in it.  The slot list itself doubles as the sparse-restore dirty set.
     nonlinear_cols_.clear();
     nl_slots_.clear();
     {
         const auto& cp = s_.csc().col_ptr();
+        const auto& ri = s_.csc().row_idx();
         std::vector<char> colhit(s_.size(), 0);
         std::vector<char> slothit(nnz, 0);
         std::vector<std::int32_t> col_of(nnz);
@@ -153,6 +149,7 @@ void TranAssembler::compile(const circuit::TranParams& tp) {
                 const auto slot = static_cast<size_t>(slots[k]);
                 slothit[slot] = 1;
                 colhit[static_cast<size_t>(col_of[slot])] = 1;
+                colhit[static_cast<size_t>(ri[slot])] = 1;
             }
         for (size_t j = 0; j < s_.size(); ++j)
             if (colhit[j]) nonlinear_cols_.push_back(static_cast<int>(j));
@@ -191,12 +188,16 @@ void TranAssembler::compile(const circuit::TranParams& tp) {
     // writes.  Signs come from the stamp structure (admittance order
     // (a,a) (b,b) (a,b) (b,a), RHS order -ieq@a +ieq@b, ground dropped)
     // and are cross-checked bitwise against the learned tape; any
-    // surprise leaves the device on the slow overlay path.
+    // surprise leaves the device on the slow overlay path.  The learned
+    // tape holds tp's conductances, which become the plans' key.
     cap_plans_.clear();
     slow_refresh_.clear();
+    plan_dt_bits_ = dt_key(tp.dt);
+    plan_order_ = tp.order;
     const double kord = (tp.order == 2 ? 2.0 : 1.0);
+    std::vector<char> planned(devices.size(), 0);
     for (const std::uint32_t i : refresh_) {
-        const auto* cap = dynamic_cast<const circuit::Capacitor*>(devices[i].get());
+        auto* cap = dynamic_cast<circuit::Capacitor*>(devices[i].get());
         if (cap == nullptr) {
             slow_refresh_.push_back(i);
             continue;
@@ -210,6 +211,7 @@ void TranAssembler::compile(const circuit::TranParams& tp) {
                                : (-geq * cap->tran_v_prev());
         CapPlan plan;
         plan.cap = cap;
+        plan.geq = geq;
         bool ok = true;
         if (a >= 0 && b >= 0) {
             ok = sp.mat_end - sp.mat_begin == 4;
@@ -240,11 +242,20 @@ void TranAssembler::compile(const circuit::TranParams& tp) {
             ok = ok && rvals[static_cast<size_t>(k)] == (sign > 0 ? ieq : -ieq);
             ok = ok && rnodes[static_cast<size_t>(k)] == (sign > 0 ? b : a);
         }
-        if (ok)
+        if (ok) {
             cap_plans_.push_back(std::move(plan));
-        else
+            planned[i] = 1;
+        } else {
             slow_refresh_.push_back(i);
+        }
     }
+    // Every other device with a real commit_tran commits virtually;
+    // disabled devices stay on the list (the reference loop calls
+    // commit_tran unconditionally).
+    commit_rest_.clear();
+    for (size_t i = 0; i < devices.size(); ++i)
+        if (devices[i]->partition() != circuit::Partition::LinearStatic && !planned[i])
+            commit_rest_.push_back(devices[i].get());
 
     cache_.clear();
     image_ = nullptr;
@@ -260,26 +271,34 @@ void TranAssembler::relearn(const std::vector<double>& x,
 
 bool TranAssembler::refresh_tapes(const std::vector<double>& x,
                                   const circuit::TranParams& tp) {
-    // Planned capacitors: recompute ±geq/±ieq straight into the tape.  The
+    // Planned capacitors: write ±geq/±ieq straight into the tape.  The
     // arithmetic is copied from Capacitor::stamp_tran, so the written
     // values are bit-identical to an overlay replay; the CSC/RHS
     // write-through the overlay would also do is skipped because the next
-    // assemble restores the full baseline anyway.
-    if (!cap_plans_.empty()) {
+    // assemble restores the full baseline anyway.  geq is a pure function
+    // of (dt, order), so its entries are rewritten only when that key
+    // moves — before key_image() may build an image from them.  The key
+    // moves with no plan too: commit() asserts it.
+    const std::uint64_t bits = dt_key(tp.dt);
+    if (bits != plan_dt_bits_ || tp.order != plan_order_) {
         auto& tv = s_.tape_values_mut();
-        auto& rv = s_.rhs_tape_values_mut();
         const double kord = (tp.order == 2 ? 2.0 : 1.0);
-        for (const CapPlan& p : cap_plans_) {
-            const double geq = kord * p.cap->capacitance() / tp.dt;
-            const double ieq =
-                (tp.order == 2)
-                    ? (-geq * p.cap->tran_v_prev() - p.cap->tran_i_prev())
-                    : (-geq * p.cap->tran_v_prev());
+        for (CapPlan& p : cap_plans_) {
+            p.geq = kord * p.cap->capacitance() / tp.dt;
             for (const auto& [k, sign] : p.mat)
-                tv[static_cast<size_t>(k)] = sign > 0 ? geq : -geq;
-            for (const auto& [k, sign] : p.rhs)
-                rv[static_cast<size_t>(k)] = sign > 0 ? ieq : -ieq;
+                tv[static_cast<size_t>(k)] = sign > 0 ? p.geq : -p.geq;
         }
+        plan_dt_bits_ = bits;
+        plan_order_ = tp.order;
+    }
+    auto& rv = s_.rhs_tape_values_mut();
+    for (const CapPlan& p : cap_plans_) {
+        const double ieq =
+            (tp.order == 2)
+                ? (-p.geq * p.cap->tran_v_prev() - p.cap->tran_i_prev())
+                : (-p.geq * p.cap->tran_v_prev());
+        for (const auto& [k, sign] : p.rhs)
+            rv[static_cast<size_t>(k)] = sign > 0 ? ieq : -ieq;
     }
     if (slow_refresh_.empty()) return true;
     if (!s_.begin_overlay()) return false;
@@ -338,14 +357,12 @@ void TranAssembler::build_rhs_base() {
 void TranAssembler::begin_attempt(const std::vector<double>& x,
                                   const circuit::TranParams& tp) {
     if (!learned_) return;
-    const auto& devices = netlist_.devices();
-    for (size_t i = 0; i < devices.size(); ++i)
-        if ((devices[i]->disabled() ? 1 : 0) != disabled_at_learn_[i]) {
-            // An ablation toggle mid-run invalidates every span; relearn.
-            learned_ = false;
-            s_.reset_compiled();
-            return;
-        }
+    if (netlist_.disable_generation() != disable_gen_at_learn_) {
+        // An ablation toggle since the learn invalidates every span; relearn.
+        learned_ = false;
+        s_.reset_compiled();
+        return;
+    }
     if (!refresh_tapes(x, tp)) {
         learned_ = false;
         s_.reset_compiled();
@@ -357,6 +374,17 @@ void TranAssembler::begin_attempt(const std::vector<double>& x,
     // linear positions, so the first assemble of this attempt must restore
     // the whole baseline, not just the nonlinear dirty set.
     restore_full_ = true;
+}
+
+void TranAssembler::commit(const std::vector<double>& x,
+                           const circuit::TranParams& tp) const {
+    // begin_attempt() or the learn in assemble() set the plans' key from
+    // the same tp, so the cached conductances are this step's.
+    SNIM_ASSERT(dt_key(tp.dt) == plan_dt_bits_ && tp.order == plan_order_,
+                "commit at (dt %.17g, order %d) without an attempt under that key",
+                tp.dt, tp.order);
+    for (const CapPlan& p : cap_plans_) p.cap->commit_companion(x, p.geq, tp.order);
+    for (circuit::Device* d : commit_rest_) d->commit_tran(x, tp);
 }
 
 void TranAssembler::assemble(const std::vector<double>& x,

@@ -12,9 +12,14 @@
 //   * linear matrix images are cached per (dt, order) key — the retry
 //     ladder only ever visits power-of-two fractions of the nominal dt, so
 //     the key set stays tiny;
-//   * per step attempt, companion and source stamps are refreshed into the
-//     tape and the linear RHS baseline is rebuilt (it depends on time and
-//     integration state);
+//   * capacitors run on compiled plans that keep their companion
+//     conductance for the current (dt, order) key: its tape entries are
+//     rewritten only when the key moves, and accepted steps are committed
+//     through the plans with that cached conductance;
+//   * per step attempt, the remaining companion and source stamps and the
+//     capacitors' history currents are refreshed into the tape and the
+//     linear RHS baseline is rebuilt (it depends on time and integration
+//     state);
 //   * per Newton iteration, the CSC value image and RHS are restored from
 //     the baselines (two vector copies) and only nonlinear devices
 //     re-stamp, overlaying their recorded tape spans.
@@ -32,6 +37,9 @@
 // That is a safety net, not a path the figures take: every device in the
 // tree makes the same stamp calls on every pass (the MOSFET channel carries
 // its drain/source orientation in its values, not its stamp positions).
+// A device enable toggle (Device::set_disabled) changes which devices
+// stamp at all; begin_attempt() sees it as a new
+// Netlist::disable_generation() and relearns.
 //
 // Registry counters: sim/assemble_full, sim/assemble_incremental,
 // sim/assemble_relearn, sim/assemble_cache_hits, sim/assemble_cache_misses.
@@ -76,20 +84,22 @@ public:
 
     bool learned() const { return learned_; }
 
-    /// Original CSC columns the nonlinear overlay can move: between two
+    /// Unknowns the nonlinear overlay can move: the union of the rows and
+    /// columns of every slot a nonlinear stamp call lands in.  Between two
     /// assembles under the same (dt, order, epoch) the matrix is
-    /// bit-identical outside these columns (everything else comes from the
-    /// cached linear image).  This is the changed-column seed set for
-    /// ReusableLU's partial refactorization.  Valid after the first learn.
+    /// bit-identical outside nonlinear_cols x nonlinear_cols (everything
+    /// else comes from the cached linear image).  This is the changed set
+    /// for ReusableLU's partial refactorization.  Valid after the first
+    /// learn.
     const std::vector<int>& nonlinear_cols() const { return nonlinear_cols_; }
 
     /// Commits the accepted step into device state, equivalent to calling
     /// commit_tran on every device: only non-LinearStatic devices override
     /// it (the partition/commit pairing is asserted by the netlist tests),
-    /// so the static majority is skipped.
-    void commit(const std::vector<double>& x, const circuit::TranParams& tp) const {
-        for (circuit::Device* d : commit_list_) d->commit_tran(x, tp);
-    }
+    /// so the static majority is skipped.  Planned capacitors commit with
+    /// their cached conductance.  `tp` must be the one the last
+    /// begin_attempt()/assemble() ran under (asserted).
+    void commit(const std::vector<double>& x, const circuit::TranParams& tp) const;
 
 private:
     struct Span {
@@ -108,14 +118,15 @@ private:
         std::vector<double> values; // linear CSC baseline for this key
     };
 
-    /// Compiled per-attempt refresh for a capacitor: its stamp layout is
+    /// Compiled refresh for a capacitor: its stamp layout is
     /// value-independent and every recorded call value is exactly ±geq or
     /// ±ieq, so the refresh is a handful of direct tape writes instead of a
     /// stamp_tran replay through overlay mode.  Built (and sign-validated
     /// bitwise against the learned tape) in compile(); any mismatch leaves
     /// the device on the slow overlay path.
     struct CapPlan {
-        const circuit::Capacitor* cap = nullptr;
+        circuit::Capacitor* cap = nullptr;
+        double geq = 0.0; // kord * C / dt for the plans' (dt, order) key
         // (tape index, +1/-1) pairs; matrix entries scale geq, RHS ieq.
         std::vector<std::pair<std::int32_t, std::int8_t>> mat;
         std::vector<std::pair<std::int32_t, std::int8_t>> rhs;
@@ -136,12 +147,14 @@ private:
     std::uint64_t epoch_ = 0;
 
     std::vector<Span> spans_;          // per device, netlist order
-    std::vector<char> disabled_at_learn_;
+    std::uint64_t disable_gen_at_learn_ = 0;
     Span gmin_span_;                   // trailing gmin diagonal stamps
     std::vector<std::uint32_t> nonlinear_;  // device indices, netlist order
     std::vector<std::uint32_t> refresh_;    // linear devices refreshed per attempt
     std::vector<std::uint32_t> slow_refresh_; // refresh_ minus planned capacitors
     std::vector<CapPlan> cap_plans_;        // compiled capacitor refreshes
+    std::uint64_t plan_dt_bits_ = 0;        // (dt, order) the plans' geq hold
+    int plan_order_ = 0;
     std::vector<std::int32_t> linear_calls_;     // tape indices of linear mat calls
     std::vector<std::int32_t> linear_rhs_calls_; // tape indices of linear rhs calls
     std::vector<Replay> mixed_slots_;
@@ -151,8 +164,8 @@ private:
     const std::vector<double>* image_ = nullptr; // baseline for this attempt
     std::vector<double> rhs_base_;         // linear RHS baseline for this attempt
 
-    std::vector<int> nonlinear_cols_;      // CSC columns the overlay can move
-    std::vector<circuit::Device*> commit_list_; // devices with real commit_tran
+    std::vector<int> nonlinear_cols_;      // unknowns whose rows/columns the overlay moves
+    std::vector<circuit::Device*> commit_rest_; // real commit_tran, no capacitor plan
 
     // Slots / RHS nodes the nonlinear overlay writes.  After the first
     // assemble of an attempt has done a full baseline copy, later

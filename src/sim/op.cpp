@@ -1,7 +1,6 @@
 #include "sim/op.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -43,6 +42,7 @@ const obs::Counter kSourceStepsCount("sim/op/source_steps");
 const obs::Counter kPtranStepsCount("sim/op/ptran_steps");
 const obs::Channel kResidualChannel("sim/op/residual", "V");
 const obs::Channel kRungChannel("sim/op/rung_active", "rung");
+const obs::CertSite kCertSite("op");
 
 /// Telemetry shared across every homotopy-ladder attempt of one operating
 /// point so the failure bundle shows the whole search, not just the last
@@ -125,14 +125,11 @@ bool newton_dc(circuit::Netlist& netlist, std::vector<double>& x, double gmin,
         }
         tel.residual = max_dx;
         tel.converged = false;
-        if (obs::enabled()) {
-            // Abscissa: Newton iterations cumulative over the process, so
-            // the channel stays monotone across repeated op solves (one
-            // scenario runs dozens: calibration, ablations, sweeps).
-            static std::atomic<long> cumulative{0};
-            obs::ts_append(kResidualChannel, static_cast<double>(++cumulative),
-                           std::isfinite(max_dx) ? max_dx : 0.0);
-        }
+        // Abscissa: Newton iterations numbered over the process, so the
+        // channel stays monotone across repeated op solves (one scenario
+        // runs dozens: calibration, ablations, sweeps).  The number is taken
+        // when the op log is applied, in task order inside parallel_tasks.
+        obs::ts_append_numbered(kResidualChannel, std::isfinite(max_dx) ? max_dx : 0.0);
         if (!nonlinear) {
             tel.converged = !nonfinite && std::isfinite(max_dx) &&
                             !fault::fires("op.newton.stall");
@@ -143,7 +140,7 @@ bool newton_dc(circuit::Netlist& netlist, std::vector<double>& x, double gmin,
                     certify_solve(rlu.lu(), s.csc(), x, s.rhs(), opt.certify);
                 tel.cert_omega = cert.omega;
                 tel.cert_rcond = cert.rcond;
-                obs::record_certificate("op", cert, opt.certify);
+                obs::record_certificate(kCertSite, cert, opt.certify);
             }
             diag.ring.push(tel);
             return tel.converged;
@@ -186,7 +183,7 @@ bool newton_dc(circuit::Netlist& netlist, std::vector<double>& x, double gmin,
                     certify_solve(rlu.lu(), s.csc(), x, s.rhs(), opt.certify);
                 tel.cert_omega = cert.omega;
                 tel.cert_rcond = cert.rcond;
-                obs::record_certificate("op", cert, opt.certify);
+                obs::record_certificate(kCertSite, cert, opt.certify);
             }
             diag.ring.push(tel);
             return tel.converged;

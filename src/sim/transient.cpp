@@ -79,6 +79,8 @@ const obs::Channel kClampHitsChannel("sim/transient/clamp_hits", "1");
 const obs::Channel kMinPivotChannel("sim/transient/lu_min_pivot", "1");
 const obs::Channel kFillGrowthChannel("sim/transient/lu_fill_growth", "x");
 const obs::Channel kDtChannel("sim/transient/dt", "s");
+const obs::CertSite kCertSite("transient");
+const obs::BudgetStage kKclStage("sim/kcl");
 
 /// Serialised into the failure bundle so a post-mortem sees the exact
 /// solver configuration.
@@ -103,11 +105,12 @@ obs::JsonObject tran_options_json(const TranOptions& opt) {
 /// at the accepted solution.  In MNA companion form that residual IS the
 /// net device current left sitting on the node, so a healthy accepted step
 /// reads near the Newton tolerance and a drifting charge model reads hot.
-/// Returns the worst residual and its node index through the out-params.
+/// Returns the worst residual and its node index through the out-params;
+/// `ax` is the caller's reusable A x buffer.
 void kcl_audit(const circuit::Netlist& netlist, const SparseCSC<double>& a,
                const std::vector<double>& b, const std::vector<double>& x,
-               double& worst, int& worst_node) {
-    const std::vector<double> ax = a.multiply(x);
+               std::vector<double>& ax, double& worst, int& worst_node) {
+    a.multiply_into(x, ax);
     worst = 0.0;
     worst_node = -1;
     for (size_t i = 0; i < netlist.node_count(); ++i) {
@@ -313,6 +316,7 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
     std::vector<double> last_dx(n, 0.0); // per-unknown update of the last iteration
     std::vector<double> xn;              // tentative Newton iterate
     std::vector<double> lu_tmp;          // solve_into scratch
+    std::vector<double> kcl_ax;          // kcl_audit scratch
     StepTelemetryRing ring(kDiagTail);
     RetryLog retries;
     long recorded = 0;
@@ -575,20 +579,20 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
                     certify_solve(rlu.lu(), s.csc(), xit, s.rhs(), opt.certify);
                 tel.cert_omega = cert.omega;
                 tel.cert_rcond = cert.rcond;
-                obs::record_certificate("transient", cert, opt.certify);
+                obs::record_certificate(kCertSite, cert, opt.certify);
 
                 // Conservation audit at the (possibly refined) accepted
                 // solution: re-assemble there and read the node-row residual.
                 assembler.assemble(xit, tp);
                 double kcl = 0.0;
                 int kcl_node = -1;
-                kcl_audit(netlist, s.csc(), s.rhs(), xit, kcl, kcl_node);
+                kcl_audit(netlist, s.csc(), s.rhs(), xit, kcl_ax, kcl, kcl_node);
                 tel.kcl_residual = kcl;
                 obs::ts_append(kKclChannel, tp.time, kcl);
                 obs::record_value(kKclWorst, kcl);
-                obs::budget_update("sim/kcl", kcl, kKclMax, "A",
-                                   /*higher_is_worse=*/true,
-                                   unknown_name(netlist, kcl_node));
+                obs::budget_update_lazy(kKclStage, kcl, kKclMax, "A",
+                                        /*higher_is_worse=*/true,
+                                        [&] { return unknown_name(netlist, kcl_node); });
             }
             ring.push(tel);
             // A fired slow-step fault marks the attempt as pathologically

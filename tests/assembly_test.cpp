@@ -30,6 +30,7 @@
 #include "rf/oscillator.hpp"
 #include "sim/assembly.hpp"
 #include "sim/mna.hpp"
+#include "sim/op.hpp"
 #include "sim/transient.hpp"
 #include "tech/generic180.hpp"
 #include "testcases/vco.hpp"
@@ -144,6 +145,10 @@ TEST_F(AssemblyTest, IncrementalMatchesFullAssemblyAcrossRandomNetlists) {
             }
             asmb.commit(x, tp);
         }
+        // commit() runs on the plans' cached conductances, so a commit
+        // under a (dt, order) no attempt ran with is refused.
+        tp.dt *= 3.0;
+        EXPECT_THROW(asmb.commit(x, tp), Error) << "trial " << trial;
     }
 }
 
@@ -266,33 +271,58 @@ TEST_F(AssemblyTest, PartialRefactorMatchesFullRefactorBitwise) {
     for (int trial = 0; trial < 5; ++trial) {
         const size_t n = 30 + 10 * static_cast<size_t>(trial);
         auto t = random_system(n, 3, rng);
-        SparseCSC<double> a1(t);
+        const SparseCSC<double> a1(t);
 
-        // Perturb a handful of columns in place: the partial contract is
-        // "identical outside changed_cols", which editing CSC values of a
-        // copy guarantees structurally.
-        std::vector<int> changed = {1, static_cast<int>(n) / 2,
-                                    static_cast<int>(n) - 2};
-        SparseCSC<double> a2 = a1;
-        for (int c : changed) {
-            const auto cp = a2.col_ptr();
-            for (int p = cp[c]; p < cp[c + 1]; ++p)
-                a2.values_mut()[static_cast<size_t>(p)] *= 1.0 + 0.1 * (c + 1);
-        }
-
-        SparseLU<double> partial(a1);
-        SparseLU<double> full(a1);
-        ASSERT_TRUE(partial.refactor_partial(a2, changed));
-        ASSERT_TRUE(full.refactor(a2));
+        // Perturb the entries inside changed x changed in place: the
+        // partial contract is "identical outside changed_cols x
+        // changed_cols", which editing CSC values of a copy inside that
+        // block guarantees structurally.
+        const std::vector<int> changed = {1, static_cast<int>(n) / 2,
+                                          static_cast<int>(n) - 2};
+        std::vector<char> in_set(n, 0);
+        for (int c : changed) in_set[static_cast<size_t>(c)] = 1;
+        auto perturb = [&](double scale) {
+            SparseCSC<double> a = a1;
+            const auto& cp = a.col_ptr();
+            const auto& ri = a.row_idx();
+            for (int c : changed)
+                for (int p = cp[c]; p < cp[c + 1]; ++p)
+                    if (in_set[static_cast<size_t>(ri[static_cast<size_t>(p)])])
+                        a.values_mut()[static_cast<size_t>(p)] *= 1.0 + scale * (c + 1);
+            return a;
+        };
+        const SparseCSC<double> a2 = perturb(0.1);
+        const SparseCSC<double> a3 = perturb(0.05);
 
         std::vector<double> b(n);
         for (auto& v : b) v = rng.uniform(-1, 1);
-        const auto xp = partial.solve(b);
-        const auto xf = full.solve(b);
-        EXPECT_EQ(std::memcmp(xp.data(), xf.data(), n * sizeof(double)), 0)
-            << "trial " << trial;
-        EXPECT_EQ(partial.factor_stats().min_pivot, full.factor_stats().min_pivot);
-        EXPECT_EQ(partial.factor_stats().max_pivot, full.factor_stats().max_pivot);
+        // Natural order (closures here are not trailing blocks: the column
+        // sweep runs) and the changed columns delayed to the end (the
+        // closure is the trailing block: the cached refresh runs, and the
+        // second refresh replays what the first one cached).
+        for (const std::vector<int>* last : {static_cast<const std::vector<int>*>(nullptr),
+                                             &changed}) {
+            SparseLU<double> partial(a1, 0.1, last);
+            SparseLU<double> full(a1, 0.1, last);
+            for (const SparseCSC<double>* a : {&a2, &a3}) {
+                const std::string when =
+                    format("trial %d, %s, %s", trial, last ? "delayed" : "natural order",
+                           a == &a2 ? "first refresh" : "second refresh");
+                ASSERT_TRUE(partial.refactor_partial(*a, changed)) << when;
+                ASSERT_TRUE(full.refactor(*a)) << when;
+                const auto xp = partial.solve(b);
+                const auto xf = full.solve(b);
+                EXPECT_EQ(std::memcmp(xp.data(), xf.data(), n * sizeof(double)), 0) << when;
+                const auto tp = partial.solve_transpose(b);
+                const auto tf = full.solve_transpose(b);
+                EXPECT_EQ(std::memcmp(tp.data(), tf.data(), n * sizeof(double)), 0) << when;
+                EXPECT_EQ(partial.factor_stats().min_pivot, full.factor_stats().min_pivot)
+                    << when;
+                EXPECT_EQ(partial.factor_stats().max_pivot, full.factor_stats().max_pivot)
+                    << when;
+                EXPECT_EQ(partial.norm1(), full.norm1()) << when;
+            }
+        }
     }
 }
 
@@ -432,6 +462,177 @@ TEST_F(AssemblyTest, IncrementalEngineMatchesFullRestampWithinTolerance) {
     ASSERT_EQ(wi.size(), wf.size());
     for (size_t k = 0; k < wi.size(); ++k)
         EXPECT_NEAR(wi[k], wf[k], 1e-6) << "sample " << k;
+}
+
+/// waveform_digest() continued over the node-average vector.
+uint64_t capture_digest(const sim::TranResult& r) {
+    uint64_t h = waveform_digest(r);
+    const auto* bytes = reinterpret_cast<const unsigned char*>(r.average.data());
+    for (size_t i = 0; i < r.average.size() * sizeof(double); ++i) {
+        h ^= bytes[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/// record_oscillator()'s transient options for a vco_osc_options() capture
+/// of `settle` + `capture` seconds.
+sim::TranOptions vco_capture_options(double settle, double capture) {
+    const rf::OscOptions osc = testcases::vco_osc_options();
+    sim::TranOptions vo;
+    vo.dt = osc.dt;
+    vo.tstop = settle + capture;
+    vo.record_start = settle;
+    vo.order = osc.order;
+    vo.gmin = osc.gmin;
+    vo.accumulate_average = true;
+    return vo;
+}
+
+#if SNIM_FAULTS_ENABLED
+TEST_F(AssemblyTest, VcoCaptureWithStepRetriesMatchesFrozenDigest) {
+    // The quarter-window capture of DefaultEngineMatchesFrozenWaveformDigests
+    // with forced step rejections: three in a row at the 2,000th converged
+    // attempt (dt halves to dt/8, then regrows) and one more at the 4,500th.
+    // New (dt, order) keys, full refactors and their cache rebuilds then
+    // happen inside the pinned window.
+    fault::arm(fault::parse_spec("tran.step.fail@2000x3"));
+    fault::arm(fault::parse_spec("tran.step.fail@4500x1"));
+    auto vco = testcases::build_model(testcases::build_vco(),
+                                      testcases::vco_flow_options());
+    const rf::OscOptions osc = testcases::vco_osc_options();
+    const auto res = sim::transient(
+        vco.netlist, {osc.probe_p, osc.probe_n},
+        vco_capture_options(osc.settle / 4.0, osc.capture / 4.0));
+    EXPECT_EQ(res.step_retries, 4);
+    EXPECT_EQ(capture_digest(res), 0x1f065dbeaf081c33ull);
+}
+#endif // SNIM_FAULTS_ENABLED
+
+TEST_F(AssemblyTest, Fig7FullCaptureMatchesFrozenDigest) {
+    // fig7's brute-force measurement: the nominal VCO with the 10 MHz,
+    // 356 mV substrate tone of bench/scenarios.cpp run_fig7, settle plus
+    // the full 1 us capture (112,000 steps of 10 ps).
+    auto vco = testcases::build_model(testcases::build_vco(),
+                                      testcases::vco_flow_options());
+    vco.netlist.find_as<circuit::VSource>(testcases::VcoTestcase::kNoiseSource)
+        ->set_waveform(circuit::Waveform::sin(0.0, 0.356, 10e6));
+    const rf::OscOptions osc = testcases::vco_osc_options();
+    const auto res = sim::transient(vco.netlist, {osc.probe_p, osc.probe_n},
+                                    vco_capture_options(osc.settle, 1.0e-6));
+    EXPECT_EQ(res.time.size(), 100001u);
+    EXPECT_EQ(capture_digest(res), 0x16a85a455c50f2c6ull);
+}
+
+/// Solves with `lu` and with a fresh factorization of `a` that delays the
+/// same columns, and requires the two to agree bit for bit.
+void expect_matches_fresh(const SparseLU<double>& lu, const SparseCSC<double>& a,
+                          const std::vector<int>& delayed, const char* when) {
+    const SparseLU<double> fresh(a, 0.1, &delayed);
+    std::vector<double> b(a.size());
+    for (size_t i = 0; i < b.size(); ++i) b[i] = std::sin(1.0 + static_cast<double>(i));
+    const auto x = lu.solve(b);
+    const auto xf = fresh.solve(b);
+    EXPECT_EQ(std::memcmp(x.data(), xf.data(), x.size() * sizeof(double)), 0)
+        << "solve diverged: " << when;
+    const auto xt = lu.solve_transpose(b);
+    const auto xtf = fresh.solve_transpose(b);
+    EXPECT_EQ(std::memcmp(xt.data(), xtf.data(), xt.size() * sizeof(double)), 0)
+        << "transpose solve diverged: " << when;
+    EXPECT_EQ(lu.factor_stats().min_pivot, fresh.factor_stats().min_pivot) << when;
+    EXPECT_EQ(lu.factor_stats().max_pivot, fresh.factor_stats().max_pivot) << when;
+    EXPECT_EQ(lu.norm1(), fresh.norm1()) << when;
+    EXPECT_EQ(lu.rcond_estimate(), fresh.rcond_estimate()) << when;
+}
+
+TEST_F(AssemblyTest, VcoJacobianPartialRefreshMatchesFreshFactorization) {
+    // The VCO's transient Jacobian as the engine factors it: nonlinear
+    // columns delayed to the end, then refreshed by refactor_partial while
+    // only the nonlinear devices' entries move (Newton iterates at one dt),
+    // with a dt change and a full numeric refactor in between.
+    auto vco = testcases::build_model(testcases::build_vco(),
+                                      testcases::vco_flow_options());
+    auto& nl = vco.netlist;
+    nl.finalize();
+    const size_t n = nl.unknown_count();
+    const double gmin = testcases::vco_osc_options().gmin;
+    sim::OpOptions oo;
+    oo.gmin = gmin;
+    std::vector<double> x = sim::operating_point(nl, oo);
+    for (const auto& d : nl.devices()) d->init_tran(x);
+
+    circuit::RealStamper s(n);
+    s.enable_compiled_assembly();
+    sim::TranAssembler asmb(nl, s, gmin);
+    circuit::TranParams tp;
+    tp.dt = 10e-12;
+    tp.order = 2;
+    tp.time = tp.dt;
+    asmb.begin_attempt(x, tp);
+    asmb.assemble(x, tp);
+    const std::vector<int> cols = asmb.nonlinear_cols();
+    ASSERT_FALSE(cols.empty());
+    std::vector<char> in_set(n, 0);
+    for (int c : cols) in_set[static_cast<size_t>(c)] = 1;
+
+    SparseLU<double> lu(s.csc(), 0.1, &cols);
+    expect_matches_fresh(lu, s.csc(), cols, "initial factorization");
+
+    Rng rng(24);
+    auto newton_iterate = [&](const char* when) {
+        const SparseCSC<double> before = s.csc();
+        for (size_t i = 0; i < n; ++i) x[i] += 0.02 * rng.uniform(-1, 1);
+        asmb.assemble(x, tp);
+        const SparseCSC<double>& a = s.csc();
+        // The refresh contract: entries outside nonlinear x nonlinear keep
+        // their values while the (dt, order) key holds.
+        const auto& cp = a.col_ptr();
+        const auto& ri = a.row_idx();
+        for (size_t j = 0; j < n; ++j)
+            for (int p = cp[j]; p < cp[j + 1]; ++p) {
+                const auto r = static_cast<size_t>(ri[static_cast<size_t>(p)]);
+                if (in_set[j] && in_set[r]) continue;
+                ASSERT_EQ(a.values()[static_cast<size_t>(p)],
+                          before.values()[static_cast<size_t>(p)])
+                    << when << ": entry (" << r << "," << j << ") moved";
+            }
+        ASSERT_TRUE(lu.refactor_partial(a, cols)) << when;
+        expect_matches_fresh(lu, a, cols, when);
+    };
+    newton_iterate("dt 10 ps, iteration 1");
+    newton_iterate("dt 10 ps, iteration 2");
+
+    // Halve dt: every companion entry moves, so the factors take a full
+    // numeric refactor before the nonlinear block is refreshed again.
+    tp.dt = 5e-12;
+    asmb.begin_attempt(x, tp);
+    asmb.assemble(x, tp);
+    ASSERT_TRUE(lu.refactor(s.csc()));
+    expect_matches_fresh(lu, s.csc(), cols, "dt 5 ps, full refactor");
+    newton_iterate("dt 5 ps, iteration 1");
+    newton_iterate("dt 5 ps, iteration 2");
+    newton_iterate("dt 5 ps, iteration 3");
+
+    // Single changed indices outside the nonlinear set, each perturbed at
+    // its diagonal only: most closures are then not a trailing block and
+    // run the column sweep.  Each is refreshed back before the next.
+    const SparseCSC<double> base = s.csc();
+    for (size_t j = 0; j < n; ++j) {
+        if (in_set[j]) continue;
+        const std::vector<int> one = {static_cast<int>(j)};
+        SparseCSC<double> a = base;
+        const auto& cp = a.col_ptr();
+        const auto& ri = a.row_idx();
+        for (int p = cp[j]; p < cp[j + 1]; ++p)
+            if (static_cast<size_t>(ri[static_cast<size_t>(p)]) == j)
+                a.values_mut()[static_cast<size_t>(p)] *= 1.0 + 1e-6;
+        const std::string when = format("changed index %zu", j);
+        ASSERT_TRUE(lu.refactor_partial(a, one)) << when;
+        expect_matches_fresh(lu, a, cols, when.c_str());
+        ASSERT_TRUE(lu.refactor_partial(base, one)) << when;
+    }
+    expect_matches_fresh(lu, base, cols, "after the single-index refreshes");
+    newton_iterate("after the single-index refreshes");
 }
 
 #if SNIM_OBS_ENABLED

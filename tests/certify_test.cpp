@@ -220,6 +220,47 @@ TEST_F(CertifyTest, LedgerAggregationIsOrderIndependent) {
     EXPECT_EQ(snap1[0].samples, 3u);
 }
 
+TEST_F(CertifyTest, InternedStageMatchesNamedStageAndBuildsDetailLazily) {
+    obs::set_enabled(true);
+    const obs::BudgetStage stage("h");
+    EXPECT_TRUE(obs::budget_snapshot().empty()); // interning alone adds no row
+    int built = 0;
+    auto detail_of = [&](const char* d) {
+        return [&built, d] {
+            ++built;
+            return std::string(d);
+        };
+    };
+    obs::budget_update_lazy(stage, 2.0, 5.0, "V", true, detail_of("b")); // opens
+    obs::budget_update_lazy(stage, 1.0, 5.0, "V", true, detail_of("z")); // better
+    obs::budget_update_lazy(stage, 2.0, 5.0, "V", true, detail_of("a")); // tie
+    obs::budget_update_lazy(stage, 2.0, 5.0, "V", true, detail_of("c")); // tie
+    EXPECT_EQ(built, 3);
+    obs::budget_update("n", 2.0, 5.0, "V", true, "b");
+    obs::budget_update("n", 1.0, 5.0, "V", true, "z");
+    obs::budget_update("n", 2.0, 5.0, "V", true, "a");
+    obs::budget_update("n", 2.0, 5.0, "V", true, "c");
+    const auto snap = obs::budget_snapshot();
+    ASSERT_EQ(snap.size(), 2u);
+    for (const auto& e : snap) {
+        EXPECT_EQ(e.worst, 2.0) << e.stage;
+        EXPECT_EQ(e.detail, "a") << e.stage;
+        EXPECT_EQ(e.samples, 4u) << e.stage;
+    }
+
+    // A reset empties the stage; the handle stays bound and reopens it.
+    obs::budget_reset();
+    EXPECT_TRUE(obs::budget_snapshot().empty());
+    EXPECT_TRUE(obs::budget_state().rows.empty());
+    obs::budget_update_lazy(stage, 0.5, 5.0, "V", true, detail_of("x"));
+    const auto again = obs::budget_snapshot();
+    ASSERT_EQ(again.size(), 1u);
+    EXPECT_EQ(again[0].stage, "h");
+    EXPECT_EQ(again[0].worst, 0.5);
+    EXPECT_EQ(again[0].detail, "x");
+    EXPECT_EQ(again[0].samples, 1u);
+}
+
 TEST_F(CertifyTest, LedgerMarginSignConvention) {
     obs::set_enabled(true);
     obs::budget_update("under", 1e-3, 1e-2, "A", true);   // headroom
@@ -254,7 +295,8 @@ TEST_F(CertifyTest, RecordCertificateFeedsCountersLedgerAndJournal) {
     obs::SolveCertificate clean;
     clean.omega = 1e-16;
     clean.rcond = 1e-3;
-    obs::record_certificate("test", clean, opt);
+    const obs::CertSite site("test");
+    obs::record_certificate(site, clean, opt);
     EXPECT_EQ(obs::counter_value("numeric/solve_certificates"), 1u);
     EXPECT_EQ(obs::counter_value("numeric/cert_breaches"), 0u);
     EXPECT_EQ(obs::certificate_breach_count(), 0u);
@@ -264,7 +306,7 @@ TEST_F(CertifyTest, RecordCertificateFeedsCountersLedgerAndJournal) {
     bad.rcond = 1e-16;
     bad.refine_steps = 1;
     bad.breach = true;
-    obs::record_certificate("test", bad, opt);
+    obs::record_certificate(site, bad, opt);
     EXPECT_EQ(obs::counter_value("numeric/cert_breaches"), 1u);
     EXPECT_EQ(obs::counter_value("numeric/ir_refinement_steps"), 1u);
     EXPECT_EQ(obs::certificate_breach_count(), 1u);

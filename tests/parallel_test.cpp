@@ -17,6 +17,7 @@
 #include <complex>
 #include <vector>
 
+#include "circuit/mosfet.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/passives.hpp"
 #include "circuit/sources.hpp"
@@ -31,7 +32,9 @@
 #include "rf/spur.hpp"
 #include "sim/ac.hpp"
 #include "sim/mna.hpp"
+#include "sim/op.hpp"
 #include "sim/transient.hpp"
+#include "tech/generic180.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
@@ -540,6 +543,54 @@ TEST_F(ParallelTest, ParallelTasksMergesMetricsInIndexOrder) {
         ASSERT_TRUE(named.has_value());
         EXPECT_EQ(named->count, 16u);
         EXPECT_EQ(obs::phase_calls("p/phase"), 16u);
+    }
+}
+TEST_F(ParallelTest, OpResidualChannelIsThreadCountInvariant) {
+    // sim/op/residual numbers its samples by Newton iteration, running on
+    // over the whole process.  Operating points solved inside
+    // parallel_tasks must get the serial run's numbering, task index
+    // order, for any thread count.
+    const tech::MosModelCard nch = tech::generic180().mos_model("nch");
+    auto body = [&](size_t i) {
+        for (int k = 0; k < 8; ++k) {
+            circuit::Netlist nl;
+            nl.add<circuit::VSource>("vdd", nl.node("vdd"), circuit::kGround,
+                                     circuit::Waveform::dc(1.8));
+            nl.add<circuit::VSource>(
+                "vg", nl.node("g"), circuit::kGround,
+                circuit::Waveform::dc(0.6 + 0.05 * static_cast<double>(i) +
+                                      0.01 * static_cast<double>(k)));
+            nl.add<circuit::Resistor>("rd", nl.node("vdd"), nl.node("d"), 2e3);
+            nl.add<circuit::Mosfet>("m1", nl.node("d"), nl.node("g"), circuit::kGround,
+                                    circuit::kGround, nch, circuit::MosGeometry{});
+            (void)sim::operating_point(nl);
+        }
+    };
+
+    obs::set_enabled(true);
+    std::vector<double> ref_offsets, ref_values;
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE(threads);
+        obs::reset();
+        obs::parallel_tasks(threads, 12, body);
+        const auto ts = obs::ts_get("sim/op/residual");
+        ASSERT_TRUE(ts.has_value());
+        ASSERT_EQ(ts->stride, 1u);
+        // The abscissa runs on across obs::reset(), so runs are compared by
+        // their offsets from the first sample; serially they count 0, 1, ...
+        std::vector<double> offsets;
+        for (const double t : ts->time) offsets.push_back(t - ts->time.front());
+        if (threads == 1) {
+            for (size_t k = 0; k < offsets.size(); ++k)
+                ASSERT_EQ(offsets[k], static_cast<double>(k));
+            ref_offsets = offsets;
+            ref_values = ts->value;
+            continue;
+        }
+        EXPECT_EQ(offsets, ref_offsets);
+        EXPECT_EQ(0, std::memcmp(ts->value.data(), ref_values.data(),
+                                 ref_values.size() * sizeof(double)));
+        EXPECT_EQ(ts->value.size(), ref_values.size());
     }
 }
 #endif // SNIM_OBS_ENABLED
