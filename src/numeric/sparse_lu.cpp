@@ -750,6 +750,5 @@ void ReusableLU<T>::factor(const SparseCSC<T>& a, const RefactorHint& hint) {
 template class SparseLU<double>;
 template class SparseLU<std::complex<double>>;
 template class ReusableLU<double>;
-template class ReusableLU<std::complex<double>>;
 
 } // namespace snim

@@ -263,6 +263,5 @@ private:
 extern template class SparseLU<double>;
 extern template class SparseLU<std::complex<double>>;
 extern template class ReusableLU<double>;
-extern template class ReusableLU<std::complex<double>>;
 
 } // namespace snim

@@ -12,8 +12,7 @@
 // The harness itself is independent of the simulation layers: scenario
 // bodies live next to their subject (bench/scenarios.cpp wraps the figure
 // reproductions and numeric kernels) and only this header is needed to
-// register more.  Works with -DSNIM_ENABLE_OBS=OFF too: wall times and
-// accuracy still flow, registry snapshots and traces are simply empty.
+// register more.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +37,8 @@ namespace snim::obs {
 ///       sampling profiler ran); both empty/absent when telemetry was off
 ///   4 — adds per-scenario "budget" (the accuracy-budget ledger snapshot,
 ///       figure accuracy deltas folded in as "figure/..." stages) and
-///       "certificates" (the solve-certificate summary); both empty under
-///       -DSNIM_ENABLE_OBS=OFF
+///       "certificates" (the solve-certificate summary); both empty in
+///       reports of older builds that compiled the registry out
 inline constexpr int kBenchSchemaVersion = 4;
 
 /// One accuracy score: a dB delta against a reference with a pass/fail
@@ -168,7 +167,7 @@ struct ScenarioResult {
     Json certificates = Json(JsonObject{});
     TraceLane lane;  // phase tree + counters of the final repetition
     /// Process peak RSS sampled after the final repetition; 0 when resource
-    /// sampling is unavailable (SNIM_ENABLE_OBS=OFF or no /proc).
+    /// sampling is unavailable (no /proc).
     uint64_t peak_rss_bytes = 0;
 };
 

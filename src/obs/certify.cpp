@@ -1,19 +1,15 @@
 #include "obs/certify.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <map>
 #include <mutex>
 
-#include "util/error.hpp"
-
-#if SNIM_OBS_ENABLED
-#include <atomic>
-
 #include "obs/events.hpp"
 #include "obs/registry.hpp"
-#endif
+#include "util/error.hpp"
 
 namespace snim::obs {
 
@@ -26,8 +22,6 @@ void validate_certify_options(const CertifyOptions& opt, const char* engine) {
               "a reciprocal condition number",
               engine, opt.rcond_min);
 }
-
-#if SNIM_OBS_ENABLED
 
 namespace {
 
@@ -348,7 +342,5 @@ void budget_restore(const BudgetState& st) {
                                                  std::memory_order_relaxed)) {
     }
 }
-
-#endif // SNIM_OBS_ENABLED
 
 } // namespace snim::obs

@@ -24,9 +24,7 @@
 //
 // Determinism: ledger updates are max/sum aggregations, hence commutative;
 // parallel AC workers may update it directly and the snapshot is still
-// independent of thread count.  Everything below collapses to inline no-ops
-// under -DSNIM_ENABLE_OBS=OFF; options structs and their validation stay
-// real so configuration errors are caught in every build flavour.
+// independent of thread count.
 #pragma once
 
 #include <cstdint>
@@ -36,10 +34,6 @@
 
 #include "obs/json.hpp"
 #include "obs/registry.hpp"
-
-#ifndef SNIM_OBS_ENABLED
-#define SNIM_OBS_ENABLED 1
-#endif
 
 namespace snim::obs {
 
@@ -116,8 +110,6 @@ struct BudgetState {
 
     bool empty() const { return rows.empty() && cert_solves == 0; }
 };
-
-#if SNIM_OBS_ENABLED
 
 /// Interned handle of one ledger stage: the name is resolved to its row
 /// once (make it a namespace-scope or function-local static), so an update
@@ -212,33 +204,5 @@ BudgetState budget_state();
 /// that path yields exactly the later state — a resumed run reproduces the
 /// uninterrupted ledger without double-counting rows already present.
 void budget_restore(const BudgetState& st);
-
-#else // SNIM_OBS_ENABLED — compiled out: inline no-ops.
-
-class BudgetStage {
-public:
-    explicit BudgetStage(std::string_view) {}
-};
-class CertSite {
-public:
-    explicit CertSite(std::string_view) {}
-};
-
-inline void budget_update(std::string_view, double, double, std::string_view,
-                          bool = true, std::string_view = {}) {}
-template <class MakeDetail>
-void budget_update_lazy(const BudgetStage&, double, double, std::string_view, bool,
-                        const MakeDetail&) {}
-inline std::vector<BudgetEntry> budget_snapshot() { return {}; }
-inline Json budget_json() { return Json(JsonArray{}); }
-inline Json certificate_summary_json() { return Json(JsonObject{}); }
-inline void budget_reset() {}
-inline void record_certificate(const CertSite&, const SolveCertificate&,
-                               const CertifyOptions&) {}
-inline uint64_t certificate_breach_count() { return 0; }
-inline BudgetState budget_state() { return {}; }
-inline void budget_restore(const BudgetState&) {}
-
-#endif // SNIM_OBS_ENABLED
 
 } // namespace snim::obs

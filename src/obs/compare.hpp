@@ -11,9 +11,8 @@
 // show_report() pretty-prints one report's manifest + scenarios.
 //
 // Everything here is pure JSON-in / struct-out — no registry dependency —
-// so it works identically on reports produced by -DSNIM_ENABLE_OBS=OFF
-// builds (whose registries are simply empty) and is unit-testable on
-// synthetic documents.
+// so it works identically on reports whose registries are empty and is
+// unit-testable on synthetic documents.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,5 @@
 #include "obs/events.hpp"
 
-#if SNIM_OBS_ENABLED
-
 #include <unistd.h>
 
 #include <atomic>
@@ -303,5 +301,3 @@ void shutdown_live() {
 }
 
 } // namespace snim::obs
-
-#endif // SNIM_OBS_ENABLED

@@ -27,8 +27,7 @@
 // Determinism: events carry wall-clock data and are NEVER part of simulation
 // results or the obs registry; parallel workers write to the ring directly
 // (no TaskCapture indirection) because journal order is allowed to reflect
-// real time.  Everything collapses to inline no-ops under
-// -DSNIM_ENABLE_OBS=OFF.
+// real time.
 #pragma once
 
 #include <cstddef>
@@ -36,10 +35,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#ifndef SNIM_OBS_ENABLED
-#define SNIM_OBS_ENABLED 1
-#endif
 
 namespace snim::obs {
 
@@ -81,8 +76,6 @@ struct EventKv {
 /// re-rendered without their kv payload and flagged {"truncated":true}.
 inline constexpr size_t kEventRingSlots = 512; // power of two
 inline constexpr size_t kEventSlotBytes = 448; // line + NUL
-
-#if SNIM_OBS_ENABLED
 
 /// True while the journal records (one relaxed load — hot-path safe).
 bool events_active();
@@ -131,26 +124,5 @@ namespace detail {
 /// the crash last-gasp handler — no locks, no allocation.
 size_t write_ring_tail_fd(int fd, size_t max_count);
 } // namespace detail
-
-#else // SNIM_OBS_ENABLED — compiled out: inline no-ops.
-
-inline bool events_active() { return false; }
-inline void set_events_active(bool) {}
-inline void event(EventLevel, std::string_view, std::string_view,
-                  std::initializer_list<EventKv> = {}) {}
-inline void set_event_stream_path(const std::string&) {}
-inline void close_event_stream() {}
-inline std::vector<std::string> event_tail(size_t = kEventRingSlots) { return {}; }
-inline uint64_t event_count() { return 0; }
-inline double event_now_s() { return 0.0; }
-inline void reset_events_for_test() {}
-inline void init_live_from_env() {}
-inline void shutdown_live() {}
-
-namespace detail {
-inline size_t write_ring_tail_fd(int, size_t) { return 0; }
-} // namespace detail
-
-#endif // SNIM_OBS_ENABLED
 
 } // namespace snim::obs

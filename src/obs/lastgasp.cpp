@@ -1,7 +1,5 @@
 #include "obs/lastgasp.hpp"
 
-#if SNIM_OBS_ENABLED
-
 #include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
@@ -166,5 +164,3 @@ bool write_last_gasp_now(const char* reason) { return write_gasp(reason); }
 } // namespace detail
 
 } // namespace snim::obs
-
-#endif // SNIM_OBS_ENABLED

@@ -24,13 +24,7 @@
 
 #include <string>
 
-#ifndef SNIM_OBS_ENABLED
-#define SNIM_OBS_ENABLED 1
-#endif
-
 namespace snim::obs {
-
-#if SNIM_OBS_ENABLED
 
 /// Opens `path` for writing (truncating; raises snim::Error on failure) and
 /// installs the fatal-signal + std::terminate handlers.  Re-installing
@@ -53,18 +47,5 @@ namespace detail {
 /// is installed.  Exposed for tests — calling it does not kill the process.
 bool write_last_gasp_now(const char* reason);
 } // namespace detail
-
-#else // SNIM_OBS_ENABLED — compiled out: inline no-ops.
-
-inline void install_last_gasp(const std::string&) {}
-inline void uninstall_last_gasp() {}
-inline bool last_gasp_installed() { return false; }
-inline std::string last_gasp_path() { return {}; }
-
-namespace detail {
-inline bool write_last_gasp_now(const char*) { return false; }
-} // namespace detail
-
-#endif // SNIM_OBS_ENABLED
 
 } // namespace snim::obs

@@ -1,7 +1,5 @@
 #include "obs/phasestack.hpp"
 
-#if SNIM_OBS_ENABLED
-
 #include <unistd.h>
 
 #include <cstring>
@@ -150,5 +148,3 @@ size_t write_stacks_fd(int fd) {
 }
 
 } // namespace snim::obs::phase_stack
-
-#endif // SNIM_OBS_ENABLED

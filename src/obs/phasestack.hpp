@@ -28,10 +28,6 @@
 #include <string_view>
 #include <vector>
 
-#ifndef SNIM_OBS_ENABLED
-#define SNIM_OBS_ENABLED 1
-#endif
-
 namespace snim::obs::phase_stack {
 
 inline constexpr int kMaxDepth = 32;    // frames per thread
@@ -43,8 +39,6 @@ struct ThreadStack {
     int slot = -1;
     std::vector<std::string> frames; // outermost first
 };
-
-#if SNIM_OBS_ENABLED
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
@@ -72,17 +66,5 @@ std::vector<ThreadStack> sample_all();
 /// thread: {"phase_stack":{"slot":3,"stack":"a;b;c"}}.  Returns the number
 /// of stacks written.  Only write(2) and byte copies — last-gasp safe.
 size_t write_stacks_fd(int fd);
-
-#else // SNIM_OBS_ENABLED — compiled out: inline no-ops.
-
-inline bool enabled() { return false; }
-inline void set_enabled(bool) {}
-inline bool push(std::string_view) { return false; }
-inline void pop() {}
-inline int depth() { return 0; }
-inline std::vector<ThreadStack> sample_all() { return {}; }
-inline size_t write_stacks_fd(int) { return 0; }
-
-#endif // SNIM_OBS_ENABLED
 
 } // namespace snim::obs::phase_stack

@@ -1,7 +1,5 @@
 #include "obs/profiler.hpp"
 
-#if SNIM_OBS_ENABLED
-
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
@@ -149,5 +147,3 @@ Json profile_json(const FoldedProfile& profile) {
 }
 
 } // namespace snim::obs
-
-#endif // SNIM_OBS_ENABLED

@@ -22,8 +22,7 @@
 // Cost when running: one sample_all() per tick on the profiler thread; the
 // solver threads pay only the (relaxed-load-gated) phase-stack pushes.
 // Idle cost: zero — starting the profiler is what enables stack tracking.
-// Env: SNIM_PROFILE=out.folded (see init_live_from_env).  Inline no-ops
-// under -DSNIM_ENABLE_OBS=OFF.
+// Env: SNIM_PROFILE=out.folded (see init_live_from_env).
 #pragma once
 
 #include <cstdint>
@@ -31,10 +30,6 @@
 #include <string>
 
 #include "obs/json.hpp"
-
-#ifndef SNIM_OBS_ENABLED
-#define SNIM_OBS_ENABLED 1
-#endif
 
 namespace snim::obs {
 
@@ -49,8 +44,6 @@ struct FoldedProfile {
     uint64_t samples = 0;
     std::map<std::string, uint64_t> counts; // "snim;a;b" -> ticks observed
 };
-
-#if SNIM_OBS_ENABLED
 
 /// Starts the sampler thread (idempotent; restarting keeps accumulating
 /// into the same counts) and enables phase-stack tracking.
@@ -76,18 +69,5 @@ void write_folded(const std::string& path, const FoldedProfile& profile);
 /// {"hz":...,"samples":...,"stacks":{"snim;a;b":n,...}} — the form merged
 /// into Chrome traces and BENCH reports.
 Json profile_json(const FoldedProfile& profile);
-
-#else // SNIM_OBS_ENABLED — compiled out: inline no-ops.
-
-inline void start_profiler(const ProfilerOptions& = {}) {}
-inline void stop_profiler() {}
-inline bool profiler_running() { return false; }
-inline FoldedProfile profiler_snapshot() { return {}; }
-inline void reset_profiler() {}
-inline std::string folded_text(const FoldedProfile&) { return {}; }
-inline void write_folded(const std::string&, const FoldedProfile&) {}
-inline Json profile_json(const FoldedProfile&) { return Json(); }
-
-#endif // SNIM_OBS_ENABLED
 
 } // namespace snim::obs

@@ -1,7 +1,5 @@
 #include "obs/progress.hpp"
 
-#if SNIM_OBS_ENABLED
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -227,5 +225,3 @@ void reset_progress_for_test() {
 }
 
 } // namespace snim::obs
-
-#endif // SNIM_OBS_ENABLED

@@ -22,18 +22,13 @@
 // watchdog.
 //
 // Determinism: progress never touches the obs registry or simulation state;
-// heartbeats carry wall-clock data only.  Under -DSNIM_ENABLE_OBS=OFF the
-// whole module is inline no-ops.
+// heartbeats carry wall-clock data only.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
-
-#ifndef SNIM_OBS_ENABLED
-#define SNIM_OBS_ENABLED 1
-#endif
 
 namespace snim::obs {
 
@@ -48,8 +43,6 @@ struct HeartbeatInfo {
     size_t rss_bytes = 0;   // 0 when unavailable
     int depth = 0;          // how many scopes are open
 };
-
-#if SNIM_OBS_ENABLED
 
 /// RAII progress reporter for one phase of work.  Constructing when
 /// progress is inactive (journal off and no observer) costs one relaxed
@@ -113,32 +106,5 @@ void note_progress_activity();
 
 /// Zeroes heartbeat counters and the activity timestamp.  Test isolation.
 void reset_progress_for_test();
-
-#else // SNIM_OBS_ENABLED — compiled out: inline no-ops.
-
-class ProgressScope {
-public:
-    ProgressScope(std::string_view, uint64_t) {}
-    ProgressScope(const ProgressScope&) = delete;
-    ProgressScope& operator=(const ProgressScope&) = delete;
-    void advance(uint64_t = 1) {}
-    void add_total(uint64_t) {}
-};
-
-using HeartbeatObserver = std::function<void(const HeartbeatInfo&)>;
-using HeartbeatClock = double (*)();
-
-inline bool progress_active() { return false; }
-inline HeartbeatInfo current_progress() { return {}; }
-inline void set_heartbeat_interval(double) {}
-inline double heartbeat_interval() { return 1.0; }
-inline HeartbeatObserver set_heartbeat_observer(HeartbeatObserver) { return {}; }
-inline uint64_t heartbeat_count() { return 0; }
-inline void set_heartbeat_clock(HeartbeatClock) {}
-inline double last_activity_age_s() { return 0.0; }
-inline void note_progress_activity() {}
-inline void reset_progress_for_test() {}
-
-#endif // SNIM_OBS_ENABLED
 
 } // namespace snim::obs

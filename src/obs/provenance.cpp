@@ -12,13 +12,6 @@
 
 #include "util/error.hpp"
 
-#ifndef SNIM_OBS_ENABLED
-#define SNIM_OBS_ENABLED 1
-#endif
-#ifndef SNIM_FAULTS_ENABLED
-#define SNIM_FAULTS_ENABLED 1
-#endif
-
 namespace snim::obs {
 
 uint64_t fnv1a64(std::string_view data, uint64_t seed) {
@@ -183,8 +176,8 @@ RunManifest make_run_manifest(std::string tool, const ConfigDigest& digest,
 #else
     m.compiler = "unknown";
 #endif
-    m.obs_enabled = SNIM_OBS_ENABLED != 0;
-    m.faults_enabled = SNIM_FAULTS_ENABLED != 0;
+    m.obs_enabled = true;
+    m.faults_enabled = true;
     m.sanitizers = detect_sanitizers();
     m.hostname = detect_hostname();
     m.os = detect_os();

@@ -22,9 +22,8 @@
 //     digest — it lives in the manifest next to it.  The digest answers
 //     "same configuration?", the manifest answers "same everything?".
 //
-// Unlike the registry, provenance has no SNIM_ENABLE_OBS gate: manifests
-// must still identify runs of an uninstrumented build (the bench harness
-// works under -DSNIM_ENABLE_OBS=OFF too, it just reports empty registries).
+// Provenance does not depend on the registry being on: a manifest
+// identifies every run, including one whose registry recorded nothing.
 #pragma once
 
 #include <cstdint>
@@ -77,8 +76,10 @@ struct RunManifest {
     int threads = 1;           // resolved worker-thread count
     std::string build_type;    // CMAKE_BUILD_TYPE baked in at compile time
     std::string compiler;      // __VERSION__
-    bool obs_enabled = false;  // SNIM_ENABLE_OBS build flag
-    bool faults_enabled = false; // SNIM_ENABLE_FAULTS build flag
+    // Instrumentation and fault hooks compiled in.  Every build has both;
+    // manifests written by older builds that compiled them out read false.
+    bool obs_enabled = false;
+    bool faults_enabled = false;
     std::string sanitizers;    // "address", "thread", ... ("" = none detected)
     std::string hostname;
     std::string os;            // "<sysname> <release>"

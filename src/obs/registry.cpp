@@ -1,7 +1,5 @@
 #include "obs/registry.hpp"
 
-#if SNIM_OBS_ENABLED
-
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -512,5 +510,3 @@ void reset() {
 }
 
 } // namespace snim::obs
-
-#endif // SNIM_OBS_ENABLED

@@ -20,9 +20,8 @@
 //      index order.  A read sees every op of its own thread and of every
 //      joined thread, so after join() totals are exact; it can miss another
 //      live thread's last unapplied batch (at most kLogCapacity ops).
-//   4. Compile-out: configure with -DSNIM_ENABLE_OBS=OFF and the whole
-//      subsystem collapses to inline no-ops (see the #else branch below),
-//      proving no functional dependency on the instrumentation.
+//   4. One build: every build compiles the subsystem in, and the runtime
+//      flag (obs::set_enabled or SNIM_OBS, below) is its only switch.
 //
 // Phase names use '/'-separated paths ("sim/transient/newton"); the path
 // segments define the phase tree reported by obs/report.  Counter and
@@ -47,10 +46,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#ifndef SNIM_OBS_ENABLED
-#define SNIM_OBS_ENABLED 1
-#endif
 
 namespace snim::obs {
 
@@ -92,8 +87,6 @@ struct PhaseNode {
     uint64_t rss_peak_bytes = 0;
     std::vector<PhaseNode> children; // sorted by name
 };
-
-#if SNIM_OBS_ENABLED
 
 /// Ops a thread buffers before its log is applied to the registry.
 inline constexpr size_t kLogCapacity = 256;
@@ -234,54 +227,5 @@ public:
 private:
     TaskCapture* prev_;
 };
-
-#else // SNIM_OBS_ENABLED — compiled out: inline no-ops.
-
-inline bool enabled() { return false; }
-inline void set_enabled(bool) {}
-inline ReportMode report_mode() { return ReportMode::None; }
-
-class Counter {
-public:
-    explicit Counter(std::string_view) {}
-};
-class Value {
-public:
-    explicit Value(std::string_view) {}
-};
-class Phase {
-public:
-    explicit Phase(std::string_view) {}
-};
-
-inline void count(const Counter&, uint64_t = 1) {}
-inline void record_value(const Value&, double) {}
-inline void count(std::string_view, uint64_t = 1) {}
-inline void record_value(std::string_view, double) {}
-inline uint64_t counter_value(std::string_view) { return 0; }
-inline std::optional<ValueStats> value_stats(std::string_view) { return {}; }
-inline PhaseStats phase_stats(std::string_view) { return {}; }
-inline double phase_seconds(std::string_view) { return 0.0; }
-inline uint64_t phase_calls(std::string_view) { return 0; }
-inline std::vector<std::pair<std::string, uint64_t>> counters_snapshot() { return {}; }
-inline std::vector<std::pair<std::string, ValueStats>> values_snapshot() { return {}; }
-inline std::vector<std::pair<std::string, PhaseStats>> phases_snapshot() { return {}; }
-inline PhaseNode phase_tree() { return {}; }
-inline void reset() {}
-
-class TaskCapture {
-public:
-    void commit() {}
-    bool empty() const { return true; }
-};
-
-class CaptureScope {
-public:
-    explicit CaptureScope(TaskCapture&) {}
-    CaptureScope(const CaptureScope&) = delete;
-    CaptureScope& operator=(const CaptureScope&) = delete;
-};
-
-#endif // SNIM_OBS_ENABLED
 
 } // namespace snim::obs

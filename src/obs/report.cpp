@@ -1,7 +1,5 @@
 #include "obs/report.hpp"
 
-#if SNIM_OBS_ENABLED
-
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -191,5 +189,3 @@ void write_env_report() {
 }
 
 } // namespace snim::obs
-
-#endif // SNIM_OBS_ENABLED

@@ -11,8 +11,6 @@
 
 namespace snim::obs {
 
-#if SNIM_OBS_ENABLED
-
 /// The full report as a JSON document:
 /// { "phases": [...tree...], "counters": {...}, "values": {...}, "log": {...} }
 Json report_json();
@@ -25,13 +23,5 @@ std::string report_text();
 /// was not requested.  Registered atexit when SNIM_OBS is set, so simply
 /// running any snim binary under SNIM_OBS=json yields a report file.
 void write_env_report();
-
-#else // SNIM_OBS_ENABLED — compiled out.
-
-inline Json report_json() { return Json(JsonObject{}); }
-inline std::string report_text() { return {}; }
-inline void write_env_report() {}
-
-#endif // SNIM_OBS_ENABLED
 
 } // namespace snim::obs

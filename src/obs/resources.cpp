@@ -1,7 +1,5 @@
 #include "obs/resources.hpp"
 
-#if SNIM_OBS_ENABLED
-
 #include <cstdio>
 #include <cstring>
 
@@ -56,5 +54,3 @@ uint64_t current_rss_bytes() { return sample_resources().rss_bytes; }
 uint64_t peak_rss_bytes() { return sample_resources().peak_rss_bytes; }
 
 } // namespace snim::obs
-
-#endif // SNIM_OBS_ENABLED

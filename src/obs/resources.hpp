@@ -10,15 +10,10 @@
 //
 // Sampling costs a /proc read (~µs), so tracking is opt-in per timer and
 // only the coarse once-per-run phases (flow stages, engine top levels)
-// request it — per-step hot-path timers never sample.  Like the registry,
-// everything here collapses to inline zeros under -DSNIM_ENABLE_OBS=OFF.
+// request it — per-step hot-path timers never sample.
 #pragma once
 
 #include <cstdint>
-
-#ifndef SNIM_OBS_ENABLED
-#define SNIM_OBS_ENABLED 1
-#endif
 
 namespace snim::obs {
 
@@ -29,21 +24,11 @@ struct ResourceSample {
     uint64_t peak_rss_bytes = 0;
 };
 
-#if SNIM_OBS_ENABLED
-
 /// Samples both values with one /proc read; zeros when unavailable.
 ResourceSample sample_resources();
 
 /// Convenience single-value reads.
 uint64_t current_rss_bytes();
 uint64_t peak_rss_bytes();
-
-#else // SNIM_OBS_ENABLED — compiled out.
-
-inline ResourceSample sample_resources() { return {}; }
-inline uint64_t current_rss_bytes() { return 0; }
-inline uint64_t peak_rss_bytes() { return 0; }
-
-#endif // SNIM_OBS_ENABLED
 
 } // namespace snim::obs

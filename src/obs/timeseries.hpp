@@ -20,8 +20,7 @@
 // samples carry) once, and ts_append through it appends one op to the
 // calling thread's log (obs/registry.hpp).  Decimation and finiteness
 // filtering happen when the log is applied, in recording order.  Appends are
-// no-ops while the registry is disabled and the whole API collapses to
-// inline no-ops under -DSNIM_ENABLE_OBS=OFF.  Non-finite values are never
+// no-ops while the registry is disabled.  Non-finite values are never
 // stored: they bump the "obs/ts_nonfinite_dropped" counter instead, so NaN
 // telemetry cannot corrupt a VCD or trace file (the engines raise a
 // structured diagnostic on non-finite *solution* data before it ever
@@ -50,8 +49,6 @@ struct TimeSeries {
     uint64_t offered = 0;       // samples offered, before decimation
     uint64_t stride = 1;        // final acceptance stride (1 = nothing dropped)
 };
-
-#if SNIM_OBS_ENABLED
 
 /// Interned handle of a channel and the unit its samples carry.  A
 /// channel's unit is the first non-empty one any of its handles named.
@@ -88,20 +85,5 @@ std::optional<TimeSeries> ts_get(std::string_view channel);
 
 /// Snapshots of every channel holding a sample, sorted by name.
 std::vector<TimeSeries> ts_snapshot();
-
-#else // SNIM_OBS_ENABLED — compiled out.
-
-class Channel {
-public:
-    explicit Channel(std::string_view, std::string_view = {}) {}
-};
-
-inline void ts_append(const Channel&, double, double) {}
-inline void ts_append_numbered(const Channel&, double) {}
-inline void ts_append(std::string_view, double, double, std::string_view = {}) {}
-inline std::optional<TimeSeries> ts_get(std::string_view) { return {}; }
-inline std::vector<TimeSeries> ts_snapshot() { return {}; }
-
-#endif // SNIM_OBS_ENABLED
 
 } // namespace snim::obs

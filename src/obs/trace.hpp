@@ -37,8 +37,6 @@ namespace snim::obs {
 enum class Timing { WhenEnabled, Always };
 enum class Rss { Off, Track };
 
-#if SNIM_OBS_ENABLED
-
 class ScopedTimer {
 public:
     explicit ScopedTimer(const Phase& phase, Timing timing = Timing::WhenEnabled,
@@ -111,43 +109,5 @@ private:
     double last_ = 0.0;
     uint64_t rss_start_ = 0;
 };
-
-#else // SNIM_OBS_ENABLED — compiled out.
-
-class ScopedTimer {
-public:
-    explicit ScopedTimer(const Phase&, Timing timing = Timing::WhenEnabled,
-                         Rss = Rss::Off)
-        : timing_(timing == Timing::Always) {
-        if (timing_) start_ = Clock::now();
-    }
-    explicit ScopedTimer(std::string_view, Timing timing = Timing::WhenEnabled,
-                         Rss = Rss::Off)
-        : timing_(timing == Timing::Always) {
-        if (timing_) start_ = Clock::now();
-    }
-    ScopedTimer(const ScopedTimer&) = delete;
-    ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-    double elapsed() const {
-        if (!timing_) return 0.0;
-        return std::chrono::duration<double>(Clock::now() - start_).count();
-    }
-    double stop() {
-        if (stopped_) return last_;
-        stopped_ = true;
-        last_ = elapsed();
-        return last_;
-    }
-
-private:
-    using Clock = std::chrono::steady_clock;
-    Clock::time_point start_;
-    bool timing_;
-    bool stopped_ = false;
-    double last_ = 0.0;
-};
-
-#endif // SNIM_OBS_ENABLED
 
 } // namespace snim::obs

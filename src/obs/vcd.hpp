@@ -8,9 +8,9 @@
 // time axes (a solver channel samples per accepted step, a probe per
 // recorded stride); the writers merge them onto one monotone axis.
 //
-// Unlike the rest of obs/, this module has no registry dependency and is
-// always compiled: waveform export must work under -DSNIM_ENABLE_OBS=OFF
-// too (TranResult waves exist regardless of instrumentation).
+// Unlike the rest of obs/, this module has no registry dependency:
+// waveform export works with the registry off too (TranResult waves exist
+// regardless of instrumentation).
 #pragma once
 
 #include <string>

@@ -1,7 +1,5 @@
 #include "obs/watchdog.hpp"
 
-#if SNIM_OBS_ENABLED
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -264,5 +262,3 @@ std::string last_watchdog_bundle() {
 }
 
 } // namespace snim::obs
-
-#endif // SNIM_OBS_ENABLED

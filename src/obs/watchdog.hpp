@@ -22,16 +22,11 @@
 // set_heartbeat_clock() fakes cannot trip or mask a stall.
 //
 // Env: SNIM_WATCHDOG=stall_s[,hang_s[,abort]] (see events.hpp
-// init_live_from_env).  Compiled out to inline no-ops with the rest of the
-// obs layer under -DSNIM_ENABLE_OBS=OFF.
+// init_live_from_env).
 #pragma once
 
 #include <cstdint>
 #include <string>
-
-#ifndef SNIM_OBS_ENABLED
-#define SNIM_OBS_ENABLED 1
-#endif
 
 namespace snim::obs {
 
@@ -41,8 +36,6 @@ struct WatchdogOptions {
     bool abort_on_hang = false;
     std::string bundle_dir;   // "" = current directory
 };
-
-#if SNIM_OBS_ENABLED
 
 /// Starts (or reconfigures) the monitor thread.  Raises snim::Error on
 /// non-positive stall_s.  Idempotent per configuration; activates the
@@ -59,15 +52,5 @@ uint64_t watchdog_stall_count();
 
 /// Path of the most recent hang bundle ("" when none was written).
 std::string last_watchdog_bundle();
-
-#else // SNIM_OBS_ENABLED — compiled out: inline no-ops.
-
-inline void start_watchdog(const WatchdogOptions& = {}) {}
-inline void stop_watchdog() {}
-inline bool watchdog_running() { return false; }
-inline uint64_t watchdog_stall_count() { return 0; }
-inline std::string last_watchdog_bundle() { return {}; }
-
-#endif // SNIM_OBS_ENABLED
 
 } // namespace snim::obs

@@ -139,8 +139,6 @@ std::string encode_checkpoint(const TranCheckpoint& c) {
     put_i64(p, c.level);
     put_i64(p, c.consecutive_accepts);
     put_i64(p, c.step_retries);
-    put_i64(p, c.recorded);
-    put_i64(p, c.averaged);
     put_f64(p, c.dt_prev);
     put_vec(p, c.x_acc);
     put_vec(p, c.x_prev);
@@ -227,8 +225,6 @@ TranCheckpoint decode_checkpoint(std::string_view data) {
     c.level = cur.i64();
     c.consecutive_accepts = cur.i64();
     c.step_retries = cur.i64();
-    c.recorded = cur.i64();
-    c.averaged = cur.i64();
     c.dt_prev = cur.f64();
     c.x_acc = cur.vec();
     c.x_prev = cur.vec();

@@ -64,8 +64,9 @@ struct CheckpointOptions {
     bool resume = false;
 };
 
-/// v2: the ladder's LTE flag left the payload.
-inline constexpr uint32_t kCheckpointVersion = 2;
+/// v2: the ladder's LTE flag left the payload.  v3: the recorded and
+/// averaged sample counts left it (both equal the recorded time axis).
+inline constexpr uint32_t kCheckpointVersion = 3;
 
 /// The serialised solver state.  Waveform vectors hold the recorded prefix;
 /// `average` holds RAW accumulated sums (divided only when the run ends).
@@ -78,8 +79,6 @@ struct TranCheckpoint {
     int64_t level = 0;
     int64_t consecutive_accepts = 0;
     int64_t step_retries = 0;   // TranResult::step_retries so far
-    int64_t recorded = 0;
-    int64_t averaged = 0;
     double dt_prev = 0.0;
     std::vector<double> x_acc;
     std::vector<double> x_prev;

@@ -47,8 +47,7 @@ struct StepTelemetry {
     int worst_unknown = -1;   // unknown index with the largest final update
     int clamp_hits = 0;       // dv_max clamp activations over the step
     double lu_min_pivot = 0.0;   // pivot health of the step's last solve
-    double lu_fill_growth = 0.0; // nnz(L+U)/nnz(A); 1 on the dense path
-                                 // (in-place factorisation, no fill)
+    double lu_fill_growth = 0.0; // nnz(L+U)/nnz(A) of the sparse factors
     bool converged = true;
     // Numerical-health certificate of the step, when the site was audited
     // (obs::kCertifyStride + obs enabled); -1 = not audited.

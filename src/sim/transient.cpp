@@ -319,15 +319,11 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
     std::vector<double> kcl_ax;          // kcl_audit scratch
     StepTelemetryRing ring(kDiagTail);
     RetryLog retries;
-    long recorded = 0;
-    long averaged = 0;
     if (opt.accumulate_average) out.average.assign(n, 0.0);
     if (resuming) {
         // Replay the recorded prefix and the accumulator state; `average`
         // holds RAW sums until the final divide.
         x_prev = res->x_prev;
-        recorded = static_cast<long>(res->recorded);
-        averaged = static_cast<long>(res->averaged);
         if (opt.accumulate_average) out.average = res->average;
         out.time = res->time;
         out.waves = res->waves;
@@ -393,8 +389,6 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
         c.level = level;
         c.consecutive_accepts = consecutive_accepts;
         c.step_retries = out.step_retries;
-        c.recorded = recorded;
-        c.averaged = averaged;
         c.dt_prev = dt_prev;
         c.x_acc = x_acc;
         c.x_prev = x_prev;
@@ -687,11 +681,8 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
             out.time.push_back(t_nominal);
             for (size_t p = 0; p < probe_ids.size(); ++p)
                 out.waves[p].push_back(circuit::volt(x_acc, probe_ids[p]));
-            ++recorded;
-            if (opt.accumulate_average) {
+            if (opt.accumulate_average)
                 for (size_t i = 0; i < n; ++i) out.average[i] += x_acc[i];
-                ++averaged;
-            }
         }
         progress.advance();
 
@@ -710,8 +701,10 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
     // blanket --resume over a corner sweep replays completed corners
     // instantly and only integrates the unfinished ones.
     if (ckpt_on) write_snapshot(nsteps);
-    if (averaged > 0)
-        for (auto& v : out.average) v /= static_cast<double>(averaged);
+    // Every recorded sample was summed into `average` (empty when not
+    // accumulating).
+    if (!out.time.empty())
+        for (auto& v : out.average) v /= static_cast<double>(out.time.size());
     return out;
 }
 

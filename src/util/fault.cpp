@@ -1,7 +1,5 @@
 #include "util/fault.hpp"
 
-#if SNIM_FAULTS_ENABLED
-
 #include <atomic>
 #include <cstdlib>
 #include <map>
@@ -201,5 +199,3 @@ void set_slow_step_seconds(double seconds) {
 }
 
 } // namespace snim::fault
-
-#endif // SNIM_FAULTS_ENABLED

@@ -17,19 +17,13 @@
 //     first framework use; malformed entries are warned about and skipped).
 //     `@at` defaults to 1, `xcount` to 1; `x-1` keeps a window open forever.
 //
-// Cost: one relaxed atomic load per query while nothing is armed.  Configure
-// with -DSNIM_ENABLE_FAULTS=OFF and every entry point collapses to an inline
-// no-op (`fires` returns a compile-time false), proving release builds carry
-// no functional dependency on the hooks.
+// Cost: one relaxed atomic load per query while nothing is armed.  Every
+// build compiles the hooks in; arming (API or SNIM_FAULT) is the only switch.
 #pragma once
 
 #include <string>
 #include <string_view>
 #include <vector>
-
-#ifndef SNIM_FAULTS_ENABLED
-#define SNIM_FAULTS_ENABLED 1
-#endif
 
 namespace snim::fault {
 
@@ -40,8 +34,6 @@ struct FaultSpec {
     long at = 1;
     long count = 1;
 };
-
-#if SNIM_FAULTS_ENABLED
 
 /// Parses "point[@at][xcount]" (e.g. "tran.step.fail@51x2"); raises
 /// snim::Error on malformed input.
@@ -76,20 +68,5 @@ std::vector<FaultSpec> armed();
 /// changes numeric results — only wall time.
 double slow_step_seconds();
 void set_slow_step_seconds(double seconds);
-
-#else // SNIM_FAULTS_ENABLED — compiled out: inline no-ops.
-
-inline FaultSpec parse_spec(std::string_view) { return {}; }
-inline void arm(const FaultSpec&) {}
-inline void arm_list(std::string_view) {}
-inline void clear() {}
-inline constexpr bool fires(std::string_view) { return false; }
-inline long queries(std::string_view) { return 0; }
-inline long trips(std::string_view) { return 0; }
-inline std::vector<FaultSpec> armed() { return {}; }
-inline double slow_step_seconds() { return 0.0; }
-inline void set_slow_step_seconds(double) {}
-
-#endif // SNIM_FAULTS_ENABLED
 
 } // namespace snim::fault

@@ -37,6 +37,7 @@
 #include "util/fault.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
+#include "waveform_digest.hpp"
 
 using namespace snim;
 
@@ -46,17 +47,13 @@ class AssemblyTest : public ::testing::Test {
 protected:
     void SetUp() override {
         fault::clear();
-#if SNIM_OBS_ENABLED
         obs::reset();
         obs::set_enabled(false);
-#endif
     }
     void TearDown() override {
         fault::clear();
-#if SNIM_OBS_ENABLED
         obs::reset();
         obs::set_enabled(false);
-#endif
     }
 };
 
@@ -152,7 +149,6 @@ TEST_F(AssemblyTest, IncrementalMatchesFullAssemblyAcrossRandomNetlists) {
     }
 }
 
-#if SNIM_OBS_ENABLED
 /// Test-local nonlinear device whose stamp *layout* depends on the sign of
 /// its branch voltage: a square-law rectifier that stamps its companion
 /// only while forward biased.  Real devices keep their stamp sequence
@@ -252,7 +248,6 @@ TEST_F(AssemblyTest, MosfetOrientationFlipKeepsTapeAndStaysBitIdentical) {
     EXPECT_EQ(asmb.epoch(), epoch0);
     EXPECT_EQ(obs::counter_value("sim/assemble_relearn"), 0u);
 }
-#endif
 
 // --- partial refactorization ----------------------------------------------
 
@@ -338,7 +333,6 @@ TEST_F(AssemblyTest, EmptyChangedSetPartialRefactorKeepsFactors) {
     EXPECT_EQ(std::memcmp(x0.data(), x1.data(), b.size() * sizeof(double)), 0);
 }
 
-#if SNIM_OBS_ENABLED
 TEST_F(AssemblyTest, ReusableLuTakesPartialPathOnlyUnderMatchingKey) {
     obs::set_enabled(true);
     Rng rng(9);
@@ -365,7 +359,6 @@ TEST_F(AssemblyTest, ReusableLuTakesPartialPathOnlyUnderMatchingKey) {
     rlu.factor(a, no_key);
     EXPECT_EQ(obs::counter_value("numeric/lu_partial_refactor"), 1u);
 }
-#endif
 
 // --- transient engine integration -----------------------------------------
 
@@ -393,22 +386,6 @@ circuit::Netlist ladder_with_mosfet(int stages) {
     return nl;
 }
 
-/// FNV-1a over the bytes of `time` and then of every probe wave, in probe
-/// order: a frozen digest pins a waveform bit for bit.
-uint64_t waveform_digest(const sim::TranResult& r) {
-    uint64_t h = 0xcbf29ce484222325ull;
-    auto feed = [&h](const std::vector<double>& v) {
-        const auto* bytes = reinterpret_cast<const unsigned char*>(v.data());
-        for (size_t i = 0; i < v.size() * sizeof(double); ++i) {
-            h ^= bytes[i];
-            h *= 0x100000001b3ull;
-        }
-    };
-    feed(r.time);
-    for (const auto& w : r.waves) feed(w);
-    return h;
-}
-
 TEST_F(AssemblyTest, DefaultEngineMatchesFrozenWaveformDigests) {
     // Golden waveforms of the transient engine, time axis and probes bit
     // for bit; they hold in Release, RelWithDebInfo and -O0 builds.  A
@@ -418,25 +395,18 @@ TEST_F(AssemblyTest, DefaultEngineMatchesFrozenWaveformDigests) {
     opt.dt = 20e-12;
     opt.tstop = 4e-9;
     auto ladder = ladder_with_mosfet(40);
-    EXPECT_EQ(waveform_digest(sim::transient(ladder, {"out"}, opt)),
+    EXPECT_EQ(sim::waveform_digest(sim::transient(ladder, {"out"}, opt)),
               0xea043a1a7cc214dcull);
 
     // The nominal VCO impact model over the first calibration capture's
-    // quarter window (settle/4 + capture/4 of vco_osc_options(), 6,750
-    // steps of 10 ps), run with record_oscillator()'s options and probing
-    // both tank outputs.
+    // quarter window, run with record_oscillator()'s options.
     auto vco = testcases::build_model(testcases::build_vco(),
                                       testcases::vco_flow_options());
     const rf::OscOptions osc = testcases::vco_osc_options();
-    sim::TranOptions vo;
-    vo.dt = osc.dt;
-    vo.tstop = osc.settle / 4.0 + osc.capture / 4.0;
-    vo.record_start = osc.settle / 4.0;
-    vo.order = osc.order;
-    vo.gmin = osc.gmin;
-    vo.accumulate_average = true;
-    const auto res = sim::transient(vco.netlist, {osc.probe_p, osc.probe_n}, vo);
-    EXPECT_EQ(waveform_digest(res), 0xcfecda685e598f84ull);
+    const auto res = sim::transient(
+        vco.netlist, {osc.probe_p, osc.probe_n},
+        sim::vco_capture_options(osc.settle / 4.0, osc.capture / 4.0));
+    EXPECT_EQ(sim::waveform_digest(res), sim::kVcoQuarterWindowDigest);
 }
 
 TEST_F(AssemblyTest, IncrementalEngineMatchesFullRestampWithinTolerance) {
@@ -464,32 +434,6 @@ TEST_F(AssemblyTest, IncrementalEngineMatchesFullRestampWithinTolerance) {
         EXPECT_NEAR(wi[k], wf[k], 1e-6) << "sample " << k;
 }
 
-/// waveform_digest() continued over the node-average vector.
-uint64_t capture_digest(const sim::TranResult& r) {
-    uint64_t h = waveform_digest(r);
-    const auto* bytes = reinterpret_cast<const unsigned char*>(r.average.data());
-    for (size_t i = 0; i < r.average.size() * sizeof(double); ++i) {
-        h ^= bytes[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-/// record_oscillator()'s transient options for a vco_osc_options() capture
-/// of `settle` + `capture` seconds.
-sim::TranOptions vco_capture_options(double settle, double capture) {
-    const rf::OscOptions osc = testcases::vco_osc_options();
-    sim::TranOptions vo;
-    vo.dt = osc.dt;
-    vo.tstop = settle + capture;
-    vo.record_start = settle;
-    vo.order = osc.order;
-    vo.gmin = osc.gmin;
-    vo.accumulate_average = true;
-    return vo;
-}
-
-#if SNIM_FAULTS_ENABLED
 TEST_F(AssemblyTest, VcoCaptureWithStepRetriesMatchesFrozenDigest) {
     // The quarter-window capture of DefaultEngineMatchesFrozenWaveformDigests
     // with forced step rejections: three in a row at the 2,000th converged
@@ -503,11 +447,10 @@ TEST_F(AssemblyTest, VcoCaptureWithStepRetriesMatchesFrozenDigest) {
     const rf::OscOptions osc = testcases::vco_osc_options();
     const auto res = sim::transient(
         vco.netlist, {osc.probe_p, osc.probe_n},
-        vco_capture_options(osc.settle / 4.0, osc.capture / 4.0));
+        sim::vco_capture_options(osc.settle / 4.0, osc.capture / 4.0));
     EXPECT_EQ(res.step_retries, 4);
-    EXPECT_EQ(capture_digest(res), 0x1f065dbeaf081c33ull);
+    EXPECT_EQ(sim::capture_digest(res), 0x1f065dbeaf081c33ull);
 }
-#endif // SNIM_FAULTS_ENABLED
 
 TEST_F(AssemblyTest, Fig7FullCaptureMatchesFrozenDigest) {
     // fig7's brute-force measurement: the nominal VCO with the 10 MHz,
@@ -519,9 +462,9 @@ TEST_F(AssemblyTest, Fig7FullCaptureMatchesFrozenDigest) {
         ->set_waveform(circuit::Waveform::sin(0.0, 0.356, 10e6));
     const rf::OscOptions osc = testcases::vco_osc_options();
     const auto res = sim::transient(vco.netlist, {osc.probe_p, osc.probe_n},
-                                    vco_capture_options(osc.settle, 1.0e-6));
+                                    sim::vco_capture_options(osc.settle, 1.0e-6));
     EXPECT_EQ(res.time.size(), 100001u);
-    EXPECT_EQ(capture_digest(res), 0x16a85a455c50f2c6ull);
+    EXPECT_EQ(sim::capture_digest(res), 0x16a85a455c50f2c6ull);
 }
 
 /// Solves with `lu` and with a fresh factorization of `a` that delays the
@@ -635,7 +578,6 @@ TEST_F(AssemblyTest, VcoJacobianPartialRefreshMatchesFreshFactorization) {
     newton_iterate("after the single-index refreshes");
 }
 
-#if SNIM_OBS_ENABLED
 TEST_F(AssemblyTest, DefaultRunDoesExactlyOneFullAssembly) {
     obs::set_enabled(true);
     sim::TranOptions opt;
@@ -650,6 +592,5 @@ TEST_F(AssemblyTest, DefaultRunDoesExactlyOneFullAssembly) {
     EXPECT_GT(obs::counter_value("sim/assemble_cache_hits"), 0u);
     EXPECT_GT(obs::counter_value("numeric/lu_partial_refactor"), 0u);
 }
-#endif
 
 } // namespace

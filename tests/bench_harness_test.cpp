@@ -6,10 +6,7 @@
 // trace exporter's well-formedness (balanced B/E pairs, monotonic
 // timestamps, counter args).
 //
-// Lives in the snim_obs_tests binary (ctest label "obs").  Like the rest of
-// that suite it must compile and pass with -DSNIM_ENABLE_OBS=OFF: harness
-// mechanics (timing, accuracy, gating) are mode-independent; expectations on
-// registry *content* are guarded.
+// Lives in the snim_obs_tests binary (ctest label "obs").
 #include <gtest/gtest.h>
 
 #include <map>
@@ -127,7 +124,6 @@ TEST(BenchRun, CollectsRunsAccuracyAndRegistry) {
     ASSERT_EQ(r.accuracy.size(), 1u);
     EXPECT_TRUE(r.accuracy[0].pass());
 
-#if SNIM_OBS_ENABLED
     // The final repetition's registry snapshot rides along; each repetition
     // starts from a reset registry so the counter is 7, not 21.
     EXPECT_EQ(obs::counter_value("t_phase/work/items"), 7u);
@@ -135,7 +131,6 @@ TEST(BenchRun, CollectsRunsAccuracyAndRegistry) {
     ASSERT_TRUE(r.registry.contains("counters"));
     ASSERT_EQ(r.lane.counters.size(), 1u);
     EXPECT_EQ(r.lane.counters[0].second, 7u);
-#endif
     obs::reset();
 }
 
@@ -335,7 +330,9 @@ TEST(TraceExport, EventsAreBalancedAndMonotonic) {
         const double tid = e.at("tid").as_number();
         const double ts = e.at("ts").as_number();
         auto it = last_ts.find(tid);
-        if (it != last_ts.end()) EXPECT_GE(ts, it->second);
+        if (it != last_ts.end()) {
+            EXPECT_GE(ts, it->second);
+        }
         last_ts[tid] = ts;
         if (ph == "B")
             stacks[tid].push_back(e.at("name").as_string());

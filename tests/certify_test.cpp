@@ -40,19 +40,15 @@ class CertifyTest : public ::testing::Test {
 protected:
     void SetUp() override {
         fault::clear();
-#if SNIM_OBS_ENABLED
         obs::reset();
         obs::set_enabled(false);
         obs::set_events_active(false);
-#endif
     }
     void TearDown() override {
         fault::clear();
-#if SNIM_OBS_ENABLED
         obs::reset();
         obs::set_enabled(false);
         obs::set_events_active(false);
-#endif
     }
 };
 
@@ -195,8 +191,6 @@ TEST_F(CertifyTest, ValidateCertifyOptionsNamesTheBadKnob) {
     opt.rcond_min = 1.5;
     EXPECT_THROW(obs::validate_certify_options(opt, "Test"), Error);
 }
-
-#if SNIM_OBS_ENABLED
 
 // --- the accuracy-budget ledger -------------------------------------------
 
@@ -416,8 +410,6 @@ TEST_F(CertifyTest, AcLedgerIsThreadCountIndependent) {
     }
 }
 
-#if SNIM_FAULTS_ENABLED
-
 TEST_F(CertifyTest, InjectedBreachDrivesEventRefinementAndLedger) {
     obs::set_enabled(true);
     obs::set_events_active(true);
@@ -445,8 +437,6 @@ TEST_F(CertifyTest, InjectedBreachDrivesEventRefinementAndLedger) {
         if (e.stage == "numeric/transient/omega") omega_stage = true;
     EXPECT_TRUE(omega_stage);
 }
-
-#endif // SNIM_FAULTS_ENABLED
 
 // --- MOR reduction-error probes -------------------------------------------
 
@@ -516,7 +506,5 @@ TEST_F(CertifyTest, BudgetTableAndBreachGateOnSyntheticReports) {
     EXPECT_TRUE(regressed);
     EXPECT_TRUE(obs::diff_has_regression(d));
 }
-
-#endif // SNIM_OBS_ENABLED
 
 } // namespace

@@ -38,19 +38,15 @@ protected:
     void SetUp() override {
         fault::clear();
         sim::set_default_checkpoint({});
-#if SNIM_OBS_ENABLED
         obs::reset();
         obs::set_enabled(false);
-#endif
     }
     void TearDown() override {
         fault::clear();
         sim::set_default_checkpoint({});
         util::set_default_thread_count(1);
-#if SNIM_OBS_ENABLED
         obs::reset();
         obs::set_enabled(false);
-#endif
     }
 
     /// Per-test scratch directory under gtest's temp root, scrubbed of any
@@ -133,8 +129,6 @@ sim::TranCheckpoint sample_checkpoint() {
     c.level = 1;
     c.consecutive_accepts = 3;
     c.step_retries = 2;
-    c.recorded = 5;
-    c.averaged = 5;
     c.dt_prev = 0.05e-9;
     c.x_acc = {1.0, -2.5, 3.0e-13};
     c.x_prev = {0.875, -2.5, 2.9e-13};
@@ -191,8 +185,6 @@ TEST_F(CheckpointTest, EncodeDecodeRoundTrip) {
     EXPECT_EQ(d.level, c.level);
     EXPECT_EQ(d.consecutive_accepts, c.consecutive_accepts);
     EXPECT_EQ(d.step_retries, c.step_retries);
-    EXPECT_EQ(d.recorded, c.recorded);
-    EXPECT_EQ(d.averaged, c.averaged);
     EXPECT_EQ(d.dt_prev, c.dt_prev);
     EXPECT_EQ(d.x_acc, c.x_acc);
     EXPECT_EQ(d.x_prev, c.x_prev);
@@ -217,13 +209,17 @@ TEST_F(CheckpointTest, DecodeRejectsBadMagic) {
 }
 
 TEST_F(CheckpointTest, DecodeRejectsWrongVersion) {
-    std::string frame = sim::encode_checkpoint(sample_checkpoint());
-    frame[8] = static_cast<char>(99); // version field follows the 8-byte magic
-    try {
-        sim::decode_checkpoint(frame);
-        FAIL() << "expected an error";
-    } catch (const Error& e) {
-        EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+    // Version 2 framed the recorded and averaged sample counts.
+    for (const int version : {2, 99}) {
+        std::string frame = sim::encode_checkpoint(sample_checkpoint());
+        frame[8] = static_cast<char>(version); // follows the 8-byte magic
+        try {
+            sim::decode_checkpoint(frame);
+            FAIL() << "expected an error for version " << version;
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version"),
+                      std::string::npos);
+        }
     }
 }
 
@@ -505,17 +501,13 @@ TEST_F(CheckpointTest, WriteFailureKeepsRunAliveOnLastGood) {
     opt.checkpoint.dir = dir;
     opt.checkpoint.every_steps = 25;
     fault::arm({.point = "ckpt.write.fail", .at = 2, .count = 1});
-#if SNIM_OBS_ENABLED
     obs::set_enabled(true);
-#endif
     auto nl_b = test_netlist();
     const auto run = sim::transient(nl_b, kProbes, opt);
     expect_bitwise_equal(clean, run);
-#if SNIM_OBS_ENABLED
     EXPECT_EQ(obs::counter_value("sim/ckpt_write_failures"), 1u);
     EXPECT_GT(obs::counter_value("sim/ckpt_writes"), 0u);
     EXPECT_GT(obs::counter_value("sim/ckpt_bytes"), 0u);
-#endif
 }
 
 TEST_F(CheckpointTest, CorruptFaultExercisesPrevFallbackOnResume) {
@@ -533,21 +525,16 @@ TEST_F(CheckpointTest, CorruptFaultExercisesPrevFallbackOnResume) {
     // resume must fall back to .prev (a mid-run state) and still finish
     // bit-identically.
     fault::arm({.point = "ckpt.corrupt", .at = 1, .count = 1});
-#if SNIM_OBS_ENABLED
     obs::set_enabled(true);
-#endif
     auto nl_c = test_netlist();
     const auto resumed = sim::resume_transient(nl_c, kProbes, opt);
     expect_bitwise_equal(clean, resumed);
-#if SNIM_OBS_ENABLED
     EXPECT_EQ(obs::counter_value("sim/ckpt_fallbacks"), 1u);
     EXPECT_EQ(obs::counter_value("sim/ckpt_resumes"), 1u);
-#endif
 }
 
 // --- budget-ledger state ----------------------------------------------------
 
-#if SNIM_OBS_ENABLED
 TEST_F(CheckpointTest, BudgetRestoreMergesMonotonically) {
     obs::set_enabled(true);
     obs::BudgetState st;
@@ -588,6 +575,5 @@ TEST_F(CheckpointTest, BudgetRestoreMergesMonotonically) {
     EXPECT_EQ(out.cert_solves, 5u);
     EXPECT_EQ(out.min_rcond, 1e-3);
 }
-#endif
 
 } // namespace

@@ -28,16 +28,12 @@ namespace {
 class DiagnosticsTest : public ::testing::Test {
 protected:
     void SetUp() override {
-#if SNIM_OBS_ENABLED
         obs::reset();
         obs::set_enabled(false);
-#endif
     }
     void TearDown() override {
-#if SNIM_OBS_ENABLED
         obs::reset();
         obs::set_enabled(false);
-#endif
         sim::set_default_diag_dir("");
     }
 };
@@ -392,8 +388,6 @@ TEST_F(DiagnosticsTest, WaveCsvHoldsLastValueAcrossMergedAxes) {
 
 // --- time-series channels -------------------------------------------------
 
-#if SNIM_OBS_ENABLED
-
 TEST_F(DiagnosticsTest, DecimationPreservesFirstLastAndMonotoneTime) {
     obs::set_enabled(true);
     const size_t total = 3 * obs::kTimeSeriesCapacity + 17;
@@ -469,7 +463,5 @@ TEST_F(DiagnosticsTest, WaveFromTimeseriesFallsBackToIndexAxis) {
     // A VCD document built from it is valid (no backwards-time raise).
     EXPECT_NO_THROW(obs::vcd_document({w}));
 }
-
-#endif // SNIM_OBS_ENABLED
 
 } // namespace

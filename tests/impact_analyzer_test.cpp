@@ -189,9 +189,7 @@ TEST_F(ImpactAnalyzerTest, QuarterWindowCalibrationMatchesFullWindow) {
     // One certificate each for the baseline and the K_src pair, no re-run.
     EXPECT_EQ(fault::queries("core.calibrate.uncertified"), 2);
     EXPECT_EQ(obs::counter_value("core/calibration_fallbacks"), 0u);
-#if SNIM_OBS_ENABLED
     EXPECT_EQ(obs::counter_value("core/calibration_pairs"), 2u);
-#endif
 
     const auto full = full_window_calibration(tank_options());
     ASSERT_GT(std::fabs(full.k_src), 1e6); // the varactors pull the tank
@@ -209,14 +207,12 @@ TEST_F(ImpactAnalyzerTest, UncertifiedPairFallsBackToFullWindowBitwise) {
     // Each certificate failed on the quarter window and again on the full
     // window, whose result was kept.
     EXPECT_EQ(fault::trips("core.calibrate.uncertified"), 4);
-#if SNIM_OBS_ENABLED
     EXPECT_EQ(obs::counter_value("core/calibration_pairs"), 2u);
     EXPECT_EQ(obs::counter_value("core/calibration_fallbacks"), 2u);
     bool breached = false;
     for (const auto& e : obs::budget_snapshot())
         if (e.stage == "core/calibration") breached = e.breaches == 2;
     EXPECT_TRUE(breached);
-#endif
 
     fault::clear();
     const auto full = full_window_calibration(tank_options());

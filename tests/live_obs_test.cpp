@@ -38,8 +38,6 @@
 
 using namespace snim;
 
-#if SNIM_OBS_ENABLED
-
 namespace {
 
 class LiveObsTest : public ::testing::Test {
@@ -480,24 +478,3 @@ TEST_F(LiveObsTest, LastGaspInstallUninstallRoundTrip) {
     EXPECT_EQ(e.at("last_gasp").at("reason").as_string(), "test_reason");
     std::remove(path.c_str());
 }
-
-#else // SNIM_OBS_ENABLED
-
-// With the obs layer compiled out every live-telemetry API is an inline
-// no-op; assert the contract the no-obs CI job relies on.
-TEST(LiveObsDisabled, AllApisAreInertNoOps) {
-    obs::event(obs::EventLevel::Info, "test", "noop");
-    EXPECT_EQ(obs::event_count(), 0u);
-    EXPECT_TRUE(obs::event_tail().empty());
-    obs::ProgressScope scope("test", 10);
-    scope.advance();
-    EXPECT_FALSE(obs::progress_active());
-    EXPECT_EQ(obs::heartbeat_count(), 0u);
-    obs::start_profiler({});
-    EXPECT_FALSE(obs::profiler_running());
-    obs::start_watchdog({});
-    EXPECT_FALSE(obs::watchdog_running());
-    EXPECT_FALSE(obs::last_gasp_installed());
-}
-
-#endif // SNIM_OBS_ENABLED

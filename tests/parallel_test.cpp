@@ -50,18 +50,14 @@ protected:
     void SetUp() override {
         fault::clear();
         util::set_default_thread_count(1);
-#if SNIM_OBS_ENABLED
         obs::reset();
         obs::set_enabled(false);
-#endif
     }
     void TearDown() override {
         fault::clear();
         util::set_default_thread_count(1);
-#if SNIM_OBS_ENABLED
         obs::reset();
         obs::set_enabled(false);
-#endif
     }
 };
 
@@ -220,7 +216,6 @@ TEST_F(ParallelTest, ReusableLuRecoversFromZeroPivotRefactor) {
     EXPECT_NEAR(x[1], 0.25, 1e-12);
 }
 
-#if SNIM_OBS_ENABLED
 TEST_F(ParallelTest, ReusableLuCountsReuseAndGuardFallbacks) {
     obs::set_enabled(true);
     const size_t n = 40;
@@ -254,7 +249,6 @@ TEST_F(ParallelTest, ReusableLuCountsReuseAndGuardFallbacks) {
     rlu.factor(test_matrix(n + 1, 0.0));
     EXPECT_EQ(obs::counter_value("numeric/lu_refactor"), 3u);
 }
-#endif // SNIM_OBS_ENABLED
 
 // --- compiled stamp assembly ----------------------------------------------
 
@@ -294,9 +288,7 @@ TEST_F(ParallelTest, CompiledStamperMatchesTripletAssemblyBitwise) {
 }
 
 TEST_F(ParallelTest, CompiledStamperDemotesOnSequenceChangeAndRelearns) {
-#if SNIM_OBS_ENABLED
     obs::set_enabled(true);
-#endif
     circuit::RealStamper s(3);
     s.enable_compiled_assembly();
     s.admittance(0, 1, 1.0);
@@ -309,9 +301,7 @@ TEST_F(ParallelTest, CompiledStamperDemotesOnSequenceChangeAndRelearns) {
     const auto& a = s.csc(); // demoted, rebuilt from triplets, relearned
     EXPECT_EQ(a.to_dense()(2, 2), 5.0);
     EXPECT_EQ(a.to_dense()(0, 0), 2.0);
-#if SNIM_OBS_ENABLED
     EXPECT_EQ(obs::counter_value("circuit/stamp_map_fallbacks"), 1u);
-#endif
 
     // The relearned map compiles the NEW sequence.
     s.clear();
@@ -325,7 +315,6 @@ TEST_F(ParallelTest, CompiledStamperDemotesOnSequenceChangeAndRelearns) {
 
 // --- transient engine -----------------------------------------------------
 
-#if SNIM_FAULTS_ENABLED
 TEST_F(ParallelTest, TransientReuseMatchesForcedFreshFactorizationBitwise) {
     sim::TranOptions opt;
     opt.dt = 1e-9;
@@ -355,17 +344,13 @@ TEST_F(ParallelTest, ForcedRepivotFallsBackWithoutChangingTheWaveform) {
     auto nl1 = sine_rc_netlist();
     const auto clean = sim::transient(nl1, {"out"}, opt);
 
-#if SNIM_OBS_ENABLED
     obs::set_enabled(true);
-#endif
     fault::arm({"numeric.lu.repivot", 5, 3}); // force 3 full re-pivots
     auto nl2 = sine_rc_netlist();
     const auto faulted = sim::transient(nl2, {"out"}, opt);
     EXPECT_EQ(fault::trips("numeric.lu.repivot"), 3);
-#if SNIM_OBS_ENABLED
     EXPECT_EQ(obs::counter_value("numeric/lu_repivot_fallbacks"), 3u);
     EXPECT_GT(obs::counter_value("numeric/lu_symbolic_reuse"), 0u);
-#endif
 
     // A forced full factorization picks the same pivots the reference run's
     // refactor reproduces, so the waveform must not move by a single bit.
@@ -373,9 +358,7 @@ TEST_F(ParallelTest, ForcedRepivotFallsBackWithoutChangingTheWaveform) {
     for (size_t k = 0; k < clean.wave("out").size(); ++k)
         EXPECT_EQ(clean.wave("out")[k], faulted.wave("out")[k]) << "sample " << k;
 }
-#endif // SNIM_FAULTS_ENABLED
 
-#if SNIM_OBS_ENABLED
 TEST_F(ParallelTest, IncrementalTransientIsThreadCountInvariant) {
     // The transient engine (assembler cache, partial refactors, predictor)
     // is serial per run, but it must neither read nor leak any thread-pool
@@ -413,7 +396,6 @@ TEST_F(ParallelTest, IncrementalTransientIsThreadCountInvariant) {
         EXPECT_EQ(ref_hits, hits);
     }
 }
-#endif
 
 // --- AC sweep determinism -------------------------------------------------
 
@@ -431,20 +413,16 @@ AcRun run_ac(int threads) {
     const auto freqs = linspace(1e6, 1e9, 64);
     sim::AcOptions opt;
     opt.threads = threads;
-#if SNIM_OBS_ENABLED
     obs::reset();
     obs::set_enabled(true);
-#endif
     AcRun out;
     out.res = sim::ac_sweep(nl, freqs, xop, opt);
-#if SNIM_OBS_ENABLED
     if (auto ts = obs::ts_get("sim/ac/lu_min_pivot")) out.ts_min_pivot = ts->value;
     if (auto ts = obs::ts_get("sim/ac/lu_fill_growth")) out.ts_fill = ts->value;
     out.reuse = obs::counter_value("numeric/lu_symbolic_reuse");
     out.refactor = obs::counter_value("numeric/lu_refactor");
     out.fallbacks = obs::counter_value("numeric/lu_repivot_fallbacks");
     obs::set_enabled(false);
-#endif
     return out;
 }
 
@@ -468,10 +446,8 @@ TEST_F(ParallelTest, AcSweepIsBitIdenticalAcrossThreadCounts) {
     const auto par3 = run_ac(3); // uneven chunking
     expect_ac_bitwise_equal(serial, par4);
     expect_ac_bitwise_equal(serial, par3);
-#if SNIM_OBS_ENABLED
     EXPECT_EQ(serial.refactor, 63u); // every point past the reference
     EXPECT_EQ(serial.reuse + serial.fallbacks, serial.refactor);
-#endif
 }
 
 TEST_F(ParallelTest, AcSweepReuseMatchesFreshPerPoint) {
@@ -498,7 +474,6 @@ TEST_F(ParallelTest, AcSweepReuseMatchesFreshPerPoint) {
 
 // --- obs parallel merge ---------------------------------------------------
 
-#if SNIM_OBS_ENABLED
 TEST_F(ParallelTest, ParallelTasksMergesMetricsInIndexOrder) {
     // 16 tasks x 600 samples overflow the 4,096-sample reservoir, so the
     // quantiles depend on the order samples reach the histogram.
@@ -593,7 +568,6 @@ TEST_F(ParallelTest, OpResidualChannelIsThreadCountInvariant) {
         EXPECT_EQ(ts->value.size(), ref_values.size());
     }
 }
-#endif // SNIM_OBS_ENABLED
 
 // --- FFT twiddle cache ----------------------------------------------------
 

@@ -35,17 +35,13 @@ class ProvenanceTest : public ::testing::Test {
 protected:
     void SetUp() override {
         obs::clear_current_manifest();
-#if SNIM_OBS_ENABLED
         obs::reset();
         obs::set_enabled(false);
-#endif
     }
     void TearDown() override {
         obs::clear_current_manifest();
-#if SNIM_OBS_ENABLED
         obs::reset();
         obs::set_enabled(false);
-#endif
     }
 };
 
@@ -262,7 +258,6 @@ TEST_F(ProvenanceTest, JsonWritersEscapeControlCharsAndNonFiniteDoubles) {
 // --- resource sampling and per-phase RSS ----------------------------------
 
 TEST_F(ProvenanceTest, ResourceSamplingIsMonotoneAndPhaseRssIsAttributed) {
-#if SNIM_OBS_ENABLED
     const obs::ResourceSample s0 = obs::sample_resources();
     EXPECT_GT(s0.rss_bytes, 0u);
     EXPECT_GE(s0.peak_rss_bytes, s0.rss_bytes / 2); // HWM can lag slightly
@@ -287,12 +282,6 @@ TEST_F(ProvenanceTest, ResourceSamplingIsMonotoneAndPhaseRssIsAttributed) {
         EXPECT_GT(stats.rss_peak_bytes, 0u);
     }
     EXPECT_TRUE(found);
-#else
-    // Gated build: sampling collapses to zeros and tracking to a no-op.
-    EXPECT_EQ(obs::sample_resources().rss_bytes, 0u);
-    EXPECT_EQ(obs::peak_rss_bytes(), 0u);
-    obs::ScopedTimer t("prov/alloc", obs::Timing::WhenEnabled, obs::Rss::Track);
-#endif
 }
 
 // --- run ledger -----------------------------------------------------------

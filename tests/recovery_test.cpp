@@ -37,17 +37,13 @@ class RecoveryTest : public ::testing::Test {
 protected:
     void SetUp() override {
         fault::clear();
-#if SNIM_OBS_ENABLED
         obs::reset();
         obs::set_enabled(false);
-#endif
     }
     void TearDown() override {
         fault::clear();
-#if SNIM_OBS_ENABLED
         obs::reset();
         obs::set_enabled(false);
-#endif
         sim::set_default_diag_dir("");
     }
 };
@@ -123,8 +119,6 @@ double wave_delta_db(const std::vector<double>& a, const std::vector<double>& b)
 }
 
 // --- fault framework ------------------------------------------------------
-
-#if SNIM_FAULTS_ENABLED
 
 TEST_F(RecoveryTest, ParseSpecAcceptsAllForms) {
     auto s = fault::parse_spec("tran.step.fail");
@@ -296,7 +290,6 @@ TEST_F(RecoveryTest, ExhaustedRetryBudgetWritesRetryHistoryBundle) {
     EXPECT_LT(tel.back().at("dt").as_number(), sine_options().dt);
 }
 
-#if SNIM_OBS_ENABLED
 TEST_F(RecoveryTest, RetryCountersAndDtChannelLandInRegistry) {
     obs::set_enabled(true);
     fault::arm(fault::parse_spec("tran.step.fail@25x2"));
@@ -321,7 +314,6 @@ TEST_F(RecoveryTest, RetryCountersAndDtChannelLandInRegistry) {
     expect.insert(expect.end(), 23, opt.dt);
     EXPECT_EQ(dt_ts->value, expect);
 }
-#endif // SNIM_OBS_ENABLED
 
 TEST_F(RecoveryTest, HardEdgeIsRescuedByMicroStepping) {
     // No nominal step can take this 100 V edge (the clamp allows 30 V per
@@ -428,7 +420,6 @@ TEST_F(RecoveryTest, VetoedRungsAreNamedInTheBundle) {
     EXPECT_EQ(rungs.at("ptran").as_string(), "fault_injected");
 }
 
-#if SNIM_OBS_ENABLED
 TEST_F(RecoveryTest, RungCountersTrackAttemptsAndWins) {
     obs::set_enabled(true);
     fault::arm(fault::parse_spec("op.rung.newton"));
@@ -439,7 +430,6 @@ TEST_F(RecoveryTest, RungCountersTrackAttemptsAndWins) {
     EXPECT_EQ(obs::counter_value("sim/op/rung/newton/attempts"), 0u);
     EXPECT_GT(obs::counter_value("sim/op/gmin_steps"), 0u);
 }
-#endif // SNIM_OBS_ENABLED
 
 // --- MOR / extractor graceful degradation ---------------------------------
 
@@ -509,8 +499,6 @@ TEST_F(RecoveryTest, ExtractorFallsBackToUnreducedMeshOnCgFailure) {
             EXPECT_NEAR(g_full[i][j], g_red[i][j],
                         1e-12 + 1e-5 * std::fabs(g_red[i][j]));
 }
-
-#endif // SNIM_FAULTS_ENABLED
 
 // --- option validation ----------------------------------------------------
 
@@ -596,12 +584,10 @@ TEST_F(RecoveryTest, GuardCornerConvertsErrorsToNotes) {
     ASSERT_EQ(ctx.notes.size(), 1u);
     EXPECT_NE(ctx.notes[0].find("corner 'bad' skipped"), std::string::npos);
     EXPECT_NE(ctx.notes[0].find("solver exploded"), std::string::npos);
-#if SNIM_OBS_ENABLED
     obs::set_enabled(true);
     obs::ScenarioContext ctx2;
     ctx2.guard_corner("counted", [] { raise("nope"); });
     EXPECT_EQ(obs::counter_value("bench/skipped_corners"), 1u);
-#endif
 }
 
 TEST_F(RecoveryTest, ValidateFlowOptionsIsCoveredByImpactFlow) {

@@ -410,9 +410,6 @@ TEST(ReduceBySolveTest, FigureMeshReductionsMatchFrozenDigest) {
 }
 
 TEST(ReduceBySolveTest, RelaxedPreconditionerBoundsIterationsOnLayeredMesh) {
-#if !SNIM_OBS_ENABLED
-    GTEST_SKIP() << "reads the mor/cg_iters histogram of the obs registry";
-#else
     // A 24 x 24 x 8 box mesh shaped like the figure substrates: 2 um
     // lateral cells, slabs 0.5 um thick at the surface and growing x1.8
     // with depth, a conductive surface layer over a resistive bulk, a
@@ -467,7 +464,6 @@ TEST(ReduceBySolveTest, RelaxedPreconditionerBoundsIterationsOnLayeredMesh) {
     // The original-space residual is evaluated only near convergence.
     EXPECT_GT(checks, 0u);
     EXPECT_LE(static_cast<double>(checks), 0.35 * static_cast<double>(sweeps));
-#endif
 }
 
 TEST(ReduceBySolveTest, NonFiniteElementIsRejected) {

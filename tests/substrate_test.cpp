@@ -25,7 +25,9 @@ TEST(MeshTest, GradedEdgesCoverInterval) {
     for (size_t i = 1; i < e.size(); ++i) EXPECT_GT(e[i], e[i - 1]);
     // Fine region is meshed at the fine pitch.
     for (size_t i = 1; i < e.size(); ++i) {
-        if (e[i - 1] >= 40.0 && e[i] <= 60.0) EXPECT_LE(e[i] - e[i - 1], 5.0 + 1e-9);
+        if (e[i - 1] >= 40.0 && e[i] <= 60.0) {
+            EXPECT_LE(e[i] - e[i - 1], 5.0 + 1e-9);
+        }
     }
 }
 

@@ -31,12 +31,18 @@ TEST(DopingTest, RejectsBadLayers) {
 
 TEST(TechnologyTest, LayerLookup) {
     Technology t("test", DopingProfile::high_ohmic());
-    t.add_layer({.name = "metal1", .kind = LayerKind::Routing, .sheet_res = 0.08});
+    Layer metal1;
+    metal1.name = "metal1";
+    metal1.kind = LayerKind::Routing;
+    metal1.sheet_res = 0.08;
+    t.add_layer(metal1);
     EXPECT_TRUE(t.has_layer("metal1"));
     EXPECT_FALSE(t.has_layer("metal9"));
     EXPECT_DOUBLE_EQ(t.layer("metal1").sheet_res, 0.08);
     EXPECT_THROW(t.layer("metal9"), Error);
-    EXPECT_THROW(t.add_layer({.name = "metal1"}), Error);
+    Layer duplicate;
+    duplicate.name = "metal1";
+    EXPECT_THROW(t.add_layer(duplicate), Error);
 }
 
 TEST(Generic180Test, HasFullStack) {
