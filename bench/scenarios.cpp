@@ -402,13 +402,12 @@ void run_assemble_kernel(obs::ScenarioContext&) {
     }
     nl.finalize();
     const size_t n = nl.unknown_count();
-    const double gmin = 1e-12;
 
     circuit::RealStamper full(n);
     circuit::RealStamper inc(n);
     full.enable_compiled_assembly();
     inc.enable_compiled_assembly();
-    sim::TranAssembler asmb(nl, inc, gmin);
+    sim::TranAssembler asmb(nl, inc);
 
     circuit::TranParams tp;
     tp.dt = 10e-12;
@@ -432,7 +431,7 @@ void run_assemble_kernel(obs::ScenarioContext&) {
             {
                 obs::ScopedTimer t2(kAssembleFullPhase);
                 full.clear();
-                sim::assemble_tran(nl, full, x, tp, gmin);
+                sim::assemble_tran(nl, full, x, tp);
             }
             if (std::memcmp(inc.csc().values().data(), full.csc().values().data(),
                             inc.csc().values().size() * sizeof(double)) != 0 ||

@@ -87,7 +87,7 @@ void walk_through(obs::ScenarioContext& ctx) {
     // path: tap resistance x substrate current) next to the tank output.
     printf("\n== ground-bounce waveform (VCD export) ==\n");
     model.netlist.find_as<circuit::VSource>(testcases::VcoTestcase::kNoiseSource)
-        ->set_waveform(circuit::Waveform::sin(0.0, aopt.noise_amplitude, fn));
+        ->set_waveform(circuit::Waveform::sin(0.0, core::kNoiseAmplitude, fn));
     sim::TranOptions topt;
     topt.dt = aopt.osc.dt;
     topt.tstop = 20e-9;

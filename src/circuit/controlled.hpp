@@ -12,7 +12,6 @@ public:
     Vccs(std::string name, NodeId out_p, NodeId out_n, NodeId cp, NodeId cn, double gm);
 
     double gm() const { return gm_; }
-    void set_gm(double gm) { gm_ = gm; }
 
     void stamp_dc(RealStamper& s, const std::vector<double>& x) const override;
     void stamp_ac(ComplexStamper& s, const std::vector<double>& xop,

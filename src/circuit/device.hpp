@@ -126,10 +126,6 @@ public:
     /// models or iterate-dependent stamps must override.
     virtual Partition partition() const { return Partition::LinearStatic; }
 
-    /// Derived from partition() — the single source of truth — so the two
-    /// can never disagree.
-    bool is_nonlinear() const { return partition() == Partition::Nonlinear; }
-
     /// SPICE-style card describing this device (used by the netlist writer).
     virtual std::string card(const NodeNamer& nn) const = 0;
 

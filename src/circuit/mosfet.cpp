@@ -343,11 +343,6 @@ double Mosfet::cdb_zero_bias() const {
                          model_.cj * geom_.ad * geom_.m + model_.cjsw * geom_.pd * geom_.m);
 }
 
-double Mosfet::csb_zero_bias() const {
-    return junction_cap0(0.0,
-                         model_.cj * geom_.as * geom_.m + model_.cjsw * geom_.ps * geom_.m);
-}
-
 std::string Mosfet::card(const NodeNamer& nn) const {
     return format("%s %s %s %s %s %s w=%gu l=%gu m=%d", spice_head('M', name()).c_str(),
                   nn(term(kD)).c_str(), nn(term(kG)).c_str(), nn(term(kS)).c_str(),

@@ -58,10 +58,9 @@ public:
     Partition partition() const override { return Partition::Nonlinear; }
     std::string card(const NodeNamer& nn) const override;
 
-    /// Zero-bias junction capacitances (for reporting; the paper quotes
-    /// Cdbj = 120 fF and Csbj = 200 fF for its four-transistor structure).
+    /// Zero-bias drain junction capacitance (for reporting; the paper
+    /// quotes Cdbj = 120 fF for its four-transistor structure).
     double cdb_zero_bias() const;
-    double csb_zero_bias() const;
 
 private:
     /// Charge-based capacitor state for transient integration.  Gate caps

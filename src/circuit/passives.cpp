@@ -48,11 +48,6 @@ Capacitor::Capacitor(std::string name, NodeId a, NodeId b, double capacitance)
                 this->name().c_str(), c_);
 }
 
-void Capacitor::set_capacitance(double c) {
-    SNIM_ASSERT(c > 0, "capacitor '%s': non-positive capacitance %g", name().c_str(), c);
-    c_ = c;
-}
-
 void Capacitor::stamp_dc(RealStamper&, const std::vector<double>&) const {
     // Open circuit at DC.
 }

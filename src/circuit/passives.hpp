@@ -30,7 +30,6 @@ public:
     Capacitor(std::string name, NodeId a, NodeId b, double capacitance);
 
     double capacitance() const { return c_; }
-    void set_capacitance(double c);
 
     // Integration state, read by the incremental assembler's compiled
     // refresh plan (which recomputes the companion stamp values without

@@ -1,9 +1,5 @@
 #include "circuit/spice_writer.hpp"
 
-#include <cstdio>
-
-#include "util/error.hpp"
-
 namespace snim::circuit {
 
 std::string write_spice(const Netlist& netlist, const std::string& title) {
@@ -16,16 +12,6 @@ std::string write_spice(const Netlist& netlist, const std::string& title) {
     }
     out += ".end\n";
     return out;
-}
-
-void save_spice(const Netlist& netlist, const std::string& path,
-                const std::string& title) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) raise("cannot open '%s' for writing", path.c_str());
-    const std::string s = write_spice(netlist, title);
-    const size_t n = std::fwrite(s.data(), 1, s.size(), f);
-    std::fclose(f);
-    if (n != s.size()) raise("short write to '%s'", path.c_str());
 }
 
 } // namespace snim::circuit

@@ -10,8 +10,4 @@ namespace snim::circuit {
 
 std::string write_spice(const Netlist& netlist, const std::string& title = "");
 
-/// Writes to a file; throws snim::Error on I/O failure.
-void save_spice(const Netlist& netlist, const std::string& path,
-                const std::string& title = "");
-
 } // namespace snim::circuit

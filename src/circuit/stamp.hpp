@@ -74,9 +74,6 @@ public:
     /// transient assembler can rebuild RHS baselines call-by-call.  Must be
     /// enabled before the first assembly, like compiled mode.
     void enable_rhs_tape() { rhs_tape_ = true; }
-    /// False once a pass's RHS call sequence deviated from the learned one
-    /// (the recorded values are then stale); reset by the next relearn.
-    bool rhs_tape_ok() const { return rhs_tape_ok_; }
 
     /// Raw matrix entry A(row, col) += v; ground rows/cols dropped.
     void entry(NodeId row, NodeId col, T v) {
@@ -144,8 +141,6 @@ public:
                     rhs_nodes_seq_[rhs_cursor_] == n) {
                     rhs_vals_seq_[rhs_cursor_] = i;
                     ++rhs_cursor_;
-                } else {
-                    rhs_tape_ok_ = false; // relearned on the next demote/reset
                 }
             } else {
                 rhs_nodes_seq_.push_back(n);
@@ -168,14 +163,7 @@ public:
     /// map; later passes return the image entry() already filled in place.
     const SparseCSC<T>& csc() {
         if (mapped_) {
-            if (cursor_ == rows_seq_.size()) {
-                // A pass that made fewer RHS calls than the learned sequence
-                // leaves stale values in the tape tail; flag it for the
-                // incremental assembler (plain consumers read b_ directly).
-                if (rhs_tape_ && rhs_cursor_ != rhs_nodes_seq_.size())
-                    rhs_tape_ok_ = false;
-                return csc_;
-            }
+            if (cursor_ == rows_seq_.size()) return csc_;
             demote(); // pass ended short of the learned sequence
         }
         csc_ = SparseCSC<T>(a_);
@@ -236,7 +224,6 @@ public:
         rhs_nodes_seq_.clear();
         rhs_vals_seq_.clear();
         rhs_cursor_ = 0;
-        rhs_tape_ok_ = true;
         a_.clear();
         std::fill(b_.begin(), b_.end(), T{});
     }
@@ -244,7 +231,6 @@ public:
     // Tape/scatter introspection for the incremental assembler.  All views
     // are only meaningful in compiled mode with a learned map.
     const std::vector<int>& tape_rows() const { return rows_seq_; }
-    const std::vector<int>& tape_cols() const { return cols_seq_; }
     const std::vector<T>& tape_values() const { return seq_vals_; }
     /// Stamp call -> CSC value slot.
     const std::vector<int>& tape_slots() const { return map_; }
@@ -322,7 +308,6 @@ private:
         mapped_ = true;
         cursor_ = nz; // the learning pass itself is complete and consistent
         rhs_cursor_ = rhs_nodes_seq_.size();
-        rhs_tape_ok_ = true;
     }
 
     Triplets<T> a_;
@@ -340,7 +325,6 @@ private:
     std::vector<char> first_;    // first stamp landing in its slot -> assign
 
     bool rhs_tape_ = false;          // record the RHS call sequence
-    bool rhs_tape_ok_ = true;        // tape matches the last full pass
     bool overlay_ = false;           // partial re-stamp against the tape
     bool overlay_failed_ = false;    // overlay deviated; image is suspect
     size_t rhs_cursor_ = 0;          // position in the learned RHS sequence

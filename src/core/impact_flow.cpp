@@ -16,6 +16,10 @@ namespace snim::core {
 
 namespace {
 
+/// Lateral grid of substrate surface-potential patches used as the
+/// coupling targets of wire capacitances (per axis).
+constexpr int kSurfacePatches = 3;
+
 // Telemetry handles (obs/registry.hpp), interned once per process.
 const obs::Phase kBuildPhase("flow/build_impact_model");
 const obs::Phase kStitchPhase("flow/stitch");
@@ -33,9 +37,6 @@ const interconnect::NetStats* ImpactModel::wire_stats_for(const std::string& net
 }
 
 void validate_flow_options(const FlowOptions& opt) {
-    if (opt.surface_patches < 1)
-        raise("FlowOptions.surface_patches must be >= 1 (got %d)",
-              opt.surface_patches);
     const auto& m = opt.substrate.mesh;
     if (!(std::isfinite(m.fine_pitch) && m.fine_pitch > 0.0))
         raise("FlowOptions.substrate.mesh.fine_pitch must be finite and > 0 (got %g)",
@@ -46,9 +47,6 @@ void validate_flow_options(const FlowOptions& opt) {
     if (!(m.max_pitch >= m.fine_pitch))
         raise("FlowOptions.substrate.mesh.max_pitch (%g) must be >= fine_pitch (%g)",
               m.max_pitch, m.fine_pitch);
-    if (m.max_cells_per_axis < 1)
-        raise("FlowOptions.substrate.mesh.max_cells_per_axis must be >= 1 (got %d)",
-              m.max_cells_per_axis);
     const std::pair<const char*, double> focus[] = {
         {"x0", m.focus.x0}, {"y0", m.focus.y0}, {"x1", m.focus.x1}, {"y1", m.focus.y1}};
     for (const auto& [name, v] : focus)
@@ -63,15 +61,6 @@ void validate_flow_options(const FlowOptions& opt) {
         if (!(std::isfinite(m.z_steps[i]) && m.z_steps[i] > 0.0))
             raise("FlowOptions.substrate.mesh.z_steps[%zu] must be finite and > 0 "
                   "(got %g)", i, m.z_steps[i]);
-    if (!(opt.interconnect.touch_resistance > 0.0))
-        raise("FlowOptions.interconnect.touch_resistance must be > 0 (got %g)",
-              opt.interconnect.touch_resistance);
-    if (opt.interconnect.cap_floor < 0.0)
-        raise("FlowOptions.interconnect.cap_floor must be >= 0 (got %g)",
-              opt.interconnect.cap_floor);
-    if (!(opt.interconnect.cut_pitch > 0.0))
-        raise("FlowOptions.interconnect.cut_pitch must be > 0 (got %g)",
-              opt.interconnect.cut_pitch);
 }
 
 void digest_options(obs::ConfigDigest& d, const FlowOptions& opt) {
@@ -83,15 +72,9 @@ void digest_options(obs::ConfigDigest& d, const FlowOptions& opt) {
           std::vector<double>{m.focus.x0, m.focus.y0, m.focus.x1, m.focus.y1});
     d.add("flow.substrate.mesh.z_steps", m.z_steps);
     d.add("flow.substrate.mesh.margin", m.margin);
-    d.add("flow.substrate.mesh.max_cells_per_axis", m.max_cells_per_axis);
     d.add("flow.interconnect.extract_resistance", opt.interconnect.extract_resistance);
-    d.add("flow.interconnect.extract_capacitance", opt.interconnect.extract_capacitance);
-    d.add("flow.interconnect.touch_resistance", opt.interconnect.touch_resistance);
-    d.add("flow.interconnect.cap_floor", opt.interconnect.cap_floor);
-    d.add("flow.interconnect.cut_pitch", opt.interconnect.cut_pitch);
     d.add("flow.interconnect.substrate_node_set",
           static_cast<bool>(opt.interconnect.substrate_node));
-    d.add("flow.surface_patches", opt.surface_patches);
 }
 
 ImpactModel build_impact_model(FlowInputs inputs, const FlowOptions& opt) {
@@ -126,12 +109,11 @@ ImpactModel build_impact_model(FlowInputs inputs, const FlowOptions& opt) {
     }
 
     // Surface-potential patches: coupling targets for wire capacitance.
-    const int s = std::max(1, opt.surface_patches);
-    const double px = area.width() / s;
-    const double py = area.height() / s;
+    const double px = area.width() / kSurfacePatches;
+    const double py = area.height() / kSurfacePatches;
     std::vector<std::string> patch_names;
-    for (int iy = 0; iy < s; ++iy) {
-        for (int ix = 0; ix < s; ++ix) {
+    for (int iy = 0; iy < kSurfacePatches; ++iy) {
+        for (int ix = 0; ix < kSurfacePatches; ++ix) {
             substrate::PortSpec spec;
             spec.name = format("surf:%d_%d", ix, iy);
             spec.kind = substrate::PortKind::Probe;
@@ -168,14 +150,14 @@ ImpactModel build_impact_model(FlowInputs inputs, const FlowOptions& opt) {
     // --- interconnect extraction --------------------------------------------
     interconnect::ExtractOptions ic_opt = opt.interconnect;
     if (!ic_opt.substrate_node) {
-        ic_opt.substrate_node = [area, s, px, py, patch_names](const geom::Rect& foot,
-                                                               const std::string&) {
+        ic_opt.substrate_node = [area, px, py, patch_names](const geom::Rect& foot,
+                                                            const std::string&) {
             const auto c = foot.center();
             int ix = static_cast<int>((c.x - area.x0) / px);
             int iy = static_cast<int>((c.y - area.y0) / py);
-            ix = std::clamp(ix, 0, s - 1);
-            iy = std::clamp(iy, 0, s - 1);
-            return patch_names[static_cast<size_t>(iy * s + ix)];
+            ix = std::clamp(ix, 0, kSurfacePatches - 1);
+            iy = std::clamp(iy, 0, kSurfacePatches - 1);
+            return patch_names[static_cast<size_t>(iy * kSurfacePatches + ix)];
         };
     }
     auto ic = interconnect::extract_interconnect(shapes, nets, tech, inputs.pins, ic_opt);

@@ -19,16 +19,16 @@
 
 namespace snim::core {
 
+/// Wire capacitances couple to a 3 x 3 grid of substrate surface-potential
+/// patches (a constant in impact_flow.cpp) unless the interconnect options
+/// name their own substrate_node callback.
 struct FlowOptions {
     substrate::ExtractOptions substrate;
     interconnect::ExtractOptions interconnect;
-    /// Lateral grid of substrate surface-potential patches used as the
-    /// coupling targets of wire capacitances (per axis).
-    int surface_patches = 3;
 };
 
 /// Validates every FlowOptions field, raising an error that names the
-/// offending field (surface_patches >= 1, mesh pitches positive, ...).
+/// offending field (mesh pitches positive, focus finite, ...).
 /// build_impact_model() calls this before any extraction work starts.
 void validate_flow_options(const FlowOptions& opt);
 

@@ -27,6 +27,13 @@ namespace {
 /// the carrier amplitude within 0.1%.
 constexpr double kPairTol = 0.01;
 constexpr double kAmplitudeTol = 1e-3;
+/// Capture length of simulate(), in noise periods.
+constexpr double kCapturePeriods = 3.0;
+/// A path whose |K_res| is below this fraction of the total K_src is
+/// considered capacitive and quantified by lever * |H_rel(f)|.
+constexpr double kResistiveThreshold = 0.03;
+/// DC perturbation applied to lever sources [V].
+constexpr double kLeverDv = 0.02;
 
 // Telemetry handles (obs/registry.hpp), interned once per process.
 const obs::Counter kCalibrationPairs("core/calibration_pairs");
@@ -35,10 +42,6 @@ const obs::Counter kCalibrationFallbacks("core/calibration_fallbacks");
 /// Rejects analyzer options no capture could run with, naming the field.
 void validate_analyzer_options(const AnalyzerOptions& opt) {
     const std::pair<const char*, double> positive[] = {
-        {"dv_dc", opt.dv_dc},
-        {"lever_dv", opt.lever_dv},
-        {"noise_amplitude", opt.noise_amplitude},
-        {"capture_periods", opt.capture_periods},
         {"osc.dt", opt.osc.dt},
         {"osc.capture", opt.osc.capture}};
     for (const auto& [name, v] : positive)
@@ -47,11 +50,6 @@ void validate_analyzer_options(const AnalyzerOptions& opt) {
     if (!(std::isfinite(opt.osc.settle) && opt.osc.settle >= 0.0))
         raise("AnalyzerOptions.osc.settle must be finite and >= 0 (got %g)",
               opt.osc.settle);
-    if (!(std::isfinite(opt.resistive_threshold) && opt.resistive_threshold >= 0.0 &&
-          opt.resistive_threshold <= 1.0))
-        raise("AnalyzerOptions.resistive_threshold must be finite and in [0, 1] "
-              "(got %g)",
-              opt.resistive_threshold);
     if (!(opt.osc.f_min > 0.0))
         raise("AnalyzerOptions.osc.f_min must be > 0 (got %g)", opt.osc.f_min);
     if (!(opt.osc.f_min < opt.osc.f_max))
@@ -291,10 +289,10 @@ std::pair<double, double> ImpactAnalyzer::dc_path_sensitivity(const std::string&
                                                               double k_floor) {
     auto* noise = model_.netlist.find_as<circuit::VSource>(source_);
     const auto [plus, minus] =
-        sensitivity_pair(tag, what, *noise, 0.0, opt_.dv_dc, k_floor);
-    const double k = (plus.fc - minus.fc) / (2.0 * opt_.dv_dc);
+        sensitivity_pair(tag, what, *noise, 0.0, kCalibrationDv, k_floor);
+    const double k = (plus.fc - minus.fc) / (2.0 * kCalibrationDv);
     const double g =
-        (plus.amplitude - minus.amplitude) / (2.0 * opt_.dv_dc * baseline_.amplitude);
+        (plus.amplitude - minus.amplitude) / (2.0 * kCalibrationDv * baseline_.amplitude);
     return {k, g};
 }
 
@@ -314,9 +312,7 @@ void ImpactAnalyzer::calibrate() {
     g_src_ = g;
     log_info("impact: K_src = %.5g Hz/V, G_src = %.4g 1/V", k_src_, g_src_);
 
-    sim::OpOptions oo;
-    oo.gmin = opt_.osc.gmin;
-    xop_ = sim::operating_point(model_.netlist, oo);
+    xop_ = sim::operating_point(model_.netlist);
     calibrated_ = true;
 }
 
@@ -384,7 +380,7 @@ void ImpactAnalyzer::calibrate_paths() {
     const double kref = std::fabs(k_src_);
     std::unordered_map<std::string, double> lever_cache;
     for (size_t i = 0; i < paths.size(); ++i) {
-        if (std::fabs(paths[i].k_res) >= opt_.resistive_threshold * kref) continue;
+        if (std::fabs(paths[i].k_res) >= kResistiveThreshold * kref) continue;
         paths[i].capacitive = true;
         const std::string& src = entries_[i].lever_source;
         if (src.empty()) continue;
@@ -394,8 +390,8 @@ void ImpactAnalyzer::calibrate_paths() {
             SNIM_ASSERT(v != nullptr, "lever source '%s' is not a V source", src.c_str());
             const auto [plus, minus] = sensitivity_pair(
                 format("lever%zu", i), format("lever '%s'", src.c_str()), *v,
-                v->waveform().dc_value(), opt_.lever_dv, 0.0);
-            const double lever = (plus.fc - minus.fc) / (2.0 * opt_.lever_dv);
+                v->waveform().dc_value(), kLeverDv, 0.0);
+            const double lever = (plus.fc - minus.fc) / (2.0 * kLeverDv);
             it = lever_cache.emplace(src, lever).first;
             log_info("impact: lever(%s) = %.5g Hz/V", src.c_str(), lever);
         }
@@ -447,7 +443,7 @@ ImpactPrediction ImpactAnalyzer::predict(double fnoise) {
     out.fnoise = fnoise;
     out.fc = baseline_.fc;
     out.carrier_amp = baseline_.amplitude;
-    const double a = opt_.noise_amplitude;
+    const double a = kNoiseAmplitude;
 
     // Resistive total: frequency-flat deviation -> beta ~ 1/fn.  The
     // capacitive paths sit tens of dB below the resistive mechanism in the
@@ -486,19 +482,10 @@ ImpactPrediction ImpactAnalyzer::predict(double fnoise) {
 rf::SpurResult ImpactAnalyzer::simulate(double fnoise) {
     SNIM_ASSERT(calibrated_, "call calibrate() first");
     SNIM_ASSERT(fnoise > 0, "noise frequency must be positive");
-    set_noise_sin(opt_.noise_amplitude, fnoise);
-    auto cap = capture_noisy(fnoise, opt_.capture_periods);
+    set_noise_sin(kNoiseAmplitude, fnoise);
+    auto cap = capture_noisy(fnoise, kCapturePeriods);
     set_noise_dc(0.0);
     return rf::measure_spur(cap, fnoise);
-}
-
-rf::SpurResult ImpactAnalyzer::simulate_spectral(double fnoise) {
-    SNIM_ASSERT(calibrated_, "call calibrate() first");
-    SNIM_ASSERT(fnoise > 0, "noise frequency must be positive");
-    set_noise_sin(opt_.noise_amplitude, fnoise);
-    auto cap = capture_noisy(fnoise, std::max(8.5, opt_.capture_periods));
-    set_noise_dc(0.0);
-    return rf::measure_spur_spectral(cap, fnoise);
 }
 
 } // namespace snim::core

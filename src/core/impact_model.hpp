@@ -16,9 +16,9 @@
 // demodulated sidebands at the reference frequency) is its contribution.
 //
 // Calibration window rule: every calibration capture (the baseline, the
-// +-dv_dc pair, the leave-one-out and lever pairs) first runs on a quarter
-// of opt.osc's settle and capture.  A split-window certificate -- the
-// carrier measured on each half of the recorded waves -- decides whether
+// +-kCalibrationDv pair, the leave-one-out and lever pairs) first runs on a
+// quarter of opt.osc's settle and capture.  A split-window certificate --
+// the carrier measured on each half of the recorded waves -- decides whether
 // that short result holds; if not, the measurement is re-run once on
 // opt.osc itself, whose values are then exactly the single-window ones.
 #pragma once
@@ -101,20 +101,15 @@ struct ImpactPrediction {
     double total_dbm(double rload = 50.0) const;
 };
 
+/// DC perturbation of the noise source for the path sensitivity [V]: the
+/// calibration pairs run at +-kCalibrationDv.
+inline constexpr double kCalibrationDv = 0.356;
+/// Amplitude of the noise source used by simulate(); predict() scales to
+/// the same drive [V]: -5 dBm available power from 50 ohm.
+inline constexpr double kNoiseAmplitude = 0.356;
+
 struct AnalyzerOptions {
     rf::OscOptions osc;
-    /// DC perturbation of the noise source for the path sensitivity [V].
-    double dv_dc = 0.356;
-    /// Amplitude of the noise source used by simulate(); predict() scales
-    /// to the same drive.
-    double noise_amplitude = 0.356; // -5 dBm available power from 50 ohm
-    /// Capture length for simulate(), in noise periods.
-    double capture_periods = 3.0;
-    /// A path whose |K_res| is below this fraction of the total K_src is
-    /// considered capacitive and quantified by lever * |H_rel(f)|.
-    double resistive_threshold = 0.03;
-    /// DC perturbation applied to lever sources [V].
-    double lever_dv = 0.02;
 };
 
 class ImpactAnalyzer {
@@ -144,9 +139,6 @@ public:
     /// Reference "measurement": transient with the noise source active,
     /// demodulated at fnoise.
     rf::SpurResult simulate(double fnoise);
-    /// Same transient read out spectrally (independent estimator; used as
-    /// the stand-in for the paper's spectrum-analyzer measurement).
-    rf::SpurResult simulate_spectral(double fnoise);
 
     /// AC transfer from the noise source to each entry variable (relative
     /// node combination) at `fnoise`, full coupled model.

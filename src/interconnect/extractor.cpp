@@ -22,6 +22,12 @@ const NetStats* InterconnectModel::stats_for(const std::string& net) const {
 
 namespace {
 
+/// Resistance of a merge/touch link between overlapping shapes, and of
+/// every wire under ideal interconnect (extract_resistance off) [ohm].
+constexpr double kTouchResistance = 1e-3;
+/// Wire-to-substrate capacitances below this are dropped [F].
+constexpr double kCapFloor = 0.005e-15;
+
 // Telemetry handles (obs/registry.hpp), interned once per process.
 const obs::Phase kExtractPhase("flow/interconnect_extract");
 const obs::Counter kDevices("interconnect/devices");
@@ -80,7 +86,7 @@ InterconnectModel extract_interconnect(const std::vector<layout::Shape>& shapes,
     // Tap clusters give each contact shape the substrate-port name shared
     // with the substrate extractor.
     std::unordered_map<size_t, std::string> tap_name_of_shape;
-    for (const auto& cluster : substrate::cluster_taps(shapes, nets, tech, opt.cut_pitch))
+    for (const auto& cluster : substrate::cluster_taps(shapes, nets, tech))
         for (size_t idx : cluster.shape_indices) tap_name_of_shape[idx] = cluster.name;
 
     auto add_event = [&](size_t shape, geom::Point at, Event e) {
@@ -212,7 +218,7 @@ InterconnectModel extract_interconnect(const std::vector<layout::Shape>& shapes,
         for (auto [a, b] : extra_links)
             nl.add<circuit::Resistor>(format("tie:%s#%zu", net_name.c_str(),
                                              nl.device_count()),
-                                      a, b, opt.touch_resistance);
+                                      a, b, kTouchResistance);
 
         // Record nodes for touch pairs and via links.
         for (size_t k = 0; k < attaches[i].size(); ++k) {
@@ -251,7 +257,7 @@ InterconnectModel extract_interconnect(const std::vector<layout::Shape>& shapes,
             const double squares = seg.length / seg.width;
             const double r = opt.extract_resistance
                                  ? std::max(layer->sheet_res * squares, 1e-6)
-                                 : opt.touch_resistance;
+                                 : kTouchResistance;
             nl.add<circuit::Resistor>(
                 format("%s#%zu", net_name.c_str(), nl.device_count()), a, b, r);
             st.resistance_squares += squares;
@@ -260,12 +266,12 @@ InterconnectModel extract_interconnect(const std::vector<layout::Shape>& shapes,
 
         // Capacitance to the substrate, distributed over segments (single
         // node shapes lump everything on that node).
-        if (opt.extract_capacitance && (layer->cap_area > 0 || layer->cap_fringe > 0)) {
+        if (layer->cap_area > 0 || layer->cap_fringe > 0) {
             auto emit_cap = [&](const geom::Rect& foot, circuit::NodeId node, double frac_of) {
                 const double c =
                     (layer->cap_area * foot.area() + layer->cap_fringe * foot.perimeter()) *
                     frac_of;
-                if (c < opt.cap_floor) return;
+                if (c < kCapFloor) return;
                 const std::string target =
                     opt.substrate_node ? opt.substrate_node(foot, net_name) : "0";
                 nl.add<circuit::Capacitor>(
@@ -291,16 +297,15 @@ InterconnectModel extract_interconnect(const std::vector<layout::Shape>& shapes,
         const auto& tp = touches[t];
         if (!tp.a_set || !tp.b_set || tp.node_a == tp.node_b) continue;
         nl.add<circuit::Resistor>(format("touch#%zu", t), tp.node_a, tp.node_b,
-                                  opt.touch_resistance);
+                                  kTouchResistance);
     }
     for (size_t v = 0; v < vias.size(); ++v) {
         const auto& link = vias[v];
         if (!link.bottom_set || !link.top_set || link.bottom == link.top) continue;
         const tech::Layer& layer = tech.layer(shapes[link.via_shape].layer);
-        const double cuts = std::max(
-            1.0, shapes[link.via_shape].rect.area() / (opt.cut_pitch * opt.cut_pitch));
+        const double cuts = substrate::contact_cuts(shapes[link.via_shape].rect);
         const double r = opt.extract_resistance ? std::max(layer.via_res / cuts, 1e-6)
-                                                : opt.touch_resistance;
+                                                : kTouchResistance;
         nl.add<circuit::Resistor>(format("via#%zu", v), link.bottom, link.top, r);
     }
 

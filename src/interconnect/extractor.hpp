@@ -28,14 +28,6 @@ struct ExtractOptions {
     /// Extract wire resistance (false models ideal interconnect -- the
     /// classical-flow ablation of the paper).
     bool extract_resistance = true;
-    /// Extract wire-to-substrate capacitance.
-    bool extract_capacitance = true;
-    /// Resistance of a merge/touch link between overlapping shapes [ohm].
-    double touch_resistance = 1e-3;
-    /// Capacitances below this are dropped [F].
-    double cap_floor = 0.005e-15;
-    /// Assumed via cut pitch for multi-cut via arrays [um].
-    double cut_pitch = 0.5;
     /// Maps a wire segment footprint + net name to the circuit node that
     /// represents the local substrate surface (capacitive coupling target).
     /// Null -> couple to ground (the classical simplification).

@@ -13,6 +13,10 @@ namespace snim {
 
 namespace {
 
+/// Threshold partial pivoting: the diagonal is kept as the pivot whenever
+/// its magnitude is within this fraction of the column's largest candidate.
+constexpr double kPivotTol = 0.1;
+
 // Telemetry handles (obs/registry.hpp), interned once per process.
 const obs::Phase kFactorPhase("numeric/lu_factor");
 const obs::Phase kRefactorPhase("numeric/lu_refactor");
@@ -128,10 +132,8 @@ std::vector<int> min_degree_order(size_t n, const std::vector<int>& cp,
 } // namespace
 
 template <class T>
-SparseLU<T>::SparseLU(const SparseCSC<T>& a, double pivot_tol,
-                      const std::vector<int>* last_cols)
+SparseLU<T>::SparseLU(const SparseCSC<T>& a, const std::vector<int>* last_cols)
     : n_(a.size()) {
-    SNIM_ASSERT(pivot_tol >= 0.0 && pivot_tol <= 1.0, "pivot_tol out of range");
     obs::ScopedTimer obs_timer(kFactorPhase);
     size_t pivot_swaps = 0;
     l_.resize(n_);
@@ -263,7 +265,7 @@ SparseLU<T>::SparseLU(const SparseCSC<T>& a, double pivot_tol,
         if (ipiv < 0 || best == 0.0)
             raise("sparse LU: matrix singular at column %d", perm_[kk]);
         // Prefer the diagonal when acceptable (only if row k is in the pattern).
-        if (pinv_[kk] < 0 && mark[kk] == k && mag(x[kk]) >= pivot_tol * best) ipiv = k;
+        if (pinv_[kk] < 0 && mark[kk] == k && mag(x[kk]) >= kPivotTol * best) ipiv = k;
 
         if (ipiv != k) ++pivot_swaps;
         const T pivot = x[static_cast<size_t>(ipiv)];
@@ -696,7 +698,7 @@ size_t SparseLU<T>::nnz() const {
 template <class T>
 void ReusableLU<T>::full_factor(const SparseCSC<T>& a, const std::vector<int>* last_cols) {
     lu_.reset(); // a throwing factorization must leave the cache empty, not stale
-    lu_ = std::make_unique<SparseLU<T>>(a, opt_.pivot_tol, last_cols);
+    lu_ = std::make_unique<SparseLU<T>>(a, last_cols);
     ref_min_pivot_ = lu_->factor_stats().min_pivot;
     pattern_cp_ = a.col_ptr();
     pattern_ri_ = a.row_idx();
@@ -734,7 +736,7 @@ void ReusableLU<T>::factor(const SparseCSC<T>& a, const RefactorHint& hint) {
     } else {
         ok = !forced && lu_->refactor(a);
     }
-    if (ok && lu_->factor_stats().min_pivot >= opt_.repivot_tol * ref_min_pivot_) {
+    if (ok && lu_->factor_stats().min_pivot >= kRepivotTol * ref_min_pivot_) {
         adopt_key();
         obs::count(kSymbolicReuse);
         return;

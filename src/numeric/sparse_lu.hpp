@@ -11,9 +11,10 @@
 // the pattern with lowest-index tie-breaking, so it is deterministic.
 //
 // Pivoting: for each column the candidate with the largest magnitude is
-// found; the diagonal entry is kept whenever it is within `pivot_tol` of the
-// maximum, which preserves sparsity on the diagonally dominant matrices that
-// dominate this workload while staying robust for MNA voltage-source rows.
+// found; the diagonal entry is kept whenever it is within a factor 0.1 of
+// the maximum, which preserves sparsity on the diagonally dominant matrices
+// that dominate this workload while staying robust for MNA voltage-source
+// rows.
 //
 // Factorizations on a fixed sparsity pattern can be refreshed in place with
 // `refactor(values)`: the symbolic pattern and pivot sequence from the last
@@ -54,10 +55,8 @@ public:
     /// closure of a trailing column is just itself, so the per-iteration
     /// refresh cost collapses.  Null keeps the pure min-degree order (and
     /// bit-identical results to builds that predate the parameter).
-    explicit SparseLU(const SparseCSC<T>& a, double pivot_tol = 0.1,
-                      const std::vector<int>* last_cols = nullptr);
-    explicit SparseLU(const Triplets<T>& t, double pivot_tol = 0.1)
-        : SparseLU(SparseCSC<T>(t), pivot_tol) {}
+    explicit SparseLU(const SparseCSC<T>& a, const std::vector<int>* last_cols = nullptr);
+    explicit SparseLU(const Triplets<T>& t) : SparseLU(SparseCSC<T>(t)) {}
 
     /// Re-runs the numeric factorization on `a` reusing this factorization's
     /// pattern and pivot sequence.  `a` must have exactly the sparsity
@@ -186,6 +185,12 @@ private:
     std::vector<int> block_uq_;         // per block column: first in-block U entry
 };
 
+/// Pivot-health guard of a reused pivot sequence: a refactorization whose
+/// smallest |pivot| falls below this fraction of the reference full
+/// factorization's is discarded for a fresh re-pivoting one (ReusableLU,
+/// and the AC sweep's shared symbolic analysis).
+inline constexpr double kRepivotTol = 1e-3;
+
 /// Owns a SparseLU and decides, per factor() call, between the cheap numeric
 /// refactor path and a full re-pivoting factorization:
 ///
@@ -193,7 +198,7 @@ private:
 ///     its min |pivot| becomes the health reference.  A call whose
 ///     RefactorHint key matches the held factors' skips the comparison.
 ///   * otherwise refactor; if the refactored min |pivot| degrades below
-///     repivot_tol times the reference (or a pivot lands on exact zero) the
+///     kRepivotTol times the reference (or a pivot lands on exact zero) the
 ///     stale pivot sequence is declared unhealthy and a full factorization
 ///     runs instead.
 ///
@@ -203,14 +208,6 @@ private:
 template <class T>
 class ReusableLU {
 public:
-    struct Options {
-        double pivot_tol = 0.1;   // threshold partial pivoting (full factor)
-        double repivot_tol = 1e-3; // min-pivot degradation guard vs. reference
-    };
-
-    ReusableLU() = default;
-    explicit ReusableLU(Options opt) : opt_(opt) {}
-
     /// Caller-supplied context for an incremental refactorization.  `key` is
     /// an opaque fingerprint of everything that shapes the matrix OUTSIDE
     /// the block changed_cols x changed_cols (for transient assembly: dt
@@ -235,7 +232,6 @@ public:
     void factor(const SparseCSC<T>& a) { factor(a, RefactorHint{}); }
     void factor(const SparseCSC<T>& a, const RefactorHint& hint);
 
-    bool has_factor() const { return lu_ != nullptr; }
     const SparseLU<T>& lu() const {
         SNIM_ASSERT(lu_ != nullptr, "ReusableLU used before factor()");
         return *lu_;
@@ -248,12 +244,9 @@ public:
     const LuFactorStats& factor_stats() const { return lu().factor_stats(); }
     double rcond_estimate() const { return lu().rcond_estimate(); }
 
-    const Options& options() const { return opt_; }
-
 private:
     void full_factor(const SparseCSC<T>& a, const std::vector<int>* last_cols);
 
-    Options opt_;
     std::unique_ptr<SparseLU<T>> lu_;
     std::vector<int> pattern_cp_, pattern_ri_; // pattern the cache was built on
     double ref_min_pivot_ = 0.0; // min |pivot| of the last full factorization

@@ -49,9 +49,9 @@ inline constexpr double kCertifyOmegaMax = 1e-8;
 inline constexpr int kCertifyStride = 8;
 
 /// Per-engine certificate knob, carried inside TranOptions / OpOptions /
-/// AcOptions / rf::OscOptions and validated by validate_certify_options
-/// (raise-style, like the other option validators).  Certificates run
-/// whenever obs::enabled().
+/// rf::OscOptions and validated by validate_certify_options (raise-style,
+/// like the other option validators); the AC sweep runs at the default.
+/// Certificates run whenever obs::enabled().
 struct CertifyOptions {
     /// Reciprocal-condition floor: below this the linear system itself has
     /// fewer trustworthy digits than the figure tolerances assume.

@@ -173,18 +173,11 @@ void ProgressScope::advance(uint64_t n) {
     maybe_heartbeat();
 }
 
-void ProgressScope::add_total(uint64_t n) {
-    if (!impl_) return;
-    impl_->total.fetch_add(n, std::memory_order_relaxed);
-}
-
 HeartbeatInfo current_progress() { return snapshot_innermost(beat_now_s()); }
 
 void set_heartbeat_interval(double seconds) {
     g_interval.store(seconds < 0.01 ? 0.01 : seconds, std::memory_order_relaxed);
 }
-
-double heartbeat_interval() { return g_interval.load(std::memory_order_relaxed); }
 
 HeartbeatObserver set_heartbeat_observer(HeartbeatObserver observer) {
     ObserverBox& b = observer_box();

@@ -60,9 +60,6 @@ public:
     /// elapsed since the last one (any scope, any thread).
     void advance(uint64_t n = 1);
 
-    /// Grows the planned total (e.g. a retry ladder adding sub-steps).
-    void add_total(uint64_t n);
-
     struct Impl; // implementation detail, public only for the registry
 
 private:
@@ -78,7 +75,6 @@ HeartbeatInfo current_progress();
 
 /// Heartbeat cadence in seconds (default 1.0; clamped to >= 0.01).
 void set_heartbeat_interval(double seconds);
-double heartbeat_interval();
 
 /// Observer called from whichever thread emitted the heartbeat.  Keep it
 /// cheap and thread-safe; installing one activates progress recording.

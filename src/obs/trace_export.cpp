@@ -137,8 +137,9 @@ Json metadata_event(const char* name, int pid, int tid, const std::string& value
     return Json(std::move(m));
 }
 
-} // namespace
-
+/// Appends the duration events of one lane to `events`.  `t0_us` is the
+/// begin timestamp of the lane's first top-level phase; returns the lane's
+/// total span in microseconds.
 double append_lane_events(JsonArray& events, const TraceLane& lane, int pid, int tid,
                           double t0_us) {
     const auto homes = assign_counters(lane.tree, lane.counters);
@@ -150,6 +151,8 @@ double append_lane_events(JsonArray& events, const TraceLane& lane, int pid, int
         emit_counter_events(events, ts, pid, tid, t0_us, span_us);
     return span_us;
 }
+
+} // namespace
 
 Json chrome_trace_json(const std::vector<TraceLane>& lanes) {
     JsonArray events;
@@ -184,10 +187,6 @@ TraceLane registry_trace_lane(const std::string& name) {
     lane.counters = counters_snapshot();
     lane.timeseries = ts_snapshot();
     return lane;
-}
-
-void write_chrome_trace(const std::string& path, const std::vector<TraceLane>& lanes) {
-    write_json_file(path, chrome_trace_json(lanes), 1);
 }
 
 } // namespace snim::obs

@@ -45,17 +45,7 @@ struct TraceLane {
 /// lanes are placed at increasing wall offsets so they do not overlap.
 Json chrome_trace_json(const std::vector<TraceLane>& lanes);
 
-/// Appends the duration events of one lane to `events`.  `t0_us` is the
-/// begin timestamp of the lane's first top-level phase; returns the lane's
-/// total span in microseconds.  Exposed separately for tests.
-double append_lane_events(JsonArray& events, const TraceLane& lane, int pid, int tid,
-                          double t0_us);
-
 /// Convenience: one lane snapshotted from the live registry.
 TraceLane registry_trace_lane(const std::string& name);
-
-/// Writes `chrome_trace_json({registry_trace_lane(name)})` (or the given
-/// lanes) to `path`; throws snim::Error on I/O failure.
-void write_chrome_trace(const std::string& path, const std::vector<TraceLane>& lanes);
 
 } // namespace snim::obs

@@ -246,12 +246,6 @@ void stop_watchdog() {
     joinable.join();
 }
 
-bool watchdog_running() {
-    Monitor& m = monitor();
-    std::lock_guard<std::mutex> lock(m.mutex);
-    return m.running;
-}
-
 uint64_t watchdog_stall_count() {
     return g_stall_count.load(std::memory_order_relaxed);
 }

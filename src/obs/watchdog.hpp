@@ -45,8 +45,6 @@ void start_watchdog(const WatchdogOptions& options = {});
 /// Stops and joins the monitor thread.  Safe when not running.
 void stop_watchdog();
 
-bool watchdog_running();
-
 /// Stall events emitted since process start (recoveries do not reset it).
 uint64_t watchdog_stall_count();
 

@@ -21,8 +21,6 @@ OscCapture record_oscillator(circuit::Netlist& netlist, const OscOptions& opt) {
     sim::TranOptions to;
     to.tstop = opt.settle + opt.capture;
     to.dt = opt.dt;
-    to.order = opt.order;
-    to.gmin = opt.gmin;
     to.record_start = opt.settle;
     to.accumulate_average = true;
     to.certify = opt.certify;

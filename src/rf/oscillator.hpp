@@ -24,8 +24,6 @@ struct OscOptions {
     /// Expected oscillation band, used to sanity-check the result [Hz].
     double f_min = 0.5e9;
     double f_max = 20e9;
-    int order = 2;
-    double gmin = 1e-12;
     /// Solve-certificate knob forwarded to the transient (and its internal
     /// operating-point solve).  Ablation experiments that intentionally
     /// produce extreme conductance spreads (shorted taps vs gmin anchors)
@@ -53,8 +51,9 @@ struct OscCapture {
 /// within [f_min, f_max] or amplitude is tiny.
 OscCapture capture_oscillator(circuit::Netlist& netlist, const OscOptions& opt);
 
-/// The transient half of capture_oscillator(): fills `wave`, `fs` and
-/// `node_avg`, leaving the carrier estimate to measure_carrier().
+/// The transient half of capture_oscillator(): a trapezoidal transient
+/// that fills `wave`, `fs` and `node_avg`, leaving the carrier estimate to
+/// measure_carrier().
 OscCapture record_oscillator(circuit::Netlist& netlist, const OscOptions& opt);
 
 /// Carrier estimate of a recorded wave (`wave` and `fs` set): the mean, a

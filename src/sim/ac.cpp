@@ -4,6 +4,7 @@
 
 #include "numeric/certify.hpp"
 #include "numeric/sparse_lu.hpp"
+#include "obs/certify.hpp"
 #include "obs/parallel.hpp"
 #include "obs/progress.hpp"
 #include "obs/timeseries.hpp"
@@ -16,10 +17,9 @@ namespace snim::sim {
 
 namespace {
 
-/// Pivot-health guard for the sweep's shared symbolic analysis: a refactor
-/// whose smallest pivot drops below this fraction of the reference
-/// factorization's is discarded in favour of a fresh full factorization.
-constexpr double kRepivotTol = 1e-3;
+/// The sweep's certificate thresholds: the default rcond floor, which no
+/// caller relaxes for AC.
+const obs::CertifyOptions kCertify{};
 
 // Telemetry handles (obs/registry.hpp), interned once per process.
 const obs::Phase kRunPhase("sim/ac");
@@ -42,7 +42,6 @@ std::complex<double> AcResult::at(size_t k, circuit::NodeId node) const {
 
 AcResult ac_sweep(circuit::Netlist& netlist, const std::vector<double>& freqs,
                   const std::vector<double>& xop, const AcOptions& opt) {
-    obs::validate_certify_options(opt.certify, "AcOptions");
     obs::ScopedTimer obs_run(kRunPhase, obs::Timing::WhenEnabled, obs::Rss::Track);
     obs::count(kPoints, freqs.size());
     netlist.finalize();
@@ -62,7 +61,7 @@ AcResult ac_sweep(circuit::Netlist& netlist, const std::vector<double>& freqs,
     obs::ProgressScope progress("sim/ac", freqs.size());
     circuit::ComplexStamper s0(n);
     s0.enable_compiled_assembly();
-    assemble_ac(netlist, s0, xop, units::kTwoPi * freqs[0], opt.gmin, opt.exclude);
+    assemble_ac(netlist, s0, xop, units::kTwoPi * freqs[0], opt.exclude);
     SparseLU<std::complex<double>> ref_lu(s0.csc());
     const double ref_min_pivot = ref_lu.factor_stats().min_pivot;
     out.x[0] = ref_lu.solve(s0.rhs());
@@ -72,8 +71,8 @@ AcResult ac_sweep(circuit::Netlist& netlist, const std::vector<double>& freqs,
     const bool certify = obs::enabled();
     if (certify) {
         const obs::SolveCertificate cert = certify_solve(
-            ref_lu, s0.csc(), out.x[0], s0.rhs(), opt.certify);
-        obs::record_certificate(kCertSite, cert, opt.certify);
+            ref_lu, s0.csc(), out.x[0], s0.rhs(), kCertify);
+        obs::record_certificate(kCertSite, cert, kCertify);
     }
     progress.advance();
     if (obs::enabled()) {
@@ -90,9 +89,9 @@ AcResult ac_sweep(circuit::Netlist& netlist, const std::vector<double>& freqs,
     // worker pays for its copy of the reference factorization once.  Chunk
     // boundaries depend on the thread count; per-point results and the
     // (index-order merged) obs sequence do not.
-    util::ThreadPool pool(opt.threads);
-    const size_t chunks = std::min<size_t>(pool.thread_count(), rest);
-    obs::parallel_tasks(opt.threads, chunks, [&](size_t c) {
+    const size_t chunks =
+        std::min<size_t>(static_cast<size_t>(util::default_thread_count()), rest);
+    obs::parallel_tasks(0, chunks, [&](size_t c) {
         const size_t lo = 1 + c * rest / chunks;
         const size_t hi = 1 + (c + 1) * rest / chunks;
         circuit::ComplexStamper s(n);
@@ -100,8 +99,7 @@ AcResult ac_sweep(circuit::Netlist& netlist, const std::vector<double>& freqs,
         SparseLU<std::complex<double>> lu = ref_lu;
         for (size_t i = lo; i < hi; ++i) {
             s.clear();
-            assemble_ac(netlist, s, xop, units::kTwoPi * freqs[i], opt.gmin,
-                        opt.exclude);
+            assemble_ac(netlist, s, xop, units::kTwoPi * freqs[i], opt.exclude);
             const auto& a = s.csc();
             double min_pivot = 0.0;
             double fill_growth = 1.0;
@@ -116,9 +114,9 @@ AcResult ac_sweep(circuit::Netlist& netlist, const std::vector<double>& freqs,
                 fill_growth = lu.factor_stats().fill_growth;
                 if (certify && i % obs::kCertifyStride == 0) {
                     const obs::SolveCertificate cert =
-                        certify_solve(lu, a, out.x[i], s.rhs(), opt.certify,
+                        certify_solve(lu, a, out.x[i], s.rhs(), kCertify,
                                       /*allow_fault=*/false);
-                    obs::record_certificate(kCertSite, cert, opt.certify);
+                    obs::record_certificate(kCertSite, cert, kCertify);
                 }
             } else {
                 obs::count(kRepivotFallbacks);
@@ -131,9 +129,9 @@ AcResult ac_sweep(circuit::Netlist& netlist, const std::vector<double>& freqs,
                 fill_growth = fresh.factor_stats().fill_growth;
                 if (certify && i % obs::kCertifyStride == 0) {
                     const obs::SolveCertificate cert =
-                        certify_solve(fresh, a, out.x[i], s.rhs(), opt.certify,
+                        certify_solve(fresh, a, out.x[i], s.rhs(), kCertify,
                                       /*allow_fault=*/false);
-                    obs::record_certificate(kCertSite, cert, opt.certify);
+                    obs::record_certificate(kCertSite, cert, kCertify);
                 }
             }
             obs::ts_append(kMinPivotChannel, freqs[i], min_pivot);

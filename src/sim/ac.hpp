@@ -4,7 +4,6 @@
 #include <complex>
 
 #include "circuit/netlist.hpp"
-#include "obs/certify.hpp"
 
 namespace snim::sim {
 
@@ -17,23 +16,19 @@ struct AcResult {
 };
 
 struct AcOptions {
-    double gmin = 1e-12;
     /// Devices skipped during assembly (coupling-path ablation).
     const std::vector<const circuit::Device*>* exclude = nullptr;
-    /// Worker threads for the frequency sweep; 0 -> util::default_thread_count()
-    /// (the SNIM_THREADS environment override).  Results and recorded obs
-    /// metrics are bit-identical for every thread count.
-    int threads = 0;
-    /// Per-solve certificates on every obs::kCertifyStride-th frequency
-    /// point (backward error on the complex system, condition estimate,
-    /// counted refinement).  Active only while the obs registry is enabled;
-    /// workers certify their own points, the ledger aggregation is
-    /// commutative so results stay thread-count independent.
-    obs::CertifyOptions certify;
 };
 
 /// Runs the AC sweep; `xop` is a converged operating point from
-/// operating_point().  Sources stamp their AcSpec excitations.
+/// operating_point().  Sources stamp their AcSpec excitations.  The
+/// frequency points fan out over util::default_thread_count() workers (the
+/// SNIM_THREADS override); results and recorded obs metrics are
+/// bit-identical for every thread count.  While the obs registry is on,
+/// every obs::kCertifyStride-th point carries a solve certificate
+/// (backward error on the complex system, condition estimate, counted
+/// refinement) at the default thresholds; workers certify their own
+/// points and the ledger aggregation is commutative.
 AcResult ac_sweep(circuit::Netlist& netlist, const std::vector<double>& freqs,
                   const std::vector<double>& xop, const AcOptions& opt = {});
 

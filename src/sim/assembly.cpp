@@ -29,9 +29,8 @@ std::uint64_t dt_key(double dt) {
 }
 } // namespace
 
-TranAssembler::TranAssembler(const circuit::Netlist& netlist,
-                             circuit::RealStamper& s, double gmin)
-    : netlist_(netlist), s_(s), gmin_(gmin) {
+TranAssembler::TranAssembler(const circuit::Netlist& netlist, circuit::RealStamper& s)
+    : netlist_(netlist), s_(s) {
     s_.enable_compiled_assembly();
     s_.enable_rhs_tape();
 }
@@ -54,7 +53,7 @@ void TranAssembler::full_pass(const std::vector<double>& x,
     }
     gmin_span_.mat_begin = static_cast<std::uint32_t>(s_.matrix().rows().size());
     gmin_span_.rhs_begin = static_cast<std::uint32_t>(s_.rhs_tape_nodes().size());
-    stamp_gmin(netlist_, s_, gmin_);
+    stamp_gmin(netlist_, s_);
     gmin_span_.mat_end = static_cast<std::uint32_t>(s_.matrix().rows().size());
     gmin_span_.rhs_end = static_cast<std::uint32_t>(s_.rhs_tape_nodes().size());
     s_.csc(); // learns the scatter map; the pass above becomes the tape

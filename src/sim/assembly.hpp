@@ -61,9 +61,8 @@ class TranAssembler {
 public:
     /// Binds to the netlist/stamper pair for one transient run.  The
     /// stamper must have compiled assembly enabled; the assembler enables
-    /// its RHS tape.  `gmin` must match what assemble_tran would stamp.
-    TranAssembler(const circuit::Netlist& netlist, circuit::RealStamper& s,
-                  double gmin);
+    /// its RHS tape.
+    TranAssembler(const circuit::Netlist& netlist, circuit::RealStamper& s);
 
     /// Called once per step attempt, before the Newton loop: refreshes the
     /// companion/source tape values for `tp`, looks up (or builds) the
@@ -141,7 +140,6 @@ private:
 
     const circuit::Netlist& netlist_;
     circuit::RealStamper& s_;
-    const double gmin_;
 
     bool learned_ = false;
     std::uint64_t epoch_ = 0;

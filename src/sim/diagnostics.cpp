@@ -102,14 +102,9 @@ void digest_options(obs::ConfigDigest& d, const TranOptions& opt) {
     d.add("tran.tstop", opt.tstop);
     d.add("tran.dt", opt.dt);
     d.add("tran.order", opt.order);
-    d.add("tran.gmin", opt.gmin);
-    d.add("tran.max_newton", opt.max_newton);
     d.add("tran.reltol", opt.reltol);
     d.add("tran.vntol", opt.vntol);
-    d.add("tran.dv_max", opt.dv_max);
     d.add("tran.record_start", opt.record_start);
-    d.add("tran.initial", opt.initial);
-    d.add("tran.be_startup_steps", opt.be_startup_steps);
     d.add("tran.accumulate_average", opt.accumulate_average);
     d.add("tran.diag_bundle", opt.diag_bundle);
     d.add("tran.certify.rcond_min", opt.certify.rcond_min);
@@ -122,8 +117,6 @@ void digest_options(obs::ConfigDigest& d, const OpOptions& opt) {
     d.add("op.max_iter", opt.max_iter);
     d.add("op.reltol", opt.reltol);
     d.add("op.vntol", opt.vntol);
-    d.add("op.gmin", opt.gmin);
-    d.add("op.dv_max", opt.dv_max);
     d.add("op.diag_bundle", opt.diag_bundle);
     d.add("op.certify.rcond_min", opt.certify.rcond_min);
 }
@@ -260,18 +253,15 @@ void validate_tran_options(const TranOptions& opt) {
               opt.tstop, opt.dt, steps);
     if (opt.order != 1 && opt.order != 2)
         raise("TranOptions.order must be 1 (BE) or 2 (trapezoidal), got %d", opt.order);
-    if (opt.max_newton <= 0)
-        raise("TranOptions.max_newton must be > 0 (got %d)", opt.max_newton);
+    // A NaN start compares false against every step time: nothing would be
+    // recorded and no error raised.
+    if (!std::isfinite(opt.record_start))
+        raise("TranOptions.record_start must be finite (got %g)", opt.record_start);
     if (opt.record_start >= opt.tstop)
         raise("TranOptions.record_start (%g) must be before tstop (%g) — nothing "
               "would be recorded",
               opt.record_start, opt.tstop);
-    if (!(opt.dv_max > 0.0))
-        raise("TranOptions.dv_max must be > 0 (got %g)", opt.dv_max);
     validate_tolerances("TranOptions", opt.reltol, opt.vntol);
-    if (opt.be_startup_steps < 0)
-        raise("TranOptions.be_startup_steps must be >= 0 (got %d)",
-              opt.be_startup_steps);
     if (opt.checkpoint.every_steps < 0)
         raise("TranOptions.checkpoint.every_steps must be >= 0 (got %ld)",
               opt.checkpoint.every_steps);
@@ -285,8 +275,6 @@ void validate_op_options(const OpOptions& opt) {
     if (opt.max_iter <= 0)
         raise("OpOptions.max_iter must be > 0 (got %d)", opt.max_iter);
     validate_tolerances("OpOptions", opt.reltol, opt.vntol);
-    if (!(opt.gmin > 0.0)) raise("OpOptions.gmin must be > 0 (got %g)", opt.gmin);
-    if (!(opt.dv_max > 0.0)) raise("OpOptions.dv_max must be > 0 (got %g)", opt.dv_max);
     obs::validate_certify_options(opt.certify, "OpOptions");
 }
 

@@ -5,7 +5,7 @@
 //
 //   * the engine options in effect,
 //   * the last-N per-step telemetry (Newton iterations, worst residual,
-//     dv_max clamp activations, LU pivot health) from a fixed-size ring,
+//     Newton clamp activations, LU pivot health) from a fixed-size ring,
 //   * the unknowns with the largest final Newton update, by node name,
 //   * the tail of every probed waveform recorded before the failure (the
 //     partial result a non-converged transient used to discard),
@@ -45,7 +45,7 @@ struct StepTelemetry {
     int newton_iters = 0;     // Newton iterations spent on this step
     double residual = 0.0;    // final Newton update inf-norm (dv) [V]
     int worst_unknown = -1;   // unknown index with the largest final update
-    int clamp_hits = 0;       // dv_max clamp activations over the step
+    int clamp_hits = 0;       // Newton clamp activations over the step
     double lu_min_pivot = 0.0;   // pivot health of the step's last solve
     double lu_fill_growth = 0.0; // nnz(L+U)/nnz(A) of the sparse factors
     bool converged = true;
@@ -105,9 +105,8 @@ struct FailureDiagnosis {
     obs::JsonObject extra;
 };
 
-/// Process-wide fallback directory for bundles, used when an engine's
-/// options leave diag_dir empty ("" means the current directory).  The
-/// bench harness points this at --diag-dir.
+/// Process-wide directory for the engines' bundles ("" means the current
+/// directory).  The bench harness points this at --diag-dir.
 void set_default_diag_dir(std::string dir);
 const std::string& default_diag_dir();
 
@@ -133,10 +132,10 @@ std::vector<std::pair<std::string, double>> worst_unknowns(
 /// Unknown index -> diagnostic name (node name or "branch:<k>"); -1 -> "".
 std::string unknown_name(const circuit::Netlist& netlist, int index);
 
-/// Feeds every TranOptions field into a provenance config digest under
-/// "tran.*" names.  Any option change — tolerance, integration order,
-/// start-up, recording window — changes the digest, so artifacts from
-/// different configurations never compare as like-for-like.
+/// Feeds every TranOptions field but the operational checkpoint knobs into
+/// a provenance config digest under "tran.*" names.  Any option change —
+/// tolerance, integration order, recording window — changes the digest, so
+/// artifacts from different configurations never compare as like-for-like.
 void digest_options(obs::ConfigDigest& d, const TranOptions& opt);
 
 /// Same for OpOptions under "op.*" names.
@@ -147,8 +146,8 @@ void digest_options(obs::ConfigDigest& d, const OpOptions& opt);
 /// vet options before an expensive model build.
 void validate_tran_options(const TranOptions& opt);
 
-/// Validates every OpOptions field the same way (gmin > 0, max_iter >= 1,
-/// finite tolerances, ...).  operating_point() calls this.
+/// Validates every OpOptions field the same way (max_iter >= 1, finite
+/// tolerances, ...).  operating_point() calls this.
 void validate_op_options(const OpOptions& opt);
 
 } // namespace snim::sim

@@ -13,8 +13,8 @@ void add_gmin(const Netlist& netlist, Stamper& s, double gmin) {
 }
 } // namespace
 
-void stamp_gmin(const Netlist& netlist, circuit::RealStamper& s, double gmin) {
-    add_gmin(netlist, s, gmin);
+void stamp_gmin(const Netlist& netlist, circuit::RealStamper& s) {
+    add_gmin(netlist, s, kGmin);
 }
 
 void assemble_dc(const Netlist& netlist, circuit::RealStamper& s,
@@ -27,16 +27,15 @@ void assemble_dc(const Netlist& netlist, circuit::RealStamper& s,
 }
 
 void assemble_tran(const Netlist& netlist, circuit::RealStamper& s,
-                   const std::vector<double>& x, const circuit::TranParams& tp,
-                   double gmin) {
+                   const std::vector<double>& x, const circuit::TranParams& tp) {
     s.set_source_scale(1.0);
     for (const auto& d : netlist.devices())
         if (!d->disabled()) d->stamp_tran(s, x, tp);
-    add_gmin(netlist, s, gmin);
+    add_gmin(netlist, s, kGmin);
 }
 
 void assemble_ac(const Netlist& netlist, circuit::ComplexStamper& s,
-                 const std::vector<double>& xop, double omega, double gmin,
+                 const std::vector<double>& xop, double omega,
                  const std::vector<const circuit::Device*>* exclude) {
     for (const auto& d : netlist.devices()) {
         if (d->disabled()) continue;
@@ -45,7 +44,7 @@ void assemble_ac(const Netlist& netlist, circuit::ComplexStamper& s,
             continue;
         d->stamp_ac(s, xop, omega);
     }
-    add_gmin(netlist, s, gmin);
+    add_gmin(netlist, s, kGmin);
 }
 
 } // namespace snim::sim

@@ -18,6 +18,9 @@ namespace snim::sim {
 
 namespace {
 
+/// Newton step clamp on node voltages of nonlinear circuits [V].
+constexpr double kDvMax = 0.5;
+
 // The homotopy ladder's continuation schedules (DESIGN.md §8) and the
 // bundle's capacity.
 /// Continuation points of the source ramp (scale = k / kSourceSteps).
@@ -112,7 +115,7 @@ bool newton_dc(circuit::Netlist& netlist, std::vector<double>& x, double gmin,
             if (!std::isfinite(dx)) nonfinite = true;
             const bool is_node = i < netlist.node_count();
             if (is_node && nonlinear) {
-                const double clamped = std::clamp(dx, -opt.dv_max, opt.dv_max);
+                const double clamped = std::clamp(dx, -kDvMax, kDvMax);
                 if (clamped != dx) ++tel.clamp_hits;
                 dx = clamped;
             }
@@ -194,15 +197,15 @@ bool newton_dc(circuit::Netlist& netlist, std::vector<double>& x, double gmin,
 }
 
 /// Rung 2: solve at a strong node-to-ground gmin, then continue the
-/// solution down decade by decade to the target gmin.
+/// solution down decade by decade to kGmin.
 bool gmin_stepping_rung(circuit::Netlist& netlist, std::vector<double>& x,
                         const OpOptions& opt, OpTelemetry& diag) {
     std::vector<double> xg(netlist.unknown_count(), 0.0);
-    for (double g = 1e-2; g >= opt.gmin; g *= 0.1) {
+    for (double g = 1e-2; g >= kGmin; g *= 0.1) {
         obs::count(kGminSteps);
         if (!newton_dc(netlist, xg, g, opt, diag)) return false;
     }
-    if (!newton_dc(netlist, xg, opt.gmin, opt, diag)) return false;
+    if (!newton_dc(netlist, xg, kGmin, opt, diag)) return false;
     x = std::move(xg);
     return true;
 }
@@ -216,7 +219,7 @@ bool source_stepping_rung(circuit::Netlist& netlist, std::vector<double>& x,
     for (int k = 1; k <= kSourceSteps; ++k) {
         obs::count(kSourceStepsCount);
         const double scale = static_cast<double>(k) / kSourceSteps;
-        if (!newton_dc(netlist, xs, opt.gmin, opt, diag, scale)) return false;
+        if (!newton_dc(netlist, xs, kGmin, opt, diag, scale)) return false;
     }
     x = std::move(xs);
     return true;
@@ -236,13 +239,13 @@ bool ptran_rung(circuit::Netlist& netlist, std::vector<double>& x,
     for (int k = 0; k < kPtranSteps; ++k) {
         obs::count(kPtranStepsCount);
         std::vector<double> xk = anchor;
-        if (newton_dc(netlist, xk, opt.gmin, opt, diag, 1.0, g, &anchor)) {
+        if (newton_dc(netlist, xk, kGmin, opt, diag, 1.0, g, &anchor)) {
             const double move = max_abs_diff(xk, anchor);
             anchor = std::move(xk);
             if (g <= kPtranGFloor &&
                 move < opt.vntol + opt.reltol * norm_inf(anchor)) {
                 x = anchor;
-                return newton_dc(netlist, x, opt.gmin, opt, diag);
+                return newton_dc(netlist, x, kGmin, opt, diag);
             }
             g /= kPtranGrowth; // grow the pseudo time step
         } else {
@@ -261,8 +264,6 @@ obs::JsonObject op_options_json(const OpOptions& opt) {
     o.emplace("max_iter", opt.max_iter);
     o.emplace("reltol", opt.reltol);
     o.emplace("vntol", opt.vntol);
-    o.emplace("gmin", opt.gmin);
-    o.emplace("dv_max", opt.dv_max);
     o.emplace("certify_rcond_min", opt.certify.rcond_min);
     return o;
 }
@@ -288,7 +289,7 @@ OpResult operating_point_ex(circuit::Netlist& netlist, const OpOptions& opt) {
     const Rung ladder[] = {
         {"newton",
          [](circuit::Netlist& nl, std::vector<double>& x, const OpOptions& o,
-            OpTelemetry& d) { return newton_dc(nl, x, o.gmin, o, d); }},
+            OpTelemetry& d) { return newton_dc(nl, x, kGmin, o, d); }},
         {"gmin", gmin_stepping_rung},
         {"source", source_stepping_rung},
         {"ptran", ptran_rung},
@@ -340,7 +341,7 @@ OpResult operating_point_ex(circuit::Netlist& netlist, const OpOptions& opt) {
         d.worst_nodes = worst_unknowns(netlist, diag.last_dx, 5);
         d.options = op_options_json(opt);
         d.extra.emplace("rungs", obs::Json(std::move(rung_log)));
-        bundle = write_diagnosis_bundle(d, opt.diag_dir);
+        bundle = write_diagnosis_bundle(d);
     }
     raise("operating point did not converge (%zu unknowns, %ld Newton iterations "
           "over the homotopy ladder)%s%s",

@@ -3,7 +3,7 @@
 // Rungs, tried in order until one converges:
 //   1. "newton"  — damped Newton from all-zeros,
 //   2. "gmin"    — gmin stepping: solve at a large node-to-ground gmin and
-//                  continue the solution down to OpOptions::gmin,
+//                  continue the solution down to sim::kGmin,
 //   3. "source"  — source stepping: ramp every independent source value
 //                  from ~0 to 100% in 8 continuation points,
 //   4. "ptran"   — pseudo-transient continuation: anchor every node through
@@ -24,19 +24,17 @@
 
 namespace snim::sim {
 
+/// Every rung ends at sim::kGmin; Newton clamps node updates of nonlinear
+/// circuits to 0.5 V (a constant in op.cpp).
 struct OpOptions {
     int max_iter = 300;
     double reltol = 1e-6;
     double vntol = 1e-9;   // absolute voltage tolerance [V]
-    double gmin = 1e-12;   // final gmin [S]
-    double dv_max = 0.5;   // Newton step clamp [V]
     /// Write a snim_diag_*.json failure diagnosis bundle (per-iteration
     /// residual history, worst nodes, LU pivot health, the rung ladder)
-    /// when the operating point fails; the thrown snim::Error names the
-    /// bundle path.
+    /// into sim::default_diag_dir(), else the current directory, when the
+    /// operating point fails; the thrown snim::Error names the bundle path.
     bool diag_bundle = true;
-    /// Bundle directory; empty -> sim::default_diag_dir() -> current dir.
-    std::string diag_dir;
 
     /// Per-solve certificate on the converged verification solve of each
     /// Newton run (backward error, condition estimate, counted refinement).

@@ -33,6 +33,11 @@ const std::vector<double>& TranResult::wave(const std::string& probe) const {
 
 namespace {
 
+/// Newton iterations allowed per step attempt.
+constexpr int kMaxNewton = 60;
+/// Newton step clamp on node voltages [V].
+constexpr double kDvMax = 0.5;
+
 // The retry ladder's policy (DESIGN.md §8) and the bundle's capacities.
 /// The dt backoff ladder subdivides the nominal grid by powers of two: at
 /// `level`, micro-steps are dt / 2^level and a nominal step is 2^level
@@ -83,19 +88,17 @@ const obs::CertSite kCertSite("transient");
 const obs::BudgetStage kKclStage("sim/kcl");
 
 /// Serialised into the failure bundle so a post-mortem sees the exact
-/// solver configuration.
+/// solver configuration: every field the config digest covers.
 obs::JsonObject tran_options_json(const TranOptions& opt) {
     obs::JsonObject o;
     o.emplace("tstop", opt.tstop);
     o.emplace("dt", opt.dt);
     o.emplace("order", opt.order);
-    o.emplace("gmin", opt.gmin);
-    o.emplace("max_newton", opt.max_newton);
     o.emplace("reltol", opt.reltol);
     o.emplace("vntol", opt.vntol);
-    o.emplace("dv_max", opt.dv_max);
     o.emplace("record_start", opt.record_start);
-    o.emplace("be_startup_steps", opt.be_startup_steps);
+    o.emplace("accumulate_average", opt.accumulate_average);
+    o.emplace("diag_bundle", opt.diag_bundle);
     o.emplace("certify_rcond_min", opt.certify.rcond_min);
     return o;
 }
@@ -164,7 +167,7 @@ private:
             d.wave_tail = kDiagWaveTail;
             d.retries = retries.events();
             d.total_retries = retries.total();
-            bundle = write_diagnosis_bundle(d, opt.diag_dir);
+            bundle = write_diagnosis_bundle(d);
         }
     }
     std::string retried;
@@ -267,17 +270,12 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
     if (resuming) {
         x = res->x_acc;
     } else {
-        x = opt.initial;
-        if (x.empty()) {
-            OpOptions oo;
-            oo.gmin = opt.gmin;
-            // The embedded op inherits the transient's certificate policy so a
-            // caller that relaxes thresholds (ablation runs) relaxes both solves.
-            oo.certify = opt.certify;
-            x = operating_point(netlist, oo);
-        }
+        OpOptions oo;
+        // The embedded op inherits the transient's certificate policy so a
+        // caller that relaxes thresholds (ablation runs) relaxes both solves.
+        oo.certify = opt.certify;
+        x = operating_point(netlist, oo);
     }
-    SNIM_ASSERT(x.size() == n, "initial point size mismatch");
 
     if (resuming) {
         // Device state comes from the snapshot, NOT init_tran — the restored
@@ -334,7 +332,7 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
     // iteration, then numeric-only refactors fed by the assembler: the
     // linear baseline is restored and only the nonlinear devices re-stamp.
     s.enable_compiled_assembly();
-    TranAssembler assembler(netlist, s, opt.gmin);
+    TranAssembler assembler(netlist, s);
     ReusableLU<double> rlu;
 
     long attempt_no = 0;       // global step-attempt counter (telemetry "step")
@@ -441,7 +439,7 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
             tp.time = (k + 1 == (1L << level))
                           ? static_cast<double>(step) * opt.dt
                           : t_base + static_cast<double>(k + 1) * dt_cur;
-            tp.order = (be_steps_done < opt.be_startup_steps) ? 1 : opt.order;
+            tp.order = (be_steps_done < kBeStartupSteps) ? 1 : opt.order;
 
             obs::ScopedTimer obs_step(kStepPhase);
 
@@ -469,7 +467,7 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
                 obs::ScopedTimer obs_ba(kBeginAttemptPhase);
                 assembler.begin_attempt(xit, tp);
             }
-            for (int it = 0; it < opt.max_newton; ++it) {
+            for (int it = 0; it < kMaxNewton; ++it) {
                 obs::ScopedTimer obs_newton(kNewtonPhase);
                 tel.newton_iters = it + 1;
                 {
@@ -513,11 +511,10 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
                         // A NaN never wins a '>' comparison, so test
                         // finiteness explicitly — a poisoned update must
                         // trip the recovery ladder, not silently spin until
-                        // max_newton runs out.
+                        // kMaxNewton runs out.
                         if (!std::isfinite(dx)) nonfinite = true;
                         if (i < netlist.node_count()) {
-                            const double clamped =
-                                std::clamp(dx, -opt.dv_max, opt.dv_max);
+                            const double clamped = std::clamp(dx, -kDvMax, kDvMax);
                             if (clamped != dx) ++clamp_hits;
                             dx = clamped;
                         }

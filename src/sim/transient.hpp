@@ -39,31 +39,30 @@ namespace snim::sim {
 /// "sim/kcl".
 inline constexpr double kKclMax = 1e-6;
 
+/// Number of initial steps integrated with backward Euler to damp the
+/// trapezoidal rule's startup ringing.
+inline constexpr int kBeStartupSteps = 4;
+
+/// A run starts from its operating point (solved at sim::kGmin, the
+/// node-to-ground conductance every step also carries) or from its
+/// checkpoint.  Each step's Newton iteration clamps node updates to 0.5 V
+/// and gives up after 60 iterations (constants in transient.cpp).
 struct TranOptions {
     double tstop = 0.0;
     double dt = 0.0;
     int order = 2;          // 1 = backward Euler, 2 = trapezoidal
-    double gmin = 1e-12;
-    int max_newton = 60;
     double reltol = 1e-4;
     double vntol = 1e-6;
-    double dv_max = 0.5;    // Newton step clamp [V]
     /// Recording starts at this time (settle/startup skip); every nominal
     /// step from there on is recorded.
     double record_start = 0.0;
-    /// Operating point to start from; empty -> computed internally.
-    std::vector<double> initial;
-    /// Number of initial steps integrated with backward Euler to damp the
-    /// trapezoidal rule's startup ringing.
-    int be_startup_steps = 4;
     /// Accumulate the time-average of the FULL unknown vector over the
     /// recorded window (quasi-DC levels during oscillation).
     bool accumulate_average = false;
     /// Write a snim_diag_*.json failure diagnosis bundle when Newton
-    /// diverges (the thrown snim::Error names the bundle path).
+    /// diverges (the thrown snim::Error names the bundle path) into
+    /// sim::default_diag_dir(), else the current directory.
     bool diag_bundle = true;
-    /// Bundle directory; empty -> sim::default_diag_dir() -> current dir.
-    std::string diag_dir;
 
     /// Per-solve certificates on accepted steps (backward error, condition
     /// estimate, counted iterative refinement) and the KCL audit, every

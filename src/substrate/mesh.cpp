@@ -8,6 +8,13 @@
 
 namespace snim::substrate {
 
+namespace {
+
+/// Hard cap on lateral cells per axis (the pitch is coarsened if exceeded).
+constexpr int kMaxCellsPerAxis = 160;
+
+} // namespace
+
 std::vector<double> graded_edges(double lo, double hi, double flo, double fhi,
                                  double fine, double growth, double max_pitch,
                                  int max_cells) {
@@ -66,9 +73,9 @@ Mesh::Mesh(const geom::Rect& area_um, const tech::DopingProfile& profile,
     geom::Rect focus = opt.focus;
     if (focus.empty()) focus = area_; // uniform-ish fine mesh, capped below
     xe_ = graded_edges(area_.x0, area_.x1, focus.x0, focus.x1, opt.fine_pitch,
-                       opt.growth, opt.max_pitch, opt.max_cells_per_axis);
+                       opt.growth, opt.max_pitch, kMaxCellsPerAxis);
     ye_ = graded_edges(area_.y0, area_.y1, focus.y0, focus.y1, opt.fine_pitch,
-                       opt.growth, opt.max_pitch, opt.max_cells_per_axis);
+                       opt.growth, opt.max_pitch, kMaxCellsPerAxis);
 
     // Scale slab thicknesses to the profile depth.
     double zsum = 0.0;

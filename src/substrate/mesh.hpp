@@ -33,8 +33,6 @@ struct MeshOptions {
     std::vector<double> z_steps = {0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 122.5};
     /// Margin added around the analysed area [um].
     double margin = 25.0;
-    /// Hard cap on lateral cells per axis (pitch is coarsened if exceeded).
-    int max_cells_per_axis = 160;
 };
 
 class Mesh {
@@ -66,10 +64,6 @@ public:
     /// Appends a new node to the network and returns its id (used by
     /// extractors for contact/well port nodes).
     int add_aux_node();
-
-    /// The generated edge coordinates (for tests).
-    const std::vector<double>& x_edges() const { return xe_; }
-    const std::vector<double>& y_edges() const { return ye_; }
 
 private:
     void build(const tech::DopingProfile& profile);

@@ -12,13 +12,23 @@
 
 namespace snim::substrate {
 
+namespace {
+
+/// Assumed contact cut pitch [um].
+constexpr double kCutPitch = 0.5;
+
+} // namespace
+
+double contact_cuts(const geom::Rect& r) {
+    return std::max(1.0, r.area() / (kCutPitch * kCutPitch));
+}
+
 std::string tap_port_name(const std::string& net) { return net + "!sub"; }
 std::string well_port_name(const std::string& net) { return net + "!well"; }
 
 std::vector<TapCluster> cluster_taps(const std::vector<layout::Shape>& shapes,
                                      const layout::ExtractedNets& nets,
-                                     const tech::Technology& tech,
-                                     double cut_pitch) {
+                                     const tech::Technology& tech) {
     SNIM_ASSERT(shapes.size() == nets.shape_net.size(), "shapes/nets size mismatch");
     (void)tech;
 
@@ -54,8 +64,7 @@ std::vector<TapCluster> cluster_taps(const std::vector<layout::Shape>& shapes,
             auto& c = clusters[find(k)];
             c.net = net;
             c.region.add(shapes[indices[k]].rect);
-            c.cuts += std::max(
-                1.0, shapes[indices[k]].rect.area() / (cut_pitch * cut_pitch));
+            c.cuts += contact_cuts(shapes[indices[k]].rect);
             c.shape_indices.push_back(indices[k]);
         }
 
@@ -81,16 +90,12 @@ std::vector<TapCluster> cluster_taps(const std::vector<layout::Shape>& shapes,
 std::vector<PortSpec> ports_from_layout(const std::vector<layout::Shape>& shapes,
                                         const layout::ExtractedNets& nets,
                                         const std::vector<layout::Label>& labels,
-                                        const tech::Technology& tech,
-                                        const PortsFromLayoutOptions& opt) {
-    double tap_res = opt.tap_res_per_cut;
-    if (tap_res <= 0) {
-        const tech::Layer* tap = tech.find_layer(tech::layers::kSubTap);
-        tap_res = tap ? tap->via_res : 6.0;
-    }
+                                        const tech::Technology& tech) {
+    const tech::Layer* tap = tech.find_layer(tech::layers::kSubTap);
+    const double tap_res = tap ? tap->via_res : 6.0;
 
     std::vector<PortSpec> out;
-    for (auto& cluster : cluster_taps(shapes, nets, tech, opt.cut_pitch)) {
+    for (auto& cluster : cluster_taps(shapes, nets, tech)) {
         PortSpec spec;
         spec.name = cluster.name;
         spec.region = std::move(cluster.region);

@@ -12,13 +12,11 @@
 
 namespace snim::substrate {
 
-struct PortsFromLayoutOptions {
-    /// Contact resistance per substrate-tap cut [ohm] (from the technology
-    /// subtap layer when zero).
-    double tap_res_per_cut = 0.0;
-    /// Assumed cut size for taps drawn as long strips [um].
-    double cut_pitch = 0.5;
-};
+/// Estimated contact cut count of a drawn tap or via rectangle: its area
+/// over the 0.5 um square cut pitch assumed for strips and multi-cut
+/// arrays, at least one.  The substrate tap ports and the interconnect
+/// vias share this one estimate.
+double contact_cuts(const geom::Rect& r);
 
 /// A spatially connected group of substrate-tap shapes on one net.  The MOS
 /// ground ring and the outer guard ring of the paper sit on the SAME net
@@ -39,18 +37,17 @@ struct TapCluster {
 /// node names agree.
 std::vector<TapCluster> cluster_taps(const std::vector<layout::Shape>& shapes,
                                      const layout::ExtractedNets& nets,
-                                     const tech::Technology& tech,
-                                     double cut_pitch = 0.5);
+                                     const tech::Technology& tech);
 
-/// Scans the flattened layout: every tap cluster yields a Resistive port;
-/// every labelled n-well region yields a Capacitive port named
-/// "<label>!well".  The returned specs reference the net names discovered
-/// by connectivity extraction.
+/// Scans the flattened layout: every tap cluster yields a Resistive port
+/// whose contact resistance is the technology's subtap via_res over the
+/// cluster's cut count; every labelled n-well region yields a Capacitive
+/// port named "<label>!well".  The returned specs reference the net names
+/// discovered by connectivity extraction.
 std::vector<PortSpec> ports_from_layout(const std::vector<layout::Shape>& shapes,
                                         const layout::ExtractedNets& nets,
                                         const std::vector<layout::Label>& labels,
-                                        const tech::Technology& tech,
-                                        const PortsFromLayoutOptions& opt = {});
+                                        const tech::Technology& tech);
 
 /// Port name helpers shared with the impact flow.
 std::string tap_port_name(const std::string& net);

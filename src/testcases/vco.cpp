@@ -282,7 +282,6 @@ core::FlowOptions vco_flow_options() {
     fo.substrate.mesh.max_pitch = 70.0;
     fo.substrate.mesh.margin = 40.0;
     fo.substrate.mesh.z_steps = {0.8, 2.0, 5.0, 12.0, 30.0, 80.0, 120.0};
-    fo.surface_patches = 3;
     return fo;
 }
 

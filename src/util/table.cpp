@@ -52,12 +52,6 @@ void Table::print() const { std::fputs(to_string().c_str(), stdout); }
 AsciiPlot::AsciiPlot(std::string title, std::string xlabel, std::string ylabel)
     : title_(std::move(title)), xlabel_(std::move(xlabel)), ylabel_(std::move(ylabel)) {}
 
-void AsciiPlot::set_size(int width, int height) {
-    SNIM_ASSERT(width >= 16 && height >= 4, "plot size too small");
-    width_ = width;
-    height_ = height;
-}
-
 void AsciiPlot::add(PlotSeries series) {
     SNIM_ASSERT(series.x.size() == series.y.size(), "series '%s' x/y mismatch",
                 series.name.c_str());

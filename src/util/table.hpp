@@ -43,7 +43,6 @@ public:
     AsciiPlot(std::string title, std::string xlabel, std::string ylabel);
 
     void set_log_x(bool log_x) { log_x_ = log_x; }
-    void set_size(int width, int height);
     void add(PlotSeries series);
 
     std::string to_string() const;

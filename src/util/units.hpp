@@ -26,9 +26,6 @@ inline constexpr double kQ = 1.602176634e-19;
 /// Thermal voltage at 300 K [V].
 inline constexpr double kVt300 = 0.025852;
 
-inline constexpr double um_to_m(double um) { return um * 1e-6; }
-inline constexpr double m_to_um(double m) { return m * 1e6; }
-
 /// Power ratio in dB (P in W or ratio of powers).
 inline double db10(double power_ratio) { return 10.0 * std::log10(power_ratio); }
 /// Amplitude ratio in dB.

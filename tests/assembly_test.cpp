@@ -113,12 +113,10 @@ TEST_F(AssemblyTest, IncrementalMatchesFullAssemblyAcrossRandomNetlists) {
     for (int trial = 0; trial < 5; ++trial) {
         auto nl = mixed_netlist(10 + 5 * trial, 1 + trial % 3, rng);
         const size_t n = nl.unknown_count();
-        const double gmin = 1e-12;
-
         circuit::RealStamper inc(n), ref(n);
         inc.enable_compiled_assembly();
         ref.enable_compiled_assembly();
-        sim::TranAssembler asmb(nl, inc, gmin);
+        sim::TranAssembler asmb(nl, inc);
 
         circuit::TranParams tp;
         tp.order = 2;
@@ -135,7 +133,7 @@ TEST_F(AssemblyTest, IncrementalMatchesFullAssemblyAcrossRandomNetlists) {
                     x[i] = 0.9 * x[i] + 0.05 * rng.uniform(0, 1);
                 asmb.assemble(x, tp);
                 ref.clear();
-                sim::assemble_tran(nl, ref, x, tp, gmin);
+                sim::assemble_tran(nl, ref, x, tp);
                 expect_bitwise_equal(
                     inc, ref,
                     format("trial %d attempt %d it %d", trial, a, it).c_str());
@@ -189,12 +187,10 @@ TEST_F(AssemblyTest, OrientationFlipForcesRelearnAndStaysBitIdentical) {
     nl.add<SignSwitchedConductance>("xsw", nl.node("n5"), circuit::kGround, 1e-3);
     nl.finalize();
     const size_t n = nl.unknown_count();
-    const double gmin = 1e-12;
-
     circuit::RealStamper inc(n), ref(n);
     inc.enable_compiled_assembly();
     ref.enable_compiled_assembly();
-    sim::TranAssembler asmb(nl, inc, gmin);
+    sim::TranAssembler asmb(nl, inc);
 
     circuit::TranParams tp;
     tp.dt = 10e-12;
@@ -211,7 +207,7 @@ TEST_F(AssemblyTest, OrientationFlipForcesRelearnAndStaysBitIdentical) {
     for (size_t i = 0; i < n; ++i) x[i] = -0.5;
     asmb.assemble(x, tp);
     ref.clear();
-    sim::assemble_tran(nl, ref, x, tp, gmin);
+    sim::assemble_tran(nl, ref, x, tp);
     expect_bitwise_equal(inc, ref, "after orientation flip");
     EXPECT_GT(asmb.epoch(), epoch0);
     EXPECT_GE(obs::counter_value("sim/assemble_relearn"), 1u);
@@ -222,12 +218,10 @@ TEST_F(AssemblyTest, MosfetOrientationFlipKeepsTapeAndStaysBitIdentical) {
     Rng rng(7);
     auto nl = mixed_netlist(12, 2, rng);
     const size_t n = nl.unknown_count();
-    const double gmin = 1e-12;
-
     circuit::RealStamper inc(n), ref(n);
     inc.enable_compiled_assembly();
     ref.enable_compiled_assembly();
-    sim::TranAssembler asmb(nl, inc, gmin);
+    sim::TranAssembler asmb(nl, inc);
 
     circuit::TranParams tp;
     tp.dt = 10e-12;
@@ -243,7 +237,7 @@ TEST_F(AssemblyTest, MosfetOrientationFlipKeepsTapeAndStaysBitIdentical) {
     for (size_t i = 0; i < n; ++i) x[i] = -0.5;
     asmb.assemble(x, tp);
     ref.clear();
-    sim::assemble_tran(nl, ref, x, tp, gmin);
+    sim::assemble_tran(nl, ref, x, tp);
     expect_bitwise_equal(inc, ref, "after MOSFET orientation flip");
     EXPECT_EQ(asmb.epoch(), epoch0);
     EXPECT_EQ(obs::counter_value("sim/assemble_relearn"), 0u);
@@ -297,8 +291,8 @@ TEST_F(AssemblyTest, PartialRefactorMatchesFullRefactorBitwise) {
         // second refresh replays what the first one cached).
         for (const std::vector<int>* last : {static_cast<const std::vector<int>*>(nullptr),
                                              &changed}) {
-            SparseLU<double> partial(a1, 0.1, last);
-            SparseLU<double> full(a1, 0.1, last);
+            SparseLU<double> partial(a1, last);
+            SparseLU<double> full(a1, last);
             for (const SparseCSC<double>* a : {&a2, &a3}) {
                 const std::string when =
                     format("trial %d, %s, %s", trial, last ? "delayed" : "natural order",
@@ -340,7 +334,7 @@ TEST_F(AssemblyTest, ReusableLuTakesPartialPathOnlyUnderMatchingKey) {
     SparseCSC<double> a(t);
     std::vector<int> changed = {4, 20};
 
-    ReusableLU<double> rlu{ReusableLU<double>::Options{}};
+    ReusableLU<double> rlu;
     ReusableLU<double>::RefactorHint hint;
     hint.key[0] = 0x1111;
     hint.changed_cols = &changed;
@@ -471,7 +465,7 @@ TEST_F(AssemblyTest, Fig7FullCaptureMatchesFrozenDigest) {
 /// same columns, and requires the two to agree bit for bit.
 void expect_matches_fresh(const SparseLU<double>& lu, const SparseCSC<double>& a,
                           const std::vector<int>& delayed, const char* when) {
-    const SparseLU<double> fresh(a, 0.1, &delayed);
+    const SparseLU<double> fresh(a, &delayed);
     std::vector<double> b(a.size());
     for (size_t i = 0; i < b.size(); ++i) b[i] = std::sin(1.0 + static_cast<double>(i));
     const auto x = lu.solve(b);
@@ -498,15 +492,12 @@ TEST_F(AssemblyTest, VcoJacobianPartialRefreshMatchesFreshFactorization) {
     auto& nl = vco.netlist;
     nl.finalize();
     const size_t n = nl.unknown_count();
-    const double gmin = testcases::vco_osc_options().gmin;
-    sim::OpOptions oo;
-    oo.gmin = gmin;
-    std::vector<double> x = sim::operating_point(nl, oo);
+    std::vector<double> x = sim::operating_point(nl);
     for (const auto& d : nl.devices()) d->init_tran(x);
 
     circuit::RealStamper s(n);
     s.enable_compiled_assembly();
-    sim::TranAssembler asmb(nl, s, gmin);
+    sim::TranAssembler asmb(nl, s);
     circuit::TranParams tp;
     tp.dt = 10e-12;
     tp.order = 2;
@@ -518,7 +509,7 @@ TEST_F(AssemblyTest, VcoJacobianPartialRefreshMatchesFreshFactorization) {
     std::vector<char> in_set(n, 0);
     for (int c : cols) in_set[static_cast<size_t>(c)] = 1;
 
-    SparseLU<double> lu(s.csc(), 0.1, &cols);
+    SparseLU<double> lu(s.csc(), &cols);
     expect_matches_fresh(lu, s.csc(), cols, "initial factorization");
 
     Rng rng(24);

@@ -31,6 +31,7 @@
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace snim;
 
@@ -388,19 +389,19 @@ TEST_F(CertifyTest, OpSolveIsCertified) {
 TEST_F(CertifyTest, AcLedgerIsThreadCountIndependent) {
     const std::vector<double> freqs = logspace(1e3, 1e9, 25);
 
+    const int saved_threads = util::default_thread_count();
     auto run = [&](int threads) {
+        util::set_default_thread_count(threads);
         obs::reset();
         obs::set_enabled(true);
         circuit::Netlist n2 = sine_rc_netlist();
         n2.finalize();
-        sim::AcOptions opt;
-        opt.threads = threads;
-        sim::ac_sweep(n2, freqs, std::vector<double>(n2.unknown_count(), 0.0),
-                      opt);
+        sim::ac_sweep(n2, freqs, std::vector<double>(n2.unknown_count(), 0.0));
         return obs::budget_snapshot();
     };
     const auto s1 = run(1);
     const auto s4 = run(4);
+    util::set_default_thread_count(saved_threads);
     ASSERT_EQ(s1.size(), s4.size());
     ASSERT_FALSE(s1.empty());
     for (size_t i = 0; i < s1.size(); ++i) {

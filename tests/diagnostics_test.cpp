@@ -30,6 +30,7 @@ protected:
     void SetUp() override {
         obs::reset();
         obs::set_enabled(false);
+        sim::set_default_diag_dir(::testing::TempDir());
     }
     void TearDown() override {
         obs::reset();
@@ -38,13 +39,13 @@ protected:
     }
 };
 
-/// RC lowpass driven by a 100 V pulse with 1 fs edges: the dv_max clamp
-/// (0.5 V) caps Newton progress to max_newton * 0.5 V = 30 V per attempt,
-/// and even the retry ladder's finest micro-step (dt/4096, 24 fs) cannot
-/// split the edge, so it can never be swallowed — a deterministic mid-run
-/// convergence failure with a clean recorded prefix before it.  The edge
-/// sits mid-step (by default between steps 50 and 51) so the failing step
-/// index is float-robust.
+/// RC lowpass driven by a 100 V pulse with 1 fs edges: the transient's
+/// 0.5 V Newton clamp caps progress to 60 iterations * 0.5 V = 30 V per
+/// attempt, and even the retry ladder's finest micro-step (dt/4096, 24 fs)
+/// cannot split the edge, so it can never be swallowed — a deterministic
+/// mid-run convergence failure with a clean recorded prefix before it.  The
+/// edge sits mid-step (by default between steps 50 and 51) so the failing
+/// step index is float-robust.
 circuit::Netlist divergent_netlist(double edge = 5.05e-9) {
     circuit::Netlist nl;
     nl.add<circuit::VSource>(
@@ -55,11 +56,10 @@ circuit::Netlist divergent_netlist(double edge = 5.05e-9) {
     return nl;
 }
 
-sim::TranOptions divergent_options(const std::string& diag_dir) {
+sim::TranOptions divergent_options() {
     sim::TranOptions opt;
     opt.dt = 0.1e-9;
     opt.tstop = 10e-9;
-    opt.diag_dir = diag_dir;
     return opt;
 }
 
@@ -81,7 +81,7 @@ std::string bundle_path_from(const std::string& message) {
 
 TEST_F(DiagnosticsTest, DivergentTransientWritesWellFormedBundle) {
     auto nl = divergent_netlist();
-    const auto opt = divergent_options(::testing::TempDir());
+    const auto opt = divergent_options();
     std::string message;
     try {
         sim::transient(nl, {"in", "out"}, opt);
@@ -124,7 +124,7 @@ TEST_F(DiagnosticsTest, DivergentTransientWritesWellFormedBundle) {
 
 TEST_F(DiagnosticsTest, BundleKeepsRecordedPrefixOfNonConvergedTransient) {
     auto nl = divergent_netlist();
-    const auto opt = divergent_options(::testing::TempDir());
+    const auto opt = divergent_options();
     std::string message;
     try {
         sim::transient(nl, {"in", "out"}, opt);
@@ -149,7 +149,7 @@ TEST_F(DiagnosticsTest, WaveTailTrimsToLastSamples) {
     // The edge between steps 300 and 301 leaves a 300-sample prefix, longer
     // than the bundle's 256-sample wave tail.
     auto nl = divergent_netlist(30.05e-9);
-    auto opt = divergent_options(::testing::TempDir());
+    auto opt = divergent_options();
     opt.tstop = 40e-9;
     std::string message;
     try {
@@ -166,7 +166,7 @@ TEST_F(DiagnosticsTest, WaveTailTrimsToLastSamples) {
 }
 
 TEST_F(DiagnosticsTest, OpFailureWritesBundle) {
-    // A nonlinear circuit, so DC Newton clamps updates to dv_max per
+    // A nonlinear circuit, so DC Newton clamps updates to 0.5 V per
     // iteration: the 10 V node target is 20 clamped steps away, and
     // max_iter=1 cannot reach it on any rung of the homotopy ladder.
     circuit::Netlist nl;
@@ -177,7 +177,6 @@ TEST_F(DiagnosticsTest, OpFailureWritesBundle) {
                            circuit::DiodeModel{});
     sim::OpOptions opt;
     opt.max_iter = 1;
-    opt.diag_dir = ::testing::TempDir();
     std::string message;
     try {
         sim::operating_point(nl, opt);
@@ -204,7 +203,7 @@ TEST_F(DiagnosticsTest, OpFailureWritesBundle) {
 
 TEST_F(DiagnosticsTest, DisabledBundleStillRaisesStructuredError) {
     auto nl = divergent_netlist();
-    auto opt = divergent_options(::testing::TempDir());
+    auto opt = divergent_options();
     opt.diag_bundle = false;
     try {
         sim::transient(nl, {"in"}, opt);
@@ -235,9 +234,6 @@ TEST_F(DiagnosticsTest, ValidateTranOptionsNamesTheField) {
     bad.record_start = ok.tstop;
     expect_raises_naming(bad, "record_start");
     bad = ok;
-    bad.max_newton = 0;
-    expect_raises_naming(bad, "max_newton");
-    bad = ok;
     bad.dt = 0.0;
     expect_raises_naming(bad, "dt");
     bad = ok;
@@ -246,9 +242,6 @@ TEST_F(DiagnosticsTest, ValidateTranOptionsNamesTheField) {
     bad = ok;
     bad.order = 3;
     expect_raises_naming(bad, "order");
-    bad = ok;
-    bad.dv_max = 0.0;
-    expect_raises_naming(bad, "dv_max");
 
     // Non-finite inputs, and step counts the integer step index cannot hold.
     const double inf = std::numeric_limits<double>::infinity();
@@ -272,6 +265,13 @@ TEST_F(DiagnosticsTest, ValidateTranOptionsNamesTheField) {
     bad = ok;
     bad.vntol = inf;
     expect_raises_naming(bad, "TranOptions.vntol");
+    // A NaN start would record nothing, a -inf one every step.
+    bad = ok;
+    bad.record_start = nan;
+    expect_raises_naming(bad, "TranOptions.record_start");
+    bad = ok;
+    bad.record_start = -inf;
+    expect_raises_naming(bad, "TranOptions.record_start");
     // 2^53 steps exactly is still legal.
     auto edge = ok;
     edge.dt = 1.0;

@@ -31,6 +31,7 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
+#include "sim/diagnostics.hpp"
 #include "sim/transient.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -51,6 +52,7 @@ protected:
         obs::reset_profiler();
         obs::set_events_active(true);
         obs::set_heartbeat_interval(1.0);
+        sim::set_default_diag_dir(::testing::TempDir());
     }
     void TearDown() override {
         obs::stop_watchdog();
@@ -64,6 +66,7 @@ protected:
         obs::reset_progress_for_test();
         fault::clear();
         fault::set_slow_step_seconds(0.25);
+        sim::set_default_diag_dir("");
     }
 };
 
@@ -80,7 +83,6 @@ sim::TranOptions sine_options() {
     sim::TranOptions opt;
     opt.dt = 1e-9;
     opt.tstop = 50e-9;
-    opt.diag_dir = ::testing::TempDir();
     return opt;
 }
 

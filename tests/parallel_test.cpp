@@ -229,7 +229,7 @@ TEST_F(ParallelTest, ReusableLuCountsReuseAndGuardFallbacks) {
     EXPECT_EQ(obs::counter_value("numeric/lu_repivot_fallbacks"), 0u);
 
     // Same pattern, values scaled down by 1e6: the refactored min pivot
-    // drops far below repivot_tol * reference -> guarded full re-pivot.
+    // drops far below kRepivotTol * reference -> guarded full re-pivot.
     auto tiny = test_matrix(n, 0.0);
     for (auto& v : tiny.values_mut()) v *= 1e-6;
     rlu.factor(tiny);
@@ -411,12 +411,11 @@ AcRun run_ac(int threads) {
     nl.finalize();
     const std::vector<double> xop(nl.unknown_count(), 0.0);
     const auto freqs = linspace(1e6, 1e9, 64);
-    sim::AcOptions opt;
-    opt.threads = threads;
+    util::set_default_thread_count(threads);
     obs::reset();
     obs::set_enabled(true);
     AcRun out;
-    out.res = sim::ac_sweep(nl, freqs, xop, opt);
+    out.res = sim::ac_sweep(nl, freqs, xop);
     if (auto ts = obs::ts_get("sim/ac/lu_min_pivot")) out.ts_min_pivot = ts->value;
     if (auto ts = obs::ts_get("sim/ac/lu_fill_growth")) out.ts_fill = ts->value;
     out.reuse = obs::counter_value("numeric/lu_symbolic_reuse");
@@ -464,7 +463,7 @@ TEST_F(ParallelTest, AcSweepReuseMatchesFreshPerPoint) {
     for (size_t k = 0; k < freqs.size(); ++k) {
         circuit::ComplexStamper s(n);
         s.enable_compiled_assembly();
-        sim::assemble_ac(nl, s, xop, units::kTwoPi * freqs[k], sim::AcOptions{}.gmin);
+        sim::assemble_ac(nl, s, xop, units::kTwoPi * freqs[k]);
         const auto fresh = SparseLU<std::complex<double>>(s.csc()).solve(s.rhs());
         ASSERT_EQ(reused.res.x[k].size(), fresh.size());
         for (size_t i = 0; i < fresh.size(); ++i)

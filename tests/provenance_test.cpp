@@ -114,16 +114,10 @@ TEST_F(ProvenanceTest, TranOptionsDigestSeesEveryPerturbedField) {
     o.order = 1;
     EXPECT_NE(digest_of(o), h0);
     o = base;
-    o.be_startup_steps += 1;
-    EXPECT_NE(digest_of(o), h0);
-    o = base;
     o.record_start = 1e-9;
     EXPECT_NE(digest_of(o), h0);
     o = base;
     o.certify.rcond_min = 0.0;
-    EXPECT_NE(digest_of(o), h0);
-    o = base;
-    o.initial = {0.0, 1.0};
     EXPECT_NE(digest_of(o), h0);
     // And stability: the same options digest identically.
     EXPECT_EQ(digest_of(base), h0);

@@ -39,6 +39,7 @@ protected:
         fault::clear();
         obs::reset();
         obs::set_enabled(false);
+        sim::set_default_diag_dir(::testing::TempDir());
     }
     void TearDown() override {
         fault::clear();
@@ -63,11 +64,10 @@ sim::TranOptions sine_options() {
     sim::TranOptions opt;
     opt.dt = 1e-9;
     opt.tstop = 50e-9;
-    opt.diag_dir = ::testing::TempDir();
     return opt;
 }
 
-/// The diagnostics suite's divergent case: a 100 V edge the dv_max clamp can
+/// The diagnostics suite's divergent case: a 100 V edge the 0.5 V clamp can
 /// never swallow at the nominal dt — but which micro-stepping CAN resolve.
 circuit::Netlist hard_edge_netlist() {
     circuit::Netlist nl;
@@ -318,14 +318,13 @@ TEST_F(RecoveryTest, RetryCountersAndDtChannelLandInRegistry) {
 TEST_F(RecoveryTest, HardEdgeIsRescuedByMicroStepping) {
     // No nominal step can take this 100 V edge (the clamp allows 30 V per
     // attempt), but with 1 ps rise and fall the ladder's micro-steps
-    // subdivide it into dv_max-sized jumps and the run completes.  The
+    // subdivide it into clamp-sized jumps and the run completes.  The
     // diagnostics suite sharpens the same edge to 1 fs, which no micro-step
     // can split, to make the ladder fail.
     auto nl = hard_edge_netlist();
     sim::TranOptions opt;
     opt.dt = 0.1e-9;
     opt.tstop = 10e-9;
-    opt.diag_dir = ::testing::TempDir();
     const auto res = sim::transient(nl, {"in", "out"}, opt);
     EXPECT_GE(res.step_retries, 3);
     ASSERT_EQ(res.time.size(), 100u); // the uniform grid survived recovery
@@ -382,11 +381,9 @@ TEST_F(RecoveryTest, EveryRungFindsTheSameOperatingPoint) {
 TEST_F(RecoveryTest, FullLadderFailureBundlesRungSummary) {
     fault::arm(fault::parse_spec("op.fail"));
     auto nl = diode_netlist();
-    sim::OpOptions opt;
-    opt.diag_dir = ::testing::TempDir();
     std::string message;
     try {
-        sim::operating_point(nl, opt);
+        sim::operating_point(nl);
         FAIL() << "op.fail must veto the whole ladder";
     } catch (const Error& e) {
         message = e.what();
@@ -405,11 +402,9 @@ TEST_F(RecoveryTest, VetoedRungsAreNamedInTheBundle) {
     fault::arm_list(
         "op.rung.newton,op.rung.gmin,op.rung.source,op.rung.ptran");
     auto nl = diode_netlist();
-    sim::OpOptions opt;
-    opt.diag_dir = ::testing::TempDir();
     std::string message;
     try {
-        sim::operating_point(nl, opt);
+        sim::operating_point(nl);
         FAIL();
     } catch (const Error& e) {
         message = e.what();
@@ -518,12 +513,6 @@ TEST_F(RecoveryTest, ValidateOpOptionsNamesTheField) {
     auto bad = ok;
     bad.max_iter = 0;
     expect_raises_naming(bad, "max_iter");
-    bad = ok;
-    bad.gmin = 0.0;
-    expect_raises_naming(bad, "gmin");
-    bad = ok;
-    bad.dv_max = -1.0;
-    expect_raises_naming(bad, "dv_max");
     // Non-finite tolerances: inf accepts any iterate as converged (a wrong
     // operating point on the first clamped step), NaN never converges.
     const double inf = std::numeric_limits<double>::infinity();
@@ -554,13 +543,10 @@ TEST_F(RecoveryTest, ValidateTranOptionsCoversRecoveryKnobs) {
     EXPECT_NO_THROW(sim::validate_tran_options(ok));
 
     // The recovery policy itself is constant; what a caller can still set
-    // is the start-up, the checkpoint cadence and the certificate floor.
+    // is the checkpoint cadence and the certificate floor.
     const double inf = std::numeric_limits<double>::infinity();
     const double nan = std::numeric_limits<double>::quiet_NaN();
     auto bad = ok;
-    bad.be_startup_steps = -1;
-    expect_raises_naming(bad, "TranOptions.be_startup_steps");
-    bad = ok;
     bad.checkpoint.every_steps = -1;
     expect_raises_naming(bad, "TranOptions.checkpoint.every_steps");
     for (double v : {-1.0, inf, nan}) {
@@ -609,8 +595,6 @@ TEST_F(RecoveryTest, ValidateFlowOptionsIsCoveredByImpactFlow) {
     EXPECT_NO_THROW(core::validate_flow_options(ok));
 
     auto bad = ok;
-    bad.surface_patches = 0;
-    expect_raises_naming(bad, "FlowOptions.surface_patches");
     for (double p : {0.0, inf, nan}) {
         bad = ok;
         bad.substrate.mesh.fine_pitch = p;
@@ -625,9 +609,6 @@ TEST_F(RecoveryTest, ValidateFlowOptionsIsCoveredByImpactFlow) {
     bad = ok;
     bad.substrate.mesh.max_pitch = 0.5 * ok.substrate.mesh.fine_pitch;
     expect_raises_naming(bad, "FlowOptions.substrate.mesh.max_pitch");
-    bad = ok;
-    bad.substrate.mesh.max_cells_per_axis = 0;
-    expect_raises_naming(bad, "FlowOptions.substrate.mesh.max_cells_per_axis");
     const char* const corner_names[] = {"x0", "y0", "x1", "y1"};
     for (int corner = 0; corner < 4; ++corner)
         for (double v : {inf, -inf, nan}) {
@@ -653,15 +634,6 @@ TEST_F(RecoveryTest, ValidateFlowOptionsIsCoveredByImpactFlow) {
         bad.substrate.mesh.z_steps[3] = t;
         expect_raises_naming(bad, "FlowOptions.substrate.mesh.z_steps[3]");
     }
-    bad = ok;
-    bad.interconnect.touch_resistance = 0.0;
-    expect_raises_naming(bad, "FlowOptions.interconnect.touch_resistance");
-    bad = ok;
-    bad.interconnect.cap_floor = -1e-18;
-    expect_raises_naming(bad, "FlowOptions.interconnect.cap_floor");
-    bad = ok;
-    bad.interconnect.cut_pitch = 0.0;
-    expect_raises_naming(bad, "FlowOptions.interconnect.cut_pitch");
 
     // An unbounded max_pitch is legal: the outer cells then only grow by
     // `growth`.

@@ -5,12 +5,18 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <utility>
 
+#include "circuit/sources.hpp"
 #include "dense_schur.hpp"
 #include "mor/elimination.hpp"
 #include "mor/macromodel.hpp"
+#include "numeric/vecops.hpp"
+#include "obs/provenance.hpp"
 #include "obs/registry.hpp"
+#include "sim/op.hpp"
+#include "sim/transfer.hpp"
 #include "substrate/extractor.hpp"
 #include "substrate/mesh.hpp"
 #include "tech/generic180.hpp"
@@ -399,9 +405,35 @@ TEST(ReduceBySolveTest, FigureMeshReductionsMatchFrozenDigest) {
     nmos.substrate.mesh.focus = geom::Rect(-20, -20, 50, 30);
     nmos.substrate.mesh.fine_pitch = 3.0;
     nmos.substrate.mesh.margin = 40.0;
-    const auto fig3 = testcases::build_model(testcases::build_nmos_structure(), nmos);
+    auto fig3 = testcases::build_model(testcases::build_nmos_structure(), nmos);
     ASSERT_FALSE(fig3.substrate.mor_fallback);
     EXPECT_EQ(network_digest(fig3.substrate.reduced), 0xfbce6c4e92da162dull);
+
+    // fig3's transfer values from the stitched model: the bias sweep of
+    // bench/fig3_nmos_transfer.cpp, the real and imaginary parts of each
+    // transfer at 5 MHz folded as raw doubles.  This pins everything that
+    // shapes the NMOS flow past its substrate reduction: the surface
+    // patches, the tap and via cut pitch, the interconnect's touch
+    // resistance and capacitance floor, the OP clamp and the OP and AC
+    // gmin.  The device models call libm, so unlike the reduction digests
+    // this one rests on libm's results too; it reads the same in Release,
+    // RelWithDebInfo and -O0 builds.
+    using testcases::NmosStructure;
+    auto& nl = fig3.netlist;
+    auto* vg = nl.find_as<circuit::VSource>(NmosStructure::kGateSource);
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (double bias : linspace(0.7, 1.6, 10)) {
+        vg->set_waveform(circuit::Waveform::dc(bias));
+        const auto xop = sim::operating_point(nl);
+        for (const auto& tr : sim::transfer_multi(
+                 nl, NmosStructure::kNoiseSource,
+                 {NmosStructure::kOut, NmosStructure::kBulk, NmosStructure::kSourceNode},
+                 {5e6}, xop))
+            for (const double part : {tr.h[0].real(), tr.h[0].imag()})
+                h = obs::fnv1a64(
+                    std::string_view(reinterpret_cast<const char*>(&part), sizeof part), h);
+    }
+    EXPECT_EQ(h, 0x84765fcd4b5ac9cbull);
 
     const auto vco =
         testcases::build_model(testcases::build_vco(), testcases::vco_flow_options());

@@ -10,14 +10,20 @@
 
 namespace snim::sim {
 
+namespace {
+
+/// The engine's Newton budget per step and its node-voltage clamp [V].
+constexpr int kMaxNewton = 60;
+constexpr double kDvMax = 0.5;
+
+} // namespace
+
 TranResult reference_transient(circuit::Netlist& netlist,
                                const std::vector<std::string>& probes,
                                const TranOptions& opt) {
     netlist.finalize();
     const size_t n = netlist.unknown_count();
-    OpOptions oo;
-    oo.gmin = opt.gmin;
-    std::vector<double> x = operating_point(netlist, oo);
+    std::vector<double> x = operating_point(netlist);
     for (const auto& d : netlist.devices()) d->init_tran(x);
 
     TranResult out;
@@ -33,19 +39,19 @@ TranResult reference_transient(circuit::Netlist& netlist,
         circuit::TranParams tp;
         tp.dt = opt.dt;
         tp.time = static_cast<double>(step) * opt.dt;
-        tp.order = step <= opt.be_startup_steps ? 1 : opt.order;
+        tp.order = step <= kBeStartupSteps ? 1 : opt.order;
         std::vector<double> xit = x;
         bool converged = false;
-        for (int it = 0; it < opt.max_newton && !converged; ++it) {
+        for (int it = 0; it < kMaxNewton && !converged; ++it) {
             s.clear();
-            assemble_tran(netlist, s, xit, tp, opt.gmin);
+            assemble_tran(netlist, s, xit, tp);
             const std::vector<double> xn = SparseLU<double>(s.csc()).solve(s.rhs());
             double max_dx = 0.0, norm = 0.0;
             for (size_t i = 0; i < n; ++i) {
                 double dx = xn[i] - xit[i];
                 if (!std::isfinite(dx))
                     raise("reference transient: non-finite update at step %ld", step);
-                if (i < netlist.node_count()) dx = std::clamp(dx, -opt.dv_max, opt.dv_max);
+                if (i < netlist.node_count()) dx = std::clamp(dx, -kDvMax, kDvMax);
                 max_dx = std::max(max_dx, std::fabs(dx));
                 xit[i] += dx;
                 norm = std::max(norm, std::fabs(xit[i]));

@@ -14,11 +14,11 @@
 namespace snim::sim {
 
 /// Integrates `netlist` like transient() with the same step, integration
-/// order, backward-Euler start-up, gmin, dv_max clamp, Newton convergence
-/// test and recording grid (tstop, dt, order, be_startup_steps, gmin,
-/// max_newton, reltol, vntol, dv_max, record_start; the other fields are
-/// ignored).  Starts from operating_point() and raises
-/// on the first step whose Newton iteration fails.
+/// order, kBeStartupSteps backward-Euler start-up, kGmin, 0.5 V Newton
+/// clamp, 60-iteration budget, Newton convergence test and recording grid
+/// (tstop, dt, order, reltol, vntol, record_start; the other fields are
+/// ignored).  Starts from operating_point() and raises on the first step
+/// whose Newton iteration fails.
 TranResult reference_transient(circuit::Netlist& netlist,
                                const std::vector<std::string>& probes,
                                const TranOptions& opt);

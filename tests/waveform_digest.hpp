@@ -42,8 +42,6 @@ inline TranOptions vco_capture_options(double settle, double capture) {
     vo.dt = osc.dt;
     vo.tstop = settle + capture;
     vo.record_start = settle;
-    vo.order = osc.order;
-    vo.gmin = osc.gmin;
     vo.accumulate_average = true;
     return vo;
 }
