@@ -15,6 +15,7 @@
 #include "circuit/sources.hpp"
 #include "geom/polygon.hpp"
 #include "mor/macromodel.hpp"
+#include "obs/events.hpp"
 #include "sim/op.hpp"
 #include "substrate/extractor.hpp"
 #include "util/csv.hpp"
@@ -78,6 +79,7 @@ std::vector<double> attenuation_profile(const tech::DopingProfile& profile,
 } // namespace
 
 int main() {
+    obs::init_live_from_env();
     printf("=== Ablation: substrate type (high-ohmic vs twin-well vs epi) ===\n\n");
 
     const std::vector<double> distances{110, 160, 220, 290};

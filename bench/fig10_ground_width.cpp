@@ -10,6 +10,7 @@
 #include "circuit/sources.hpp"
 #include "core/impact_model.hpp"
 #include "numeric/vecops.hpp"
+#include "obs/events.hpp"
 #include "obs/parallel.hpp"
 #include "testcases/vco.hpp"
 #include "util/csv.hpp"
@@ -29,6 +30,7 @@ struct Variant {
 } // namespace
 
 int main() {
+    obs::init_live_from_env();
     printf("=== Figure 10: impact vs ground-interconnect resistance ===\n\n");
 
     const std::vector<double> freqs = logspace(1e6, 15e6, 5);

@@ -11,6 +11,7 @@
 #include "circuit/mosfet.hpp"
 #include "circuit/sources.hpp"
 #include "numeric/vecops.hpp"
+#include "obs/events.hpp"
 #include "sim/op.hpp"
 #include "sim/transfer.hpp"
 #include "testcases/nmos_structure.hpp"
@@ -23,14 +24,6 @@ using testcases::NmosStructure;
 
 namespace {
 
-core::FlowOptions nmos_flow_options() {
-    core::FlowOptions fo;
-    fo.substrate.mesh.focus = geom::Rect(-20, -20, 50, 30);
-    fo.substrate.mesh.fine_pitch = 3.0;
-    fo.substrate.mesh.margin = 40.0;
-    return fo;
-}
-
 struct BiasPoint {
     double vg;
     double gmb, gds;
@@ -42,10 +35,12 @@ struct BiasPoint {
 } // namespace
 
 int main() {
+    obs::init_live_from_env();
     printf("=== Figure 3: substrate -> NMOS output transfer vs bias ===\n\n");
 
     auto structure = testcases::build_nmos_structure();
-    auto model = testcases::build_model(std::move(structure), nmos_flow_options());
+    auto model = testcases::build_model(std::move(structure),
+                                        testcases::nmos_flow_options());
     printf("model: %zu devices, substrate mesh %zu nodes -> %zu ports\n\n",
            model.netlist.device_count(), model.mesh_nodes,
            model.substrate.port_names.size());
@@ -110,7 +105,7 @@ int main() {
         testcases::NmosStructureOptions o;
         o.ground_wire_width = wire_width;
         auto st = testcases::build_nmos_structure(o);
-        core::FlowOptions fo = nmos_flow_options();
+        core::FlowOptions fo = testcases::nmos_flow_options();
         fo.interconnect.extract_resistance = extract_r;
         auto m = testcases::build_model(std::move(st), fo);
         auto* vg2 = m.netlist.find_as<circuit::VSource>(NmosStructure::kGateSource);

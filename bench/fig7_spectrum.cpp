@@ -7,6 +7,7 @@
 #include "circuit/passives.hpp"
 #include "circuit/sources.hpp"
 #include "dsp/spectrum.hpp"
+#include "obs/events.hpp"
 #include "rf/phase_noise.hpp"
 #include "rf/spur.hpp"
 #include "sim/ac.hpp"
@@ -20,6 +21,7 @@ using namespace snim;
 using testcases::VcoTestcase;
 
 int main() {
+    obs::init_live_from_env();
     printf("=== Figure 7: VCO output spectrum with a -5 dBm 10 MHz substrate tone ===\n\n");
 
     auto vco = testcases::build_vco();

@@ -14,6 +14,7 @@
 #include "core/classify.hpp"
 #include "core/impact_model.hpp"
 #include "numeric/vecops.hpp"
+#include "obs/events.hpp"
 #include "obs/parallel.hpp"
 #include "testcases/vco.hpp"
 #include "util/csv.hpp"
@@ -23,6 +24,7 @@ using namespace snim;
 using testcases::VcoTestcase;
 
 int main() {
+    obs::init_live_from_env();
     printf("=== Figure 8: spur power at fc +/- fnoise vs noise frequency ===\n\n");
 
     const std::vector<double> vtunes{0.0, 0.9};

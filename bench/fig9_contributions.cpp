@@ -13,6 +13,7 @@
 #include "circuit/sources.hpp"
 #include "core/contribution.hpp"
 #include "numeric/vecops.hpp"
+#include "obs/events.hpp"
 #include "testcases/vco.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
@@ -21,6 +22,7 @@ using namespace snim;
 using testcases::VcoTestcase;
 
 int main() {
+    obs::init_live_from_env();
     printf("=== Figure 9: per-device contributions (Vtune = 0, -5 dBm) ===\n\n");
 
     testcases::VcoOptions vopt;

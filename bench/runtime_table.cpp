@@ -12,6 +12,7 @@
 #include "circuit/sources.hpp"
 #include "core/impact_model.hpp"
 #include "obs/bench.hpp"
+#include "obs/events.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "testcases/vco.hpp"
@@ -31,6 +32,7 @@ const obs::Phase kReferenceTransientPhase("bench/reference_transient");
 } // namespace
 
 int main(int argc, char** argv) {
+    obs::init_live_from_env();
     obs::BenchOptions bopt;
     for (int i = 1; i < argc; ++i)
         if (std::strcmp(argv[i], "--quick") == 0) bopt.quick = true;

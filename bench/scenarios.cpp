@@ -66,19 +66,12 @@ std::vector<double> subsample(const std::vector<double>& full, size_t count) {
     return out;
 }
 
-core::FlowOptions nmos_flow_options() {
-    core::FlowOptions fo;
-    fo.substrate.mesh.focus = geom::Rect(-20, -20, 50, 30);
-    fo.substrate.mesh.fine_pitch = 3.0;
-    fo.substrate.mesh.margin = 40.0;
-    return fo;
-}
-
 // --- figure scenarios -----------------------------------------------------
 
 void run_fig3(obs::ScenarioContext& ctx) {
     auto structure = testcases::build_nmos_structure();
-    auto model = testcases::build_model(std::move(structure), nmos_flow_options());
+    auto model = testcases::build_model(std::move(structure),
+                                        testcases::nmos_flow_options());
     auto& nl = model.netlist;
     auto* vg = nl.find_as<circuit::VSource>(NmosStructure::kGateSource);
     auto* m1 = nl.find_as<circuit::Mosfet>(NmosStructure::kMosfet);

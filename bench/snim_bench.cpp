@@ -7,9 +7,11 @@
 // Runs the registered scenarios (paper figures with accuracy metrics against
 // the reference CSVs, plus numeric kernels), prints per-scenario runtime
 // statistics and accuracy deltas, optionally emits the BENCH_*.json report
-// and a Chrome trace, and gates against a baseline report.  Exit status:
-// 0 gate passes, 1 a scenario regressed or missed its accuracy tolerance,
-// 2 usage error.
+// and a Chrome trace, and gates against a baseline report.  Live telemetry
+// (SNIM_EVENTS, SNIM_PROFILE, SNIM_WATCHDOG, SNIM_LASTGASP) arms through
+// the environment, as in every other entry point.  Exit status: 0 gate
+// passes, 1 a scenario regressed or missed its accuracy tolerance, 2 usage
+// error.
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -26,12 +28,11 @@
 #include "obs/events.hpp"
 #include "obs/profiler.hpp"
 #include "obs/progress.hpp"
+#include "obs/report.hpp"
 #include "obs/run_ledger.hpp"
 #include "obs/trace_export.hpp"
-#include "obs/watchdog.hpp"
 #include "scenarios.hpp"
 #include "sim/checkpoint.hpp"
-#include "sim/diagnostics.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
@@ -59,11 +60,6 @@ struct Args {
     bool resume = false;
     std::string ledger_path;
     std::string log_level;
-    std::string events_path;
-    std::string profile_path;
-    std::string watchdog_spec;
-    bool status = false;    // --status: force the live TTY line on
-    bool no_status = false; // --no-status: force it off
 };
 
 void usage(std::FILE* to) {
@@ -86,8 +82,9 @@ void usage(std::FILE* to) {
         "  --fail-on-regress PCT  median-runtime regression threshold (default 10)\n"
         "  --dump-waves DIR       write per-scenario probe waveforms and solver-\n"
         "                         health channels as VCD + CSV into DIR\n"
-        "  --diag-dir DIR         write Newton-failure diagnosis bundles\n"
-        "                         (snim_diag_*.json) into DIR instead of cwd\n"
+        "  --diag-dir DIR         write solver-failure and watchdog-hang bundles\n"
+        "                         (snim_diag_*.json, snim_watchdog_*.json) into\n"
+        "                         DIR instead of cwd\n"
         "  --checkpoint-dir DIR   snapshot every transient's state into DIR\n"
         "                         (crash-consistent, double-buffered; one file\n"
         "                         per scenario corner)\n"
@@ -101,16 +98,8 @@ void usage(std::FILE* to) {
         "                         per-scenario runtime/accuracy/RSS) to the\n"
         "                         JSONL ledger; render with `snim_report trend`\n"
         "  --log-level LEVEL      debug|info|warn|quiet (default: SNIM_LOG, else warn)\n"
-        "  --events FILE          stream the live event journal as JSONL to FILE\n"
-        "                         (stderr or - select stderr); also SNIM_EVENTS\n"
-        "  --profile FILE         sample phase stacks (~200 Hz) and write folded\n"
-        "                         stacks for flamegraph.pl to FILE; also SNIM_PROFILE\n"
-        "  --watchdog SPEC        stall_s[,hang_s[,abort]] — warn after stall_s\n"
-        "                         quiet seconds, bundle (and optionally abort)\n"
-        "                         after hang_s; also SNIM_WATCHDOG\n"
-        "  --status / --no-status force the live one-line progress display on or\n"
-        "                         off (default: on when stderr is a terminal and\n"
-        "                         any live telemetry is active)\n",
+        "live telemetry arms through SNIM_EVENTS, SNIM_PROFILE, SNIM_WATCHDOG and\n"
+        "SNIM_LASTGASP (README, \"Watching a run live\")\n",
         to);
 }
 
@@ -139,11 +128,6 @@ bool parse_args(int argc, char** argv, Args& a) {
         else if (arg == "--resume") a.resume = true;
         else if (arg == "--ledger") a.ledger_path = need_value(i, "--ledger");
         else if (arg == "--log-level") a.log_level = need_value(i, "--log-level");
-        else if (arg == "--events") a.events_path = need_value(i, "--events");
-        else if (arg == "--profile") a.profile_path = need_value(i, "--profile");
-        else if (arg == "--watchdog") a.watchdog_spec = need_value(i, "--watchdog");
-        else if (arg == "--status") a.status = true;
-        else if (arg == "--no-status") a.no_status = true;
         else if (arg == "--help" || arg == "-h") { usage(stdout); std::exit(0); }
         else raise("unknown option '%s'", arg.c_str());
     }
@@ -180,22 +164,6 @@ sim::CheckpointOptions parse_checkpoint_args(const Args& a) {
                   a.checkpoint_every.c_str());
     }
     return ck;
-}
-
-obs::WatchdogOptions parse_watchdog_spec(const std::string& spec) {
-    obs::WatchdogOptions opt;
-    char* end = nullptr;
-    opt.stall_s = std::strtod(spec.c_str(), &end);
-    if (end == spec.c_str() || opt.stall_s <= 0.0)
-        raise("--watchdog wants stall_s[,hang_s[,abort]], got '%s'", spec.c_str());
-    if (*end == ',') {
-        const char* rest = end + 1;
-        opt.hang_s = std::strtod(rest, &end);
-        if (end == rest) opt.hang_s = 0.0;
-        if (*end == ',' && std::strcmp(end + 1, "abort") == 0)
-            opt.abort_on_hang = true;
-    }
-    return opt;
 }
 
 /// Live single-line status on stderr, rewritten in place on each heartbeat.
@@ -273,7 +241,6 @@ int run(const Args& a) {
     // Also raise the process default so AC sweeps inside scenarios pick the
     // same width without plumbing it through every options struct.
     if (a.threads > 0) util::set_default_thread_count(a.threads);
-    if (!a.diag_dir.empty()) sim::set_default_diag_dir(a.diag_dir);
     // Checkpointing installs as a process default: scenarios stamp their own
     // per-corner tags on top, so a killed sweep resumes at the first
     // unfinished corner.  The dir is created here because transient()
@@ -284,18 +251,18 @@ int run(const Args& a) {
         sim::set_default_checkpoint(parse_checkpoint_args(a));
     }
     if (!a.wave_dir.empty()) ::mkdir(a.wave_dir.c_str(), 0755);
+    // Created for the same reason: a bundle that cannot be written only
+    // drops its path from the error it documents.
+    if (!a.diag_dir.empty()) {
+        ::mkdir(a.diag_dir.c_str(), 0755);
+        obs::set_bundle_dir(a.diag_dir);
+    }
 
-    // Live telemetry: the env pieces (SNIM_EVENTS/SNIM_PROFILE/SNIM_WATCHDOG/
-    // SNIM_LASTGASP) first, then the explicit flags on top.
+    // Live telemetry (SNIM_EVENTS/SNIM_PROFILE/SNIM_WATCHDOG/SNIM_LASTGASP).
     obs::init_live_from_env();
     if (!a.log_level.empty()) set_log_level(*parse_log_level(a.log_level));
-    if (!a.events_path.empty()) obs::set_event_stream_path(a.events_path);
-    if (!a.profile_path.empty()) obs::start_profiler({});
-    if (!a.watchdog_spec.empty())
-        obs::start_watchdog(parse_watchdog_spec(a.watchdog_spec));
-    const bool live = obs::events_active() || obs::profiler_running();
-    const bool tty_status =
-        !a.no_status && (a.status || (live && isatty(STDERR_FILENO)));
+    const bool tty_status = (obs::events_active() || obs::profiler_running()) &&
+                            isatty(STDERR_FILENO);
     if (tty_status) obs::set_heartbeat_observer(tty_status_observer);
 
     // One manifest for the whole invocation, installed before the scenario
@@ -336,14 +303,9 @@ int run(const Args& a) {
         clear_tty_status();
     }
 
-    // Freeze the profiler before report/trace emission so both embed the
-    // same counts, then write the folded stacks for flamegraph.pl.
-    if (!a.profile_path.empty()) {
-        obs::stop_profiler();
-        obs::write_folded(a.profile_path, obs::profiler_snapshot());
-        std::printf("wrote %s (feed to flamegraph.pl or speedscope)\n",
-                    a.profile_path.c_str());
-    }
+    // Freeze the profiler before the report embeds its counts; the
+    // SNIM_PROFILE folded file shutdown_live() writes holds the same ones.
+    obs::stop_profiler();
 
     if (!a.out_path.empty()) {
         obs::write_bench_report(a.out_path, obs::bench_report_json(results, opt));
@@ -357,12 +319,7 @@ int run(const Args& a) {
     if (!a.trace_path.empty()) {
         std::vector<obs::TraceLane> lanes;
         for (const auto& r : results) lanes.push_back(r.lane);
-        obs::Json trace = obs::chrome_trace_json(lanes);
-        // Sampled folded stacks ride along under a custom top-level key;
-        // Chrome/Perfetto ignore keys they don't know.
-        if (const obs::FoldedProfile p = obs::profiler_snapshot(); p.samples > 0)
-            trace.as_object().emplace("snimProfile", obs::profile_json(p));
-        obs::write_json_file(a.trace_path, trace);
+        obs::write_json_file(a.trace_path, obs::chrome_trace_json(lanes));
         std::printf("wrote %s (load in chrome://tracing or ui.perfetto.dev)\n",
                     a.trace_path.c_str());
     }

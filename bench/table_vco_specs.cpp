@@ -6,6 +6,7 @@
 #include "circuit/passives.hpp"
 #include "circuit/sources.hpp"
 #include "numeric/vecops.hpp"
+#include "obs/events.hpp"
 #include "rf/phase_noise.hpp"
 #include "sim/ac.hpp"
 #include "sim/op.hpp"
@@ -44,6 +45,7 @@ std::pair<double, double> resonance(circuit::Netlist& nl,
 } // namespace
 
 int main() {
+    obs::init_live_from_env();
     printf("=== Section 4: VCO specifications (tuning curve, Q, current) ===\n\n");
 
     auto vco = testcases::build_vco();

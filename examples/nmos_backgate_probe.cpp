@@ -28,11 +28,8 @@ int main() {
     printf("wrote nmos_structure.layout (%zu shapes)\n",
            structure.layout.flatten_shapes().size());
 
-    core::FlowOptions fo;
-    fo.substrate.mesh.focus = geom::Rect(-20, -20, 50, 30);
-    fo.substrate.mesh.fine_pitch = 3.0;
-    fo.substrate.mesh.margin = 40.0;
-    auto model = testcases::build_model(std::move(structure), fo);
+    auto model = testcases::build_model(std::move(structure),
+                                        testcases::nmos_flow_options());
     printf("%s\n", core::report_model(model).to_string().c_str());
 
     auto& nl = model.netlist;

@@ -86,7 +86,7 @@ InterconnectModel extract_interconnect(const std::vector<layout::Shape>& shapes,
     // Tap clusters give each contact shape the substrate-port name shared
     // with the substrate extractor.
     std::unordered_map<size_t, std::string> tap_name_of_shape;
-    for (const auto& cluster : substrate::cluster_taps(shapes, nets, tech))
+    for (const auto& cluster : substrate::cluster_taps(shapes, nets))
         for (size_t idx : cluster.shape_indices) tap_name_of_shape[idx] = cluster.name;
 
     auto add_event = [&](size_t shape, geom::Point at, Event e) {

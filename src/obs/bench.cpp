@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "obs/certify.hpp"
-#include "obs/events.hpp"
 #include "obs/parallel.hpp"
 #include "obs/profiler.hpp"
 #include "obs/progress.hpp"
@@ -393,15 +392,8 @@ Json bench_report_json(const std::vector<ScenarioResult>& results,
     root.emplace("scenarios", Json(std::move(scenarios)));
     // Schema 3: the event-journal tail (when live telemetry ran), so the
     // report alone answers "what was the run saying near the end".
-    JsonArray events;
-    for (const std::string& line : event_tail()) {
-        try {
-            events.push_back(Json::parse(line));
-        } catch (const Error&) {
-            // Torn/overwritten ring record; skip.
-        }
-    }
-    if (!events.empty()) root.emplace("events", Json(std::move(events)));
+    if (JsonArray events = event_tail_json(); !events.empty())
+        root.emplace("events", Json(std::move(events)));
     // Schema 3: folded-stack sample counts when the sampling profiler ran.
     if (const FoldedProfile profile = profiler_snapshot(); profile.samples > 0)
         root.emplace("profile", profile_json(profile));

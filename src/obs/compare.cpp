@@ -798,8 +798,8 @@ std::string show_events(const Json& report, size_t top_stacks) {
     std::string out;
     if (!report.contains("events") || !report.at("events").is_array() ||
         report.at("events").as_array().empty()) {
-        out += "no event journal in this document (run with SNIM_EVENTS or "
-               "--events to record one)\n";
+        out += "no event journal in this document (run with SNIM_EVENTS=<file> "
+               "to record one)\n";
     } else {
         const JsonArray& events = report.at("events").as_array();
         out += format("event journal tail (%zu records):\n", events.size());

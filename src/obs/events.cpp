@@ -13,6 +13,7 @@
 #include "obs/lastgasp.hpp"
 #include "obs/profiler.hpp"
 #include "obs/watchdog.hpp"
+#include "util/atomic_file.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
@@ -255,27 +256,15 @@ void init_live_from_env() {
     }
     if (const char* env = std::getenv("SNIM_PROFILE"); env && *env) {
         g_env_profile_path = env;
-        start_profiler({});
+        start_profiler();
         register_shutdown();
     }
     if (const char* env = std::getenv("SNIM_WATCHDOG"); env && *env) {
-        WatchdogOptions opt;
-        char* end = nullptr;
-        const double stall = std::strtod(env, &end);
-        if (end == env || stall <= 0.0) {
-            log_warn("ignoring malformed SNIM_WATCHDOG '%s' "
-                     "(want: stall_seconds[,hang_seconds[,abort]])", env);
-        } else {
-            opt.stall_s = stall;
-            if (*end == ',') {
-                const char* rest = end + 1;
-                opt.hang_s = std::strtod(rest, &end);
-                if (end == rest) opt.hang_s = 0.0;
-                if (*end == ',' && std::strcmp(end + 1, "abort") == 0)
-                    opt.abort_on_hang = true;
-            }
-            start_watchdog(opt);
+        try {
+            start_watchdog(parse_watchdog_spec(env));
             register_shutdown();
+        } catch (const Error& e) {
+            log_warn("ignoring malformed SNIM_WATCHDOG: %s", e.what());
         }
     }
     if (const char* env = std::getenv("SNIM_LASTGASP"); env && *env) {
@@ -285,16 +274,18 @@ void init_live_from_env() {
 }
 
 void shutdown_live() {
-    if (profiler_running()) {
-        stop_profiler();
-        if (!g_env_profile_path.empty()) {
-            try {
-                write_folded(g_env_profile_path, profiler_snapshot());
-            } catch (const Error& e) {
-                log_warn("cannot write SNIM_PROFILE output: %s", e.what());
-            }
-            g_env_profile_path.clear();
+    // The folded file holds the counts as frozen by the first stop, so a
+    // caller that stopped the profiler early (snim_bench, before its
+    // report) gets the same counts in both.
+    stop_profiler();
+    if (!g_env_profile_path.empty()) {
+        try {
+            util::write_file_atomic(g_env_profile_path,
+                                    folded_text(profiler_snapshot()));
+        } catch (const Error& e) {
+            log_warn("cannot write SNIM_PROFILE output: %s", e.what());
         }
+        g_env_profile_path.clear();
     }
     stop_watchdog();
     close_event_stream();

@@ -108,14 +108,16 @@ void reset_events_for_test();
 
 /// Reads SNIM_EVENTS / SNIM_PROFILE / SNIM_WATCHDOG / SNIM_LASTGASP once
 /// and wires up the requested live-telemetry pieces (journal stream,
-/// sampling profiler, hang watchdog, crash handlers).  Idempotent; cheap
-/// when none are set.  Entry-point binaries call this first thing.
+/// sampling profiler, hang watchdog, crash handlers) — the one way to arm
+/// them; a malformed SNIM_WATCHDOG is skipped with a warning.  Idempotent;
+/// cheap when none are set.  Entry-point binaries call this first thing.
 void init_live_from_env();
 
-/// Tears down what init_live_from_env started: stops the profiler (writing
-/// its SNIM_PROFILE folded output) and watchdog threads, flushes and closes
-/// the event stream.  Idempotent; also registered atexit by init when any
-/// env-driven piece activated.
+/// Tears down what init_live_from_env started: stops the profiler and
+/// writes the SNIM_PROFILE file from its counts (frozen by the first
+/// stop_profiler(), possibly earlier), stops the watchdog thread, flushes
+/// and closes the event stream.  Idempotent; also registered atexit by
+/// init when any env-driven piece activated.
 void shutdown_live();
 
 namespace detail {

@@ -106,10 +106,8 @@ void install_last_gasp(const std::string& path) {
     as_safe_append(g_header, sizeof(g_header), g_header_len,
                    "{\"last_gasp\":{\"reason\":\"");
     g_trailer_len = 0;
-    std::string run;
-    if (auto m = current_manifest()) run = m->run_id;
-    if (run.empty()) run = process_run_token();
-    const std::string tail = "\",\"run_id\":" + json_quote(run) + "}}\n";
+    const std::string tail =
+        "\",\"run_id\":" + json_quote(current_run_id()) + "}}\n";
     as_safe_append(g_trailer, sizeof(g_trailer), g_trailer_len, tail.c_str());
 
     const int old_fd = g_fd.exchange(fd, std::memory_order_relaxed);

@@ -2,7 +2,7 @@
 
 #include <unistd.h>
 
-#include <cstring>
+#include <utility>
 
 namespace snim::obs::phase_stack {
 
@@ -12,14 +12,14 @@ std::atomic<bool> g_enabled{false};
 
 namespace {
 
-/// One thread's live stack.  `depth` is the seqlock-ish coordination point:
-/// writers bump it only after the frame bytes are in place (push) or before
-/// they go stale (pop), so a racing reader sees at worst one garbled frame
-/// name — never an out-of-bounds index.
+/// One thread's live stack.  `depth` is the coordination point: writers
+/// bump it only after the frame pointer is in place (push) or before it
+/// goes stale (pop), so a racing reader never indexes past the stack, and
+/// every pointer it loads names a whole, process-lifetime phase name.
 struct ThreadSlot {
     std::atomic<int> depth{0};
     std::atomic<bool> claimed{false};
-    char frames[kMaxDepth][kFrameBytes] = {};
+    std::atomic<const char*> frames[kMaxDepth] = {};
 };
 
 struct Slots {
@@ -63,17 +63,15 @@ void set_enabled(bool on) {
     detail::g_enabled.store(on, std::memory_order_relaxed);
 }
 
-bool push(std::string_view frame) {
+bool push(const Phase& phase) {
     if (!enabled()) return false;
     if (t_lease.index == -2) t_lease.index = claim_slot();
     if (t_lease.index < 0) return false;
     ThreadSlot& ts = slots().slot[t_lease.index];
     const int d = ts.depth.load(std::memory_order_relaxed);
     if (d >= kMaxDepth) return false;
-    char* dst = ts.frames[d];
-    const size_t n = frame.size() < kFrameBytes - 1 ? frame.size() : kFrameBytes - 1;
-    std::memcpy(dst, frame.data(), n);
-    dst[n] = '\0';
+    // Phase::name() views a registry-owned std::string: NUL-terminated.
+    ts.frames[d].store(phase.name().data(), std::memory_order_relaxed);
     ts.depth.store(d + 1, std::memory_order_release);
     return true;
 }
@@ -100,12 +98,8 @@ std::vector<ThreadStack> sample_all() {
         ThreadStack stack;
         stack.slot = i;
         stack.frames.reserve(static_cast<size_t>(d));
-        for (int f = 0; f < d && f < kMaxDepth; ++f) {
-            char buf[kFrameBytes];
-            std::memcpy(buf, ts.frames[f], kFrameBytes);
-            buf[kFrameBytes - 1] = '\0';
-            stack.frames.emplace_back(buf);
-        }
+        for (int f = 0; f < d && f < kMaxDepth; ++f)
+            stack.frames.emplace_back(ts.frames[f].load(std::memory_order_relaxed));
         if (!stack.frames.empty()) out.push_back(std::move(stack));
     }
     return out;
@@ -118,29 +112,30 @@ size_t write_stacks_fd(int fd) {
         ThreadSlot& ts = s.slot[i];
         const int d = ts.depth.load(std::memory_order_acquire);
         if (d <= 0) continue;
-        // {"phase_stack":{"slot":NN,"stack":"a;b;c"}}\n  — rendered into a
-        // fixed buffer with byte copies only; frame names are plain phase
-        // paths, so no JSON escaping is needed beyond dropping '"' and '\'.
-        char line[64 + kMaxDepth * kFrameBytes];
+        // {"phase_stack":{"slot":NN,"stack":"a;b;c"}}\n  — byte copies into a
+        // fixed buffer, flushed by write(2) when full; frame names are plain
+        // phase paths, so no JSON escaping is needed beyond dropping '"',
+        // '\' and control bytes.
+        char line[512];
         size_t pos = 0;
-        const char* head = "{\"phase_stack\":{\"slot\":";
-        for (const char* p = head; *p; ++p) line[pos++] = *p;
-        if (i >= 10) line[pos++] = static_cast<char>('0' + i / 10);
-        line[pos++] = static_cast<char>('0' + i % 10);
-        const char* mid = ",\"stack\":\"";
-        for (const char* p = mid; *p; ++p) line[pos++] = *p;
+        const auto put = [&](char c) {
+            if (pos == sizeof(line)) (void)!write(fd, line, std::exchange(pos, 0));
+            line[pos++] = c;
+        };
+        const auto put_str = [&](const char* text) {
+            for (; *text; ++text) put(*text);
+        };
+        put_str("{\"phase_stack\":{\"slot\":");
+        if (i >= 10) put(static_cast<char>('0' + i / 10));
+        put(static_cast<char>('0' + i % 10));
+        put_str(",\"stack\":\"");
         for (int f = 0; f < d && f < kMaxDepth; ++f) {
-            if (f > 0) line[pos++] = ';';
-            const char* frame = ts.frames[f];
-            for (int b = 0; b < kFrameBytes - 1 && frame[b]; ++b) {
-                const char c = frame[b];
-                if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20)
-                    continue;
-                line[pos++] = c;
-            }
+            if (f > 0) put(';');
+            for (const char* c = ts.frames[f].load(std::memory_order_relaxed); *c; ++c)
+                if (*c != '"' && *c != '\\' && static_cast<unsigned char>(*c) >= 0x20)
+                    put(*c);
         }
-        const char* tail = "\"}}\n";
-        for (const char* p = tail; *p; ++p) line[pos++] = *p;
+        put_str("\"}}\n");
         (void)!write(fd, line, pos);
         ++written;
     }

@@ -9,30 +9,30 @@
 //   * the crash last-gasp handler (obs/lastgasp) dumps them with nothing
 //     but write(2) from inside a signal handler.
 //
-// To make both possible, frames are COPIED into fixed per-slot char arrays
-// on push (names can point at dying stack strings otherwise) and all
-// indices are atomics.  A thread claims one of kMaxThreads slots on its
-// first push and releases it at thread exit, so short-lived pool workers
-// recycle slots.
+// To make both possible, a frame is the pointer to its phase's interned
+// name (obs::Phase storage: NUL-terminated and owned by the registry for
+// the life of the process), held in a per-slot atomic, and all indices are
+// atomics.  A thread claims one of kMaxThreads slots on its first push and
+// releases it at thread exit, so short-lived pool workers recycle slots.
 //
 // Tracking is off by default: push() is one relaxed load when disabled, so
 // per-Newton-iteration timers stay cheap.  start_profiler / start_watchdog
-// / install_last_gasp enable it.  Reader caveat: a sampler can observe a
-// frame mid-overwrite and read a garbled (but always NUL-bounded) name;
-// for a statistical profiler one bad sample in millions is noise, and the
-// seq-checked event ring is used where exactness matters.
+// / install_last_gasp enable it.  Reader caveat: a sampler racing a push or
+// pop can see a stack one frame short or long, or a frame that was just
+// replaced; every name it reads is still a whole interned name, never a
+// torn copy.
 #pragma once
 
 #include <atomic>
 #include <string>
-#include <string_view>
 #include <vector>
+
+#include "obs/registry.hpp"
 
 namespace snim::obs::phase_stack {
 
 inline constexpr int kMaxDepth = 32;    // frames per thread
 inline constexpr int kMaxThreads = 64;  // concurrently tracked threads
-inline constexpr int kFrameBytes = 64;  // frame name bytes incl. NUL
 
 /// One thread's stack as copied out by sample_all().
 struct ThreadStack {
@@ -49,10 +49,10 @@ inline bool enabled() { return detail::g_enabled.load(std::memory_order_relaxed)
 
 void set_enabled(bool on);
 
-/// Pushes one frame onto the calling thread's stack.  Returns false (and
-/// records nothing) when disabled, out of slots, or past kMaxDepth — the
-/// caller must pop() only after a true return.
-bool push(std::string_view frame);
+/// Pushes `phase`'s interned name onto the calling thread's stack.
+/// Returns false (and records nothing) when disabled, out of slots, or past
+/// kMaxDepth — the caller must pop() only after a true return.
+bool push(const Phase& phase);
 void pop();
 
 /// Depth of the calling thread's stack (0 when it never pushed).

@@ -1,14 +1,11 @@
 #include "obs/profiler.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <mutex>
 #include <thread>
 
 #include "obs/phasestack.hpp"
-#include "util/error.hpp"
 
 namespace snim::obs {
 
@@ -20,7 +17,6 @@ struct Sampler {
     std::thread thread;
     bool running = false;
     bool stop_requested = false;
-    double hz = 0.0;
     uint64_t samples = 0;
     std::map<std::string, uint64_t> counts;
 };
@@ -30,10 +26,10 @@ Sampler& sampler() {
     return *s;
 }
 
-void sampler_loop(double hz) {
+void sampler_loop() {
     Sampler& s = sampler();
     const auto period = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-        std::chrono::duration<double>(1.0 / hz));
+        std::chrono::duration<double>(1.0 / kProfilerHz));
     auto next = std::chrono::steady_clock::now() + period;
     std::string key;
     for (;;) {
@@ -67,15 +63,13 @@ void sampler_loop(double hz) {
 
 } // namespace
 
-void start_profiler(const ProfilerOptions& options) {
-    const double hz = std::clamp(options.hz, 1.0, 1000.0);
+void start_profiler() {
     phase_stack::set_enabled(true);
     Sampler& s = sampler();
     std::lock_guard<std::mutex> lock(s.mutex);
     if (s.running) return;
-    s.hz = hz;
     s.stop_requested = false;
-    s.thread = std::thread(sampler_loop, hz);
+    s.thread = std::thread(sampler_loop);
     s.running = true;
 }
 
@@ -103,7 +97,6 @@ FoldedProfile profiler_snapshot() {
     Sampler& s = sampler();
     std::lock_guard<std::mutex> lock(s.mutex);
     FoldedProfile p;
-    p.hz = s.hz;
     p.samples = s.samples;
     p.counts = s.counts;
     return p;
@@ -127,20 +120,11 @@ std::string folded_text(const FoldedProfile& profile) {
     return out;
 }
 
-void write_folded(const std::string& path, const FoldedProfile& profile) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) raise("cannot open folded-profile output '%s'", path.c_str());
-    const std::string text = folded_text(profile);
-    const size_t n = std::fwrite(text.data(), 1, text.size(), f);
-    const bool ok = n == text.size() && std::fclose(f) == 0;
-    if (!ok) raise("short write to folded-profile output '%s'", path.c_str());
-}
-
 Json profile_json(const FoldedProfile& profile) {
     JsonObject stacks;
     for (const auto& [stack, count] : profile.counts) stacks[stack] = count;
     JsonObject o;
-    o["hz"] = profile.hz;
+    o["hz"] = kProfilerHz;
     o["samples"] = profile.samples;
     o["stacks"] = std::move(stacks);
     return Json(std::move(o));

@@ -8,16 +8,15 @@
 //   snim;bench/scenario;sim/transient;sim/transient/newton 1831
 //
 // That is exactly the "folded stacks" format flamegraph.pl and speedscope
-// ingest, so `write_folded()` output feeds standard tooling directly; the
-// same counts are embedded in Chrome traces (top-level "snimProfile" key,
-// ignored by the viewers) and in BENCH reports.
+// ingest, so `folded_text()` output (the SNIM_PROFILE file) feeds standard
+// tooling directly; the same counts are embedded in BENCH reports.
 //
 // Compared to the registry's phase tree (exact inclusive timings of every
 // phase), sampling answers a different question — "where was the time when
 // I looked?" — and keeps working when a phase never exits, which is what
-// the watchdog cares about.  Sampling is statistical: a tick that lands
-// mid-push may read one garbled frame; with thousands of samples that is
-// noise by construction.
+// the watchdog cares about.  Sampling is statistical: a tick racing a push
+// or pop may see that stack one frame short or long, but every frame name
+// it reads is a whole interned phase name.
 //
 // Cost when running: one sample_all() per tick on the profiler thread; the
 // solver threads pay only the (relaxed-load-gated) phase-stack pushes.
@@ -33,21 +32,19 @@
 
 namespace snim::obs {
 
-struct ProfilerOptions {
-    double hz = 200.0; // sampling rate, clamped to [1, 1000]
-};
+/// Sampling rate of the profiler thread.
+inline constexpr double kProfilerHz = 200.0;
 
 /// Accumulated folded-stack counts.  `samples` counts every tick (idle
 /// ticks fold to the bare "snim" root), so sum(counts) == samples.
 struct FoldedProfile {
-    double hz = 0.0;
     uint64_t samples = 0;
     std::map<std::string, uint64_t> counts; // "snim;a;b" -> ticks observed
 };
 
 /// Starts the sampler thread (idempotent; restarting keeps accumulating
 /// into the same counts) and enables phase-stack tracking.
-void start_profiler(const ProfilerOptions& options = {});
+void start_profiler();
 
 /// Stops and joins the sampler thread.  Counts are kept for snapshotting.
 void stop_profiler();
@@ -63,11 +60,8 @@ void reset_profiler();
 /// flamegraph.pl input: one "stack count" line per entry, sorted by stack.
 std::string folded_text(const FoldedProfile& profile);
 
-/// Writes folded_text() to `path`; raises snim::Error on I/O failure.
-void write_folded(const std::string& path, const FoldedProfile& profile);
-
-/// {"hz":...,"samples":...,"stacks":{"snim;a;b":n,...}} — the form merged
-/// into Chrome traces and BENCH reports.
+/// {"hz":...,"samples":...,"stacks":{"snim;a;b":n,...}} — the form
+/// embedded in BENCH reports.
 Json profile_json(const FoldedProfile& profile);
 
 } // namespace snim::obs

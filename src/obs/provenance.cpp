@@ -260,7 +260,8 @@ RunManifest ensure_current_manifest(const std::string& tool,
     return *manifest_store();
 }
 
-std::string process_run_token() {
+std::string current_run_id() {
+    if (auto m = current_manifest(); m && !m->run_id.empty()) return m->run_id;
     return format("%llxp%d", static_cast<unsigned long long>(process_start_stamp()),
                   process_pid());
 }

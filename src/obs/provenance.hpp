@@ -113,8 +113,9 @@ RunManifest ensure_current_manifest(const std::string& tool,
                                     const ConfigDigest& digest, uint64_t seed,
                                     int threads);
 
-/// Short process-unique token ("<utc-epoch-hex>p<pid>") for artifact file
-/// names written before any manifest exists (early diag bundles).
-std::string process_run_token();
+/// Run id for artifact names: the current manifest's run id, else a short
+/// process-unique token ("<utc-epoch-hex>p<pid>") for artifacts written
+/// before any manifest exists (early bundles, an early last-gasp install).
+std::string current_run_id();
 
 } // namespace snim::obs

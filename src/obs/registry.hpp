@@ -144,7 +144,8 @@ class Phase {
 public:
     explicit Phase(std::string_view name);
     uint32_t id() const { return id_; }
-    /// The phase path; views registry-owned storage, valid for the process.
+    /// The phase path; views registry-owned, NUL-terminated storage, valid
+    /// for the process (the live phase stacks hold its data()).
     std::string_view name() const { return name_; }
 
 private:

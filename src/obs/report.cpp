@@ -1,10 +1,15 @@
 #include "obs/report.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 
+#include "obs/events.hpp"
+#include "obs/provenance.hpp"
 #include "obs/timeseries.hpp"
+#include "util/atomic_file.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
@@ -55,6 +60,9 @@ void phase_rows(const PhaseNode& node, int depth, Table& t) {
     }
     for (const auto& c : node.children) phase_rows(c, depth + 1, t);
 }
+
+std::mutex g_bundle_dir_mutex;
+std::string g_bundle_dir;
 
 } // namespace
 
@@ -185,6 +193,53 @@ void write_env_report() {
             log_info("obs: run report written to %s", path.c_str());
             return;
         }
+    }
+}
+
+JsonArray event_tail_json() {
+    JsonArray events;
+    for (const std::string& line : event_tail()) {
+        try {
+            events.push_back(Json::parse(line));
+        } catch (const Error&) {
+            // A torn or overwritten ring record slipped through; drop it.
+        }
+    }
+    return events;
+}
+
+void set_bundle_dir(std::string dir) {
+    std::lock_guard<std::mutex> lock(g_bundle_dir_mutex);
+    g_bundle_dir = std::move(dir);
+}
+
+std::string write_bundle(std::string_view kind, JsonObject payload) {
+    static std::atomic<int> seq{0};
+    try {
+        if (auto m = current_manifest()) payload["manifest"] = manifest_json(*m);
+        payload["registry"] = report_json();
+        if (JsonArray events = event_tail_json(); !events.empty())
+            payload["events"] = Json(std::move(events));
+        const std::string doc = Json(std::move(payload)).dump(1);
+
+        std::unique_lock<std::mutex> lock(g_bundle_dir_mutex);
+        const std::string dir = g_bundle_dir.empty() ? "." : g_bundle_dir;
+        lock.unlock();
+        const std::string run = current_run_id();
+        std::string path;
+        std::FILE* f = nullptr;
+        for (int attempt = 0; attempt < 10000 && !f; ++attempt) {
+            path = format("%s/snim_%.*s_%s_%04d.json", dir.c_str(),
+                          static_cast<int>(kind.size()), kind.data(), run.c_str(),
+                          seq.fetch_add(1));
+            f = std::fopen(path.c_str(), "wx"); // "x": O_CREAT|O_EXCL claim
+        }
+        if (!f) return {};
+        std::fclose(f);
+        util::write_file_atomic(path, doc + "\n");
+        return path;
+    } catch (...) {
+        return {};
     }
 }
 

@@ -4,9 +4,8 @@
 // with '/'-separated names ("sim/transient", "sim/transient/newton") form
 // the phase tree rendered by obs/report.  A call site passes an interned
 // obs::Phase handle, so a recorded interval is one op appended to the
-// thread's log (obs/registry.hpp); the string_view constructor interns on
-// every construction and is meant for dynamic names and tests.  Two timing
-// policies:
+// thread's log (obs/registry.hpp), and the live phase stack holds the
+// handle's registry-owned name.  Two timing policies:
 //
 //   Timing::WhenEnabled (default) — the constructor loads the enabled flag
 //     once; when observability is off no clock is read and the destructor
@@ -26,7 +25,6 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
-#include <string_view>
 
 #include "obs/phasestack.hpp"
 #include "obs/registry.hpp"
@@ -41,17 +39,14 @@ class ScopedTimer {
 public:
     explicit ScopedTimer(const Phase& phase, Timing timing = Timing::WhenEnabled,
                          Rss rss = Rss::Off)
-        : id_(phase.id()), name_(phase.name()), record_(enabled()) {
-        start(timing, rss);
-    }
-
-    /// Interning wrapper for dynamic names and tests: looks the phase up
-    /// when recording.
-    explicit ScopedTimer(std::string_view phase, Timing timing = Timing::WhenEnabled,
-                         Rss rss = Rss::Off)
-        : name_(phase), record_(enabled()) {
-        if (record_) id_ = Phase(phase).id();
-        start(timing, rss);
+        : id_(phase.id()), record_(enabled()) {
+        timing_ = record_ || timing == Timing::Always;
+        track_rss_ = record_ && rss == Rss::Track;
+        if (track_rss_) rss_start_ = sample_resources().rss_bytes;
+        if (timing_) start_ = Clock::now();
+        // Live phase stack for the sampling profiler / watchdog / crash
+        // handler; one relaxed load when nothing live is running.
+        if (phase_stack::enabled()) stack_pushed_ = phase_stack::push(phase);
     }
 
     ScopedTimer(const ScopedTimer&) = delete;
@@ -88,18 +83,7 @@ public:
 private:
     using Clock = std::chrono::steady_clock;
 
-    void start(Timing timing, Rss rss) {
-        timing_ = record_ || timing == Timing::Always;
-        track_rss_ = record_ && rss == Rss::Track;
-        if (track_rss_) rss_start_ = sample_resources().rss_bytes;
-        if (timing_) start_ = Clock::now();
-        // Live phase stack for the sampling profiler / watchdog / crash
-        // handler; one relaxed load when nothing live is running.
-        if (phase_stack::enabled()) stack_pushed_ = phase_stack::push(name_);
-    }
-
-    uint32_t id_ = 0;
-    std::string_view name_;
+    uint32_t id_;
     Clock::time_point start_;
     bool record_;
     bool timing_ = false;

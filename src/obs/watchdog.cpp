@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdlib>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "obs/certify.hpp"
@@ -13,11 +16,11 @@
 #include "obs/json.hpp"
 #include "obs/phasestack.hpp"
 #include "obs/progress.hpp"
-#include "obs/provenance.hpp"
 #include "obs/report.hpp"
 #include "obs/resources.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 namespace snim::obs {
@@ -42,20 +45,6 @@ Monitor& monitor() {
 }
 
 std::atomic<uint64_t> g_stall_count{0};
-
-std::mutex g_bundle_mutex;
-std::string g_last_bundle;
-uint64_t g_bundle_seq = 0;
-
-/// ";"-joined innermost-last rendering of one sampled stack.
-std::string join_frames(const std::vector<std::string>& frames) {
-    std::string out;
-    for (const std::string& f : frames) {
-        if (!out.empty()) out += ';';
-        out += f;
-    }
-    return out;
-}
 
 Json stacks_json() {
     JsonArray arr;
@@ -83,8 +72,8 @@ Json progress_json(const HeartbeatInfo& p) {
 
 /// The hang bundle: everything a post-mortem needs when the process is
 /// about to be killed (by us or by an impatient operator).
-std::string write_bundle(const WatchdogOptions& opt, double age_s,
-                         const HeartbeatInfo& progress) {
+std::string write_hang_bundle(const WatchdogOptions& opt, double age_s,
+                              const HeartbeatInfo& progress) {
     JsonObject doc;
     doc["schema_version"] = kWatchdogBundleVersion;
     doc["kind"] = "watchdog_hang";
@@ -92,44 +81,12 @@ std::string write_bundle(const WatchdogOptions& opt, double age_s,
     doc["stall_budget_s"] = opt.stall_s;
     doc["hang_budget_s"] = opt.hang_s;
     doc["pool_threads"] = util::default_thread_count();
-    if (auto m = current_manifest()) doc["manifest"] = manifest_json(*m);
     doc["progress"] = progress_json(progress);
     doc["phase_stacks"] = stacks_json();
-    JsonArray events;
-    for (const std::string& line : event_tail()) {
-        try {
-            events.push_back(Json::parse(line));
-        } catch (const Error&) {
-            // A torn or overwritten record slipped through; drop it.
-        }
-    }
-    doc["events"] = std::move(events);
-    doc["registry"] = report_json();
     const ResourceSample rss = sample_resources();
     doc["rss_bytes"] = rss.rss_bytes;
     doc["peak_rss_bytes"] = rss.peak_rss_bytes;
-
-    std::string run;
-    if (auto m = current_manifest()) run = m->run_id;
-    if (run.empty()) run = process_run_token();
-    uint64_t seq = 0;
-    {
-        std::lock_guard<std::mutex> lock(g_bundle_mutex);
-        seq = g_bundle_seq++;
-    }
-    std::string path = opt.bundle_dir.empty() ? std::string(".") : opt.bundle_dir;
-    path += "/snim_watchdog_" + run + "_" + std::to_string(seq) + ".json";
-    try {
-        write_json_file(path, Json(std::move(doc)));
-    } catch (const Error& e) {
-        log_warn("watchdog: cannot write hang bundle: %s", e.what());
-        return {};
-    }
-    {
-        std::lock_guard<std::mutex> lock(g_bundle_mutex);
-        g_last_bundle = path;
-    }
-    return path;
+    return write_bundle("watchdog", std::move(doc));
 }
 
 void monitor_loop() {
@@ -171,7 +128,8 @@ void monitor_loop() {
             std::string stacks;
             for (const phase_stack::ThreadStack& ts : phase_stack::sample_all()) {
                 if (!stacks.empty()) stacks += " | ";
-                stacks += join_frames(ts.frames);
+                for (size_t k = 0; k < ts.frames.size(); ++k)
+                    stacks += (k ? ";" : "") + ts.frames[k];
             }
             event(EventLevel::Warn, "watchdog", "stall",
                   {{"quiet_s", age},
@@ -191,7 +149,7 @@ void monitor_loop() {
 
         if (!bundled && age >= opt.hang_s) {
             bundled = true;
-            const std::string path = write_bundle(opt, age, progress);
+            const std::string path = write_hang_bundle(opt, age, progress);
             event(EventLevel::Error, "watchdog", "hang",
                   {{"quiet_s", age},
                    {"budget_s", opt.hang_s},
@@ -208,9 +166,41 @@ void monitor_loop() {
 
 } // namespace
 
+WatchdogOptions parse_watchdog_spec(std::string_view spec) {
+    const auto fail = [&](const std::string& why) {
+        raise("watchdog spec '%.*s': %s (want stall_s[,hang_s[,abort]], finite "
+              "seconds > 0)",
+              static_cast<int>(spec.size()), spec.data(), why.c_str());
+    };
+    // The whole field is one finite number > 0: no sign, blank or suffix.
+    const auto seconds = [&](const std::string& field, const char* name) {
+        double v = 0.0;
+        const char* last = field.data() + field.size();
+        const auto [end, ec] = std::from_chars(field.data(), last, v);
+        if (ec != std::errc() || end != last || !std::isfinite(v) || v <= 0.0)
+            fail(format("bad %s '%s'", name, field.c_str()));
+        return v;
+    };
+    const std::vector<std::string> fields = split_keep(spec, ',');
+    if (fields.size() > 3) fail("more than three fields");
+    WatchdogOptions opt;
+    opt.stall_s = seconds(fields[0], "stall_s");
+    if (fields.size() > 1) opt.hang_s = seconds(fields[1], "hang_s");
+    if (fields.size() > 2) {
+        if (fields[2] != "abort") fail(format("third field '%s' is not 'abort'",
+                                              fields[2].c_str()));
+        opt.abort_on_hang = true;
+    }
+    return opt;
+}
+
 void start_watchdog(const WatchdogOptions& options) {
-    if (options.stall_s <= 0.0)
-        raise("watchdog: stall_s must be > 0 (got %g)", options.stall_s);
+    // Negated so that NaN fails too: a NaN budget compares false against
+    // every quiet time and would arm a watchdog that never fires.
+    if (!(std::isfinite(options.stall_s) && options.stall_s > 0.0))
+        raise("watchdog: stall_s must be finite and > 0 (got %g)", options.stall_s);
+    if (!std::isfinite(options.hang_s))
+        raise("watchdog: hang_s must be finite (got %g)", options.hang_s);
     WatchdogOptions opt = options;
     if (opt.hang_s <= 0.0) opt.hang_s = 4.0 * opt.stall_s;
     if (opt.hang_s < opt.stall_s) opt.hang_s = opt.stall_s;
@@ -248,11 +238,6 @@ void stop_watchdog() {
 
 uint64_t watchdog_stall_count() {
     return g_stall_count.load(std::memory_order_relaxed);
-}
-
-std::string last_watchdog_bundle() {
-    std::lock_guard<std::mutex> lock(g_bundle_mutex);
-    return g_last_bundle;
 }
 
 } // namespace snim::obs

@@ -118,8 +118,8 @@ std::optional<TranCheckpoint> load_checkpoint(const std::string& path,
 
 /// Process-wide default checkpoint policy, consulted by transient() when
 /// TranOptions carries no checkpoint dir — how snim_bench --checkpoint-dir
-/// and --resume reach every transient in the process.
-/// Mirrors sim::set_default_diag_dir.
+/// and --resume reach every transient in the process, as
+/// obs::set_bundle_dir is how --diag-dir reaches every bundle writer.
 void set_default_checkpoint(CheckpointOptions policy);
 const CheckpointOptions& default_checkpoint();
 

@@ -1,27 +1,18 @@
 #include "sim/diagnostics.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <utility>
 
 #include "obs/certify.hpp"
-#include "obs/events.hpp"
 #include "obs/report.hpp"
-#include "util/atomic_file.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
 namespace snim::sim {
 
 namespace {
-
-std::string& diag_dir_store() {
-    static std::string* dir = new std::string;
-    return *dir;
-}
 
 obs::Json telemetry_json(const StepTelemetry& t) {
     obs::JsonObject o;
@@ -73,60 +64,12 @@ obs::Json wave_tail_json(const TranResult& r, size_t tail) {
     return obs::Json(std::move(waves));
 }
 
-} // namespace
-
-StepTelemetryRing::StepTelemetryRing(size_t capacity)
-    : buf_(std::max<size_t>(1, capacity)) {}
-
-void StepTelemetryRing::push(const StepTelemetry& t) {
-    buf_[next_] = t;
-    next_ = (next_ + 1) % buf_.size();
-    ++pushed_;
-}
-
-std::vector<StepTelemetry> StepTelemetryRing::tail() const {
-    std::vector<StepTelemetry> out;
-    const size_t count = std::min<uint64_t>(pushed_, buf_.size());
-    out.reserve(count);
-    // Oldest entry sits at next_ once the ring has wrapped.
-    const size_t start = pushed_ > buf_.size() ? next_ : 0;
-    for (size_t k = 0; k < count; ++k) out.push_back(buf_[(start + k) % buf_.size()]);
-    return out;
-}
-
-void set_default_diag_dir(std::string dir) { diag_dir_store() = std::move(dir); }
-
-const std::string& default_diag_dir() { return diag_dir_store(); }
-
-void digest_options(obs::ConfigDigest& d, const TranOptions& opt) {
-    d.add("tran.tstop", opt.tstop);
-    d.add("tran.dt", opt.dt);
-    d.add("tran.order", opt.order);
-    d.add("tran.reltol", opt.reltol);
-    d.add("tran.vntol", opt.vntol);
-    d.add("tran.record_start", opt.record_start);
-    d.add("tran.accumulate_average", opt.accumulate_average);
-    d.add("tran.diag_bundle", opt.diag_bundle);
-    d.add("tran.certify.rcond_min", opt.certify.rcond_min);
-    // Checkpoint knobs (dir/tag/cadence/resume) are deliberately excluded:
-    // they are operational, like thread counts, and a resumed run must
-    // produce the same digest as the run that wrote the snapshot.
-}
-
-void digest_options(obs::ConfigDigest& d, const OpOptions& opt) {
-    d.add("op.max_iter", opt.max_iter);
-    d.add("op.reltol", opt.reltol);
-    d.add("op.vntol", opt.vntol);
-    d.add("op.diag_bundle", opt.diag_bundle);
-    d.add("op.certify.rcond_min", opt.certify.rcond_min);
-}
-
-obs::Json diagnosis_json(const FailureDiagnosis& d) {
+/// The engine's part of the bundle document; obs::write_bundle adds the
+/// manifest, registry and event tail.
+obs::JsonObject diagnosis_json(const FailureDiagnosis& d) {
     obs::JsonObject root;
     root.emplace("schema_version", kDiagSchemaVersion);
     root.emplace("tool", "snim");
-    if (auto m = obs::current_manifest())
-        root.emplace("manifest", obs::manifest_json(*m));
     root.emplace("engine", d.engine);
     root.emplace("reason", d.reason);
     root.emplace("fail_time", d.fail_time);
@@ -162,53 +105,60 @@ obs::Json diagnosis_json(const FailureDiagnosis& d) {
     for (const auto& [key, value] : d.extra) root.emplace(key, value);
 
     if (d.partial) root.emplace("waves", wave_tail_json(*d.partial, d.wave_tail));
-    root.emplace("registry", obs::report_json());
-    // Schema 3: the event-journal tail, when live telemetry was on — the
-    // run's last heartbeats and warnings right next to the failure.
-    obs::JsonArray events;
-    for (const std::string& line : obs::event_tail()) {
-        try {
-            events.push_back(obs::Json::parse(line));
-        } catch (const Error&) {
-            // Torn/overwritten ring record; skip.
-        }
-    }
-    if (!events.empty()) root.emplace("events", obs::Json(std::move(events)));
-    return obs::Json(std::move(root));
+    return root;
 }
 
-std::string write_diagnosis_bundle(const FailureDiagnosis& d, const std::string& dir) {
-    static std::atomic<int> seq{0};
-    std::string base = !dir.empty() ? dir : default_diag_dir();
-    if (base.empty()) base = ".";
+} // namespace
+
+StepTelemetryRing::StepTelemetryRing(size_t capacity)
+    : buf_(std::max<size_t>(1, capacity)) {}
+
+void StepTelemetryRing::push(const StepTelemetry& t) {
+    buf_[next_] = t;
+    next_ = (next_ + 1) % buf_.size();
+    ++pushed_;
+}
+
+std::vector<StepTelemetry> StepTelemetryRing::tail() const {
+    std::vector<StepTelemetry> out;
+    const size_t count = std::min<uint64_t>(pushed_, buf_.size());
+    out.reserve(count);
+    // Oldest entry sits at next_ once the ring has wrapped.
+    const size_t start = pushed_ > buf_.size() ? next_ : 0;
+    for (size_t k = 0; k < count; ++k) out.push_back(buf_[(start + k) % buf_.size()]);
+    return out;
+}
+
+void digest_options(obs::ConfigDigest& d, const TranOptions& opt) {
+    d.add("tran.tstop", opt.tstop);
+    d.add("tran.dt", opt.dt);
+    d.add("tran.order", opt.order);
+    d.add("tran.reltol", opt.reltol);
+    d.add("tran.vntol", opt.vntol);
+    d.add("tran.record_start", opt.record_start);
+    d.add("tran.accumulate_average", opt.accumulate_average);
+    d.add("tran.certify.rcond_min", opt.certify.rcond_min);
+    // Checkpoint knobs (dir/tag/cadence/resume) are deliberately excluded:
+    // they are operational, like thread counts, and a resumed run must
+    // produce the same digest as the run that wrote the snapshot.
+}
+
+void digest_options(obs::ConfigDigest& d, const OpOptions& opt) {
+    d.add("op.max_iter", opt.max_iter);
+    d.add("op.reltol", opt.reltol);
+    d.add("op.vntol", opt.vntol);
+    d.add("op.certify.rcond_min", opt.certify.rcond_min);
+}
+
+std::string write_diagnosis_bundle(const FailureDiagnosis& d) {
+    std::string path;
     try {
-        const std::string doc = diagnosis_json(d).dump(1);
-        // Filenames carry the run id (or a process-unique token when no
-        // manifest is set yet) so parallel sweeps — and concurrent processes
-        // sharing the directory — never fight over a sequence number; "wx"
-        // (O_CREAT|O_EXCL) makes the claim atomic instead of the old
-        // stat-then-open race, which lost bundles under parallel workers.
-        std::string token;
-        if (auto m = obs::current_manifest()) token = m->run_id;
-        if (token.empty()) token = obs::process_run_token();
-        std::string path;
-        std::FILE* f = nullptr;
-        for (int attempt = 0; attempt < 10000 && !f; ++attempt) {
-            path = format("%s/snim_diag_%s_%s_%04d.json", base.c_str(),
-                          d.engine.c_str(), token.c_str(), seq.fetch_add(1));
-            f = std::fopen(path.c_str(), "wx");
-        }
-        if (!f) return {};
-        // The "wx" open only CLAIMS the name; the content is then published
-        // atomically over it so a crash mid-dump leaves an empty claim file,
-        // never a half-written JSON document.
-        std::fclose(f);
-        util::write_file_atomic(path, doc + "\n");
-        log_warn("wrote failure diagnosis bundle: %s", path.c_str());
-        return path;
+        path = obs::write_bundle("diag_" + d.engine, diagnosis_json(d));
     } catch (...) {
         return {}; // diagnosis must never mask the original solver error
     }
+    if (!path.empty()) log_warn("wrote failure diagnosis bundle: %s", path.c_str());
+    return path;
 }
 
 std::string unknown_name(const circuit::Netlist& netlist, int index) {

@@ -9,7 +9,8 @@
 //   * the unknowns with the largest final Newton update, by node name,
 //   * the tail of every probed waveform recorded before the failure (the
 //     partial result a non-converged transient used to discard),
-//   * a snapshot of the obs registry (phase tree, counters, histograms).
+//   * what obs::write_bundle adds to every bundle: the run manifest, a
+//     snapshot of the obs registry and the event-journal tail.
 //
 // Bundle writing must never mask the original solver error: I/O failures
 // degrade to "bundle unavailable" in the error message instead of throwing.
@@ -105,23 +106,11 @@ struct FailureDiagnosis {
     obs::JsonObject extra;
 };
 
-/// Process-wide directory for the engines' bundles ("" means the current
-/// directory).  The bench harness points this at --diag-dir.
-void set_default_diag_dir(std::string dir);
-const std::string& default_diag_dir();
-
-/// The bundle document (schema_version, options, telemetry, worst nodes,
-/// wave tails, obs registry snapshot).
-obs::Json diagnosis_json(const FailureDiagnosis& d);
-
-/// Serialises the bundle to `<dir>/snim_diag_<engine>_<run>_<seq>.json`
-/// where `<run>` is the current manifest's run id (or a process-unique
-/// token when no manifest is set) — parallel sweeps in separate processes
-/// cannot collide, and O_EXCL creation guards the remaining window (dir
-/// empty -> default_diag_dir() -> ".").  Returns the path, or an empty
-/// string when writing failed — never throws.
-std::string write_diagnosis_bundle(const FailureDiagnosis& d,
-                                   const std::string& dir = {});
+/// Writes the bundle through obs::write_bundle as
+/// `snim_diag_<engine>_<run>_<seq>.json` in obs::set_bundle_dir's directory
+/// and logs its path.  Returns the path, or "" when writing failed — never
+/// throws.
+std::string write_diagnosis_bundle(const FailureDiagnosis& d);
 
 /// The `count` unknowns with the largest |dv|, named: node unknowns use
 /// their netlist name, branch-current unknowns are "branch:<k>".  The

@@ -330,19 +330,16 @@ OpResult operating_point_ex(circuit::Netlist& netlist, const OpOptions& opt) {
                  rung.name);
     }
 
-    std::string bundle;
-    if (opt.diag_bundle) {
-        FailureDiagnosis d;
-        d.engine = "op";
-        d.reason = forced_fail ? "fault_injected" : "newton_no_convergence";
-        d.fail_step = diag.total_iters;
-        d.fail_time = 0.0;
-        d.telemetry = diag.ring.tail();
-        d.worst_nodes = worst_unknowns(netlist, diag.last_dx, 5);
-        d.options = op_options_json(opt);
-        d.extra.emplace("rungs", obs::Json(std::move(rung_log)));
-        bundle = write_diagnosis_bundle(d);
-    }
+    FailureDiagnosis d;
+    d.engine = "op";
+    d.reason = forced_fail ? "fault_injected" : "newton_no_convergence";
+    d.fail_step = diag.total_iters;
+    d.fail_time = 0.0;
+    d.telemetry = diag.ring.tail();
+    d.worst_nodes = worst_unknowns(netlist, diag.last_dx, 5);
+    d.options = op_options_json(opt);
+    d.extra.emplace("rungs", obs::Json(std::move(rung_log)));
+    const std::string bundle = write_diagnosis_bundle(d);
     raise("operating point did not converge (%zu unknowns, %ld Newton iterations "
           "over the homotopy ladder)%s%s",
           n, diag.total_iters, bundle.empty() ? "" : "; diagnosis bundle: ",

@@ -25,16 +25,14 @@
 namespace snim::sim {
 
 /// Every rung ends at sim::kGmin; Newton clamps node updates of nonlinear
-/// circuits to 0.5 V (a constant in op.cpp).
+/// circuits to 0.5 V (a constant in op.cpp).  A failed operating point
+/// writes a snim_diag_op_*.json bundle (per-iteration residual history,
+/// worst nodes, LU pivot health, the rung ladder; sim/diagnostics.hpp) and
+/// the thrown snim::Error names its path.
 struct OpOptions {
     int max_iter = 300;
     double reltol = 1e-6;
     double vntol = 1e-9;   // absolute voltage tolerance [V]
-    /// Write a snim_diag_*.json failure diagnosis bundle (per-iteration
-    /// residual history, worst nodes, LU pivot health, the rung ladder)
-    /// into sim::default_diag_dir(), else the current directory, when the
-    /// operating point fails; the thrown snim::Error names the bundle path.
-    bool diag_bundle = true;
 
     /// Per-solve certificate on the converged verification solve of each
     /// Newton run (backward error, condition estimate, counted refinement).

@@ -98,7 +98,6 @@ obs::JsonObject tran_options_json(const TranOptions& opt) {
     o.emplace("vntol", opt.vntol);
     o.emplace("record_start", opt.record_start);
     o.emplace("accumulate_average", opt.accumulate_average);
-    o.emplace("diag_bundle", opt.diag_bundle);
     o.emplace("certify_rcond_min", opt.certify.rcond_min);
     return o;
 }
@@ -154,21 +153,19 @@ private:
         if (!nodes.empty())
             worst = format("; worst node '%s' (dv=%.3g)", nodes.front().first.c_str(),
                            nodes.front().second);
-        if (opt.diag_bundle) {
-            FailureDiagnosis d;
-            d.engine = "transient";
-            d.reason = reason;
-            d.fail_time = time;
-            d.fail_step = step;
-            d.telemetry = ring.tail();
-            d.worst_nodes = nodes;
-            d.options = tran_options_json(opt);
-            d.partial = &partial;
-            d.wave_tail = kDiagWaveTail;
-            d.retries = retries.events();
-            d.total_retries = retries.total();
-            bundle = write_diagnosis_bundle(d);
-        }
+        FailureDiagnosis d;
+        d.engine = "transient";
+        d.reason = reason;
+        d.fail_time = time;
+        d.fail_step = step;
+        d.telemetry = ring.tail();
+        d.worst_nodes = nodes;
+        d.options = tran_options_json(opt);
+        d.partial = &partial;
+        d.wave_tail = kDiagWaveTail;
+        d.retries = retries.events();
+        d.total_retries = retries.total();
+        bundle = write_diagnosis_bundle(d);
     }
     std::string retried;
     if (retries.total() > 0)

@@ -46,7 +46,9 @@ inline constexpr int kBeStartupSteps = 4;
 /// A run starts from its operating point (solved at sim::kGmin, the
 /// node-to-ground conductance every step also carries) or from its
 /// checkpoint.  Each step's Newton iteration clamps node updates to 0.5 V
-/// and gives up after 60 iterations (constants in transient.cpp).
+/// and gives up after 60 iterations (constants in transient.cpp).  A run
+/// the retry ladder cannot rescue writes a snim_diag_transient_*.json
+/// bundle (sim/diagnostics.hpp) and the thrown snim::Error names its path.
 struct TranOptions {
     double tstop = 0.0;
     double dt = 0.0;
@@ -59,10 +61,6 @@ struct TranOptions {
     /// Accumulate the time-average of the FULL unknown vector over the
     /// recorded window (quasi-DC levels during oscillation).
     bool accumulate_average = false;
-    /// Write a snim_diag_*.json failure diagnosis bundle when Newton
-    /// diverges (the thrown snim::Error names the bundle path) into
-    /// sim::default_diag_dir(), else the current directory.
-    bool diag_bundle = true;
 
     /// Per-solve certificates on accepted steps (backward error, condition
     /// estimate, counted iterative refinement) and the KCL audit, every

@@ -27,10 +27,8 @@ std::string tap_port_name(const std::string& net) { return net + "!sub"; }
 std::string well_port_name(const std::string& net) { return net + "!well"; }
 
 std::vector<TapCluster> cluster_taps(const std::vector<layout::Shape>& shapes,
-                                     const layout::ExtractedNets& nets,
-                                     const tech::Technology& tech) {
+                                     const layout::ExtractedNets& nets) {
     SNIM_ASSERT(shapes.size() == nets.shape_net.size(), "shapes/nets size mismatch");
-    (void)tech;
 
     // Collect tap shapes per net.
     std::map<int, std::vector<size_t>> taps_by_net;
@@ -95,7 +93,7 @@ std::vector<PortSpec> ports_from_layout(const std::vector<layout::Shape>& shapes
     const double tap_res = tap ? tap->via_res : 6.0;
 
     std::vector<PortSpec> out;
-    for (auto& cluster : cluster_taps(shapes, nets, tech)) {
+    for (auto& cluster : cluster_taps(shapes, nets)) {
         PortSpec spec;
         spec.name = cluster.name;
         spec.region = std::move(cluster.region);

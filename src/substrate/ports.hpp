@@ -36,8 +36,7 @@ struct TapCluster {
 /// substrate port builder and the interconnect extractor so the stitched
 /// node names agree.
 std::vector<TapCluster> cluster_taps(const std::vector<layout::Shape>& shapes,
-                                     const layout::ExtractedNets& nets,
-                                     const tech::Technology& tech);
+                                     const layout::ExtractedNets& nets);
 
 /// Scans the flattened layout: every tap cluster yields a Resistive port
 /// whose contact resistance is the technology's subtap via_res over the

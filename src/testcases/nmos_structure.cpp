@@ -127,4 +127,12 @@ core::ImpactModel build_model(NmosStructure&& s, const core::FlowOptions& opt) {
     return core::build_impact_model(std::move(s.inputs), opt);
 }
 
+core::FlowOptions nmos_flow_options() {
+    core::FlowOptions fo;
+    fo.substrate.mesh.focus = geom::Rect(-20, -20, 50, 30);
+    fo.substrate.mesh.fine_pitch = 3.0;
+    fo.substrate.mesh.margin = 40.0;
+    return fo;
+}
+
 } // namespace snim::testcases

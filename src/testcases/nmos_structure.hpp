@@ -51,4 +51,8 @@ NmosStructure build_nmos_structure(const NmosStructureOptions& opt = {});
 /// Convenience: runs the full Figure-2 flow on the structure (consumes it).
 core::ImpactModel build_model(NmosStructure&& s, const core::FlowOptions& opt = {});
 
+/// Flow options of the paper's Figure-3 runs: 3 um mesh cells over the
+/// transistor, its tap and the injection contact, 40 um margin.
+core::FlowOptions nmos_flow_options();
+
 } // namespace snim::testcases

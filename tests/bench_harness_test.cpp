@@ -111,7 +111,7 @@ TEST(BenchRegistry, RegisterFilterAndDuplicates) {
 
 TEST(BenchRun, CollectsRunsAccuracyAndRegistry) {
     auto s = make_scenario("t/run/basic", [](obs::ScenarioContext& ctx) {
-        obs::ScopedTimer t("t_phase/work");
+        obs::ScopedTimer t(obs::Phase("t_phase/work"));
         obs::count("t_phase/work/items", 7);
         ctx.add_accuracy(metric("delta", 0.5, 2.0));
     });

@@ -14,6 +14,7 @@
 #include "circuit/passives.hpp"
 #include "circuit/sources.hpp"
 #include "obs/registry.hpp"
+#include "obs/report.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/vcd.hpp"
 #include "sim/diagnostics.hpp"
@@ -30,12 +31,12 @@ protected:
     void SetUp() override {
         obs::reset();
         obs::set_enabled(false);
-        sim::set_default_diag_dir(::testing::TempDir());
+        obs::set_bundle_dir(::testing::TempDir());
     }
     void TearDown() override {
         obs::reset();
         obs::set_enabled(false);
-        sim::set_default_diag_dir("");
+        obs::set_bundle_dir("");
     }
 };
 
@@ -199,20 +200,6 @@ TEST_F(DiagnosticsTest, OpFailureWritesBundle) {
         EXPECT_NE(doc.at("rungs").at(rung).as_string().find("failed after"),
                   std::string::npos)
             << rung;
-}
-
-TEST_F(DiagnosticsTest, DisabledBundleStillRaisesStructuredError) {
-    auto nl = divergent_netlist();
-    auto opt = divergent_options();
-    opt.diag_bundle = false;
-    try {
-        sim::transient(nl, {"in"}, opt);
-        FAIL();
-    } catch (const Error& e) {
-        const std::string message = e.what();
-        EXPECT_NE(message.find("step 51 of 100"), std::string::npos) << message;
-        EXPECT_EQ(message.find("diagnosis bundle"), std::string::npos) << message;
-    }
 }
 
 TEST_F(DiagnosticsTest, ValidateTranOptionsNamesTheField) {

@@ -18,8 +18,8 @@
 #include "core/impact_model.hpp"
 #include "obs/certify.hpp"
 #include "obs/registry.hpp"
+#include "obs/report.hpp"
 #include "rf/oscillator.hpp"
-#include "sim/diagnostics.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 
@@ -119,13 +119,13 @@ protected:
         fault::clear();
         obs::reset();
         obs::set_enabled(true);
-        sim::set_default_diag_dir(::testing::TempDir());
+        obs::set_bundle_dir(::testing::TempDir());
     }
     void TearDown() override {
         fault::clear();
         obs::reset();
         obs::set_enabled(false);
-        sim::set_default_diag_dir("");
+        obs::set_bundle_dir("");
     }
 };
 

@@ -1,10 +1,11 @@
 // Live-run telemetry suite: the structured event journal (ring overwrite
 // and torn-record semantics), heartbeat cadence under a fake clock, the
-// hang watchdog driven by a real fault-injected slow transient step, the
-// folded-stack sampling profiler, and the crash last-gasp handler (smoke
-// tested in a forked child so the death is real but contained).  Runs as
-// its own binary: the journal, progress counters, phase stacks and signal
-// dispositions are all process-global.
+// hang watchdog driven by a real fault-injected slow transient step and its
+// SNIM_WATCHDOG spec parser, the one bundle writer shared by hang and
+// failure bundles, the folded-stack sampling profiler, and the crash
+// last-gasp handler (smoke tested in a forked child so the death is real
+// but contained).  Runs as its own binary: the journal, progress counters,
+// phase stacks and signal dispositions are all process-global.
 #include <gtest/gtest.h>
 
 #include <sys/types.h>
@@ -13,7 +14,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -28,10 +32,12 @@
 #include "obs/phasestack.hpp"
 #include "obs/profiler.hpp"
 #include "obs/progress.hpp"
+#include "obs/provenance.hpp"
 #include "obs/registry.hpp"
+#include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
-#include "sim/diagnostics.hpp"
+#include "sim/op.hpp"
 #include "sim/transient.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -52,7 +58,7 @@ protected:
         obs::reset_profiler();
         obs::set_events_active(true);
         obs::set_heartbeat_interval(1.0);
-        sim::set_default_diag_dir(::testing::TempDir());
+        obs::set_bundle_dir(::testing::TempDir());
     }
     void TearDown() override {
         obs::stop_watchdog();
@@ -66,7 +72,8 @@ protected:
         obs::reset_progress_for_test();
         fault::clear();
         fault::set_slow_step_seconds(0.25);
-        sim::set_default_diag_dir("");
+        obs::set_bundle_dir("");
+        obs::clear_current_manifest();
     }
 };
 
@@ -84,6 +91,38 @@ sim::TranOptions sine_options() {
     opt.dt = 1e-9;
     opt.tstop = 50e-9;
     return opt;
+}
+
+obs::Json read_json(const std::string& path) {
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good()) << "cannot open " << path;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return obs::Json::parse(buf.str());
+}
+
+/// The journal's watchdog "hang" event names the bundle it wrote.
+std::string hang_bundle_from_journal() {
+    for (const auto& line : obs::event_tail()) {
+        const obs::Json e = obs::Json::parse(line);
+        if (e.at("comp").as_string() == "watchdog" && e.at("code").as_string() == "hang")
+            return e.at("kv").at("bundle").as_string();
+    }
+    return {};
+}
+
+/// Runs the sine transient with one fault-injected slow step that sleeps
+/// `sleep_s`, under a watchdog with the given budgets.
+void run_with_slow_step(double stall_s, double hang_s, double sleep_s) {
+    fault::arm({.point = "tran.slow_step", .at = 20, .count = 1});
+    fault::set_slow_step_seconds(sleep_s);
+    obs::WatchdogOptions wd;
+    wd.stall_s = stall_s;
+    wd.hang_s = hang_s;
+    obs::start_watchdog(wd);
+    auto nl = sine_rc_netlist();
+    const auto res = sim::transient(nl, {"out"}, sine_options());
+    EXPECT_EQ(res.time.size(), 50u);
 }
 
 } // namespace
@@ -282,19 +321,8 @@ TEST_F(LiveObsTest, HeartbeatObserverSeesEtaAndActivatesProgress) {
 TEST_F(LiveObsTest, SlowStepFaultTripsTheWatchdogStallAndBundle) {
     // One fault-injected slow step sleeps well past both budgets, so the
     // monitor sees a genuinely quiet solver thread mid-transient.
-    fault::arm({.point = "tran.slow_step", .at = 20, .count = 1});
-    fault::set_slow_step_seconds(0.9);
-
-    obs::WatchdogOptions wd;
-    wd.stall_s = 0.2;
-    wd.hang_s = 0.6;
-    wd.bundle_dir = ::testing::TempDir();
-    obs::start_watchdog(wd);
-
     const uint64_t stalls_before = obs::watchdog_stall_count();
-    auto nl = sine_rc_netlist();
-    const auto res = sim::transient(nl, {"out"}, sine_options());
-    EXPECT_EQ(res.time.size(), 50u);
+    run_with_slow_step(0.2, 0.6, 0.9);
     // Give the monitor (50 ms tick) a chance to observe the recovery before
     // shutting it down.
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
@@ -320,13 +348,9 @@ TEST_F(LiveObsTest, SlowStepFaultTripsTheWatchdogStallAndBundle) {
 
     // The hang budget also elapsed inside the sleep: a bundle exists and
     // carries the phase stacks + event tail.
-    const std::string bundle = obs::last_watchdog_bundle();
+    const std::string bundle = hang_bundle_from_journal();
     ASSERT_FALSE(bundle.empty());
-    std::ifstream in(bundle);
-    ASSERT_TRUE(in.good());
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const obs::Json doc = obs::Json::parse(buf.str());
+    const obs::Json doc = read_json(bundle);
     EXPECT_EQ(doc.at("kind").as_string(), "watchdog_hang");
     EXPECT_GE(doc.at("quiet_s").as_number(), 0.6);
     EXPECT_FALSE(doc.at("phase_stacks").as_array().empty());
@@ -335,9 +359,117 @@ TEST_F(LiveObsTest, SlowStepFaultTripsTheWatchdogStallAndBundle) {
 }
 
 TEST_F(LiveObsTest, WatchdogRejectsNonPositiveStallBudget) {
-    obs::WatchdogOptions wd;
-    wd.stall_s = 0.0;
-    EXPECT_THROW(obs::start_watchdog(wd), Error);
+    // Also non-finite budgets: a NaN one compares false against every
+    // quiet time, so the watchdog would be armed and never fire.
+    auto expect_raises_naming = [](const obs::WatchdogOptions& wd, const char* field) {
+        try {
+            obs::start_watchdog(wd);
+            obs::stop_watchdog();
+            ADD_FAILURE() << "expected an error naming " << field;
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+        }
+    };
+    expect_raises_naming({.stall_s = 0.0}, "stall_s");
+    expect_raises_naming({.stall_s = std::nan("")}, "stall_s");
+    expect_raises_naming({.stall_s = HUGE_VAL}, "stall_s");
+    expect_raises_naming({.stall_s = 1.0, .hang_s = std::nan("")}, "hang_s");
+    expect_raises_naming({.stall_s = 1.0, .hang_s = HUGE_VAL}, "hang_s");
+}
+
+TEST_F(LiveObsTest, WatchdogSpecParsesExactlyStallHangAbort) {
+    const obs::WatchdogOptions stall = obs::parse_watchdog_spec("30");
+    EXPECT_EQ(stall.stall_s, 30.0);
+    EXPECT_EQ(stall.hang_s, 0.0); // start_watchdog makes it 4 * stall_s
+    EXPECT_FALSE(stall.abort_on_hang);
+    const obs::WatchdogOptions hang = obs::parse_watchdog_spec("0.5,2");
+    EXPECT_EQ(hang.stall_s, 0.5);
+    EXPECT_EQ(hang.hang_s, 2.0);
+    EXPECT_FALSE(hang.abort_on_hang);
+    const obs::WatchdogOptions abort = obs::parse_watchdog_spec("30,60,abort");
+    EXPECT_EQ(abort.stall_s, 30.0);
+    EXPECT_EQ(abort.hang_s, 60.0);
+    EXPECT_TRUE(abort.abort_on_hang);
+
+    for (const char* bad : {"30x", "30,abc", "30,60,abrt", "nan", "1e999", "", "30,",
+                            " 30", "-1", "0", "inf", "30,60,abort,1", "30,nan"}) {
+        try {
+            (void)obs::parse_watchdog_spec(bad);
+            ADD_FAILURE() << "accepted '" << bad << "'";
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("'") + bad + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST_F(LiveObsTest, MalformedWatchdogEnvIsSkippedWithAWarning) {
+    ::setenv("SNIM_WATCHDOG", "30,60,abrt", 1);
+    obs::init_live_from_env();
+    ::unsetenv("SNIM_WATCHDOG");
+    bool warned = false;
+    for (const auto& line : obs::event_tail()) {
+        const obs::Json e = obs::Json::parse(line);
+        EXPECT_NE(e.at("comp").as_string(), "watchdog") << line; // never started
+        if (e.at("comp").as_string() == "log" && e.at("lvl").as_string() == "warn") {
+            const std::string msg = e.at("kv").at("msg").as_string();
+            warned = warned || (msg.find("SNIM_WATCHDOG") != std::string::npos &&
+                                msg.find("'abrt'") != std::string::npos);
+        }
+    }
+    EXPECT_TRUE(warned);
+}
+
+TEST_F(LiveObsTest, FailureAndHangBundlesShareOneWriterAndDirectory) {
+    const std::string dir =
+        (std::filesystem::path(::testing::TempDir()) /
+         ("live_obs_bundles_" + std::to_string(::getpid())))
+            .string();
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    obs::set_bundle_dir(dir);
+    obs::ConfigDigest cd;
+    cd.add("k", 1);
+    obs::set_current_manifest(obs::make_run_manifest("unit", cd, 0, 1));
+    const std::string run_id = obs::current_manifest()->run_id;
+
+    // A solver failure, with one journal record before it: every rung of
+    // the operating point is vetoed.
+    obs::event(obs::EventLevel::Info, "test", "before_failure");
+    fault::arm({.point = "op.fail", .at = 1, .count = 1});
+    std::string message;
+    try {
+        auto nl = sine_rc_netlist();
+        (void)sim::operating_point(nl);
+    } catch (const Error& e) {
+        message = e.what();
+    }
+    const std::string marker = "diagnosis bundle: ";
+    ASSERT_NE(message.find(marker), std::string::npos) << message;
+    const std::string diag = message.substr(message.find(marker) + marker.size());
+
+    // A hang: one slow step outlasts the hang budget.
+    run_with_slow_step(0.1, 0.2, 0.5);
+    obs::stop_watchdog();
+    const std::string hang = hang_bundle_from_journal();
+    ASSERT_FALSE(hang.empty());
+
+    for (const auto& [path, kind] :
+         {std::pair{diag, "diag_op"}, std::pair{hang, "watchdog"}}) {
+        const std::filesystem::path p(path);
+        EXPECT_EQ(p.parent_path(), std::filesystem::path(dir)) << path;
+        EXPECT_EQ(p.filename().string().rfind(
+                      std::string("snim_") + kind + "_" + run_id + "_", 0),
+                  0u)
+            << path;
+        EXPECT_EQ(p.extension(), ".json") << path;
+        const obs::Json doc = read_json(path);
+        EXPECT_EQ(doc.at("manifest").at("run_id").as_string(), run_id) << path;
+        EXPECT_TRUE(doc.at("registry").contains("counters")) << path;
+        EXPECT_FALSE(doc.at("events").as_array().empty()) << path;
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST_F(LiveObsTest, SlowStepSleepDoesNotChangeTransientResults) {
@@ -356,24 +488,26 @@ TEST_F(LiveObsTest, SlowStepSleepDoesNotChangeTransientResults) {
 
 TEST_F(LiveObsTest, PhaseStackTracksNestingAndSampling) {
     obs::phase_stack::set_enabled(true);
+    // A frame is the interned name itself, so a long one samples whole.
+    const std::string inner_name = "test/outer/" + std::string(100, 'x');
     {
-        obs::ScopedTimer outer("test/outer");
-        obs::ScopedTimer inner("test/outer/inner");
+        obs::ScopedTimer outer(obs::Phase("test/outer"));
+        obs::ScopedTimer inner(obs::Phase{inner_name});
         EXPECT_EQ(obs::phase_stack::depth(), 2);
         const auto stacks = obs::phase_stack::sample_all();
         ASSERT_EQ(stacks.size(), 1u);
         ASSERT_EQ(stacks[0].frames.size(), 2u);
         EXPECT_EQ(stacks[0].frames[0], "test/outer");
-        EXPECT_EQ(stacks[0].frames[1], "test/outer/inner");
+        EXPECT_EQ(stacks[0].frames[1], inner_name);
     }
     EXPECT_EQ(obs::phase_stack::depth(), 0);
     EXPECT_TRUE(obs::phase_stack::sample_all().empty());
 }
 
 TEST_F(LiveObsTest, ProfilerProducesWellFormedFoldedStacks) {
-    obs::start_profiler({.hz = 500.0});
+    obs::start_profiler();
     {
-        obs::ScopedTimer t("test/profiled");
+        obs::ScopedTimer t(obs::Phase("test/profiled"));
         std::this_thread::sleep_for(std::chrono::milliseconds(120));
     }
     obs::stop_profiler();
@@ -427,7 +561,7 @@ TEST_F(LiveObsTest, ForkedChildWritesLastGaspBundleOnAbort) {
             _exit(97);
         }
         obs::event(obs::EventLevel::Info, "test", "pre_crash", {{"k", 1}});
-        obs::ScopedTimer t("test/crashing");
+        obs::ScopedTimer t(obs::Phase("test/crashing"));
         std::abort();
     }
 

@@ -84,7 +84,7 @@ TEST_F(ObsTest, CountersThreadSafeUnderHammer) {
                     obs::record_value(value, v);
                     obs::ts_append(channel, v, v);
                 } else {
-                    obs::ScopedTimer timer("hammer/phase");
+                    obs::ScopedTimer timer(obs::Phase("hammer/phase"));
                     obs::count("hammer/shared");
                     obs::record_value("hammer/value", v);
                     obs::ts_append("hammer/ts", v, v, "1");
@@ -157,12 +157,12 @@ TEST_F(ObsTest, ValueStatsAllEqualSamples) {
 
 TEST_F(ObsTest, NestedScopedTimersFormTree) {
     {
-        obs::ScopedTimer flow("flow/substrate_extract");
-        { obs::ScopedTimer lu("numeric/lu_factor"); }
-        { obs::ScopedTimer lu("numeric/lu_factor"); }
-        { obs::ScopedTimer solve("numeric/lu_solve"); }
+        obs::ScopedTimer flow(obs::Phase("flow/substrate_extract"));
+        { obs::ScopedTimer lu(obs::Phase("numeric/lu_factor")); }
+        { obs::ScopedTimer lu(obs::Phase("numeric/lu_factor")); }
+        { obs::ScopedTimer solve(obs::Phase("numeric/lu_solve")); }
     }
-    { obs::ScopedTimer flow("flow/stitch"); }
+    { obs::ScopedTimer flow(obs::Phase("flow/stitch")); }
 
     EXPECT_EQ(obs::phase_calls("flow/substrate_extract"), 1u);
     EXPECT_EQ(obs::phase_calls("flow/stitch"), 1u);
@@ -190,7 +190,7 @@ TEST_F(ObsTest, NestedScopedTimersFormTree) {
 }
 
 TEST_F(ObsTest, ScopedTimerStopIsIdempotent) {
-    obs::ScopedTimer t("phase/x", obs::Timing::Always);
+    obs::ScopedTimer t(obs::Phase("phase/x"), obs::Timing::Always);
     const double first = t.stop();
     EXPECT_GE(first, 0.0);
     EXPECT_DOUBLE_EQ(t.stop(), first); // second stop reports the same time
@@ -199,7 +199,7 @@ TEST_F(ObsTest, ScopedTimerStopIsIdempotent) {
 
 TEST_F(ObsTest, AlwaysTimingMeasuresWhenDisabled) {
     obs::set_enabled(false);
-    obs::ScopedTimer t("phase/always", obs::Timing::Always);
+    obs::ScopedTimer t(obs::Phase("phase/always"), obs::Timing::Always);
     // Burn a little time so elapsed() is strictly positive.
     volatile double sink = 0.0;
     for (int i = 0; i < 10000; ++i) sink = sink + static_cast<double>(i);
@@ -211,7 +211,7 @@ TEST_F(ObsTest, DisabledModeRecordsNothing) {
     obs::set_enabled(false);
     obs::count("dead/counter", 7);
     obs::record_value("dead/value", 1.0);
-    { obs::ScopedTimer t("dead/phase"); }
+    { obs::ScopedTimer t(obs::Phase("dead/phase")); }
     EXPECT_EQ(obs::counter_value("dead/counter"), 0u);
     EXPECT_FALSE(obs::value_stats("dead/value").has_value());
     EXPECT_EQ(obs::phase_calls("dead/phase"), 0u);
@@ -221,7 +221,7 @@ TEST_F(ObsTest, DisabledModeRecordsNothing) {
 TEST_F(ObsTest, ResetClearsEverything) {
     obs::count("c");
     obs::record_value("v", 1.0);
-    { obs::ScopedTimer t("p"); }
+    { obs::ScopedTimer t(obs::Phase("p")); }
     obs::reset();
     EXPECT_EQ(obs::counter_value("c"), 0u);
     EXPECT_FALSE(obs::value_stats("v").has_value());
@@ -233,8 +233,8 @@ TEST_F(ObsTest, JsonReportRoundTrips) {
     obs::record_value("numeric/lu_fill_nnz", 128.0);
     obs::record_value("numeric/lu_fill_nnz", 256.0);
     {
-        obs::ScopedTimer outer("flow/substrate_extract");
-        obs::ScopedTimer inner("numeric/lu_factor");
+        obs::ScopedTimer outer(obs::Phase("flow/substrate_extract"));
+        obs::ScopedTimer inner(obs::Phase("numeric/lu_factor"));
     }
 
     const std::string doc = obs::report_json().dump(2);
@@ -257,7 +257,7 @@ TEST_F(ObsTest, JsonReportRoundTrips) {
 
 TEST_F(ObsTest, TextReportListsPhasesAndCounters) {
     obs::count("sim/transient/steps", 3);
-    { obs::ScopedTimer t("flow/substrate_extract"); }
+    { obs::ScopedTimer t(obs::Phase("flow/substrate_extract")); }
     const std::string text = obs::report_text();
     EXPECT_NE(text.find("substrate_extract"), std::string::npos);
     EXPECT_NE(text.find("sim/transient/steps"), std::string::npos);

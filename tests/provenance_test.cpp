@@ -21,6 +21,7 @@
 #include "obs/json.hpp"
 #include "obs/provenance.hpp"
 #include "obs/registry.hpp"
+#include "obs/report.hpp"
 #include "obs/resources.hpp"
 #include "obs/run_ledger.hpp"
 #include "obs/trace.hpp"
@@ -42,6 +43,7 @@ protected:
         obs::clear_current_manifest();
         obs::reset();
         obs::set_enabled(false);
+        obs::set_bundle_dir("");
     }
 };
 
@@ -258,7 +260,7 @@ TEST_F(ProvenanceTest, ResourceSamplingIsMonotoneAndPhaseRssIsAttributed) {
 
     obs::set_enabled(true);
     {
-        obs::ScopedTimer t("prov/alloc", obs::Timing::WhenEnabled,
+        obs::ScopedTimer t(obs::Phase("prov/alloc"), obs::Timing::WhenEnabled,
                            obs::Rss::Track);
         // Touch 32 MB so RSS genuinely grows inside the phase.
         std::vector<char> block(32u << 20);
@@ -433,6 +435,7 @@ TEST_F(ProvenanceTest, SparklineAndShowReport) {
 
 TEST_F(ProvenanceTest, ConcurrentDiagBundlesGetUniquePaths) {
     const std::string dir = temp_dir("diag");
+    obs::set_bundle_dir(dir);
     constexpr int kWriters = 8;
     std::vector<std::string> paths(kWriters);
     {
@@ -442,7 +445,7 @@ TEST_F(ProvenanceTest, ConcurrentDiagBundlesGetUniquePaths) {
                 sim::FailureDiagnosis d;
                 d.engine = "transient";
                 d.reason = "unit_test";
-                paths[static_cast<size_t>(i)] = sim::write_diagnosis_bundle(d, dir);
+                paths[static_cast<size_t>(i)] = sim::write_diagnosis_bundle(d);
             });
         for (auto& w : writers) w.join();
     }
@@ -451,6 +454,8 @@ TEST_F(ProvenanceTest, ConcurrentDiagBundlesGetUniquePaths) {
         EXPECT_FALSE(p.empty());
         unique.insert(p);
         EXPECT_TRUE(std::filesystem::exists(p)) << p;
+        EXPECT_EQ(std::filesystem::path(p).parent_path(), std::filesystem::path(dir))
+            << p;
     }
     EXPECT_EQ(unique.size(), static_cast<size_t>(kWriters));
     std::filesystem::remove_all(dir);
@@ -458,6 +463,7 @@ TEST_F(ProvenanceTest, ConcurrentDiagBundlesGetUniquePaths) {
 
 TEST_F(ProvenanceTest, DiagBundleFilenameCarriesRunIdAndManifest) {
     const std::string dir = temp_dir("diag_id");
+    obs::set_bundle_dir(dir);
     obs::ConfigDigest cd;
     cd.add("k", 1);
     obs::set_current_manifest(obs::make_run_manifest("unit", cd, 0, 1));
@@ -466,9 +472,12 @@ TEST_F(ProvenanceTest, DiagBundleFilenameCarriesRunIdAndManifest) {
     sim::FailureDiagnosis d;
     d.engine = "op";
     d.reason = "unit_test";
-    const std::string path = sim::write_diagnosis_bundle(d, dir);
+    const std::string path = sim::write_diagnosis_bundle(d);
     ASSERT_FALSE(path.empty());
-    EXPECT_NE(path.find(run_id), std::string::npos) << path;
+    EXPECT_EQ(std::filesystem::path(path).filename().string().rfind(
+                  "snim_diag_op_" + run_id + "_", 0),
+              0u)
+        << path;
 
     std::ifstream in(path);
     std::ostringstream buf;

@@ -20,6 +20,7 @@
 #include "mor/elimination.hpp"
 #include "obs/bench.hpp"
 #include "obs/registry.hpp"
+#include "obs/report.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/diagnostics.hpp"
 #include "sim/op.hpp"
@@ -39,13 +40,13 @@ protected:
         fault::clear();
         obs::reset();
         obs::set_enabled(false);
-        sim::set_default_diag_dir(::testing::TempDir());
+        obs::set_bundle_dir(::testing::TempDir());
     }
     void TearDown() override {
         fault::clear();
         obs::reset();
         obs::set_enabled(false);
-        sim::set_default_diag_dir("");
+        obs::set_bundle_dir("");
     }
 };
 

@@ -395,17 +395,14 @@ uint64_t network_digest(const RcNetwork& net) {
 }
 
 TEST(ReduceBySolveTest, FigureMeshReductionsMatchFrozenDigest) {
-    // The reduced substrate networks of the fig3 NMOS structure (the mesh
-    // options of bench/fig3_nmos_transfer.cpp) and the nominal VCO, element
+    // The reduced substrate networks of the fig3 NMOS structure
+    // (testcases::nmos_flow_options) and the nominal VCO, element
     // order and bits included.  The mesh and the RIC(0) pivots use only
     // + - * / and the unit-pivot scaling and the CG add only sqrt, so the
     // digests hold on every IEEE-754 x86-64 build at any optimisation
     // level.
-    core::FlowOptions nmos;
-    nmos.substrate.mesh.focus = geom::Rect(-20, -20, 50, 30);
-    nmos.substrate.mesh.fine_pitch = 3.0;
-    nmos.substrate.mesh.margin = 40.0;
-    auto fig3 = testcases::build_model(testcases::build_nmos_structure(), nmos);
+    auto fig3 = testcases::build_model(testcases::build_nmos_structure(),
+                                       testcases::nmos_flow_options());
     ASSERT_FALSE(fig3.substrate.mor_fallback);
     EXPECT_EQ(network_digest(fig3.substrate.reduced), 0xfbce6c4e92da162dull);
 

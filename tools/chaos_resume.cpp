@@ -116,7 +116,6 @@ sim::TranOptions chaos_options(const Args& a) {
     opt.tstop = static_cast<double>(a.steps) * opt.dt;
     opt.record_start = opt.tstop * 0.25;
     opt.accumulate_average = true;
-    opt.diag_bundle = false;
     return opt;
 }
 
