@@ -152,6 +152,5 @@ int main() {
                m.name.c_str(), m.delta_db, m.tolerance_db,
                m.pass() ? "ok" : "FAIL");
 
-    const auto verdicts = obs::accuracy_verdicts({result});
-    return obs::gate_passes(verdicts) ? 0 : 1;
+    return obs::accuracy_failure(result).empty() ? 0 : 1;
 }

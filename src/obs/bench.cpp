@@ -14,7 +14,6 @@
 #include "obs/timeseries.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
-#include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
 namespace snim::obs {
@@ -85,56 +84,6 @@ Json accuracy_json(const std::vector<AccuracyMetric>& metrics) {
         arr.push_back(Json(std::move(o)));
     }
     return Json(std::move(arr));
-}
-
-Verdict runtime_verdict(const ScenarioResult& r, double baseline_median,
-                        double fail_pct) {
-    Verdict v;
-    v.scenario = r.name;
-    v.baseline_median_s = baseline_median;
-    v.median_s = r.runtime.median_s;
-    if (baseline_median > 0.0)
-        v.change_pct = (r.runtime.median_s - baseline_median) / baseline_median * 100.0;
-    if (v.change_pct > fail_pct) {
-        v.kind = VerdictKind::Regress;
-        v.detail = format("median %.4g s vs baseline %.4g s (%+.1f%% > %.1f%%)",
-                          v.median_s, baseline_median, v.change_pct, fail_pct);
-    } else if (v.change_pct < -fail_pct) {
-        v.kind = VerdictKind::Improve;
-        v.detail = format("median %.4g s vs baseline %.4g s (%+.1f%%)", v.median_s,
-                          baseline_median, v.change_pct);
-    } else {
-        v.kind = VerdictKind::Pass;
-        v.detail = format("%+.1f%%", v.change_pct);
-    }
-    return v;
-}
-
-/// AccuracyFail verdict when any metric of `r` exceeds its tolerance, and
-/// when `r` is a figure without a single accuracy metric: every corner was
-/// skipped (ScenarioContext::guard_corner), so nothing was checked.
-bool accuracy_fail_verdict(const ScenarioResult& r, Verdict& out) {
-    const auto bad = std::find_if(r.accuracy.begin(), r.accuracy.end(),
-                                  [](const AccuracyMetric& m) { return !m.pass(); });
-    if (bad != r.accuracy.end()) {
-        out.detail = format("'%s' delta %.2f dB > tolerance %.2f dB (vs %s)",
-                            bad->name.c_str(), bad->delta_db, bad->tolerance_db,
-                            bad->reference.c_str());
-    } else if (r.kind == "figure" && r.accuracy.empty()) {
-        // guard_corner's notes read "corner '<tag>' skipped: <error>".
-        const std::string prefix = "corner ";
-        out.detail = "figure without accuracy metrics; skipped corners:";
-        for (const auto& note : r.notes)
-            if (note.rfind(prefix + '\'', 0) == 0)
-                out.detail += " " + note.substr(prefix.size(),
-                                                note.find(" skipped: ") - prefix.size());
-    } else {
-        return false;
-    }
-    out.scenario = r.name;
-    out.kind = VerdictKind::AccuracyFail;
-    out.median_s = r.runtime.median_s;
-    return true;
 }
 
 /// Filesystem-safe slug: '/' and whitespace become '_'.
@@ -404,108 +353,22 @@ void write_bench_report(const std::string& path, const Json& report) {
     write_json_file(path, report);
 }
 
-const char* verdict_name(VerdictKind kind) {
-    switch (kind) {
-        case VerdictKind::Pass: return "pass";
-        case VerdictKind::Improve: return "improve";
-        case VerdictKind::Regress: return "REGRESS";
-        case VerdictKind::AccuracyFail: return "ACCURACY FAIL";
-        case VerdictKind::New: return "new";
-        case VerdictKind::Missing: return "missing";
-    }
-    return "?";
-}
-
-std::vector<Verdict> accuracy_verdicts(const std::vector<ScenarioResult>& results) {
-    std::vector<Verdict> out;
-    for (const auto& r : results) {
-        Verdict v;
-        if (accuracy_fail_verdict(r, v)) {
-            out.push_back(std::move(v));
-            continue;
-        }
-        v.scenario = r.name;
-        v.kind = VerdictKind::Pass;
-        v.median_s = r.runtime.median_s;
-        v.detail = r.accuracy.empty()
-                       ? "no accuracy metrics"
-                       : format("%zu accuracy metrics in tolerance", r.accuracy.size());
-        out.push_back(std::move(v));
-    }
+std::string accuracy_failure(const ScenarioResult& r) {
+    const auto bad = std::find_if(r.accuracy.begin(), r.accuracy.end(),
+                                  [](const AccuracyMetric& m) { return !m.pass(); });
+    if (bad != r.accuracy.end())
+        return format("'%s' delta %.2f dB > tolerance %.2f dB (vs %s)",
+                      bad->name.c_str(), bad->delta_db, bad->tolerance_db,
+                      bad->reference.c_str());
+    if (r.kind != "figure" || !r.accuracy.empty()) return {};
+    // guard_corner's notes read "corner '<tag>' skipped: <error>".
+    const std::string prefix = "corner ";
+    std::string out = "figure without accuracy metrics; skipped corners:";
+    for (const auto& note : r.notes)
+        if (note.rfind(prefix + '\'', 0) == 0)
+            out += " " + note.substr(prefix.size(),
+                                     note.find(" skipped: ") - prefix.size());
     return out;
-}
-
-std::vector<Verdict> compare_to_baseline(const Json& baseline,
-                                         const std::vector<ScenarioResult>& results,
-                                         double fail_pct) {
-    if (!baseline.is_object() || !baseline.contains("schema_version"))
-        raise("baseline is not a snim_bench report (no schema_version)");
-    const int version = static_cast<int>(baseline.at("schema_version").as_number());
-    if (version < 1 || version > kBenchSchemaVersion)
-        raise("baseline schema_version %d is outside this tool's supported range "
-              "1..%d",
-              version, kBenchSchemaVersion);
-
-    std::vector<std::pair<std::string, double>> base_medians;
-    for (const auto& s : baseline.at("scenarios").as_array())
-        base_medians.emplace_back(s.at("name").as_string(),
-                                  s.at("runtime").at("median_s").as_number());
-    auto base_median = [&](const std::string& name) -> const double* {
-        for (const auto& [n, m] : base_medians)
-            if (n == name) return &m;
-        return nullptr;
-    };
-
-    std::vector<Verdict> out;
-    for (const auto& r : results) {
-        Verdict fail;
-        if (accuracy_fail_verdict(r, fail)) {
-            out.push_back(std::move(fail));
-            continue;
-        }
-        if (const double* old_median = base_median(r.name)) {
-            out.push_back(runtime_verdict(r, *old_median, fail_pct));
-        } else {
-            Verdict v;
-            v.scenario = r.name;
-            v.kind = VerdictKind::New;
-            v.median_s = r.runtime.median_s;
-            v.detail = "not in baseline";
-            out.push_back(std::move(v));
-        }
-    }
-    for (const auto& [name, median] : base_medians) {
-        const bool present = std::any_of(results.begin(), results.end(),
-                                         [&](const ScenarioResult& r) { return r.name == name; });
-        if (present) continue;
-        Verdict v;
-        v.scenario = name;
-        v.kind = VerdictKind::Missing;
-        v.baseline_median_s = median;
-        v.detail = "in baseline but not in this run (filtered out?)";
-        out.push_back(std::move(v));
-    }
-    return out;
-}
-
-bool gate_passes(const std::vector<Verdict>& verdicts) {
-    for (const auto& v : verdicts)
-        if (v.kind == VerdictKind::Regress || v.kind == VerdictKind::AccuracyFail)
-            return false;
-    return true;
-}
-
-std::string verdict_table(const std::vector<Verdict>& verdicts) {
-    Table t({"scenario", "verdict", "median [s]", "baseline [s]", "change", "detail"});
-    for (const auto& v : verdicts)
-        t.add_row({v.scenario, verdict_name(v.kind),
-                   v.median_s > 0.0 ? format("%.4g", v.median_s) : "-",
-                   v.baseline_median_s > 0.0 ? format("%.4g", v.baseline_median_s) : "-",
-                   v.baseline_median_s > 0.0 && v.median_s > 0.0
-                       ? format("%+.1f%%", v.change_pct)
-                       : "-",
-                   v.detail});
-    return t.to_string();
 }
 
 } // namespace snim::obs

@@ -27,9 +27,10 @@
 
 namespace snim::obs {
 
-/// Version of the BENCH_*.json document layout.  compare_to_baseline and
-/// snim_report accept any version in [1, kBenchSchemaVersion]; readers must
-/// treat newer-version members as absent-when-missing.  History:
+/// Version of the BENCH_*.json document layout.  diff_reports (`snim_report
+/// diff`) accepts any version in [1, kBenchSchemaVersion] and refuses the
+/// rest; readers must treat newer-version members as absent-when-missing.
+/// History:
 ///   1 — initial layout (scenarios + runtime/accuracy/registry)
 ///   2 — adds the run provenance manifest and per-scenario peak_rss_bytes
 ///   3 — adds the live-telemetry tail: "events" (event-journal records,
@@ -191,43 +192,14 @@ Json bench_report_json(const std::vector<ScenarioResult>& results,
 /// Serialises `report` to `path`; throws snim::Error on I/O failure.
 void write_bench_report(const std::string& path, const Json& report);
 
-// --- regression gating ----------------------------------------------------
+// --- accuracy gate -------------------------------------------------------
 
-enum class VerdictKind {
-    Pass,         // runtime within the threshold, accuracy in tolerance
-    Improve,      // median runtime faster than baseline by more than the threshold
-    Regress,      // median runtime slower than baseline beyond the threshold
-    AccuracyFail, // an accuracy delta exceeds its tolerance, or a figure has none
-    New,          // scenario absent from the baseline (informational)
-    Missing,      // baseline scenario absent from this run (informational)
-};
-
-const char* verdict_name(VerdictKind kind);
-
-struct Verdict {
-    std::string scenario;
-    VerdictKind kind = VerdictKind::Pass;
-    double baseline_median_s = 0.0;
-    double median_s = 0.0;
-    double change_pct = 0.0; // (new - old) / old * 100
-    std::string detail;
-};
-
-/// Accuracy-only verdicts (no baseline): AccuracyFail / Pass per scenario.
-/// A figure scenario without accuracy metrics fails; a kernel passes.
-std::vector<Verdict> accuracy_verdicts(const std::vector<ScenarioResult>& results);
-
-/// Full gate: accuracy tolerances plus median-runtime comparison against a
-/// parsed baseline BENCH_*.json at `fail_pct` percent.  Accepts baselines
-/// with schema_version 1..kBenchSchemaVersion; raises on anything else.
-std::vector<Verdict> compare_to_baseline(const Json& baseline,
-                                         const std::vector<ScenarioResult>& results,
-                                         double fail_pct);
-
-/// False when any verdict is Regress or AccuracyFail.
-bool gate_passes(const std::vector<Verdict>& verdicts);
-
-/// Human-readable verdict table.
-std::string verdict_table(const std::vector<Verdict>& verdicts);
+/// The absolute accuracy gate of one scenario: "" when it passes, else why
+/// it fails.  It fails on a metric beyond its tolerance, and on a figure
+/// without a single accuracy metric: every corner was skipped
+/// (ScenarioContext::guard_corner), so nothing was checked, and the reason
+/// names the skipped corners.  Comparing two runs is diff_reports' job
+/// (obs/compare.hpp).
+std::string accuracy_failure(const ScenarioResult& r);
 
 } // namespace snim::obs

@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 
+#include "obs/bench.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
 
@@ -44,6 +45,21 @@ const Json* find_scenario(const std::vector<std::pair<std::string, const Json*>>
     for (const auto& [n, p] : list)
         if (n == name) return p;
     return nullptr;
+}
+
+/// A bench report's schema_version; raises outside [1, kBenchSchemaVersion],
+/// so a report of a newer layout, or a document that is no report, is
+/// refused by name instead of being compared member by member.
+int checked_schema(const Json& report, const char* side) {
+    if (!report.contains("schema_version"))
+        raise("diff: the %s document is not a snim_bench report (no schema_version)",
+              side);
+    const double v = num_or(report, "schema_version", 0.0);
+    if (!(v >= 1.0 && v <= kBenchSchemaVersion))
+        raise("diff: the %s report's schema_version %g is outside the supported "
+              "range 1..%d",
+              side, v, kBenchSchemaVersion);
+    return static_cast<int>(v);
 }
 
 double pct_change(double a, double b) {
@@ -375,8 +391,8 @@ const char* diff_verdict_name(DiffVerdict v) {
 
 ReportDiff diff_reports(const Json& a, const Json& b, const DiffTolerances& tol) {
     ReportDiff d;
-    d.schema_a = static_cast<int>(num_or(a, "schema_version", 0.0));
-    d.schema_b = static_cast<int>(num_or(b, "schema_version", 0.0));
+    d.schema_a = checked_schema(a, "old");
+    d.schema_b = checked_schema(b, "new");
     if (a.contains("manifest") && b.contains("manifest")) {
         d.manifest_a = manifest_from_json(a.at("manifest"));
         d.manifest_b = manifest_from_json(b.at("manifest"));

@@ -75,7 +75,10 @@ struct ReportDiff {
 };
 
 /// Diffs two parsed BENCH_*.json documents (A = old/baseline, B = new).
-/// Accepts schema 1 and 2; raises on documents that are not bench reports.
+/// This is the one comparison of two runs; CI gates on it through
+/// `snim_report diff --fail-on-regress`.  Accepts schema_version 1 through
+/// kBenchSchemaVersion; raises on any other version and on documents that
+/// are not bench reports.
 ReportDiff diff_reports(const Json& a, const Json& b,
                         const DiffTolerances& tol = {});
 

@@ -20,7 +20,7 @@ namespace snim::obs {
 /// Version of the ledger-entry layout.
 inline constexpr int kLedgerSchemaVersion = 1;
 
-/// Distills a BENCH_*.json document (schema 1 or 2) into one ledger entry:
+/// Distills a BENCH_*.json document (schema 1 or later) into one ledger entry:
 /// { schema_version, manifest, scenarios: [ { name, kind, median_s, min_s,
 ///   accuracy: [...], accuracy_max_db, accuracy_pass, peak_rss_bytes,
 ///   counters: {...}, phases: [...] } ] }.

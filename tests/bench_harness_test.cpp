@@ -1,10 +1,9 @@
 // Tests for the snim_bench scenario harness: registration and filtering,
-// runtime statistics, the determinism assertion across repetitions,
-// BENCH_*.json round-trip through the regression gate (pass / regress /
-// improve / new / missing verdicts, a figure without accuracy metrics
-// failing, schema_version check), and the Chrome
-// trace exporter's well-formedness (balanced B/E pairs, monotonic
-// timestamps, counter args).
+// runtime statistics, the determinism assertion across repetitions, the
+// accuracy gate (a metric beyond tolerance or a figure without accuracy
+// metrics fails), the BENCH_*.json round-trip through diff_reports
+// (including its schema_version check), and the Chrome trace exporter's
+// well-formedness (balanced B/E pairs, monotonic timestamps, counter args).
 //
 // Lives in the snim_obs_tests binary (ctest label "obs").
 #include <gtest/gtest.h>
@@ -15,6 +14,7 @@
 #include <vector>
 
 #include "obs/bench.hpp"
+#include "obs/compare.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
@@ -181,67 +181,34 @@ TEST(BenchRun, TwoRunsProduceIdenticalAccuracy) {
     obs::reset();
 }
 
-// --- regression gating ----------------------------------------------------
-
-TEST(BenchGate, BaselineVerdictsRoundTrip) {
-    const obs::BenchOptions opt;
-    // Baseline: two scenarios at 1.00 s and 2.00 s median.
-    const auto baseline = obs::bench_report_json(
-        {fixed_result("t/gate/stable", 1.0), fixed_result("t/gate/gone", 2.0)}, opt);
-
-    // This run: stable +5% (pass), a regressed one +50%, an improved one,
-    // and a brand-new one; "gone" is absent.
-    const auto verdicts = obs::compare_to_baseline(
-        baseline,
-        {fixed_result("t/gate/stable", 1.05), fixed_result("t/gate/fresh", 0.1)}, 10.0);
-
-    std::map<std::string, obs::VerdictKind> by_name;
-    for (const auto& v : verdicts) by_name[v.scenario] = v.kind;
-    EXPECT_EQ(by_name.at("t/gate/stable"), obs::VerdictKind::Pass);
-    EXPECT_EQ(by_name.at("t/gate/fresh"), obs::VerdictKind::New);
-    EXPECT_EQ(by_name.at("t/gate/gone"), obs::VerdictKind::Missing);
-    EXPECT_TRUE(obs::gate_passes(verdicts));
-
-    const auto regressed =
-        obs::compare_to_baseline(baseline, {fixed_result("t/gate/stable", 1.5)}, 10.0);
-    ASSERT_GE(regressed.size(), 1u);
-    EXPECT_EQ(regressed[0].kind, obs::VerdictKind::Regress);
-    EXPECT_NEAR(regressed[0].change_pct, 50.0, 1e-9);
-    EXPECT_FALSE(obs::gate_passes(regressed));
-
-    const auto improved =
-        obs::compare_to_baseline(baseline, {fixed_result("t/gate/stable", 0.5)}, 10.0);
-    EXPECT_EQ(improved[0].kind, obs::VerdictKind::Improve);
-    EXPECT_TRUE(obs::gate_passes(improved));
-}
+// --- accuracy gate and report round-trip ----------------------------------
 
 TEST(BenchGate, SerializedBaselineRoundTrip) {
-    // Through dump() + parse(): what --baseline actually reads from disk.
+    // Through dump() + parse(): what `snim_report diff` reads from disk.
     const obs::BenchOptions opt;
-    const auto report =
-        obs::bench_report_json({fixed_result("t/gate/disk", 1.0)}, opt);
+    const auto report = obs::bench_report_json(
+        {fixed_result("t/gate/disk", 1.0, {metric("delta", 0.5, 2.0)}),
+         fixed_result("t/gate/kernel", 0.25)},
+        opt);
     const auto reparsed = obs::Json::parse(report.dump(2));
     EXPECT_EQ(static_cast<int>(reparsed.at("schema_version").as_number()),
               obs::kBenchSchemaVersion);
 
-    const auto verdicts =
-        obs::compare_to_baseline(reparsed, {fixed_result("t/gate/disk", 1.0)}, 10.0);
-    ASSERT_EQ(verdicts.size(), 1u);
-    EXPECT_EQ(verdicts[0].kind, obs::VerdictKind::Pass);
+    const auto d = obs::diff_reports(reparsed, report);
+    EXPECT_TRUE(d.only_in_a.empty());
+    EXPECT_TRUE(d.only_in_b.empty());
+    ASSERT_FALSE(d.metrics.empty());
+    for (const auto& m : d.metrics)
+        EXPECT_EQ(m.verdict, obs::DiffVerdict::Equal) << m.scenario << " " << m.metric;
+    EXPECT_FALSE(obs::diff_has_regression(d));
 }
 
 TEST(BenchGate, AccuracyFailureIsAlwaysFatal) {
     const auto bad = fixed_result("t/gate/acc", 1.0, {metric("delta", 5.0, 2.0)});
-    const auto verdicts = obs::accuracy_verdicts({bad});
-    ASSERT_EQ(verdicts.size(), 1u);
-    EXPECT_EQ(verdicts[0].kind, obs::VerdictKind::AccuracyFail);
-    EXPECT_FALSE(obs::gate_passes(verdicts));
-
-    // Even a faster-than-baseline run fails when accuracy is out.
-    const auto baseline =
-        obs::bench_report_json({fixed_result("t/gate/acc", 10.0)}, obs::BenchOptions{});
-    const auto vs = obs::compare_to_baseline(baseline, {bad}, 10.0);
-    EXPECT_EQ(vs[0].kind, obs::VerdictKind::AccuracyFail);
+    EXPECT_EQ(obs::accuracy_failure(bad),
+              "'delta' delta 5.00 dB > tolerance 2.00 dB (vs test)");
+    const auto good = fixed_result("t/gate/acc", 1.0, {metric("delta", 1.0, 2.0)});
+    EXPECT_EQ(obs::accuracy_failure(good), "");
 }
 
 TEST(BenchGate, FigureWithoutAccuracyMetricFailsTheGate) {
@@ -250,39 +217,28 @@ TEST(BenchGate, FigureWithoutAccuracyMetricFailsTheGate) {
     fig.kind = "figure";
     fig.notes = {"corner 'fig10 real' skipped: operating point did not converge",
                  "corner 'fig10 2x' skipped: operating point did not converge"};
-    const auto kernel = fixed_result("t/gate/kernel", 1.0);
+    const std::string why = obs::accuracy_failure(fig);
+    EXPECT_NE(why.find("skipped corners: 'fig10 real' 'fig10 2x'"), std::string::npos)
+        << why;
 
-    const auto verdicts = obs::accuracy_verdicts({fig, kernel});
-    ASSERT_EQ(verdicts.size(), 2u);
-    EXPECT_EQ(verdicts[0].kind, obs::VerdictKind::AccuracyFail);
-    EXPECT_NE(verdicts[0].detail.find("skipped corners: 'fig10 real' 'fig10 2x'"),
-              std::string::npos)
-        << verdicts[0].detail;
-    EXPECT_EQ(verdicts[1].kind, obs::VerdictKind::Pass);
-    EXPECT_FALSE(obs::gate_passes(verdicts));
-
-    const auto baseline = obs::bench_report_json(
-        {fixed_result("t/gate/fig", 1.0, {metric("delta", 0.1, 2.0)}),
-         fixed_result("t/gate/kernel", 1.0)},
-        obs::BenchOptions{});
-    const auto vs = obs::compare_to_baseline(baseline, {fig, kernel}, 10.0);
-    ASSERT_EQ(vs.size(), 2u);
-    EXPECT_EQ(vs[0].kind, obs::VerdictKind::AccuracyFail);
-    EXPECT_EQ(vs[0].detail, verdicts[0].detail);
-    EXPECT_EQ(vs[1].kind, obs::VerdictKind::Pass);
-    EXPECT_FALSE(obs::gate_passes(vs));
-
-    // A kernel scores no accuracy and passes both entry points on its own.
-    EXPECT_TRUE(obs::gate_passes(obs::accuracy_verdicts({kernel})));
-    EXPECT_TRUE(obs::gate_passes(obs::compare_to_baseline(baseline, {kernel}, 10.0)));
+    // A kernel scores no accuracy and passes on its own.
+    EXPECT_EQ(obs::accuracy_failure(fixed_result("t/gate/kernel", 1.0)), "");
 }
 
 TEST(BenchGate, SchemaVersionMismatchRaises) {
-    obs::JsonObject o;
-    o.emplace("schema_version", obs::kBenchSchemaVersion + 1);
-    o.emplace("scenarios", obs::JsonArray{});
-    EXPECT_THROW(obs::compare_to_baseline(obs::Json(std::move(o)), {}, 10.0), Error);
-    EXPECT_THROW(obs::compare_to_baseline(obs::Json("not a report"), {}, 10.0), Error);
+    const auto current = obs::bench_report_json({fixed_result("t/gate/v", 1.0)},
+                                                obs::BenchOptions{});
+    for (const int version : {0, obs::kBenchSchemaVersion + 1}) {
+        obs::Json other = current;
+        other.as_object().at("schema_version") = obs::Json(version);
+        EXPECT_THROW(obs::diff_reports(other, current), Error) << version;
+        EXPECT_THROW(obs::diff_reports(current, other), Error) << version;
+    }
+    obs::Json unversioned = current;
+    unversioned.as_object().erase("schema_version");
+    EXPECT_THROW(obs::diff_reports(unversioned, current), Error);
+    EXPECT_THROW(obs::diff_reports(obs::Json("not a report"), current), Error);
+    EXPECT_NO_THROW(obs::diff_reports(current, current));
 }
 
 // --- Chrome trace export --------------------------------------------------

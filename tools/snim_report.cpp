@@ -1,28 +1,31 @@
 // snim_report — cross-run comparison front-end.
 //
 //   snim_report diff  OLD.json NEW.json [--tol-runtime PCT] [--tol-accuracy DB]
-//                     [--tol-rss PCT] [--tol-counter PCT] [--limit N]
-//                     [--fail-on-regress]
+//                     [--tol-rss PCT] [--tol-counter PCT] [--tol-budget DB]
+//                     [--limit N] [--fail-on-regress]
 //   snim_report trend LEDGER.jsonl [--last N] [--html FILE]
-//   snim_report show  RUN.json
-//   snim_report budget RUN.json [OLD.json] [--limit N] [--fail-on-breach]
-//                      [--fail-on-regress] [--tol-budget DB]
+//   snim_report show  RUN.json [--events]
+//   snim_report budget RUN.json [--limit N] [--fail-on-breach]
 //
-// `diff` aligns two BENCH_*.json reports by scenario and metric name
-// (schema-4 accuracy-budget stages included), prints the ranked regression
-// table, and — only under --fail-on-regress — exits 1 when any metric
-// regressed beyond tolerance, which is how CI gates on it.  `trend` renders
-// a snim_bench --ledger history as sparklines (text) or a self-contained
-// HTML page with a collapsible phase flame view.  `show` pretty-prints a
-// single report's manifest and scenarios.  `budget` prints one report's
-// ranked accuracy-budget ledger (worst margin first) with the per-scenario
-// solve-certificate summaries; with a second file it additionally diffs the
-// budget stages against that baseline.  Exit codes: 0 ok, 1 gated
-// regression/breach, 2 usage or I/O error.
-#include <algorithm>
+// `diff` is the one comparison of two runs: it aligns two BENCH_*.json
+// reports by scenario and metric name (runtime, accuracy, peak RSS,
+// counters, channels and accuracy-budget stages), prints the ranked
+// regression table, and — only under --fail-on-regress — exits 1 when any
+// metric regressed beyond tolerance, which is how CI gates a run against
+// the committed baseline.  `trend` renders a snim_bench --ledger history as
+// sparklines (text) or a self-contained HTML page with a collapsible phase
+// flame view.  `show` pretty-prints a single report's manifest and
+// scenarios.  `budget` prints one report's ranked accuracy-budget ledger
+// (worst margin first) with the per-scenario solve-certificate summaries.
+// Numeric flag values are checked: tolerances are finite and >= 0, counts
+// whole numbers.  Exit codes: 0 ok, 1 gated regression/breach, 2 usage or
+// I/O error.
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -48,31 +51,43 @@ using namespace snim::obs;
         "      --tol-accuracy DB   accuracy noise tolerance, dB (default 0.05)\n"
         "      --tol-rss PCT       peak-RSS noise tolerance, percent (default 30)\n"
         "      --tol-counter PCT   counter tolerance, percent (default 0)\n"
+        "      --tol-budget DB     accuracy-budget margin tolerance, dB (default\n"
+        "                          0.5; a margin crossing 0 dB regresses anyway)\n"
         "      --limit N           show at most N non-regression rows\n"
         "      --fail-on-regress   exit 1 when anything regressed beyond tolerance\n"
         "  snim_report trend LEDGER.jsonl [--last N] [--html FILE]\n"
         "  snim_report show RUN.json [--events]\n"
         "      --events            print the live event-journal tail and top\n"
         "                          sampled stacks instead of the summary\n"
-        "  snim_report budget RUN.json [OLD.json] [options]\n"
+        "  snim_report budget RUN.json [options]\n"
         "      --limit N           show at most N unbreached budget rows\n"
         "      --fail-on-breach    exit 1 when any stage is over budget or a\n"
-        "                          solve certificate recorded a breach\n"
-        "      --tol-budget DB     margin noise tolerance for the baseline\n"
-        "                          diff, dB (default 0.5)\n"
-        "      --fail-on-regress   exit 1 when a budget margin regressed\n"
-        "                          against OLD.json beyond tolerance\n",
+        "                          solve certificate recorded a breach\n",
         stderr);
     std::exit(2);
 }
 
-double parse_double(const char* flag, const char* value) {
+/// A tolerance: a finite number >= 0.
+double parse_tolerance(const char* flag, const char* value) {
     if (!value) usage(format("%s needs a value", flag).c_str());
     char* end = nullptr;
     const double v = std::strtod(value, &end);
-    if (end == value || *end != '\0')
-        usage(format("%s: bad number '%s'", flag, value).c_str());
+    if (end == value || *end != '\0' || !std::isfinite(v) || v < 0.0)
+        usage(format("%s wants a finite number >= 0, got '%s'", flag, value).c_str());
     return v;
+}
+
+/// A row or run count: a whole decimal number.
+size_t parse_count(const char* flag, const char* value) {
+    if (!value) usage(format("%s needs a value", flag).c_str());
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long v = std::strtoull(value, &end, 10);
+    // strtoull skips blanks and wraps a leading '-': take digits only.
+    if (!std::isdigit(static_cast<unsigned char>(value[0])) || *end != '\0' ||
+        errno == ERANGE || v > SIZE_MAX)
+        usage(format("%s wants a whole number >= 0, got '%s'", flag, value).c_str());
+    return static_cast<size_t>(v);
 }
 
 Json load_json(const std::string& path) {
@@ -98,12 +113,12 @@ int cmd_diff(int argc, char** argv) {
     for (int i = 0; i < argc; ++i) {
         const std::string a = argv[i];
         const char* next = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (a == "--tol-runtime") tol.runtime_pct = parse_double(argv[i], next), ++i;
-        else if (a == "--tol-accuracy") tol.accuracy_db = parse_double(argv[i], next), ++i;
-        else if (a == "--tol-rss") tol.rss_pct = parse_double(argv[i], next), ++i;
-        else if (a == "--tol-counter") tol.counter_pct = parse_double(argv[i], next), ++i;
-        else if (a == "--tol-budget") tol.budget_db = parse_double(argv[i], next), ++i;
-        else if (a == "--limit") limit = static_cast<size_t>(parse_double(argv[i], next)), ++i;
+        if (a == "--tol-runtime") tol.runtime_pct = parse_tolerance(argv[i], next), ++i;
+        else if (a == "--tol-accuracy") tol.accuracy_db = parse_tolerance(argv[i], next), ++i;
+        else if (a == "--tol-rss") tol.rss_pct = parse_tolerance(argv[i], next), ++i;
+        else if (a == "--tol-counter") tol.counter_pct = parse_tolerance(argv[i], next), ++i;
+        else if (a == "--tol-budget") tol.budget_db = parse_tolerance(argv[i], next), ++i;
+        else if (a == "--limit") limit = parse_count(argv[i], next), ++i;
         else if (a == "--fail-on-regress") fail_on_regress = true;
         else if (!a.empty() && a[0] == '-') usage(format("unknown flag '%s'", a.c_str()).c_str());
         else files.push_back(a);
@@ -130,7 +145,7 @@ int cmd_trend(int argc, char** argv) {
     for (int i = 0; i < argc; ++i) {
         const std::string a = argv[i];
         const char* next = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (a == "--last") last = static_cast<size_t>(parse_double(argv[i], next)), ++i;
+        if (a == "--last") last = parse_count(argv[i], next), ++i;
         else if (a == "--html") {
             if (!next) usage("--html needs a file name");
             html_path = next;
@@ -180,62 +195,30 @@ int cmd_show(int argc, char** argv) {
 }
 
 int cmd_budget(int argc, char** argv) {
-    std::vector<std::string> files;
-    DiffTolerances tol;
+    std::string path;
     size_t limit = 0;
     bool fail_on_breach = false;
-    bool fail_on_regress = false;
     for (int i = 0; i < argc; ++i) {
         const std::string a = argv[i];
         const char* next = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (a == "--limit") limit = static_cast<size_t>(parse_double(argv[i], next)), ++i;
-        else if (a == "--tol-budget") tol.budget_db = parse_double(argv[i], next), ++i;
+        if (a == "--limit") limit = parse_count(argv[i], next), ++i;
         else if (a == "--fail-on-breach") fail_on_breach = true;
-        else if (a == "--fail-on-regress") fail_on_regress = true;
         else if (!a.empty() && a[0] == '-') usage(format("unknown flag '%s'", a.c_str()).c_str());
-        else files.push_back(a);
+        else if (path.empty()) path = a;
+        else usage("budget takes one report file (compare two with `diff`)");
     }
-    if (files.empty() || files.size() > 2)
-        usage("budget needs a report file (plus at most one baseline)");
+    if (path.empty()) usage("budget needs a report file");
 
-    const Json report = load_json(files[0]);
+    const Json report = load_json(path);
     std::fputs(budget_table(report, limit).c_str(), stdout);
-
-    int rc = 0;
-    if (files.size() == 2) {
-        // Baseline comparison restricted to the budget/<stage> margins; the
-        // full metric diff is `snim_report diff`'s job.
-        const Json baseline = load_json(files[1]);
-        ReportDiff d = diff_reports(baseline, report, tol);
-        d.metrics.erase(std::remove_if(d.metrics.begin(), d.metrics.end(),
-                                       [](const MetricDiff& m) {
-                                           return m.metric.rfind("budget/", 0) != 0;
-                                       }),
-                        d.metrics.end());
-        std::fputs("\nbudget vs baseline:\n", stdout);
-        std::fputs(diff_table(d, limit).c_str(), stdout);
-        if (diff_has_regression(d)) {
-            if (fail_on_regress) {
-                std::fputs("FAIL: budget margin regressed beyond tolerance\n", stdout);
-                rc = 1;
-            } else {
-                std::fputs("note: budget margin regressed beyond tolerance "
-                           "(pass --fail-on-regress to gate on it)\n",
-                           stdout);
-            }
-        }
+    if (!budget_has_breach(report)) return 0;
+    if (fail_on_breach) {
+        std::fputs("FAIL: accuracy budget breached\n", stdout);
+        return 1;
     }
-    if (budget_has_breach(report)) {
-        if (fail_on_breach) {
-            std::fputs("FAIL: accuracy budget breached\n", stdout);
-            rc = 1;
-        } else {
-            std::fputs("note: accuracy budget breached "
-                       "(pass --fail-on-breach to gate on it)\n",
-                       stdout);
-        }
-    }
-    return rc;
+    std::fputs("note: accuracy budget breached (pass --fail-on-breach to gate on it)\n",
+               stdout);
+    return 0;
 }
 
 } // namespace
